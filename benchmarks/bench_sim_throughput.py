@@ -16,8 +16,11 @@ Two entry points:
   Native is timed with a warm compiled-object cache — the warm-up run
   pays the one-time C compile (or pulls the shared object from the
   artifact store) before the clock starts, matching the sweep/service
-  steady state.  Without a C compiler on PATH the native column degrades
-  to turbo and its floor is skipped.
+  steady state.  Next to it, the ``cold`` column is what a program's
+  first native run pays from an empty store: C generation plus the C
+  compile, timed directly (no store, no process cache).  Without a C
+  compiler on PATH the native column degrades to turbo, the cold column
+  is empty and the native floor is skipped.
   Smoke mode for CI: ``REPRO_BENCH_SMOKE=1`` shrinks the matrix and
   skips the hard ratio asserts (shared runners have too much timing
   noise).
@@ -99,6 +102,28 @@ def _time_mode(compiled, mode: str):
     return result, elapsed
 
 
+def _time_native_cold(compiled):
+    """Seconds of C generation and of the C compile for *compiled*'s
+    shared object, built from scratch; ``None`` without a C compiler."""
+    from repro.sim import native
+    from repro.sim.cgen import build_native_program
+
+    cc = native.find_compiler()
+    if cc is None:
+        return None
+    start = time.perf_counter()
+    nat = build_native_program(compiled.program)
+    generated = time.perf_counter()
+    native._compile_so(cc, nat.source)
+    end = time.perf_counter()
+    return {
+        "cgen_s": generated - start,
+        "cc_s": end - generated,
+        "total_s": end - start,
+        "c_kib": len(nat.source) / 1024,
+    }
+
+
 def _time_mode_traced(compiled, mode: str):
     """Like :func:`_time_mode` but with a tracer enabled for the run.
 
@@ -132,7 +157,9 @@ def measure(machines, kernels):
             # one-time C compile or store fetch happens here) before
             # timing: the sweep use case simulates each program many
             # times, so steady-state throughput is the relevant number.
-            # Checked has no caches.
+            # Checked has no caches.  The cold native build is timed first,
+            # on its own.
+            native_cold = _time_native_cold(compiled)
             run_compiled(compiled, mode="turbo")
             run_compiled(compiled, mode="native")
             results, seconds = {}, {}
@@ -203,6 +230,7 @@ def measure(machines, kernels):
                         ),
                     },
                     "trace_overhead": traced_best / untraced_best,
+                    "native_cold": native_cold,
                 }
             )
     return rows
@@ -234,7 +262,7 @@ def best_per_style(rows, ratio: str) -> dict[str, float]:
 def format_table(rows) -> str:
     lines = [
         f"{'machine':10s} {'kernel':10s} {'cycles':>10s} "
-        f"{'checked':>9s} {'fast':>9s} {'turbo':>9s} {'native':>9s} "
+        f"{'checked':>9s} {'fast':>9s} {'turbo':>9s} {'native':>9s} {'cold':>7s} "
         f"{'batch@' + str(BATCH_LANES):>10s} "
         f"{'fast/chk':>9s} {'turbo/fast':>11s} {'native/turbo':>13s} "
         f"{'batch/turbo':>12s} {'traced':>8s}"
@@ -244,10 +272,12 @@ def format_table(rows) -> str:
         speedup = row["speedup"]
         batch = row["batch"]
         overhead_pct = (row["trace_overhead"] - 1.0) * 100.0
+        cold = row["native_cold"]
+        cold_s = f"{cold['total_s']:6.2f}s" if cold else f"{'-':>7s}"
         lines.append(
             f"{row['machine']:10s} {row['kernel']:10s} {row['cycles']:10d} "
             f"{mips['checked']:8.2f}M {mips['fast']:8.2f}M {mips['turbo']:8.2f}M "
-            f"{mips['native']:8.2f}M "
+            f"{mips['native']:8.2f}M {cold_s} "
             f"{batch['mips_aggregate']:9.2f}M "
             f"{speedup['fast_vs_checked']:8.1f}x {speedup['turbo_vs_fast']:10.1f}x "
             f"{speedup['native_vs_turbo']:12.1f}x "

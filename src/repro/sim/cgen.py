@@ -34,6 +34,32 @@ execution with a negative status plus error operands in ``ctl``, and the
 Python driver reconstructs the reference engine's **byte-identical**
 ``SimError``/``ValueError`` message from the synced-back state.
 
+The C compile dominates a program's first native run, and its cost is
+linear in the volume of emitted code, so codegen keeps that volume small:
+
+* **Exact block entries.**  Blocks start at pc 0, at every
+  ``Program.labels`` address (every jump/call target is a label
+  immediate), at every call return site (``pc + jl + 1``, where ``ret``
+  lands) and at the fall-through successors of those blocks.  A pc
+  without a block is still correct: the Python dispatch loop steps it
+  with the turbo engine's single-cycle fallback until it reaches an
+  entry.
+* **Static FU-result forwarding (TTA).**  The scheduler bypasses results
+  in software: a result is read a fixed latency after its trigger,
+  inside the same block.  Codegen models each FU's pending ring per block
+  (:class:`_FUState`).  In-block pushes keep their values in C temps; a
+  read with an in-block push already due takes the latest such temp
+  (pushes are monotonic, so every carried-in entry pops too), and from
+  then on the unit's ring is known exactly: reads and pushes become
+  constant-index stores to ``pd``/``pv``/``fum``/``fu32`` with no loop
+  and no call.  Memory stays in sync at every point, so error exits need
+  nothing extra.  Only a unit's pushes before its first forwarded read
+  and reads with no due in-block push use the ``FUPUSH``/``FUREAD``
+  macros (the push body out of line).
+* **Out-of-line VLIW drains.**  The write-back queue only holds writes
+  carried into a block; each drain point is one inline emptiness test in
+  front of a shared ``wb_drain`` call.
+
 Semantics notes pinned by ``tests/test_native.py``:
 
 * ALU templates in :data:`_C_ALU` agree bit-exactly with
@@ -52,6 +78,7 @@ Semantics notes pinned by ``tests/test_native.py``:
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.backend.program import Program
@@ -193,18 +220,30 @@ static const int32_t block_len[{n_blocks}] = {{{block_len}}};
 
 /* _FU.push: monotonicity check first (reference raises before appending);
  * a full ring drains its due entries, which cannot change any observable
- * (see module docstring) and by the due-window bound always frees slots */
-#define FUPUSH(f, due, val, C) do {{ int32_t *_m = fum + 3 * (f); \\
-    if (_m[0] && (due) <= pd[(f) * PCAP + ((_m[1] + _m[0] - 1) & PMSK)]) \\
-        {{ ERR(-2, (f), (due)); }} \\
-    if (_m[0] == PCAP) {{ \\
-        while (_m[0] && pd[(f) * PCAP + _m[1]] <= (C)) {{ \\
-            fu32[2 * (f) + 1] = pv[(f) * PCAP + _m[1]]; _m[2] = 1; \\
-            _m[1] = (_m[1] + 1) & PMSK; _m[0]--; }} \\
-        if (_m[0] == PCAP) {{ ERR(-9, (f), 0); }} }} \\
-    {{ int32_t _s = (_m[1] + _m[0]) & PMSK; \\
-       pd[(f) * PCAP + _s] = (due); pv[(f) * PCAP + _s] = (val); _m[0]++; }} \\
-    }} while (0)
+ * (see module docstring) and by the due-window bound always frees slots.
+ * Out of line: only a unit's pushes before its first forwarded read in a
+ * block come here, and one call is far less code for cc than the body. */
+static int fu_push(int32_t *m, int64_t *fpd, uint32_t *fpv, uint32_t *res,
+                   int64_t due, uint32_t val, int64_t c)
+{{
+    int32_t s;
+    if (m[0] && due <= fpd[(m[1] + m[0] - 1) & PMSK])
+        return -2;
+    if (m[0] == PCAP) {{
+        while (m[0] && fpd[m[1]] <= c) {{
+            *res = fpv[m[1]]; m[2] = 1;
+            m[1] = (m[1] + 1) & PMSK; m[0]--;
+        }}
+        if (m[0] == PCAP)
+            return -9;
+    }}
+    s = (m[1] + m[0]) & PMSK;
+    fpd[s] = due; fpv[s] = val; m[0]++;
+    return 0;
+}}
+#define FUPUSH(f, due, val, C) do {{ int _r = fu_push(fum + 3 * (f), \\
+    pd + (f) * PCAP, pv + (f) * PCAP, fu32 + 2 * (f) + 1, (due), (val), (C)); \\
+    if (_r) {{ ERR(_r, (f), _r == -2 ? (due) : 0); }} }} while (0)
 
 #define CHK(a, sz) if ((uint64_t)(a) + (sz) > memsz) \\
     {{ ERR(-5, (int64_t)(a), (sz)); }}
@@ -230,6 +269,22 @@ static const int32_t block_len[{n_blocks}] = {{{block_len}}};
        mem[_a + 1] = (uint8_t)(_v >> 8); }} }} while (0)
 #define STQ(a, v) do {{ uint32_t _a = (a); CHK(_a, 1) \\
     mem[_a] = (uint8_t)(v); }} while (0)
+
+/* VLIW write-back queue: commit every write due before cycle C.  Out of
+ * line behind an inline emptiness test: the queue only holds writes
+ * carried into a block, and one call is far less code for cc than the
+ * loop at every drain point */
+static void wb_drain(uint32_t *rf, const int64_t *pd, const uint32_t *pv,
+                     const int32_t *wo, int32_t *head, int32_t *len, int64_t c)
+{{
+    int32_t h = *head, l = *len;
+    while (l > 0 && pd[h] < c) {{
+        rf[wo[h]] = pv[h]; h++; l--;
+    }}
+    *head = h; *len = l;
+}}
+#define WB_DRAIN(C) do {{ if (wlen > 0 && pd[whead] < (C)) \\
+    wb_drain(rf, pd, pv, fum, &whead, &wlen, (C)); }} while (0)
 
 /* VLIW write-back queue: sorted insertion after equal dues reproduces the
  * reference heap's (due, seq) order; returns 1 on capacity overflow
@@ -339,7 +394,29 @@ done:""")
 # ---------------------------------------------------------------------------
 
 
-def _gen_tta_block(program, start, decoded, rf_off, fu_idx, bi):
+class _FUState:
+    """Codegen-time model of one FU's pending ring within one block.
+
+    Until the unit's first *forwarded* read the ring may hold carried-in
+    entries the block cannot see, so pushes go through ``FUPUSH`` and are
+    remembered in ``pushes`` as ``(due_rel, temp)``.  A read at relative
+    cycle ``k`` with an in-block push due by ``k`` is forwarded: pushes
+    are monotonic, so every carried-in entry is due earlier and pops as
+    well, and the result is the latest in-block push due by ``k``.  From
+    then on ``ring`` is the exact ring content (physical slots ``head``,
+    ``head + 1``, ...) and ``result`` the temp in the result register.
+    """
+
+    __slots__ = ("pushes", "ring", "head", "result")
+
+    def __init__(self):
+        self.pushes = []
+        self.ring = None  # None until the ring is statically known
+        self.head = 0
+        self.result = None
+
+
+def _gen_tta_block(program, start, decoded, rf_off, fu_idx, pcap, bi):
     machine = program.machine
     jl = machine.jump_latency
     jl1 = jl + 1
@@ -357,6 +434,7 @@ def _gen_tta_block(program, start, decoded, rf_off, fu_idx, bi):
 
     lines: list[str] = []
     tempc = [0]
+    fu_states: dict[str, _FUState] = defaultdict(_FUState)
 
     def emit(s, ind=""):
         lines.append(ind + s)
@@ -365,18 +443,82 @@ def _gen_tta_block(program, start, decoded, rf_off, fu_idx, bi):
         tempc[0] += 1
         return f"t{tempc[0]}"
 
-    def sample_fu(fu_name, C, ind=""):
+    def pop_due(f, state, k):
+        """Statically commit the known ring's entries due by cycle ``k``
+        (the reference's lazy ``commit``), keeping memory in sync."""
+        ring = state.ring
+        n_due = 0
+        while n_due < len(ring) and ring[n_due][0] <= k:
+            n_due += 1
+        if n_due:
+            state.result = ring[n_due - 1][1]
+            state.head = (state.head + n_due) % pcap
+            del ring[:n_due]
+            emit(
+                f"fu32[{2 * f + 1}] = {state.result}; "
+                f"fum[{3 * f}] = {len(ring)}; fum[{3 * f + 1}] = {state.head};"
+            )
+
+    def sample_fu(fu_name, k):
+        f = fu_idx[fu_name]
+        state = fu_states[fu_name]
+        if state.ring is not None:
+            pop_due(f, state, k)
+            return state.result
+        due = [t for d, t in state.pushes if d <= k]
+        if not due:
+            t = newtemp()
+            emit(f"uint32_t {t}; FUREAD({t}, {f}, {_cexpr(k)});")
+            return t
+        # forwarded read: the ring now holds exactly the in-block pushes
+        # not yet due; lay them out from slot 0
+        state.result = due[-1]
+        state.ring = [(d, t) for d, t in state.pushes if d > k]
+        state.pushes = None
+        for j, (d, t) in enumerate(state.ring):
+            emit(f"pd[{f * pcap + j}] = {_cexpr(d)}; pv[{f * pcap + j}] = {t};")
+        emit(
+            f"fu32[{2 * f + 1}] = {state.result}; fum[{3 * f}] = {len(state.ring)}; "
+            f"fum[{3 * f + 1}] = 0; fum[{3 * f + 2}] = 1;"
+        )
+        return state.result
+
+    def temp_of(expr):
         t = newtemp()
-        emit(f"uint32_t {t}; FUREAD({t}, {fu_idx[fu_name]}, {C});", ind)
+        emit(f"uint32_t {t} = {expr};")
         return t
 
-    def value_expr(src, C, ind=""):
+    def push_fu(fu_name, k, due_rel, t):
+        f = fu_idx[fu_name]
+        state = fu_states[fu_name]
+        ring = state.ring
+        if ring is None:
+            emit(f"FUPUSH({f}, {_cexpr(due_rel)}, {t}, {_cexpr(k)});")
+            state.pushes.append((due_rel, t))
+            return
+        if ring and due_rel <= ring[-1][0]:
+            # statically non-monotonic: the reference raises every time
+            emit(f"ERR(-2, {f}, {_cexpr(due_rel)});")
+            return
+        if len(ring) == pcap:
+            pop_due(f, state, k)
+            if len(ring) == pcap:
+                emit(f"ERR(-9, {f}, 0);")
+                return
+        slot = f * pcap + (state.head + len(ring)) % pcap
+        ring.append((due_rel, t))
+        emit(
+            f"pd[{slot}] = {_cexpr(due_rel)}; pv[{slot}] = {t}; "
+            f"fum[{3 * f}] = {len(ring)};"
+        )
+
+    def value_expr(src, k):
         kind = src[0]
         if kind == "imm":
             return f"{src[1]}u"
         if kind == "rf":
             return f"rf[{rf_off[src[1]] + src[2]}]"
-        return sample_fu(src[1], C, ind)
+        return sample_fu(src[1], k)
 
     def emit_ctl_check(ind=""):
         emit("if (rc >= 0) { ERR(-3, 0, 0); }", ind)
@@ -384,7 +526,6 @@ def _gen_tta_block(program, start, decoded, rf_off, fu_idx, bi):
     ctl_emitted = False
     for k in range(n):
         p = start + k
-        C = _cexpr(k)
         rf_moves, o1_moves, trig_moves, _counts = decoded[p]
         # phase 1: sample RF-bound sources before any same-cycle effect
         commits = []
@@ -393,33 +534,31 @@ def _gen_tta_block(program, start, decoded, rf_off, fu_idx, bi):
             if src[0] == "imm":
                 commits.append((off, f"{src[1]}u"))
             elif src[0] == "rf":
-                t = newtemp()
-                emit(f"uint32_t {t} = rf[{rf_off[src[1]] + src[2]}];")
-                commits.append((off, t))
+                commits.append((off, temp_of(f"rf[{rf_off[src[1]] + src[2]}]")))
             else:
-                commits.append((off, sample_fu(src[1], C)))
+                commits.append((off, sample_fu(src[1], k)))
         # phase 2: operand-port latches
         for src, fu in o1_moves:
-            e = value_expr(src, C)
+            e = value_expr(src, k)
             emit(f"fu32[{2 * fu_idx[fu]}] = {e};")
         # phase 3: triggers, in move order
         for src, fu, opcode in trig_moves:
             f = fu_idx[fu]
             if opcode == "halt":
                 if src[0] == "fu":
-                    sample_fu(src[1], C)
+                    sample_fu(src[1], k)
                 continue
             if opcode == "getra":
                 if src[0] == "fu":
-                    sample_fu(src[1], C)
-                emit(f"FUPUSH({f}, c + {k + 1}, ra, {C});")
+                    sample_fu(src[1], k)
+                push_fu(fu, k, k + 1, temp_of("ra"))
                 continue
             if opcode == "setra":
-                e = value_expr(src, C)
+                e = value_expr(src, k)
                 emit(f"ra = {e};")
                 continue
             if opcode == "jump":
-                e = value_expr(src, C)
+                e = value_expr(src, k)
                 if ctl_emitted:
                     emit_ctl_check()
                 emit(f"rc = c + {k + jl1};")
@@ -427,7 +566,7 @@ def _gen_tta_block(program, start, decoded, rf_off, fu_idx, bi):
                 ctl_emitted = True
                 continue
             if opcode == "call":
-                e = value_expr(src, C)
+                e = value_expr(src, k)
                 emit(f"ra = {p + jl1}u;")
                 if ctl_emitted:
                     emit_ctl_check()
@@ -437,7 +576,7 @@ def _gen_tta_block(program, start, decoded, rf_off, fu_idx, bi):
                 continue
             if opcode == "ret":
                 if src[0] == "fu":
-                    sample_fu(src[1], C)
+                    sample_fu(src[1], k)
                 if ctl_emitted:
                     emit_ctl_check()
                 emit(f"rc = c + {k + jl1};")
@@ -445,7 +584,7 @@ def _gen_tta_block(program, start, decoded, rf_off, fu_idx, bi):
                 ctl_emitted = True
                 continue
             if opcode in ("cjump", "cjumpz"):
-                e = value_expr(src, C)
+                e = value_expr(src, k)
                 cond = e if opcode == "cjump" else f"!({e})"
                 emit(f"if ({cond}) {{")
                 if ctl_emitted:
@@ -459,23 +598,23 @@ def _gen_tta_block(program, start, decoded, rf_off, fu_idx, bi):
             if spec is None:
                 raise _Unsupported(opcode)
             if spec.kind is OpKind.LSU:
-                e = value_expr(src, C)
+                e = value_expr(src, k)
                 if spec.writes_mem:
                     emit(f"{_ST_MACRO[opcode]}({e}, fu32[{2 * f}]);")
                 else:
                     t = newtemp()
                     emit(f"uint32_t {t}; {_LD_MACRO[opcode]}({t}, {e});")
-                    emit(f"FUPUSH({f}, c + {k + spec.latency}, {t}, {C});")
+                    push_fu(fu, k, k + spec.latency, t)
                 continue
             tmpl = _C_ALU.get(opcode)
             if tmpl is None or spec.latency < 1:
                 raise _Unsupported(opcode)
-            e = value_expr(src, C)
+            e = value_expr(src, k)
             if spec.operands == 2:
                 expr = tmpl.format(a=e, b=f"fu32[{2 * f}]")
             else:
                 expr = tmpl.format(a=e)
-            emit(f"FUPUSH({f}, c + {k + spec.latency}, {expr}, {C});")
+            push_fu(fu, k, k + spec.latency, temp_of(expr))
         # phase 4: RF write commit
         for off, e in commits:
             emit(f"rf[{off}] = {e};")
@@ -549,9 +688,7 @@ def _gen_vliw_block(program, start, decoded, rf_off, maxlat, bi):
         emit("if (rc >= 0) { ERR(-3, 0, 0); }", ind)
 
     def emit_drain(C):
-        emit(f"while (wlen > 0 && pd[whead] < ({C})) {{")
-        emit("    rf[fum[whead]] = pv[whead]; whead++; wlen--;")
-        emit("}")
+        emit(f"WB_DRAIN({C});")
 
     ctl_emitted = False
     for k in range(n):
@@ -669,54 +806,28 @@ def _gen_vliw_block(program, start, decoded, rf_off, maxlat, bi):
 # ---------------------------------------------------------------------------
 
 
-def _collect_entries(n_instrs, jl, has_halt, has_ctl, targets):
-    """Block entry pcs: the fall-through partition chain from pc 0, every
-    statically-known branch-target candidate, and the closure of their
-    fall-through successors -- so chained native execution only leaves
-    the shared object for computed targets it has no block for."""
+def _collect_entries(program, n_instrs, has_halt, has_ctl, has_call):
+    """Block entry pcs: pc 0, every program label, every call return site
+    (``pc + jl + 1``), and the closure of their fall-through successors.
+    In a linked program these are all the pcs a redirect can reach (every
+    target is transported as a label immediate; ``ret`` lands on a return
+    site), so chained execution leaves the shared object only for carried
+    redirects.  Any other pc is stepped by the Python dispatch loop's
+    single-cycle fallback."""
+    jl = program.machine.jump_latency
+    returns = (pc + jl + 1 for pc in range(n_instrs) if has_call(pc))
+    roots = {0, *program.labels.values(), *returns}
     seen: set[int] = set()
-    work = [0] + sorted(t for t in targets if 0 <= t < n_instrs)
+    work = sorted(p for p in roots if 0 <= p < n_instrs)
     while work:
         p = work.pop()
-        if p in seen or not 0 <= p < n_instrs:
+        if p in seen:
             continue
         seen.add(p)
         length, halts, _ = _partition(p, n_instrs, jl, has_halt, has_ctl)
         if length and not halts and p + length < n_instrs:
             work.append(p + length)
     return sorted(seen)
-
-
-def _tta_targets(decoded, jl):
-    """Static branch-target candidates: every in-range immediate anywhere
-    in the program (a jump/call/cjump target is always transported as an
-    immediate somewhere) plus every call return site."""
-    targets = set()
-    for pc, (rf_moves, o1_moves, trig_moves, _counts) in enumerate(decoded):
-        for src, _rf, _idx in rf_moves:
-            if src[0] == "imm":
-                targets.add(src[1])
-        for src, _fu in o1_moves:
-            if src[0] == "imm":
-                targets.add(src[1])
-        for src, _fu, opcode in trig_moves:
-            if src[0] == "imm":
-                targets.add(src[1])
-            if opcode == "call":
-                targets.add(pc + jl + 1)
-    return targets
-
-
-def _vliw_targets(decoded, jl):
-    targets = set()
-    for pc, bundle in enumerate(decoded):
-        for name, srcs, _dest, _lat in bundle:
-            for src in srcs:
-                if src[0] == "imm":
-                    targets.add(src[1])
-            if name == "call":
-                targets.add(pc + jl + 1)
-    return targets
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +851,6 @@ def _build_tta(program: Program) -> NativeProgram | None:
     if n_instrs == 0:
         return None
     machine = program.machine
-    jl = machine.jump_latency
     rf_layout, rf_total = _rf_layout(machine)
     rf_off = {name: base for name, base, _size in rf_layout}
     fu_names = [fu.name for fu in machine.all_units]
@@ -762,15 +872,16 @@ def _build_tta(program: Program) -> NativeProgram | None:
     def has_ctl(p):
         return any(op in _TTA_CTL for _, _, op in decoded[p][2])
 
-    entries = _collect_entries(
-        n_instrs, jl, has_halt, has_ctl, _tta_targets(decoded, jl)
-    )
+    def has_call(p):
+        return any(op == "call" for _, _, op in decoded[p][2])
+
+    entries = _collect_entries(program, n_instrs, has_halt, has_ctl, has_call)
     blocks = []
     total = 0
     for start in entries:
         try:
             n, case = _gen_tta_block(
-                program, start, decoded, rf_off, fu_idx, len(blocks)
+                program, start, decoded, rf_off, fu_idx, pcap, len(blocks)
             )
         except _Unsupported:
             continue
@@ -801,7 +912,6 @@ def _build_vliw(program: Program) -> NativeProgram | None:
     if n_instrs == 0:
         return None
     machine = program.machine
-    jl = machine.jump_latency
     rf_layout, rf_total = _rf_layout(machine)
     rf_off = {name: base for name, base, _size in rf_layout}
     maxlat = _vliw_max_latency(decoded)
@@ -813,9 +923,10 @@ def _build_vliw(program: Program) -> NativeProgram | None:
     def has_ctl(p):
         return any(op[0] in _VLIW_CTL for op in decoded[p])
 
-    entries = _collect_entries(
-        n_instrs, jl, has_halt, has_ctl, _vliw_targets(decoded, jl)
-    )
+    def has_call(p):
+        return any(op[0] == "call" for op in decoded[p])
+
+    entries = _collect_entries(program, n_instrs, has_halt, has_ctl, has_call)
     blocks = []
     total = 0
     for start in entries:

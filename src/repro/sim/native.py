@@ -17,6 +17,12 @@ Compilation and caching:
   first of ``cc``/``gcc``/``clang`` on PATH; ``$REPRO_NO_NATIVE_CC``
   (any non-empty value) disables discovery — ``mode="native"`` then
   degrades to the turbo engine with a one-time ``RuntimeWarning``;
+* the degradation is loud: the warning names the reason, which for a
+  failed build is the compiler's exit code and stderr tail (or its
+  timeout), and every failed compile counts ``sim.native.cc_failed``;
+  C generation and the C compile run in their own ``sim.native.cgen``
+  and ``sim.native.cc`` spans, so a trace shows the compile apart from
+  the simulation;
 * built shared objects are cached at three levels: per-``Program``
   (``predecode_cache``), per-process (dlopened library by source key)
   and persistently in the artifact store's binary-blob kind, keyed by
@@ -85,12 +91,24 @@ FFI_ENV = "REPRO_NATIVE_FFI"
 
 #: cache keys on ``Program.predecode_cache`` (None = engine unavailable)
 _NATIVE_KEYS = {"tta": "tta-native", "vliw": "vliw-native"}
+#: ``predecode_cache`` key of the reason the engine is unavailable
+_REASON_KEY = "native-unavailable"
 
 _ABSENT = object()
 
-#: process-wide dlopened bindings keyed by shared-object key
-#: (None records a permanent build failure so it is not retried)
+#: process-wide dlopened bindings keyed by shared-object key (a str
+#: records a permanent build failure's reason so it is not retried)
 _LIB_CACHE: dict[str, object] = {}
+
+#: flags for every generated translation unit.  The compile dominates a
+#: program's first native run and its cost is linear in the volume of
+#: emitted code, which cgen keeps small (see its module docstring).  -O1,
+#: not -O2: on gcc 12, -O2 takes 2-5x as long on the same C for a modest
+#: run-speed gain.  A module constant rather than an environment knob; the
+#: sanitizer tests monkeypatch it (the flags are part of the shared-object
+#: key, so such builds never mix with these).
+_CC_FLAGS = ("-O1", "-fPIC", "-shared", "-fno-strict-aliasing", "-w")
+_CC_TIMEOUT_S = 120
 
 #: one-time degradation warning latch (tests reset it)
 _WARNED = False
@@ -137,45 +155,43 @@ _CC_IDS: dict[str, str] = {}
 
 def _so_key(source: str, cc_id: str) -> str:
     """Artifact-store key of the shared object for *source*: any change
-    to the engine version, the compiler, or the generated C re-keys it."""
-    blob = f"native-v{SIM_ENGINE_VERSION}\0{cc_id}\0".encode() + source.encode()
-    return hashlib.sha256(blob).hexdigest()
+    to the engine version, the compiler, its flags, or the generated C
+    re-keys it."""
+    flags = " ".join(_CC_FLAGS)
+    blob = f"native-v{SIM_ENGINE_VERSION}\0{cc_id}\0{flags}\0".encode()
+    return hashlib.sha256(blob + source.encode()).hexdigest()
 
 
-def _compile_so(cc: str, source: str) -> bytes | None:
-    """Compile *source* to shared-object bytes; ``None`` on any failure."""
-    with tempfile.TemporaryDirectory(prefix="repro-native-cc-") as tmp:
+class _CcFailed(Exception):
+    """The C compiler did not produce a shared object; the message is the
+    reason shown in the degradation warning."""
+
+
+def _compile_so(cc: str, source: str) -> bytes:
+    """Compile *source* to shared-object bytes; raises :class:`_CcFailed`
+    with the exit code and stderr tail (or the timeout) on failure."""
+    with obs.span("sim.native.cc"), tempfile.TemporaryDirectory(
+        prefix="repro-native-cc-"
+    ) as tmp:
         c_path = os.path.join(tmp, "program.c")
         so_path = os.path.join(tmp, "program.so")
         with open(c_path, "w") as handle:
             handle.write(source)
-        # -O1, not -O2: the dispatch switch is one very large function and
-        # -O2's scalar optimisations go superlinear on it (50s+ for the big
-        # kernels) for only ~1.4x extra run speed; -O1 compiles in seconds
-        # and still clears the bench floor with an order of magnitude to
-        # spare.
-        cmd = [
-            cc,
-            "-O1",
-            "-fPIC",
-            "-shared",
-            "-fno-strict-aliasing",
-            "-w",
-            "-o",
-            so_path,
-            c_path,
-        ]
+        cmd = [cc, *_CC_FLAGS, "-o", so_path, c_path]
         try:
-            proc = subprocess.run(cmd, capture_output=True, timeout=120)
-        except (OSError, subprocess.SubprocessError):
-            return None
+            proc = subprocess.run(cmd, capture_output=True, timeout=_CC_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            raise _CcFailed(f"{cc}: timeout after {_CC_TIMEOUT_S} s") from None
+        except (OSError, subprocess.SubprocessError) as exc:
+            raise _CcFailed(f"{cc}: {exc}") from None
         if proc.returncode != 0:
-            return None
+            tail = proc.stderr.decode(errors="replace").strip()[-300:]
+            raise _CcFailed(f"{cc}: exit {proc.returncode}: {tail}")
         try:
             with open(so_path, "rb") as handle:
                 return handle.read()
-        except OSError:
-            return None
+        except OSError as exc:
+            raise _CcFailed(f"{cc}: no shared object ({exc})") from None
 
 
 _SO_DIR: str | None = None
@@ -306,7 +322,8 @@ class NativeEngine:
 
 
 def _load_or_compile(cc: str, key: str, source: str):
-    """Binding for *source*, via the store's blob cache when possible."""
+    """Binding for *source*, via the store's blob cache when possible, or
+    the reason (a str) it could not be built."""
     from repro.pipeline.store import default_store
 
     store = default_store()
@@ -324,44 +341,49 @@ def _load_or_compile(cc: str, key: str, source: str):
             else:
                 obs.count("sim.native.so_store_hits")
                 return binding
-    blob = _compile_so(cc, source)
-    if blob is None:
-        return None
+    try:
+        blob = _compile_so(cc, source)
+    except _CcFailed as exc:
+        obs.count("sim.native.cc_failed")
+        return f"C compile failed: {exc}"
     obs.count("sim.native.so_compiled")
     _write_so(so_path, blob)
     try:
         binding = _make_binding(so_path)
-    except OSError:
-        return None
+    except OSError as exc:
+        return f"compiled shared object did not load: {exc}"
     if store is not None:
         store.store_blob(key, blob)
     return binding
 
 
 def _build_engine(program):
+    """The program's :class:`NativeEngine`, or the reason (a str) there
+    is none."""
     cc = find_compiler()
     if cc is None:
         obs.count("sim.native.no_compiler")
-        return None
-    nat = build_native_program(program)
+        return "no C compiler found"
+    with obs.span("sim.native.cgen"):
+        nat = build_native_program(program)
     if nat is None:
-        return None
+        return "program could not be compiled to native code"
     key = _so_key(nat.source, _compiler_id(cc))
     binding = _LIB_CACHE.get(key, _ABSENT)
     if binding is _ABSENT:
         binding = _load_or_compile(cc, key, nat.source)
         _LIB_CACHE[key] = binding
-    else:
-        if binding is not None:
-            obs.count("sim.native.so_memory_hits")
-    if binding is None:
-        return None
+    elif not isinstance(binding, str):
+        obs.count("sim.native.so_memory_hits")
+    if isinstance(binding, str):
+        return binding
     return NativeEngine(nat, binding)
 
 
 def _get_engine(program):
     """The program's native engine, or ``None`` when unavailable (cached
-    either way on ``predecode_cache`` so the decision is made once)."""
+    either way on ``predecode_cache`` so the decision is made once, with
+    the reason next to it for the degradation warning)."""
     key = _NATIVE_KEYS.get(program.style)
     if key is None:
         return None
@@ -369,6 +391,9 @@ def _get_engine(program):
     engine = cache.get(key, _ABSENT)
     if engine is _ABSENT:
         engine = _build_engine(program)
+        if isinstance(engine, str):
+            cache[_REASON_KEY] = engine
+            engine = None
         cache[key] = engine
     return engine
 
@@ -386,10 +411,8 @@ def _warn_no_native(reason: str) -> None:
     )
 
 
-def _unavailable_reason() -> str:
-    if find_compiler() is None:
-        return "no C compiler found"
-    return "program could not be compiled to native code"
+def _unavailable_reason(program) -> str:
+    return program.predecode_cache.get(_REASON_KEY, "unavailable")
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +459,7 @@ def run_tta_native(sim):
 
     engine = _get_engine(sim.program)
     if engine is None:
-        _warn_no_native(_unavailable_reason())
+        _warn_no_native(_unavailable_reason(sim.program))
         from repro.sim.blockcompile import run_tta_turbo
 
         return run_tta_turbo(sim)
@@ -624,7 +647,7 @@ def run_vliw_native(sim):
 
     engine = _get_engine(sim.program)
     if engine is None:
-        _warn_no_native(_unavailable_reason())
+        _warn_no_native(_unavailable_reason(sim.program))
         from repro.sim.blockcompile import run_vliw_turbo
 
         return run_vliw_turbo(sim)

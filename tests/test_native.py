@@ -104,9 +104,29 @@ def test_branchy_recursion_identical_native_vs_checked():
 # ---------------------------------------------------------------------------
 
 
-def _tta_prog(moves_lists, machine_name="m-tta-2"):
+def _tta_prog(moves_lists, machine_name="m-tta-2", labels=None):
     machine = build_machine(machine_name)
-    return Program(machine, "tta", [TTAInstr(moves) for moves in moves_lists])
+    return Program(
+        machine, "tta", [TTAInstr(moves) for moves in moves_lists], labels or {}
+    )
+
+
+def _imm(value, dst, bus):
+    return Move(("imm", value), dst, bus)
+
+
+def _case_source(nat, start):
+    """The generated C of the block entered at *start*."""
+    bi = [s for s, _ in nat.entries].index(start)
+    body = nat.source.split(f"case {bi}: {{\n", 1)[1]
+    return body.split("\n        }\n", 1)[0]
+
+
+def _fu_state(sim):
+    return [
+        (name, fu.o1, fu.result, fu.has_result, fu.pending)
+        for name, fu in sorted(sim.fus.items())
+    ]
 
 
 def _outcome(sim):
@@ -171,6 +191,24 @@ class TestNativeDynamics:
             ),
             expect="not after pending",
         )
+
+    def test_non_monotonic_push_after_forwarded_read(self):
+        # the same violation once ALU0's ring is statically known: the
+        # add (due 3) lands before the pending mul (due 4)
+        outcome = self._diff_state(
+            lambda: _tta_prog(
+                [
+                    [
+                        _imm(3, ("op", "ALU0", "o1", None), 0),
+                        _imm(4, ("op", "ALU0", "t", "add"), 1),
+                    ],
+                    [Move(("fu", "ALU0"), ("op", "ALU0", "t", "mul"), 0)],
+                    [_imm(1, ("op", "ALU0", "t", "add"), 0)],
+                    [_imm(0, ("op", "CU", "t", "halt"), 0)],
+                ]
+            )
+        )
+        assert outcome == ("ValueError", "ALU0: result due 3 not after pending 4")
 
     def test_pc_out_of_range(self):
         self._diff(
@@ -239,6 +277,126 @@ class TestNativeDynamics:
         sim.run()
         assert sim.regs[r2] == 42
 
+    def _diff_state(self, make_prog):
+        """Like :meth:`_diff`, and the final registers and FU state
+        (operand latch, result register, pending list) must match too."""
+        sims = []
+        for mode in ("checked", "native"):
+            sim = TTASimulator(make_prog(), mode=mode, max_cycles=10_000)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                outcome = _outcome(sim)
+            sims.append((outcome, sim.rfs, _fu_state(sim)))
+        assert sims[1] == sims[0]
+        return sims[0][0]
+
+    def test_result_read_in_taken_branch_target(self):
+        # ALU0's result is pushed before a taken cjump and read in the
+        # target block, which cannot forward it (the push is in another
+        # block); the target then forwards its own push
+        def make():
+            alu_t = ("op", "ALU0", "t", "add")
+            return _tta_prog(
+                [
+                    [
+                        _imm(5, ("op", "ALU0", "o1", None), 0),
+                        _imm(7, alu_t, 1),
+                        _imm(6, ("op", "CU", "o1", None), 2),
+                    ],
+                    [_imm(1, ("op", "CU", "t", "cjump"), 0)],
+                    [],
+                    [],
+                    [],
+                    [_imm(99, ("rf", "RF0", 1), 0)],  # skipped by the branch
+                    [
+                        Move(("fu", "ALU0"), ("rf", "RF0", 2), 0),
+                        Move(("fu", "ALU0"), alu_t, 1),
+                    ],
+                    [Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)],
+                    [_imm(0, ("op", "CU", "t", "halt"), 0)],
+                ],
+                labels={"main": 0, "target": 6},
+            )
+
+        assert self._diff_state(make) == ("ok", 17, 8)
+        nat = build_native_program(make())
+        # the two reads of the carried-in result stay dynamic, the read of
+        # the target block's own push is forwarded
+        assert _case_source(nat, 6).count("FUREAD(") == 2
+
+    def test_memory_fault_after_forwarded_reads(self):
+        # forwarded reads and pushes keep the FU state in memory exact, so
+        # the error text and every unit's synced pending list match
+        def make():
+            # mul (due 3) and shl (due 4) are in flight when cycle 3 reads
+            # ALU0: the read forwards the mul and leaves the shl pending,
+            # then a mul due 6 joins it; LSU0's load is never read
+            return _tta_prog(
+                [
+                    [
+                        _imm(3, ("op", "ALU0", "o1", None), 0),
+                        _imm(4, ("op", "ALU0", "t", "mul"), 1),
+                        _imm(0, ("op", "LSU0", "t", "ldw"), 2),
+                    ],
+                    [],
+                    [_imm(1, ("op", "ALU0", "t", "shl"), 0)],
+                    [
+                        Move(("fu", "ALU0"), ("rf", "RF0", 1), 0),
+                        Move(("fu", "ALU0"), ("op", "ALU0", "t", "mul"), 1),
+                    ],
+                    [
+                        _imm(42, ("op", "LSU0", "o1", None), 0),
+                        _imm(0x7FFFFFFF, ("op", "LSU0", "t", "stw"), 1),
+                    ],
+                    [_imm(0, ("op", "CU", "t", "halt"), 0)],
+                ]
+            )
+
+        outcome = self._diff_state(make)
+        assert "memory access out of range: 0x7fffffff+4" in outcome[1]
+        assert "FUREAD(" not in _case_source(build_native_program(make()), 0)
+        checked = TTASimulator(make(), mode="checked")
+        _outcome(checked)
+        assert checked.fus["ALU0"].pending == [(4, 8), (6, 36)]
+
+    def test_push_into_full_ring(self):
+        # more in-flight results than the PCAP-entry ring holds, both on a
+        # unit whose ring is statically known (ALU0, after a forwarded
+        # read) and on one that is not (LSU0): the ring drains due entries
+        pcap = build_native_program(_tta_prog([[]])).pcap
+
+        def make():
+            instrs = [
+                [
+                    _imm(1, ("op", "ALU0", "o1", None), 0),
+                    _imm(1, ("op", "ALU0", "t", "add"), 1),
+                ],
+                [Move(("fu", "ALU0"), ("op", "ALU0", "t", "add"), 0)],
+            ]
+            for i in range(pcap + 2):
+                instrs.append(
+                    [
+                        _imm(i, ("op", "ALU0", "t", "add"), 0),
+                        _imm(4 * i, ("op", "LSU0", "t", "ldw"), 1),
+                    ]
+                )
+            instrs += [
+                [],
+                [],
+                [Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)],
+                [Move(("fu", "LSU0"), ("rf", "RF0", 2), 0)],
+                [_imm(0, ("op", "CU", "t", "halt"), 0)],
+            ]
+            return _tta_prog(instrs)
+
+        checked = TTASimulator(make(), mode="checked")
+        native_sim = TTASimulator(make(), mode="native")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = _outcome(native_sim)
+        assert outcome == _outcome(checked) == ("ok", pcap + 2, pcap + 9)
+        assert native_sim.rfs == checked.rfs
+
     @pytest.mark.parametrize("machine_name", DIFF_MACHINES)
     def test_cycle_budget_exact_at_boundary(self, machine_name):
         compiled = _compile(FIB_SRC, machine_name)
@@ -295,6 +453,40 @@ class TestDegradation:
         with pytest.warns(RuntimeWarning, match="could not be compiled"):
             nat = run_compiled(_compile(FIB_SRC, "m-tta-2"), mode="native")
         assert asdict(nat) == asdict(checked)
+
+    def test_failing_compiler_is_loud(self, monkeypatch, tmp_path):
+        from repro import obs
+        from repro.pipeline.store import CACHE_DIR_ENV, NO_CACHE_ENV
+
+        fake_cc = tmp_path / "fake-cc"
+        fake_cc.write_text(
+            "#!/bin/sh\necho 'fake-cc: error: out of cheese' >&2\nexit 1\n"
+        )
+        fake_cc.chmod(0o755)
+        monkeypatch.delenv(native.NO_CC_ENV, raising=False)
+        monkeypatch.setenv(native.CC_ENV, str(fake_cc))
+        monkeypatch.delenv(NO_CACHE_ENV, raising=False)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "store"))
+        monkeypatch.setattr(native, "_LIB_CACHE", {})
+        monkeypatch.setattr(native, "_WARNED", False)
+        reference = run_compiled(_compile(FIB_SRC, "m-tta-2"), mode="turbo")
+        with obs.tracing() as tracer, pytest.warns(RuntimeWarning) as caught:
+            nat = run_compiled(_compile(FIB_SRC, "m-tta-2"), mode="native")
+        assert asdict(nat) == asdict(reference)
+        [warning] = [w for w in caught if "falling back" in str(w.message)]
+        message = str(warning.message)
+        assert "exit 1" in message and "out of cheese" in message, message
+        assert tracer.counters["sim.native.cc_failed"] == 1
+
+    def test_compile_timeout_reason(self, monkeypatch):
+        import subprocess
+
+        def timeout(cmd, **kwargs):
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+        monkeypatch.setattr(native.subprocess, "run", timeout)
+        with pytest.raises(native._CcFailed, match="timeout after 120 s"):
+            native._compile_so("cc", "int x;")
 
     @requires_cc
     def test_forced_ctypes_binding_differential(self, monkeypatch):
@@ -367,6 +559,24 @@ class TestSharedObjectCache:
         assert store.stats.corrupt_dropped == 1
         assert store.stats.blob_writes == 2, "rebuilt object must be re-stored"
 
+    def test_cold_build_records_cgen_and_cc_spans(self, monkeypatch, tmp_path):
+        from repro import obs
+        from repro.pipeline.store import CACHE_DIR_ENV, NO_CACHE_ENV
+
+        monkeypatch.delenv(NO_CACHE_ENV, raising=False)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(native, "_LIB_CACHE", {})
+        with obs.tracing() as tracer:
+            run_compiled(_compile(FIB_SRC, "m-tta-2"), mode="native")
+        spans = {span["name"]: span for span in tracer.spans}
+        assert {"sim.native.cgen", "sim.native.cc", "sim.run"} <= set(spans)
+        # both nest inside the run, so a summary shows cc apart from sim
+        run = spans["sim.run"]
+        for name in ("sim.native.cgen", "sim.native.cc"):
+            assert spans[name]["depth"] > run["depth"]
+            assert run["ts"] <= spans[name]["ts"]
+            assert spans[name]["ts"] + spans[name]["dur"] <= run["ts"] + run["dur"]
+
     def test_program_with_native_engine_still_pickles(self):
         compiled = _compile(FIB_SRC, "m-tta-2")
         checked = run_compiled(compiled, mode="checked")
@@ -431,3 +641,101 @@ class TestDriverIntegration:
         # every dispatchable entry lies inside the program
         for start, length in nat.entries:
             assert 0 <= start and start + length <= nat.n_instrs
+
+
+# ---------------------------------------------------------------------------
+# codegen shape: exact block entries, static FU-result forwarding
+# ---------------------------------------------------------------------------
+
+
+def _entry_closure(program):
+    """{0} | labels | call return sites, closed under block fall-through
+    (computed independently of cgen from the turbo partition rule)."""
+    from repro.sim.blockcompile import _TTA_CTL, _VLIW_CTL, _partition
+    from repro.sim.predecode import static_decode_tta, static_decode_vliw
+
+    jl = program.machine.jump_latency
+    if program.style == "tta":
+        ops = [[op for _, _, op in d[2]] for d in static_decode_tta(program)]
+        ctl_ops = _TTA_CTL
+    else:
+        ops = [[op[0] for op in bundle] for bundle in static_decode_vliw(program)]
+        ctl_ops = _VLIW_CTL
+    n = len(ops)
+    roots = {0, *program.labels.values()}
+    roots |= {pc + jl + 1 for pc, names in enumerate(ops) if "call" in names}
+    closure, work = set(), [p for p in roots if 0 <= p < n]
+    while work:
+        p = work.pop()
+        if p in closure:
+            continue
+        closure.add(p)
+        length, halts, _ = _partition(
+            p,
+            n,
+            jl,
+            lambda q: "halt" in ops[q],
+            lambda q: any(name in ctl_ops for name in ops[q]),
+        )
+        if not halts and p + length < n:
+            work.append(p + length)
+    return closure
+
+
+class TestCodegenShape:
+    @pytest.mark.parametrize("machine_name", ("m-tta-2", "bm-tta-3", "m-vliw-2"))
+    @pytest.mark.parametrize("kernel", ("mips", "aes"))
+    def test_block_entries_come_from_labels_and_return_sites(
+        self, machine_name, kernel
+    ):
+        compiled = compile_for_machine(
+            compile_kernel(kernel), build_machine(machine_name)
+        )
+        nat = build_native_program(compiled.program)
+        starts = {start for start, _ in nat.entries}
+        assert starts <= _entry_closure(compiled.program)
+        assert compiled.program.labels and set(compiled.program.labels.values()) <= (
+            starts | {len(compiled.program.instrs)}
+        )
+
+    def test_mips_emits_about_one_cycle_per_instruction(self):
+        compiled = compile_for_machine(compile_kernel("mips"), build_machine("m-tta-2"))
+        nat = build_native_program(compiled.program)
+        emitted = sum(length for _, length in nat.entries)
+        assert emitted <= 1.1 * nat.n_instrs
+
+    def test_in_block_reads_are_forwarded(self):
+        # every FU read of mips is satisfied by a push in its own block
+        # (the scheduler's software bypassing), so none reads the ring
+        compiled = compile_for_machine(compile_kernel("mips"), build_machine("m-tta-2"))
+        source = build_native_program(compiled.program).source
+        body = source.split(f"int {ENTRY_SYMBOL}(", 1)[1]
+        assert "FUREAD(" not in body
+        assert "pv[" in body  # forwarded pushes store the ring directly
+
+    @requires_cc
+    def test_forwarded_read_takes_latest_due_push(self):
+        # add (due 1) and mul (due 4) are both due when cycle 4 reads
+        def make():
+            return _tta_prog(
+                [
+                    [
+                        _imm(2, ("op", "ALU0", "o1", None), 0),
+                        _imm(3, ("op", "ALU0", "t", "add"), 1),
+                    ],
+                    [_imm(3, ("op", "ALU0", "t", "mul"), 0)],
+                    [],
+                    [],
+                    [Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)],
+                    [_imm(0, ("op", "CU", "t", "halt"), 0)],
+                ]
+            )
+
+        case = _case_source(build_native_program(make()), 0)
+        assert "FUREAD(" not in case
+        assert "rf[1] = t2;" in case
+        checked = TTASimulator(make(), mode="checked")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = _outcome(TTASimulator(make(), mode="native"))
+        assert outcome == _outcome(checked) == ("ok", 6, 6)
