@@ -110,7 +110,13 @@ def _record_schedule_counters(machine: Machine, program: Program) -> None:
 
 
 def compile_for_machine(module: Module, machine: Machine) -> CompiledProgram:
-    """Compile an (optimised, verified) IR module for *machine*."""
+    """Compile an (optimised, verified) IR module for *machine*.
+
+    The module is not modified: lowering, register allocation and
+    scheduling work on their own copies, so one optimised module can be
+    retargeted to every machine of a sweep and each compile yields the
+    program a compile from a fresh module would.
+    """
     module.verify()
     symbols = module.layout_globals()
 

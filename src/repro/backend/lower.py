@@ -46,8 +46,17 @@ def block_label(function_name: str, block_name: str) -> str:
 
 
 class _Lowerer:
+    """Lowers one function without modifying it.
+
+    Vregs the lowering needs (return-address capture, stack-argument
+    addresses) come from a private counter that continues where the IR
+    function's own numbering stops, so one optimised module can be
+    lowered for any number of machines and always yields the same code.
+    """
+
     def __init__(self, fn: Function, machine: Machine, symbols: dict[str, int]) -> None:
         self.fn = fn
+        self._next_vreg = fn._next_vreg
         self.machine = machine
         self.symbols = symbols
         self.sp = stack_pointer(machine)
@@ -58,7 +67,7 @@ class _Lowerer:
             for block in fn.ordered_blocks()
             for instr in block.instrs
         )
-        self.ra_vreg: VReg | None = fn.new_vreg() if self.has_calls else None
+        self.ra_vreg: VReg | None = self.new_vreg() if self.has_calls else None
         self.mfunc = MFunction(
             fn.name,
             frame_slots={
@@ -66,6 +75,11 @@ class _Lowerer:
             },
             has_calls=self.has_calls,
         )
+
+    def new_vreg(self) -> VReg:
+        reg = VReg(self._next_vreg)
+        self._next_vreg += 1
+        return reg
 
     # ---- operand conversion ---------------------------------------------
 
@@ -103,7 +117,7 @@ class _Lowerer:
             else:
                 # Incoming stack argument: above this function's frame.
                 slot = f"@inarg{index - NUM_ARG_REGS}"
-                addr = self.fn.new_vreg()
+                addr = self.new_vreg()
                 mblock.ops.append(MOp("add", addr, [self.sp, FrameRef(slot)]))
                 mblock.ops.append(MOp("ldw", param, [addr]))
 
@@ -135,7 +149,7 @@ class _Lowerer:
         if outgoing:
             mblock.ops.append(MOp("sub", self.sp, [self.sp, Imm(outgoing)]))
             for index, arg in enumerate(stack_args):
-                addr = self.fn.new_vreg()
+                addr = self.new_vreg()
                 mblock.ops.append(MOp("add", addr, [self.sp, Imm(index * 4)]))
                 mblock.ops.append(MOp("stw", None, [addr, self.src(arg)]))
         used_arg_regs = []
@@ -175,5 +189,8 @@ class _Lowerer:
 
 
 def lower_function(fn: Function, machine: Machine, symbols: dict[str, int]) -> MFunction:
-    """Lower one IR function for *machine* (symbols: global address map)."""
+    """Lower one IR function for *machine* (symbols: global address map).
+
+    *fn* is only read, never modified.
+    """
     return _Lowerer(fn, machine, symbols).run()

@@ -225,9 +225,9 @@ def _batch_differential(compiled, case: FuzzCase, diverge) -> dict:
 def run_case(case: FuzzCase) -> FuzzCaseReport:
     """Compile once, run every requested engine, compare everything."""
     from repro.backend import compile_for_machine
-    from repro.frontend import compile_source
     from repro.machine import build_machine
     from repro.machine.machine import MachineStyle
+    from repro.pipeline.executor import optimized_module
     from repro.sim import run_compiled
 
     divergences: list[Divergence] = []
@@ -248,7 +248,7 @@ def run_case(case: FuzzCase) -> FuzzCaseReport:
 
     machine = build_machine(case.machine)
     try:
-        module = compile_source(case.source, module_name=case.kernel, optimize=True)
+        module = optimized_module(case.source, case.kernel)
         compiled = compile_for_machine(module, machine)
     except INFRA_ERRORS:
         raise

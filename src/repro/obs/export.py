@@ -128,25 +128,51 @@ def load_trace(path: str | Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _self_times(spans: list[dict]) -> list[tuple[dict, float]]:
+    """Pair each span of one payload with its exclusive (self) time.
+
+    A span's self time is its duration minus the durations of its
+    direct children.  The hierarchy comes from ``ts`` and ``depth``: a
+    span's parent is the span one level up that started most recently
+    before it.  Self times of a tree sum to its root's duration.
+    Nesting is per payload: time a span spends waiting on spans recorded
+    by another tracer (a worker process, or a serial sweep's per-task
+    tracers) stays in its self time.
+    """
+    ordered = sorted(spans, key=lambda rec: (rec["ts"], rec["depth"]))
+    self_us = [rec["dur"] for rec in ordered]
+    latest: dict[int, int] = {}  # depth -> index of the last span started there
+    for index, rec in enumerate(ordered):
+        parent = latest.get(rec["depth"] - 1)
+        if parent is not None:
+            self_us[parent] -= rec["dur"]
+        latest[rec["depth"]] = index
+    return list(zip(ordered, self_us))
+
+
 def summarize(doc: dict) -> dict:
     """Aggregate a trace document for human consumption.
 
     Returns ``{"spans": [...], "counters": {...}, "gauges": {...},
     "processes": [...]}`` where each span row carries ``name``,
-    ``count``, ``total_us``, ``mean_us`` and ``max_us``, sorted by total
-    time descending.
+    ``count``, ``total_us``, ``self_us`` (exclusive time: total minus
+    the time in direct child spans of the same payload), ``mean_us``
+    and ``max_us``, sorted by total time descending.
     """
     by_name: dict[str, list[float]] = {}
+    self_by_name: dict[str, float] = {}
     processes: list[str] = []
     for payload in doc["repro"]["payloads"]:
         processes.append(payload["process"])
-        for rec in payload["spans"]:
+        for rec, self_us in _self_times(payload["spans"]):
             by_name.setdefault(rec["name"], []).append(rec["dur"])
+            self_by_name[rec["name"]] = self_by_name.get(rec["name"], 0.0) + self_us
     rows = [
         {
             "name": name,
             "count": len(durs),
             "total_us": round(sum(durs), 1),
+            "self_us": round(self_by_name[name], 1),
             "mean_us": round(sum(durs) / len(durs), 1),
             "max_us": round(max(durs), 1),
         }
@@ -171,13 +197,14 @@ def format_summary(summary: dict, top: int = 20) -> str:
     lines.append("")
     lines.append(f"top spans (by total time, showing {top}):")
     lines.append(
-        f"  {'span':32s} {'count':>7s} {'total':>12s} {'mean':>10s} {'max':>10s}"
+        f"  {'span':32s} {'count':>7s} {'total':>12s} {'self':>12s} "
+        f"{'mean':>10s} {'max':>10s}"
     )
     for row in summary["spans"][:top]:
         lines.append(
             f"  {row['name']:32s} {row['count']:7d} "
-            f"{row['total_us']:10.1f}us {row['mean_us']:8.1f}us "
-            f"{row['max_us']:8.1f}us"
+            f"{row['total_us']:10.1f}us {row['self_us']:10.1f}us "
+            f"{row['mean_us']:8.1f}us {row['max_us']:8.1f}us"
         )
     if not summary["spans"]:
         lines.append("  (no spans recorded)")

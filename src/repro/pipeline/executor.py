@@ -61,6 +61,35 @@ class TracedOutcome:
     wall_ms: float | None = None
 
 
+@functools.lru_cache(maxsize=64)
+def _front_half(source: str, name: str, optimize: bool):
+    # looked up at call time, so a wrapper installed on
+    # ``repro.frontend.compile_source`` sees every front-half run
+    from repro.frontend import compile_source
+
+    return compile_source(source, module_name=name, optimize=optimize)
+
+
+def optimized_module(source: str, name: str, optimize: bool = True):
+    """The IR module of *source*, parsed, lowered to IR and (if asked)
+    optimised once per process per (source, name, optimize).
+
+    None of that work depends on the machine, and ``compile_for_machine``
+    never modifies its input, so the returned module is shared by every
+    caller and must be treated as read-only.  A reuse is counted as
+    ``frontend.module_reuse``; only the first compile of each key shows
+    ``frontend.*`` and ``ir.optimize`` spans.
+    """
+    hits = _front_half.cache_info().hits
+    module = _front_half(source, name, optimize)
+    if _front_half.cache_info().hits > hits:
+        obs.count("frontend.module_reuse")
+    return module
+
+
+optimized_module.cache_clear = _front_half.cache_clear
+
+
 def execute_task(task: SweepTask) -> EvalResult:
     """Measure one (machine, kernel) pair: compile, simulate, synthesise.
 
@@ -70,15 +99,12 @@ def execute_task(task: SweepTask) -> EvalResult:
     """
     from repro.backend import compile_for_machine
     from repro.fpga import synthesize
-    from repro.frontend import compile_source
     from repro.machine import encode_machine
     from repro.pipeline.fingerprint import resolve_task_machine
     from repro.sim import run_compiled
 
     machine = resolve_task_machine(task)
-    module = compile_source(
-        task.source, module_name=task.kernel, optimize=task.optimize
-    )
+    module = optimized_module(task.source, task.kernel, task.optimize)
     compiled = compile_for_machine(module, machine)
     result = run_compiled(compiled, mode=task.mode)
     expected = getattr(task, "expected_exit", 0)

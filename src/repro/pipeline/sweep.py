@@ -349,9 +349,9 @@ def compile_cached(machine_name: str, kernel_name: str, *,
     different simulator settings without paying recompilation.
     """
     from repro.backend import compile_for_machine
-    from repro.frontend import compile_source
     from repro.kernels import load
     from repro.machine import build_machine
+    from repro.pipeline.executor import optimized_module
     from repro.pipeline.fingerprint import fingerprint
 
     machine = build_machine(machine_name)
@@ -363,7 +363,7 @@ def compile_cached(machine_name: str, kernel_name: str, *,
         hit = active_store.load_program(key)
         if hit is not None:
             return hit
-    module = compile_source(source, module_name=kernel_name, optimize=optimize)
+    module = optimized_module(source, kernel_name, optimize)
     compiled = compile_for_machine(module, machine)
     if active_store is not None and key is not None:
         active_store.store_program(key, compiled)

@@ -336,8 +336,8 @@ def _execute(kind, params, store, key, plain, request_id) -> dict:
 def _compiled_program(params, store):
     """The compiled program, through the shared program cache."""
     from repro.backend import compile_for_machine
-    from repro.frontend import compile_source
     from repro.machine import build_machine
+    from repro.pipeline.executor import optimized_module
 
     machine = build_machine(params["machine"])
     pkey = fingerprint(
@@ -345,10 +345,8 @@ def _compiled_program(params, store):
     )
     compiled = store.load_program(pkey) if store is not None else None
     if compiled is None:
-        module = compile_source(
-            params["_source"],
-            module_name=params.get("kernel") or "request",
-            optimize=params["optimize"],
+        module = optimized_module(
+            params["_source"], params.get("kernel") or "request", params["optimize"]
         )
         compiled = compile_for_machine(module, machine)
         if store is not None:

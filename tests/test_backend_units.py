@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+
+from repro.backend import compile_for_machine
 from repro.backend.abi import (
     allocatable_regs,
     arg_regs,
@@ -21,7 +24,8 @@ from repro.backend.regalloc import (
 )
 from repro.frontend import compile_source
 from repro.ir.instructions import VReg
-from repro.machine import build_machine
+from repro.machine import ALL_PRESETS, build_machine
+from repro.sim import run_compiled
 
 
 def lowered(src: str, machine_name: str = "m-vliw-2", fn: str = "main"):
@@ -285,3 +289,42 @@ class TestDDG:
         for edge in ddg.edges:
             if edge.min_gap is not None and edge.min_gap > 0:
                 assert ddg.height[edge.pred] >= ddg.height[edge.succ]
+
+
+# calls (return-address capture) and more than four arguments (stack
+# argument addresses): every vreg lowering itself introduces
+_SHARED_MODULE_SRC = """
+int table[8];
+int mix(int a, int b, int c, int d, int e, int f) {
+    return a + 2 * b + 3 * c + 4 * d + 5 * e + 6 * f;
+}
+int fill(int n) {
+    int i;
+    for (i = 0; i < 8; i++) table[i] = mix(i, n, i + 1, n + 2, i * n, 7);
+    return table[7] - table[0];
+}
+int main(void) { return fill(3) & 255; }
+"""
+
+
+class TestModuleIsReadOnly:
+    def test_one_module_compiles_for_every_preset_unchanged(self):
+        module = compile_source(_SHARED_MODULE_SRC)
+        before = pickle.dumps(module)
+        next_vregs = {name: fn._next_vreg for name, fn in module.functions.items()}
+        shared = {
+            name: compile_for_machine(module, build_machine(name)) for name in ALL_PRESETS
+        }
+        assert len(shared) == 13
+        assert {name: fn._next_vreg for name, fn in module.functions.items()} == next_vregs
+        assert pickle.dumps(module) == before
+
+        for name, compiled in shared.items():
+            fresh = compile_for_machine(compile_source(_SHARED_MODULE_SRC), build_machine(name))
+            # whole-program pickles differ anyway (MOp.uid is process-global)
+            assert repr(compiled.program.instrs) == repr(fresh.program.instrs), name
+            assert compiled.program.labels == fresh.program.labels, name
+            assert compiled.program.extra_imm_words == fresh.program.extra_imm_words, name
+            ours = run_compiled(compiled, mode="fast")
+            theirs = run_compiled(fresh, mode="fast")
+            assert (ours.exit_code, ours.cycles) == (theirs.exit_code, theirs.cycles), name

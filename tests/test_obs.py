@@ -210,6 +210,42 @@ class TestExport:
         text = obs.format_summary(summary)
         assert "work" in text and "2 process(es)" in text and "n" in text
 
+    @staticmethod
+    def _doc(spans):
+        payload = _payload("p")
+        payload["spans"] = [
+            {"name": name, "ts": ts, "dur": dur, "depth": depth}
+            for name, ts, dur, depth in spans
+        ]
+        return obs.to_chrome_trace([payload])
+
+    def test_summary_self_time_subtracts_direct_children(self):
+        # completion order, as the tracer records them
+        doc = self._doc([
+            ("leaf", 12.0, 3.0, 2),
+            ("child", 10.0, 20.0, 1),
+            ("child", 40.0, 30.0, 1),
+            ("root", 0.0, 100.0, 0),
+        ])
+        rows = {r["name"]: r for r in obs.summarize(doc)["spans"]}
+        assert rows["root"]["self_us"] == 50.0  # 100 - (20 + 30)
+        assert rows["child"]["self_us"] == 47.0  # (20 - 3) + 30
+        assert rows["child"]["total_us"] == 50.0
+        assert rows["leaf"]["self_us"] == 3.0
+        assert sum(r["self_us"] for r in rows.values()) == rows["root"]["total_us"]
+        assert "self" in obs.format_summary(obs.summarize(doc))
+
+    def test_summary_self_time_keeps_siblings_apart(self):
+        # a child starting at its parent's ts, and siblings that touch
+        doc = self._doc([
+            ("a.child", 5.0, 2.0, 1),
+            ("a", 5.0, 4.0, 0),
+            ("b.child", 9.0, 1.0, 1),
+            ("b", 9.0, 6.0, 0),
+        ])
+        rows = {r["name"]: r["self_us"] for r in obs.summarize(doc)["spans"]}
+        assert rows == {"a": 2.0, "a.child": 2.0, "b": 5.0, "b.child": 1.0}
+
 
 # ---------------------------------------------------------------------------
 # stack instrumentation
@@ -363,6 +399,26 @@ class TestPipelineAggregation:
         assert isinstance(traced.outcome, TaskError)
         payload = obs.Tracer.validate_payload(traced.trace)
         assert any(s["name"] == "task.execute" for s in payload["spans"])
+
+    def test_serial_sweep_runs_each_kernels_front_half_once(self):
+        from repro.pipeline import sweep
+        from repro.pipeline.executor import optimized_module
+
+        optimized_module.cache_clear()
+        other = SRC.replace("i < 8", "i < 4").replace("84", "18")
+        outcome = sweep(
+            machines=("m-tta-2", "m-vliw-2", "mblaze-3"),
+            kernels=("k1", "k2"),
+            sources={"k1": SRC, "k2": other},
+            use_cache=False,
+            trace=True,
+        )
+        assert outcome.ok and len(outcome.traces) == 6
+        summary = obs.summarize(obs.to_chrome_trace(outcome.traces))
+        rows = {r["name"]: r["count"] for r in summary["spans"]}
+        assert rows["frontend.parse"] == 2
+        assert rows["ir.optimize"] == 2
+        assert summary["counters"]["frontend.module_reuse"] == 4
 
     def test_untraced_sweep_collects_nothing(self):
         from repro.pipeline import sweep
