@@ -48,22 +48,10 @@ except ImportError:  # standalone `python benchmarks/...` without PYTHONPATH
 
 from repro import build_machine, compile_for_machine, compile_source, obs
 from repro.kernels import KERNELS, kernel_source
-from repro.sim import run_batch, run_compiled
+from repro.sim import MODES, run_compiled
 
 #: Table IV design points exercised by the throughput comparison.
 MACHINES = ("m-tta-2", "m-vliw-2")
-
-#: engines compared, slowest first
-ENGINES = ("checked", "fast", "turbo", "native")
-
-#: lanes per batched run; the sweep/fuzz use case re-runs one decoded
-#: program across many evaluations, which the batch tier dedups and
-#: amortises into a single decoded execution
-BATCH_LANES = 32
-
-#: minimum aggregate simulated-MIPS ratio of the batch tier over turbo
-#: at BATCH_LANES lanes (matrix aggregate, not best row)
-BATCH_FLOOR = 5.0
 
 #: minimum fast/checked speedup required on at least one workload
 SPEEDUP_FLOOR = 3.0
@@ -140,7 +128,7 @@ def _time_mode_traced(compiled, mode: str):
 
 
 def measure(machines, kernels):
-    """Run every machine x kernel in all three modes.
+    """Run every machine x kernel in every engine mode.
 
     Returns a list of row dicts; raises AssertionError if any engine
     disagrees with the checked reference on any statistic.
@@ -163,10 +151,10 @@ def measure(machines, kernels):
             run_compiled(compiled, mode="turbo")
             run_compiled(compiled, mode="native")
             results, seconds = {}, {}
-            for mode in ENGINES:
+            for mode in MODES:
                 results[mode], seconds[mode] = _time_mode(compiled, mode)
             reference = asdict(results["checked"])
-            for mode in ENGINES[1:]:
+            for mode in MODES[1:]:
                 assert asdict(results[mode]) == reference, (
                     machine_name, kernel, mode,
                 )
@@ -186,28 +174,16 @@ def measure(machines, kernels):
                 assert asdict(traced_result) == reference, (machine_name, kernel)
                 assert payload["counters"]["sim.cycles"] == traced_result.cycles
             cycles = results["checked"].cycles
-            # Batched tier: N independent runs of the decoded program at
-            # once (the sweep shape: identical lanes dedup onto one
-            # decoded execution).  Aggregate MIPS counts every lane's
-            # simulated cycles; every lane must stay byte-identical to
-            # the checked reference.
-            start = time.perf_counter()
-            batch_results = run_batch(compiled, lanes=BATCH_LANES)
-            batch_seconds = time.perf_counter() - start
-            for lane, lane_result in enumerate(batch_results):
-                assert asdict(lane_result) == reference, (
-                    machine_name, kernel, "batch", lane,
-                )
             rows.append(
                 {
                     "machine": machine_name,
                     "style": machine.style.value,
                     "kernel": kernel,
                     "cycles": cycles,
-                    "seconds": {m: seconds[m] for m in ENGINES},
+                    "seconds": {m: seconds[m] for m in MODES},
                     "mips": {
                         m: cycles / seconds[m] / 1e6 if seconds[m] > 0 else 0.0
-                        for m in ENGINES
+                        for m in MODES
                     },
                     "speedup": {
                         "fast_vs_checked": seconds["checked"] / seconds["fast"],
@@ -215,40 +191,11 @@ def measure(machines, kernels):
                         "turbo_vs_checked": seconds["checked"] / seconds["turbo"],
                         "native_vs_turbo": seconds["turbo"] / seconds["native"],
                     },
-                    "batch": {
-                        "lanes": BATCH_LANES,
-                        "seconds": batch_seconds,
-                        "mips_aggregate": (
-                            cycles * BATCH_LANES / batch_seconds / 1e6
-                            if batch_seconds > 0
-                            else 0.0
-                        ),
-                        "vs_turbo": (
-                            seconds["turbo"] * BATCH_LANES / batch_seconds
-                            if batch_seconds > 0
-                            else 0.0
-                        ),
-                    },
                     "trace_overhead": traced_best / untraced_best,
                     "native_cold": native_cold,
                 }
             )
     return rows
-
-
-def batch_aggregate_ratio(rows) -> float:
-    """Matrix-aggregate MIPS ratio of the batch tier over turbo.
-
-    Total simulated cycles (every lane counts) per total wall second,
-    batch vs turbo -- the number the ROADMAP's >=5x target refers to.
-    """
-    batch_cycles = sum(row["cycles"] * row["batch"]["lanes"] for row in rows)
-    batch_seconds = sum(row["batch"]["seconds"] for row in rows)
-    turbo_cycles = sum(row["cycles"] for row in rows)
-    turbo_seconds = sum(row["seconds"]["turbo"] for row in rows)
-    if batch_seconds <= 0 or turbo_seconds <= 0:
-        return 0.0
-    return (batch_cycles / batch_seconds) / (turbo_cycles / turbo_seconds)
 
 
 def best_per_style(rows, ratio: str) -> dict[str, float]:
@@ -263,14 +210,12 @@ def format_table(rows) -> str:
     lines = [
         f"{'machine':10s} {'kernel':10s} {'cycles':>10s} "
         f"{'checked':>9s} {'fast':>9s} {'turbo':>9s} {'native':>9s} {'cold':>7s} "
-        f"{'batch@' + str(BATCH_LANES):>10s} "
         f"{'fast/chk':>9s} {'turbo/fast':>11s} {'native/turbo':>13s} "
-        f"{'batch/turbo':>12s} {'traced':>8s}"
+        f"{'traced':>8s}"
     ]
     for row in rows:
         mips = row["mips"]
         speedup = row["speedup"]
-        batch = row["batch"]
         overhead_pct = (row["trace_overhead"] - 1.0) * 100.0
         cold = row["native_cold"]
         cold_s = f"{cold['total_s']:6.2f}s" if cold else f"{'-':>7s}"
@@ -278,10 +223,8 @@ def format_table(rows) -> str:
             f"{row['machine']:10s} {row['kernel']:10s} {row['cycles']:10d} "
             f"{mips['checked']:8.2f}M {mips['fast']:8.2f}M {mips['turbo']:8.2f}M "
             f"{mips['native']:8.2f}M {cold_s} "
-            f"{batch['mips_aggregate']:9.2f}M "
             f"{speedup['fast_vs_checked']:8.1f}x {speedup['turbo_vs_fast']:10.1f}x "
             f"{speedup['native_vs_turbo']:12.1f}x "
-            f"{batch['vs_turbo']:11.1f}x "
             f"{overhead_pct:+6.1f}%"
         )
     return "\n".join(lines)
@@ -332,11 +275,6 @@ def test_sim_throughput(kernels, capsys):
                 f"over turbo on the best {style} point (target {NATIVE_FLOOR}x, "
                 f"warm compiled-object cache)"
             )
-    batch_ratio = batch_aggregate_ratio(rows)
-    assert batch_ratio >= BATCH_FLOOR, (
-        f"batch tier only reached {batch_ratio:.1f}x aggregate MIPS over "
-        f"turbo at N={BATCH_LANES} (target {BATCH_FLOOR}x)"
-    )
 
 
 def test_smoke_covers_both_styles(kernels):
@@ -354,7 +292,7 @@ def test_smoke_covers_both_styles(kernels):
         reference = asdict(run_compiled(compiled, mode="checked"))
         # native degrades to turbo without a C compiler; both ways the
         # result must stay byte-identical to the checked reference
-        for mode in ("fast", "turbo", "native"):
+        for mode in MODES[1:]:
             assert asdict(run_compiled(compiled, mode=mode)) == reference, (
                 machine_name, mode,
             )
@@ -393,7 +331,6 @@ def main(argv=None) -> int:
     native_best = best_per_style(rows, "native_vs_turbo")
     fast_best = max(row["speedup"]["fast_vs_checked"] for row in rows)
     overhead_best = min(row["trace_overhead"] for row in rows)
-    batch_ratio = batch_aggregate_ratio(rows)
     print()
     print(
         "best speedups: fast/checked "
@@ -401,7 +338,6 @@ def main(argv=None) -> int:
         + ", ".join(f"{s} {v:.1f}x" for s, v in sorted(turbo_best.items()))
         + "; native/turbo "
         + ", ".join(f"{s} {v:.1f}x" for s, v in sorted(native_best.items()))
-        + f"; batch/turbo aggregate {batch_ratio:.1f}x at N={BATCH_LANES}"
         + f"; tracing overhead (best row) {(overhead_best - 1) * 100:+.1f}%"
     )
 
@@ -414,10 +350,9 @@ def main(argv=None) -> int:
         payload = {
             "benchmark": "sim_throughput",
             "smoke": bool(args.smoke),
-            "engines": list(ENGINES) + ["batch"],
+            "engines": list(MODES),
             "machines": list(MACHINES),
             "kernels": list(bench_kernels),
-            "batch_lanes": BATCH_LANES,
             "results": rows,
             "best_speedup": {
                 "fast_vs_checked": fast_best,
@@ -425,7 +360,6 @@ def main(argv=None) -> int:
                 "native_vs_turbo": native_best,
             },
             "native_compiler_available": _native_available(),
-            "batch_vs_turbo_aggregate": batch_ratio,
             "trace_overhead_best": overhead_best,
         }
         path.write_text(json.dumps(payload, indent=2) + "\n")

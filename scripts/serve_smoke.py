@@ -3,7 +3,7 @@
 Starts the service exactly as a user would (``python -m repro serve``
 on an ephemeral port), drives one of every request shape through the
 bundled client — compile, run, repeat-run (must be a store hit),
-batch run, sweep, stats — and shuts it down with SIGTERM, asserting a
+four-lane run, sweep, stats — and shuts it down with SIGTERM, asserting a
 clean graceful drain.
 
 Run:  PYTHONPATH=src python scripts/serve_smoke.py
@@ -63,13 +63,13 @@ def main() -> int:
                 print("repeat run ok: served from the artifact store, "
                       "byte-identical")
 
-                batch = client.run("m-tta-2", kernel="mips", mode="batch",
+                lanes = client.run("m-tta-2", kernel="mips", mode="fast",
                                    lanes=4)
-                assert len(batch["results"]) == 4
+                assert len(lanes["results"]) == 4
                 assert all(r["cycles"] == first["result"]["cycles"]
-                           for r in batch["results"])
-                print("batch run ok: 4 lanes, all lanes match the "
-                      "fast-mode cycle count")
+                           for r in lanes["results"])
+                print("four-lane run ok: every lane matches the "
+                      "single-run cycle count")
 
                 swept = client.sweep(machines=["m-tta-2"],
                                      kernels=["mips", "motion"], wait=True)

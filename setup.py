@@ -9,5 +9,4 @@ setup(
     packages=find_packages(where="src"),
     package_data={"repro.kernels": ["*.mc"]},
     python_requires=">=3.10",
-    install_requires=["numpy>=1.24"],
 )

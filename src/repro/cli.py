@@ -49,6 +49,7 @@ from repro import (
     run_compiled,
     synthesize,
 )
+from repro.sim.modes import MODES, PROFILE_MODES
 
 
 def _cmd_machines(_args) -> int:
@@ -140,26 +141,15 @@ def _cmd_run(args) -> int:
         )
         return 2
     mode = "checked" if args.verify else (args.mode or "fast")
-    if args.profile and mode in ("checked", "batch"):
+    if args.profile and mode not in PROFILE_MODES:
+        *others, last = PROFILE_MODES
         print(
-            "error: --profile needs the fast, turbo or native engine "
-            "(the checked reference keeps no hit vector and the batch "
-            "engine runs many lanes); use --mode fast, --mode turbo or "
-            "--mode native without --verify",
+            f"error: --profile needs the {', '.join(others)} or {last} "
+            "engine (the checked reference keeps no hit vector); drop "
+            "--verify or pick one of those with --mode",
             file=sys.stderr,
         )
         return 2
-    if args.batch is not None:
-        if mode != "batch":
-            print(
-                f"error: --batch requires --mode batch (got "
-                f"{'--verify' if args.verify else f'--mode {mode}'})",
-                file=sys.stderr,
-            )
-            return 2
-        if args.batch < 1:
-            print(f"error: --batch must be >= 1, got {args.batch}", file=sys.stderr)
-            return 2
     if not args.trace:
         return _run_and_report(args, mode)
     from repro import obs
@@ -195,22 +185,15 @@ def _run_and_report(args, mode: str) -> int:
         from repro.sim import format_profile, run_compiled_profiled
 
         result, profile = run_compiled_profiled(compiled, mode=mode)
-    elif mode == "batch":
-        from repro.sim import run_batch
-
-        profile = None
-        lanes = args.batch or 1
-        result = run_batch(compiled, lanes=lanes)[0]
     else:
         profile = None
         result = run_compiled(compiled, check_connectivity=args.verify, mode=mode)
     encoding = encode_machine(machine)
-    engine_label = f"batch ({args.batch or 1} lanes)" if mode == "batch" else mode
     print(f"exit code : {result.exit_code}")
     print(f"cycles    : {result.cycles}")
     # the scalar (MicroBlaze-like) core has a single engine: --mode is
     # accepted for CLI symmetry but ignored there
-    print(f"engine    : {'scalar (single engine; --mode ignored)' if scalar else engine_label}")
+    print(f"engine    : {'scalar (single engine; --mode ignored)' if scalar else mode}")
     print(f"image     : {compiled.instruction_count} instructions "
           f"({compiled.instruction_count * encoding.instruction_width / 1000:.1f} kbit)")
     if hasattr(result, "bypass_reads"):
@@ -486,7 +469,6 @@ def _cmd_explore(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     from repro.fuzz import FuzzConfig, default_corpus_dir, run_fuzz
-    from repro.fuzz.diff import ALL_MODES
     from repro.pipeline import ArtifactStore, default_store, parse_subset
 
     # --smoke: a bounded, deterministic CI-sized campaign; explicit
@@ -524,7 +506,7 @@ def _cmd_fuzz(args) -> int:
             else None
         )
         modes = (
-            parse_subset(args.modes, ALL_MODES, "mode")
+            parse_subset(args.modes, MODES, "mode")
             if args.modes is not None
             else None
         )
@@ -598,7 +580,6 @@ def _cmd_fuzz(args) -> int:
 def _cmd_corpus_promote(args) -> int:
     from repro.corpus import PromoteConfig, promote
     from repro.corpus.goldens import GoldenError
-    from repro.fuzz.diff import ALL_MODES
     from repro.pipeline import parse_subset
 
     count = args.count
@@ -629,9 +610,9 @@ def _cmd_corpus_promote(args) -> int:
             else ()
         )
         modes = (
-            parse_subset(args.modes, ALL_MODES, "mode")
+            parse_subset(args.modes, MODES, "mode")
             if args.modes is not None
-            else ALL_MODES
+            else MODES
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -950,26 +931,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_run.add_argument(
         "--mode",
-        choices=("fast", "checked", "turbo", "native", "batch"),
+        choices=MODES,
         default=None,
         help="simulation engine (default fast): 'fast' verifies the schedule "
         "once at load time and runs pre-decoded code; 'turbo' additionally "
         "compiles basic blocks to specialized Python; 'native' compiles the "
         "same blocks to C via cffi/ctypes with the shared object cached in "
         "the artifact store (falls back to turbo without a C compiler); "
-        "'checked' re-verifies "
-        "every cycle; 'batch' runs N identical lanes through the vectorized "
-        "lockstep tier (see --batch); the scalar (MicroBlaze-like) core has "
-        "a single engine and ignores --mode",
-    )
-    p_run.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        metavar="N",
-        help="lane count for --mode batch (default 1); lanes run in "
-        "lockstep and are reported via lane 0 (all lanes are identical "
-        "for a CLI run)",
+        "'checked' re-verifies every cycle; the scalar (MicroBlaze-like) "
+        "core has a single engine and ignores --mode",
     )
     p_run.add_argument(
         "--profile",
@@ -1016,11 +986,10 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes (1 = serial, in-process)",
     )
     p_sweep.add_argument(
-        "--mode", choices=("fast", "checked", "turbo", "native", "batch"),
+        "--mode", choices=MODES,
         default="fast",
-        help="simulation engine for computed pairs ('batch' routes each "
-        "pair through the batched lockstep tier; 'native' runs generated "
-        "C with store-cached shared objects)",
+        help="simulation engine for computed pairs ('native' runs "
+        "generated C with store-cached shared objects)",
     )
     p_sweep.add_argument(
         "--retries", type=int, default=1,
@@ -1078,7 +1047,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_exp.add_argument("--kernels", default=None, help="comma-separated kernel subset")
     p_exp.add_argument(
-        "--mode", choices=("fast", "checked", "turbo", "native", "batch"),
+        "--mode", choices=MODES,
         default=None,
         help="simulation engine for computed pairs (default 'native', "
         "which falls back to turbo without a C compiler)",
@@ -1133,10 +1102,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="comma-separated design-point subset (default: all 13)")
     p_fuzz.add_argument(
         "--modes", default=None,
-        help="comma-separated engine subset of checked,fast,turbo,native,"
-        "batch (default: all five; 'batch' adds a vectorized differential "
-        "pass over perturbed lane inputs; the scalar core always runs its "
-        "single engine)",
+        help=f"comma-separated engine subset of {','.join(MODES)} "
+        "(default: all; the scalar core always runs its single engine)",
     )
     p_fuzz.add_argument(
         "-j", "--jobs", type=int, default=1,
@@ -1204,7 +1171,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_cpro.add_argument(
         "--modes", default=None,
-        help="comma-separated engine subset to pin (default: all five)",
+        help=f"comma-separated engine subset of {','.join(MODES)} to pin "
+        "(default: all)",
     )
     p_cpro.add_argument(
         "-j", "--jobs", type=int, default=None,
@@ -1322,7 +1290,7 @@ def main(argv: list[str] | None = None) -> int:
         "serve",
         help="HTTP compile-and-simulate service",
         description="Serve the pipeline over HTTP/JSON: POST /v1/compile, "
-        "/v1/run (mode=checked/fast/turbo/native/batch), /v1/sweep; "
+        f"/v1/run (mode={'/'.join(MODES)}), /v1/sweep; "
         "GET /healthz, "
         "/v1/stats, /v1/jobs/<id>. Identical in-flight requests coalesce "
         "and finished results are served from the artifact store; a full "

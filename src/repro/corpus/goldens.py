@@ -1,6 +1,6 @@
 """Golden-stats files: checksummed pinned expectations per kernel.
 
-A golden file (``<name>.golden.json``) freezes everything the five
+A golden file (``<name>.golden.json``) freezes everything the
 execution engines are allowed to produce for one kernel::
 
     {
@@ -24,7 +24,9 @@ same pin run produces byte-identical files on any host and under any
 ``PYTHONHASHSEED``.  The checksum makes hand-edits and bit rot loud:
 :func:`load_golden` raises :class:`GoldenError` on malformed JSON, an
 unknown schema, a checksum mismatch, or missing fields, and replay
-treats that as a failure, never as "nothing to check".
+treats that as a failure, never as "nothing to check".  So is a golden
+whose ``modes`` names an engine outside :data:`repro.sim.modes.MODES`
+(one pinned before that engine was removed).
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
+
+from repro.sim.modes import MODES
 
 #: bump when the payload layout changes; old goldens must be re-pinned
 GOLDEN_SCHEMA = 1
@@ -131,6 +135,13 @@ def load_golden(path: Path | str) -> dict:
         )
     if not isinstance(payload["machines"], dict) or not payload["machines"]:
         raise GoldenError(f"golden file {path} pins no machines")
+    unknown = [mode for mode in payload["modes"] if mode not in MODES]
+    if unknown:
+        raise GoldenError(
+            f"golden file {path} pins unknown mode(s) "
+            f"{', '.join(map(repr, unknown))} (known: {', '.join(MODES)}); "
+            f"re-pin with `repro corpus pin`"
+        )
     return payload
 
 

@@ -29,9 +29,10 @@ from pathlib import Path
 from repro.corpus.goldens import GoldenError, save_golden
 from repro.corpus.replay import golden_path_for, pin_entry
 from repro.corpus.score import KernelTraits, SCORE_MACHINE, interestingness, measure_traits, select_diverse
-from repro.fuzz.diff import ALL_MODES, FUZZ_MAX_CYCLES
+from repro.fuzz.diff import FUZZ_MAX_CYCLES
 from repro.fuzz.gen import GENERATOR_VERSION, generate_kernels
 from repro.fuzz.oracle import GeneratorError, reference_run
+from repro.sim.modes import MODES
 
 #: metadata schema for <name>.json provenance sidecars
 PROMOTED_META_SCHEMA = 1
@@ -43,7 +44,7 @@ class PromoteConfig:
     count: int = 40  # candidates to generate and score
     target: int = 12  # corpus size to select
     machines: tuple[str, ...] = ()  # empty = every preset
-    modes: tuple[str, ...] = ALL_MODES
+    modes: tuple[str, ...] = MODES
     score_machine: str = SCORE_MACHINE
     max_cycles: int = FUZZ_MAX_CYCLES
     jobs: int = 1

@@ -34,8 +34,9 @@ from repro.corpus.goldens import (
     source_sha256,
 )
 from repro.fuzz.corpus import default_corpus_dir
-from repro.fuzz.diff import ALL_MODES, FUZZ_MAX_CYCLES, FuzzCase, execute_fuzz_task
+from repro.fuzz.diff import FUZZ_MAX_CYCLES, FuzzCase, execute_fuzz_task
 from repro.pipeline.types import TaskError
+from repro.sim.modes import MODES
 
 #: goldens for built-in extra kernels (fft), next to their sources
 BUILTIN_GOLDEN_DIR = Path(__file__).resolve().parents[1] / "kernels" / "goldens"
@@ -267,7 +268,7 @@ def pin_entry(
     name: str,
     source: str,
     machines: tuple[str, ...],
-    modes: tuple[str, ...] = ALL_MODES,
+    modes: tuple[str, ...] = MODES,
     max_cycles: int = FUZZ_MAX_CYCLES,
     expected_exit: int | None = None,
     jobs: int = 1,
@@ -321,7 +322,7 @@ def pin_and_save(
     source: str,
     mc_path: Path | str,
     machines: tuple[str, ...],
-    modes: tuple[str, ...] = ALL_MODES,
+    modes: tuple[str, ...] = MODES,
     max_cycles: int = FUZZ_MAX_CYCLES,
     expected_exit: int | None = None,
     jobs: int = 1,

@@ -36,7 +36,6 @@ from repro.fuzz.gen import (
 )
 from repro.fuzz.oracle import GeneratorError, reference_run
 from repro.fuzz.diff import (
-    ALL_MODES,
     Divergence,
     FuzzCase,
     FuzzCaseReport,
@@ -53,7 +52,6 @@ from repro.fuzz.corpus import (
 from repro.fuzz.harness import FUZZ_JSON_SCHEMA, FuzzConfig, FuzzReport, run_fuzz
 
 __all__ = [
-    "ALL_MODES",
     "CorpusEntry",
     "Divergence",
     "FuzzCase",

@@ -30,12 +30,7 @@ import pickle
 import traceback
 
 from repro.fuzz.gen import GENERATOR_VERSION
-
-#: every TTA/VLIW execution engine, in comparison order; ``"batch"``
-#: additionally self-checks the vectorized lockstep engine against the
-#: fast engine on perturbed per-lane inputs (one vectorized differential
-#: pass per generated kernel)
-ALL_MODES: tuple[str, ...] = ("checked", "fast", "turbo", "native", "batch")
+from repro.sim.modes import MODES
 
 #: faults of the harness, not of the system under test: these must
 #: propagate (the executor turns them into TaskError records / the
@@ -66,7 +61,7 @@ class FuzzCase:
     kernel: str
     source: str
     expected_exit: int
-    modes: tuple[str, ...] = ALL_MODES
+    modes: tuple[str, ...] = MODES
     max_cycles: int = FUZZ_MAX_CYCLES
 
     @property
@@ -159,69 +154,6 @@ def _result_record(result) -> dict:
     return {k: v for k, v in dataclasses.asdict(result).items()}
 
 
-def _batch_differential(compiled, case: FuzzCase, diverge) -> dict:
-    """One vectorized differential pass through the batch engine.
-
-    Two checks per generated kernel: (a) a two-lane pristine run whose
-    lanes must agree with each other (the record then feeds the normal
-    oracle/cross-engine comparison exactly like a serial mode), and (b)
-    when the kernel has initialised data, a three-lane run with
-    perturbed per-lane memory images -- pristine / first bytes XOR 0xFF
-    / first bytes zeroed -- compared lane-for-lane against the fast
-    engine on the same inputs, exercising the vector interpreter and its
-    per-lane fallback on genuinely divergent data.
-
-    Returns the pristine-lane result record.
-    """
-    from repro.sim import SimError, run_batch
-
-    lanes = run_batch(compiled, lanes=2, max_cycles=case.max_cycles)
-    records = [_result_record(result) for result in lanes]
-    if records[0] != records[1]:
-        diverge(
-            "batch",
-            "stats-mismatch",
-            f"batch lanes disagree on identical inputs: "
-            f"{records[0]!r} != {records[1]!r}",
-        )
-
-    if compiled.data_init:
-        address, blob = compiled.data_init[0]
-        width = min(4, len(blob))
-        inputs = [
-            (),
-            ((address, bytes(b ^ 0xFF for b in blob[:width])),),
-            ((address, bytes(width)),),
-        ]
-        got = run_batch(
-            compiled, inputs=inputs, max_cycles=case.max_cycles, on_error="return"
-        )
-        want = run_batch(
-            compiled,
-            inputs=inputs,
-            mode="fast",
-            max_cycles=case.max_cycles,
-            on_error="return",
-        )
-        for lane, (batch_out, fast_out) in enumerate(zip(got, want)):
-            if isinstance(fast_out, SimError) or isinstance(batch_out, SimError):
-                agree = (
-                    type(batch_out) is type(fast_out)
-                    and str(batch_out) == str(fast_out)
-                )
-            else:
-                agree = _result_record(batch_out) == _result_record(fast_out)
-            if not agree:
-                diverge(
-                    "batch",
-                    "stats-mismatch",
-                    f"vector lane {lane}: batch={batch_out!r} != "
-                    f"fast={fast_out!r}",
-                )
-
-    return records[0]
-
-
 def run_case(case: FuzzCase) -> FuzzCaseReport:
     """Compile once, run every requested engine, compare everything."""
     from repro.backend import compile_for_machine
@@ -267,15 +199,12 @@ def run_case(case: FuzzCase) -> FuzzCaseReport:
     modes = ("scalar",) if machine.style is MachineStyle.SCALAR else tuple(case.modes)
     for mode in modes:
         try:
-            if mode == "batch":
-                record = _batch_differential(compiled, case, diverge)
-            else:
-                result = run_compiled(
-                    compiled,
-                    max_cycles=case.max_cycles,
-                    mode="fast" if mode == "scalar" else mode,
-                )
-                record = _result_record(result)
+            result = run_compiled(
+                compiled,
+                max_cycles=case.max_cycles,
+                mode="fast" if mode == "scalar" else mode,
+            )
+            record = _result_record(result)
         except INFRA_ERRORS:
             raise
         except Exception:

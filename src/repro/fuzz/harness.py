@@ -36,7 +36,6 @@ from pathlib import Path
 
 from repro.fuzz.corpus import save_reproducer
 from repro.fuzz.diff import (
-    ALL_MODES,
     FUZZ_MAX_CYCLES,
     Divergence,
     FuzzCase,
@@ -55,6 +54,7 @@ from repro.fuzz.oracle import GeneratorError, reference_run
 from repro.pipeline import ArtifactStore, TaskError, default_store, run_tasks
 from repro.pipeline.fingerprint import fingerprint
 from repro.pipeline.sweep import parse_subset
+from repro.sim.modes import MODES
 
 #: progress callback: (done, planned_total, case, outcome)
 ProgressFn = Callable[[int, int, FuzzCase, object], None]
@@ -205,7 +205,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzReport:
 
     started = time.perf_counter()
     machines = parse_subset(config.machines, preset_names(), "machine")
-    modes = parse_subset(config.modes, ALL_MODES, "mode")
+    modes = parse_subset(config.modes, MODES, "mode")
     if config.count < 0:
         raise ValueError(f"count must be >= 0, got {config.count}")
 

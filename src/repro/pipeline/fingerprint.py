@@ -111,7 +111,7 @@ def job_fingerprint(
     engine_version: int | None = None,
 ) -> str:
     """Hex SHA-256 key for a *service job* that is not a bare (machine,
-    kernel-source, flags) measurement — e.g. a batched ``/v1/run`` with
+    kernel-source, flags) measurement — e.g. a ``/v1/run`` with
     per-lane inputs, or a sweep request identified for in-flight
     coalescing.
 

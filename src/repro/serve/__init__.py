@@ -1,10 +1,10 @@
 """Compile-and-simulate service.
 
 An asyncio HTTP/1.1 JSON server (standard library only) that exposes
-the repro pipeline — compile, run (all engine modes, including batched
-lanes), sweep — with bounded queueing and backpressure, content-keyed
-request dedup against the artifact store, and sharded child-process
-workers with per-job timeout and cancellation.
+the repro pipeline — compile, run (all engine modes, optionally over
+several input lanes), sweep — with bounded queueing and backpressure,
+content-keyed request dedup against the artifact store, and sharded
+child-process workers with per-job timeout and cancellation.
 
 Start one with ``repro serve`` or in-process::
 

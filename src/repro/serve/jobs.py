@@ -1,9 +1,9 @@
 """Job model, dedup/coalescing, sharded execution for the service.
 
 A **job** is one unit of pipeline work — a compile, a run (any engine
-mode, optionally batched over per-lane inputs), or a sweep — identified
-by a content key from :mod:`repro.pipeline.fingerprint`.  The manager
-gives the service its three scaling properties:
+mode, optionally over several lanes of per-lane inputs), or a sweep —
+identified by a content key from :mod:`repro.pipeline.fingerprint`.  The
+manager gives the service its three scaling properties:
 
 * **bounded queueing with backpressure** — at most ``queue_limit`` jobs
   wait; a submit past that raises :class:`QueueFull`, which the HTTP
@@ -39,6 +39,7 @@ from repro import obs
 from repro.pipeline.fingerprint import fingerprint, job_fingerprint
 from repro.pipeline.store import ArtifactStore
 from repro.pipeline.types import EvalResult
+from repro.sim.modes import MODES
 
 # job states
 QUEUED = "queued"
@@ -51,7 +52,6 @@ TIMEOUT = "timeout"
 TERMINAL_STATES = (DONE, FAILED, CANCELLED, TIMEOUT)
 
 JOB_KINDS = ("compile", "run", "sweep")
-RUN_MODES = ("checked", "fast", "turbo", "native", "batch")
 
 #: default simulator cycle budget (mirrors ``run_compiled``)
 DEFAULT_MAX_CYCLES = 500_000_000
@@ -134,8 +134,8 @@ def normalize_params(kind: str, body: dict) -> dict:
         return params
 
     mode = body.get("mode", "fast")
-    if mode not in RUN_MODES:
-        raise BadJob(f"unknown mode {mode!r}; known: {', '.join(RUN_MODES)}")
+    if mode not in MODES:
+        raise BadJob(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
     params["mode"] = mode
 
     max_cycles = body.get("max_cycles", DEFAULT_MAX_CYCLES)
@@ -152,8 +152,6 @@ def normalize_params(kind: str, body: dict) -> dict:
 
     lanes = body.get("lanes")
     inputs = body.get("inputs")
-    if (lanes is not None or inputs is not None) and mode != "batch":
-        raise BadJob("'lanes'/'inputs' require mode 'batch'")
     if lanes is not None:
         if not isinstance(lanes, int) or isinstance(lanes, bool) or lanes < 1:
             raise BadJob(f"'lanes' must be a positive integer, got {lanes!r}")
@@ -174,8 +172,8 @@ def _normalize_sweep(body: dict) -> dict:
     from repro.pipeline.sweep import resolve_kernel_sources
 
     mode = body.get("mode", "fast")
-    if mode not in RUN_MODES:
-        raise BadJob(f"unknown mode {mode!r}; known: {', '.join(RUN_MODES)}")
+    if mode not in MODES:
+        raise BadJob(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
     try:
         machines = parse_subset(body.get("machines"), preset_names(), "machine")
         # default: the paper's built-in matrix; explicit subsets may
@@ -377,31 +375,19 @@ def _run_job(params, store, key, plain) -> dict:
     from repro.fpga import synthesize
     from repro.machine import encode_machine
     from repro.pipeline.executor import result_extras
-    from repro.sim import run_compiled
-    from repro.sim.batch import run_batch
+    from repro.sim import run_batch
 
     machine, compiled = _compiled_program(params, store)
-    if params["mode"] == "batch":
-        inputs = params["inputs"]
-        if inputs is not None:
-            decoded = [
-                tuple((address, bytes.fromhex(data)) for address, data in lane)
-                for lane in inputs
-            ]
-            results = run_batch(
-                compiled, inputs=decoded, max_cycles=params["max_cycles"]
-            )
-        else:
-            results = run_batch(
-                compiled, lanes=params["lanes"] or 1,
-                max_cycles=params["max_cycles"],
-            )
-    else:
-        results = [
-            run_compiled(
-                compiled, mode=params["mode"], max_cycles=params["max_cycles"]
-            )
+    inputs = params["inputs"]
+    if inputs is not None:
+        inputs = [
+            [(address, bytes.fromhex(data)) for address, data in lane]
+            for lane in inputs
         ]
+    results = run_batch(
+        compiled, lanes=params["lanes"], inputs=inputs, mode=params["mode"],
+        max_cycles=params["max_cycles"],
+    )
     encoding = encode_machine(machine)
     report = synthesize(machine)
     first = results[0]

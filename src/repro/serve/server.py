@@ -9,7 +9,8 @@ exposes the pipeline over six JSON endpoints:
                           percentiles, artifact-store hit/miss
 ``POST /v1/compile``      compile a kernel for a machine (program summary)
 ``POST /v1/run``          compile + simulate; ``mode`` checked/fast/turbo/
-                          native/batch, optional per-lane ``inputs``
+                          native, optional ``lanes`` or per-lane ``inputs``
+                          (lanes run one after another)
 ``POST /v1/sweep``        a full (machines × kernels) sweep; async by default
 ``GET  /v1/jobs/<id>``    poll a job; ``DELETE`` cancels it
 ========================  ====================================================

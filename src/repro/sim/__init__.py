@@ -10,19 +10,21 @@ oversubscribing a bus, or exceeding a register file's ports is an error,
 not a silent wrong answer.
 """
 
-from repro.sim.batch import run_batch
 from repro.sim.blockcompile import SIM_ENGINE_VERSION
 from repro.sim.errors import SimError
 from repro.sim.memory import DataMemory
 from repro.sim.predecode import verify_tta_program, verify_vliw_program
 from repro.sim.profile import SimProfile, collect_profile, format_profile
-from repro.sim.run import run_compiled, run_compiled_profiled
+from repro.sim.modes import MODES, PROFILE_MODES
+from repro.sim.run import run_batch, run_compiled, run_compiled_profiled
 from repro.sim.scalar_sim import ScalarResult, ScalarSimulator
 from repro.sim.tta_sim import TTAResult, TTASimulator
 from repro.sim.vliw_sim import VLIWResult, VLIWSimulator
 
 __all__ = [
     "DataMemory",
+    "MODES",
+    "PROFILE_MODES",
     "SIM_ENGINE_VERSION",
     "ScalarResult",
     "ScalarSimulator",

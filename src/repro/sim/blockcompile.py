@@ -60,7 +60,7 @@ from repro.sim.predecode import (
 #: the pipeline artifact fingerprint (:mod:`repro.pipeline.fingerprint`)
 #: so a cached sweep result can never mask a codegen semantics change:
 #: bump this whenever the semantics of any engine (checked / fast /
-#: turbo / batch / native) or of the generated block or C code could
+#: turbo / native) or of the generated block or C code could
 #: change.  It also keys the native engine's stored shared objects.
 SIM_ENGINE_VERSION = 5
 

@@ -19,7 +19,9 @@ Compilation and caching:
   degrades to the turbo engine with a one-time ``RuntimeWarning``;
 * the degradation is loud: the warning names the reason, which for a
   failed build is the compiler's exit code and stderr tail (or its
-  timeout), and every failed compile counts ``sim.native.cc_failed``;
+  timeout), every failed compile counts ``sim.native.cc_failed``, and
+  every run that fell back, for any reason, counts
+  ``sim.native.degraded_runs``;
   C generation and the C compile run in their own ``sim.native.cgen``
   and ``sim.native.cc`` spans, so a trace shows the compile apart from
   the simulation;
@@ -399,7 +401,9 @@ def _get_engine(program):
 
 
 def _warn_no_native(reason: str) -> None:
+    """Record one run degraded to turbo; warn on the first per process."""
     global _WARNED
+    obs.count("sim.native.degraded_runs")
     if _WARNED:
         return
     _WARNED = True

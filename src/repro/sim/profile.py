@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.machine.machine import MachineStyle
+from repro.sim.modes import PROFILE_MODES
 
 
 @dataclass(frozen=True)
@@ -59,18 +60,12 @@ def collect_profile(sim, result) -> SimProfile:
     from repro import obs
 
     hits = getattr(sim, "_last_hits", None)
-    if hits is None:
-        raise ValueError(
-            "no profile data: run the simulator with mode='fast' or "
-            "mode='turbo' or mode='native' first (the checked engine "
-            "keeps no hit vector)"
-        )
     engine = getattr(sim, "_last_engine", None)
-    if engine is None:
+    if hits is None or engine is None:
         raise ValueError(
-            "no profile data: run the simulator with mode='fast' or "
-            "mode='turbo' or mode='native' first (the checked engine "
-            "keeps no hit vector)"
+            "no profile data: run the simulator with "
+            + " or ".join(f"mode={mode!r}" for mode in PROFILE_MODES)
+            + " first (the checked engine keeps no hit vector)"
         )
     with obs.span("sim.profile.collect", engine=engine):
         return _collect(sim, result, hits, engine)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.backend.compile import CompiledProgram
 from repro.machine.machine import MachineStyle
+from repro.sim.modes import PROFILE_MODES, check_mode
 from repro.sim.scalar_sim import ScalarSimulator
 from repro.sim.tta_sim import TTASimulator
 from repro.sim.vliw_sim import VLIWSimulator
@@ -48,20 +49,50 @@ def run_compiled(
     ``mode="native"`` compiles the same blocks to C via cffi/ctypes
     with the shared object cached in the artifact store (degrading to
     turbo with a one-time warning when no C compiler is available);
-    ``mode="checked"`` runs the per-cycle reference engine;
-    ``mode="batch"`` routes through the batched lockstep tier of
-    :mod:`repro.sim.batch` (a single lane here -- use
-    :func:`~repro.sim.batch.run_batch` directly for N-lane execution).
+    ``mode="checked"`` runs the per-cycle reference engine.
     ``check_connectivity`` additionally routes every executed TTA move in
     checked mode (fast and turbo modes always verify connectivity at
     load time).  The scalar core has a single engine; *mode* is ignored
     there.  All modes are bit- and cycle-exact with each other.
     """
-    if mode == "batch":
-        from repro.sim.batch import run_batch
-
-        return run_batch(compiled, lanes=1, max_cycles=max_cycles)[0]
     return _make_simulator(compiled, check_connectivity, max_cycles, mode).run()
+
+
+def run_batch(
+    compiled: CompiledProgram,
+    *,
+    lanes: int | None = None,
+    inputs=None,
+    mode: str = "fast",
+    max_cycles: int = 500_000_000,
+) -> list:
+    """Run N independent lanes of *compiled*, one after another, and
+    return their results in lane order.
+
+    ``inputs`` is a sequence of per-lane preload lists (``(address,
+    bytes)`` pairs applied on top of ``compiled.data_init``); ``lanes``
+    gives the lane count instead when every lane runs the pristine image
+    (default 1).  Each lane gets its own simulator in *mode*; the first
+    failing lane's :class:`~repro.sim.errors.SimError` propagates.
+    """
+    check_mode(mode)
+    if inputs is None:
+        if lanes is not None and lanes < 0:
+            raise ValueError(f"lane count must be >= 0, got {lanes}")
+        lane_inputs = [()] * (1 if lanes is None else lanes)
+    else:
+        lane_inputs = list(inputs)
+        if lanes is not None and lanes != len(lane_inputs):
+            raise ValueError(
+                f"lanes={lanes} disagrees with {len(lane_inputs)} input rows"
+            )
+    results = []
+    for lane_input in lane_inputs:
+        sim = _make_simulator(compiled, False, max_cycles, mode)
+        for address, blob in lane_input:
+            sim.memory.preload(int(address), bytes(blob))
+        results.append(sim.run())
+    return results
 
 
 def run_compiled_profiled(
@@ -80,10 +111,11 @@ def run_compiled_profiled(
 
     if compiled.machine.style is MachineStyle.SCALAR:
         raise ValueError("profiling supports TTA and VLIW cores only")
-    if mode not in ("fast", "turbo", "native"):
+    if mode not in PROFILE_MODES:
         raise ValueError(
-            f"profiling requires mode='fast' or mode='turbo' or "
-            f"mode='native', not {mode!r}"
+            "profiling requires "
+            + " or ".join(f"mode={known!r}" for known in PROFILE_MODES)
+            + f", not {mode!r}"
         )
     sim = _make_simulator(compiled, False, max_cycles, mode)
     result = sim.run()

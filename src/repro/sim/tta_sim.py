@@ -50,6 +50,7 @@ from repro.isa.operations import OPS, OpKind
 from repro.isa.semantics import MASK32, evaluate
 from repro.sim.errors import SimError
 from repro.sim.memory import DataMemory
+from repro.sim.modes import check_mode
 from repro.sim.predecode import check_tta_slots, run_tta_fast
 
 
@@ -126,16 +127,12 @@ class TTASimulator:
     #: checked mode only: verify bus connectivity of every executed move
     #: (fast mode always verifies connectivity, once, at load time)
     check_connectivity: bool = False
-    #: "fast" = load-time verification + pre-decoded engine;
-    #: "turbo" = fast plus basic-block compilation with block chaining;
-    #: "native" = turbo's blocks compiled to C via cffi/ctypes;
-    #: "checked" = per-cycle reference implementation
+    #: one of :data:`repro.sim.modes.MODES` (see the module docstring)
     mode: str = "fast"
     memory: DataMemory = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("fast", "checked", "turbo", "native"):
-            raise ValueError(f"unknown simulation mode {self.mode!r}")
+        check_mode(self.mode)
         machine = self.program.machine
         self.memory = DataMemory(self.memory_size)
         self.rfs: dict[str, list[int]] = {

@@ -32,6 +32,7 @@ from repro.backend.program import Program, VLIWInstr
 from repro.isa.semantics import MASK32, evaluate
 from repro.sim.errors import SimError
 from repro.sim.memory import DataMemory
+from repro.sim.modes import check_mode
 from repro.sim.predecode import run_vliw_fast
 
 
@@ -48,16 +49,12 @@ class VLIWSimulator:
     program: Program
     memory_size: int = MEMORY_SIZE
     max_cycles: int = 500_000_000
-    #: "fast" = load-time verification + pre-decoded engine;
-    #: "turbo" = fast plus basic-block compilation with block chaining;
-    #: "native" = turbo's blocks compiled to C via cffi/ctypes;
-    #: "checked" = per-cycle reference implementation
+    #: one of :data:`repro.sim.modes.MODES` (see the module docstring)
     mode: str = "fast"
     memory: DataMemory = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.mode not in ("fast", "checked", "turbo", "native"):
-            raise ValueError(f"unknown simulation mode {self.mode!r}")
+        check_mode(self.mode)
         self.memory = DataMemory(self.memory_size)
         self.regs: dict[PhysReg, int] = {}
         self.ra = 0

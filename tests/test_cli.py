@@ -56,34 +56,6 @@ class TestCLI:
         assert main(["run", minic_file, "-m", "mblaze-3", "--mode", "turbo"]) == 0
         assert "scalar (single engine; --mode ignored)" in capsys.readouterr().out
 
-    def test_run_mode_batch(self, minic_file, capsys):
-        assert main(
-            ["run", minic_file, "-m", "m-tta-1", "--mode", "batch", "--batch", "8"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "engine    : batch (8 lanes)" in out
-        assert "exit code : 0" in out
-
-    def test_run_batch_flag_requires_batch_mode(self, minic_file, capsys):
-        assert main(["run", minic_file, "-m", "m-tta-1", "--batch", "4"]) == 2
-        assert "--batch requires --mode batch" in capsys.readouterr().err
-        assert main(
-            ["run", minic_file, "-m", "m-tta-1", "--verify", "--batch", "4"]
-        ) == 2
-        assert "--batch requires --mode batch" in capsys.readouterr().err
-
-    def test_run_batch_rejects_bad_lane_count(self, minic_file, capsys):
-        assert main(
-            ["run", minic_file, "-m", "m-tta-1", "--mode", "batch", "--batch", "0"]
-        ) == 2
-        assert "--batch must be >= 1" in capsys.readouterr().err
-
-    def test_run_profile_rejects_batch(self, minic_file, capsys):
-        assert main(
-            ["run", minic_file, "-m", "m-tta-2", "--mode", "batch", "--profile"]
-        ) == 2
-        assert "fast, turbo or native engine" in capsys.readouterr().err
-
     def test_run_profile(self, minic_file, capsys):
         assert main(
             ["run", minic_file, "-m", "m-tta-2", "--mode", "turbo", "--profile"]
@@ -174,14 +146,6 @@ class TestSweepCLI:
             assert main(["sweep", "--kernels", "mips", "--jobs", jobs]) == 2
             assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
 
-    def test_sweep_mode_batch(self, tmp_path, capsys):
-        rc = main(
-            ["sweep", "--machines", "m-tta-1", "--kernels", "mips",
-             "--mode", "batch", "--no-cache", "-q"]
-        )
-        assert rc == 0
-        assert "cycles" in capsys.readouterr().out
-
 
 class TestRunErrorPaths:
     def test_run_missing_file(self, capsys):
@@ -270,12 +234,6 @@ class TestFuzzCLI:
         assert main(["fuzz", "--count", "1", "--machines", "nope"]) == 2
         assert "unknown machine 'nope'" in capsys.readouterr().err
 
-    def test_fuzz_rejects_unknown_mode(self, capsys):
-        assert main(["fuzz", "--count", "1", "--modes", "warp"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown mode 'warp'" in err
-        assert "checked, fast, turbo, native, batch" in err
-
     def test_fuzz_rejects_bad_jobs(self, capsys):
         for jobs in ("0", "-3"):
             assert main(["fuzz", "--count", "1", "--jobs", jobs]) == 2
@@ -328,3 +286,15 @@ class TestExploreCLI:
         assert "unknown kernel" in capsys.readouterr().err
         assert main(["explore", "--jobs", "0", "--no-cache", "-q"]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+def test_import_does_not_load_numpy():
+    """``import repro.cli`` in a fresh interpreter leaves numpy unloaded."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = f"import sys; sys.path.insert(0, {src!r}); import repro.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

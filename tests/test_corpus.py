@@ -30,7 +30,9 @@ from repro.corpus import (
     replay_entries,
 )
 from repro.corpus.goldens import _checksum, golden_path_for, make_golden, save_golden
+from repro.corpus.replay import pin_entry
 from repro.corpus.score import KernelTraits, select_diverse
+from repro.sim import MODES
 
 PIN_MACHINES = ("m-tta-2",)
 
@@ -62,7 +64,7 @@ class TestPromotion:
             golden = load_golden(golden_path_for(mc))
             assert tuple(golden["machines"]) == PIN_MACHINES
             runs = golden["machines"]["m-tta-2"]
-            assert set(runs) == {"checked", "fast", "turbo", "native", "batch"}
+            assert set(runs) == set(MODES)
             for record in runs.values():
                 assert record["exit_code"] == golden["expected_exit"]
                 assert record["cycles"] > 0
@@ -198,6 +200,24 @@ class TestGoldenIntegrity:
         entries, report = _replay(out)
         assert entries and all(not e.ok for e in entries)
         assert all("missing golden" in line for line in report.broken)
+
+    def test_golden_pinning_a_removed_mode_is_one_broken_line(self, tmp_path, capsys):
+        """A golden pinned with a since-removed engine (``batch``) replays
+        as one BROKEN line naming it, not one crash per pinned pair."""
+        from repro.cli import main
+
+        source = "int main(void){ int s = 0; for (int i = 0; i < 5; i++) s += i; return s; }"
+        good = pin_entry("tiny", source, ("m-tta-2", "m-vliw-2"), modes=("checked",))
+        runs = {m: {**r, "batch": r["checked"]} for m, r in good["machines"].items()}
+        (tmp_path / "tiny.mc").write_text(source)
+        save_golden(golden_path_for(tmp_path / "tiny.mc"), make_golden(
+            "tiny", source, good["expected_exit"], runs, ("checked", "batch"),
+            good["max_cycles"]))
+        assert main(["corpus", "replay", "--promoted-dir", str(tmp_path), "--corpus-dir",
+                     str(tmp_path / "none"), "--no-builtin", "-q"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("BROKEN:"), lines
+        assert "'batch'" in lines[0] and "Traceback" not in lines[0]
 
     def test_save_refuses_stale_checksum(self, tmp_path):
         payload = make_golden("x", "int main(void){return 0;}", 0,

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fuzz import ALL_MODES, FuzzCase, FuzzCaseReport, run_case
+from repro.fuzz import FuzzCase, FuzzCaseReport, run_case
 from repro.fuzz.diff import REPORT_SCHEMA
+from repro.sim import MODES
 
 OK_SOURCE = """
 int main() {
@@ -26,7 +27,7 @@ def _expected(source: str) -> int:
 
 
 def _case(machine: str, source: str = OK_SOURCE, expected: int | None = None,
-          modes=ALL_MODES) -> FuzzCase:
+          modes=MODES) -> FuzzCase:
     return FuzzCase(
         machine=machine,
         kernel="diff-test",
@@ -40,10 +41,10 @@ def _case(machine: str, source: str = OK_SOURCE, expected: int | None = None,
 def test_agreeing_case_runs_every_mode(machine):
     report = run_case(_case(machine))
     assert report.ok
-    assert set(report.runs) == set(ALL_MODES)
+    assert set(report.runs) == set(MODES)
     # cross-engine: every statistics field identical, not just exit codes
     baseline = report.runs["checked"]
-    for mode in ("fast", "turbo", "native", "batch"):
+    for mode in MODES[1:]:
         assert report.runs[mode] == baseline
 
 
@@ -57,7 +58,7 @@ def test_wrong_expectation_is_one_divergence_per_mode():
     report = run_case(_case("m-tta-2", expected=255))
     assert not report.ok
     kinds = {(d.mode, d.kind) for d in report.divergences}
-    assert kinds == {(m, "exit-mismatch") for m in ALL_MODES}
+    assert kinds == {(m, "exit-mismatch") for m in MODES}
     for d in report.divergences:
         assert d.expected == 255
         assert d.observed == report.runs[d.mode]["exit_code"]
@@ -81,22 +82,6 @@ def test_report_roundtrips_through_dict():
     # verdicts from another schema must be recomputed, not trusted
     payload["schema"] = REPORT_SCHEMA + 1
     assert FuzzCaseReport.from_dict(payload) is None
-
-
-def test_batch_mode_runs_perturbed_vector_pass():
-    """A kernel with initialised globals triggers the batched perturbed-
-    input differential pass; correct engines produce zero divergences."""
-    source = """
-int g[4] = {7, 3, 9, 1};
-int main() {
-  int s = 0;
-  for (int i = 0; i < 8; i = i + 1) { s = s + g[i % 4] * i; }
-  return s & 63;
-}
-"""
-    report = run_case(_case("m-tta-2", source=source))
-    assert report.ok, [d.summary() for d in report.divergences]
-    assert report.runs["batch"] == report.runs["checked"]
 
 
 def test_infrastructure_errors_propagate_not_classified(monkeypatch):

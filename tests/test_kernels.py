@@ -238,7 +238,8 @@ class TestFftDifferential:
 
     @pytest.mark.parametrize("preset", preset_names())
     def test_all_presets_all_engines(self, preset):
-        from repro.fuzz.diff import ALL_MODES, FuzzCase, run_case
+        from repro.fuzz.diff import FuzzCase, run_case
+        from repro.sim import MODES
 
         report = run_case(
             FuzzCase(
@@ -246,14 +247,14 @@ class TestFftDifferential:
                 kernel="fft",
                 source=kernel_source("fft"),
                 expected_exit=0,
-                modes=ALL_MODES,
+                modes=MODES,
             )
         )
         assert not report.divergences, "\n".join(
             d.summary() for d in report.divergences
         )
-        # scalar presets run one engine; TTA/VLIW presets run all five
-        assert len(report.runs) in (1, len(ALL_MODES))
+        # scalar presets run one engine; TTA/VLIW presets run all of them
+        assert len(report.runs) in (1, len(MODES))
         for record in report.runs.values():
             assert record["exit_code"] == 0
 

@@ -440,6 +440,22 @@ class TestDegradation:
             nat = run_compiled(_compile(FIB_SRC, "m-vliw-2"), mode="native")
         assert asdict(nat) == asdict(reference)
 
+    @pytest.mark.parametrize("machine_name", DIFF_MACHINES)
+    def test_every_degraded_run_is_counted(self, monkeypatch, machine_name):
+        """The warning fires once per process, but the trace counts every
+        run that fell back, so the second one is not invisible."""
+        from repro import obs
+
+        monkeypatch.setattr(native, "find_compiler", lambda: None)
+        monkeypatch.setattr(native, "_WARNED", False)
+        compiled = _compile(FIB_SRC, machine_name)
+        reference = asdict(run_compiled(compiled, mode="turbo"))
+        with obs.tracing() as tracer, warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runs = [asdict(run_compiled(compiled, mode="native")) for _ in range(2)]
+        assert runs == [reference, reference]
+        assert tracer.counters["sim.native.degraded_runs"] == 2
+
     def test_cc_env_override_pointing_nowhere_degrades(self, monkeypatch):
         monkeypatch.delenv(native.NO_CC_ENV, raising=False)
         monkeypatch.setenv(native.CC_ENV, "definitely-not-a-compiler-xyz")

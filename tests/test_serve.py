@@ -47,7 +47,7 @@ from repro.serve import (
     encode_inputs,
     normalize_params,
 )
-from repro.sim import run_batch, run_compiled
+from repro.sim import MODES, run_batch, run_compiled
 
 #: ~1 ms in every mode; exit code 0 so the plain-run store path engages
 TINY_SRC = "int main(void){ int i=0; int s=0; while(i<100){ s=s+i; i=i+1; } return 0; }"
@@ -58,7 +58,7 @@ SLOW_SRC = "int main(void){ int i=0; int s=0; while(i<200000){ s=s+i; i=i+1; } r
 #: never terminates -- timeout/cancellation/straggler-drain fodder
 SPIN_SRC = "int main(void){ int i=1; while(i){ } return 0; }"
 
-#: control flow driven by memory, for batch per-lane input tests
+#: control flow driven by memory, for per-lane input tests
 BRANCH_SRC = """
 int g[4] = {3, 10, 7, 2};
 int main() {
@@ -191,11 +191,10 @@ class TestRequestValidation:
             ({"machine": "m-tta-2", "source": "   "}, "non-empty"),
             ({"machine": "m-tta-2", "kernel": "mips", "mode": "warp"},
              "unknown mode"),
-            ({"machine": "m-tta-2", "kernel": "mips", "lanes": 2},
-             "require mode 'batch'"),
-            ({"machine": "m-tta-2", "kernel": "mips", "mode": "batch",
-              "lanes": 0}, "'lanes'"),
-            ({"machine": "m-tta-2", "kernel": "mips", "mode": "batch",
+            ({"machine": "m-tta-2", "kernel": "mips", "lanes": 2,
+              "inputs": [[[0, "00"]]]}, "disagrees"),
+            ({"machine": "m-tta-2", "kernel": "mips", "lanes": 0}, "'lanes'"),
+            ({"machine": "m-tta-2", "kernel": "mips",
               "inputs": [[[0, "zz"]]]}, "bad hex"),
             ({"machine": "m-tta-2", "kernel": "mips", "max_cycles": 0},
              "max_cycles"),
@@ -230,7 +229,7 @@ class TestRequestValidation:
 class TestByteIdentity:
     """Served results must equal direct pipeline results, field for field."""
 
-    @pytest.mark.parametrize("mode", ["checked", "fast", "turbo", "native", "batch"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_run_matches_run_compiled(self, served, mode):
         compiled = compile_for_machine(
             compile_source(TINY_SRC), build_machine("m-tta-2")
@@ -270,10 +269,10 @@ class TestByteIdentity:
             ((g + 4, _word(100)),),
             ((g, _word(0)),),
         ]
-        want = run_batch(compiled, inputs=lanes)
+        want = run_batch(compiled, inputs=lanes, mode="turbo")
         with served.client() as c:
             got = c.run(
-                "m-tta-2", source=BRANCH_SRC, mode="batch",
+                "m-tta-2", source=BRANCH_SRC, mode="turbo",
                 inputs=encode_inputs(lanes),
             )
         assert len(got["results"]) == len(lanes)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
 from repro import build_machine, compile_for_machine, compile_source
 from repro.backend.mop import Imm, MOp, PhysReg
 from repro.backend.program import Move, Program, TTAInstr, VLIWInstr
 from repro.sim import DataMemory, SimError, TTASimulator, VLIWSimulator, run_compiled
+from repro.sim import MODES, run_batch
 
 
 class TestDataMemory:
@@ -282,6 +285,33 @@ class TestVLIWTiming:
             VLIWSimulator(prog).run()
 
 
+#: loop trip count, multiplier and branch threshold all come from memory
+BRANCH_SRC = """
+int g[4] = {3, 10, 7, 2};
+int main() {
+  int acc = 0;
+  int n = g[0];
+  for (int i = 0; i < n; i = i + 1) { acc = acc + g[1] * i + i; }
+  if (acc > g[2]) { return acc - g[3]; }
+  return acc + g[3];
+}
+"""
+
+
+OOB_SRC = """
+int g[2] = {1, 0};
+int main() {
+  int a[4];
+  a[0] = 11; a[1] = 22; a[2] = 33; a[3] = 44;
+  return a[g[0]] + g[1];
+}
+"""
+
+
+def _compile_branchy(machine_name):
+    return compile_for_machine(compile_source(BRANCH_SRC), build_machine(machine_name))
+
+
 class TestRunCompiled:
     def test_exit_code_plumbed(self):
         compiled = compile_for_machine(
@@ -296,3 +326,59 @@ class TestRunCompiled:
         """
         compiled = compile_for_machine(compile_source(src), build_machine("mblaze-3"))
         assert run_compiled(compiled).exit_code == 1337
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("machine_name", ("m-tta-2", "mblaze-3"))
+    def test_run_batch_runs_each_lane_in_mode(self, machine_name, mode):
+        """One simulator per lane; the scalar core ignores *mode*."""
+        compiled = _compile_branchy(machine_name)
+        reference = asdict(run_compiled(compiled, mode=mode))
+        results = run_batch(compiled, lanes=2, mode=mode)
+        assert [asdict(r) for r in results] == [reference, reference]
+
+    def test_run_batch_lane_count_edge_cases(self):
+        compiled = _compile_branchy("m-tta-2")
+        assert run_batch(compiled, lanes=0) == []
+        assert len(run_batch(compiled)) == 1  # default: one lane
+        with pytest.raises(ValueError, match="lane count"):
+            run_batch(compiled, lanes=-1)
+        with pytest.raises(ValueError, match="disagrees"):
+            run_batch(compiled, inputs=[(), ()], lanes=3)
+
+    @pytest.mark.parametrize("machine_name", ("m-tta-2", "m-vliw-2"))
+    def test_run_batch_lane_inputs_overlay_data_init(self, machine_name):
+        """Each lane's preloads go on top of its own copy of the image:
+        a lane equals one simulator preloaded the same way, and no lane
+        sees another's writes."""
+        compiled = _compile_branchy(machine_name)
+        g = compiled.symbols["g"]
+        inputs = [(), ((g, (1).to_bytes(4, "little")),),
+                  ((g + 4, (100).to_bytes(4, "little")),), ()]
+        results = run_batch(compiled, inputs=inputs, mode="checked")
+        sim_class = TTASimulator if machine_name == "m-tta-2" else VLIWSimulator
+        for lane_input, got in zip(inputs, results):
+            sim = sim_class(compiled.program, mode="checked")
+            sim.preload(compiled.data_init)
+            sim.preload(list(lane_input))
+            assert asdict(got) == asdict(sim.run())
+        assert asdict(results[0]) == asdict(results[3])
+        assert len({r.exit_code for r in results}) == 3
+
+    def test_run_batch_raises_first_failing_lane(self):
+        """Lane 1 and lane 2 both index past memory; the error raised is
+        lane 1's, the same one lane 1 raises when run alone."""
+        compiled = compile_for_machine(compile_source(OOB_SRC), build_machine("m-tta-2"))
+        g = compiled.symbols["g"]
+        inputs = [((g, (0).to_bytes(4, "little")),),
+                  ((g, (400_000).to_bytes(4, "little")),),
+                  ((g, (500_000).to_bytes(4, "little")),)]
+        with pytest.raises(SimError, match="out of range") as alone:
+            run_batch(compiled, inputs=[inputs[1]])
+        with pytest.raises(SimError, match="out of range") as batched:
+            run_batch(compiled, inputs=inputs)
+        assert str(batched.value) == str(alone.value)
+
+    def test_run_batch_lane_arguments_are_keyword_only(self):
+        compiled = _compile_branchy("m-tta-2")
+        with pytest.raises(TypeError):
+            run_batch(compiled, [(), ()])
