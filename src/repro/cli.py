@@ -49,7 +49,7 @@ from repro import (
     run_compiled,
     synthesize,
 )
-from repro.sim.modes import MODES, PROFILE_MODES
+from repro.sim.modes import DEFAULT_MODE, MODES, PROFILE_MODES
 
 
 def _cmd_machines(_args) -> int:
@@ -140,7 +140,7 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    mode = "checked" if args.verify else (args.mode or "fast")
+    mode = "checked" if args.verify else (args.mode or DEFAULT_MODE)
     if args.profile and mode not in PROFILE_MODES:
         *others, last = PROFILE_MODES
         print(
@@ -987,7 +987,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_sweep.add_argument(
         "--mode", choices=MODES,
-        default="fast",
+        default=DEFAULT_MODE,
         help="simulation engine for computed pairs ('native' runs "
         "generated C with store-cached shared objects)",
     )

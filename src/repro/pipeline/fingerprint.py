@@ -33,6 +33,7 @@ from pathlib import Path
 
 from repro.machine.machine import Machine
 from repro.machine.serialize import machine_from_json, machine_to_dict
+from repro.sim.modes import DEFAULT_MODE
 
 #: canonical machine description used inside fingerprints -- one layout
 #: shared with the serialisation layer so a task's ``machine_desc`` and
@@ -73,7 +74,7 @@ def fingerprint(
     machine: Machine,
     source: str,
     *,
-    mode: str = "fast",
+    mode: str = DEFAULT_MODE,
     optimize: bool = True,
     toolchain: str | None = None,
     engine_version: int | None = None,

@@ -34,6 +34,7 @@ from repro.pipeline.types import (
     SweepTask,
     TaskError,
 )
+from repro.sim.modes import DEFAULT_MODE
 
 
 def parse_subset(
@@ -94,7 +95,7 @@ def build_tasks(
     kernels: Iterable[str] | str | None = None,
     *,
     sources: dict[str, str] | None = None,
-    mode: str = "fast",
+    mode: str = DEFAULT_MODE,
     optimize: bool = True,
 ) -> list[SweepTask]:
     """The (machine, kernel) matrix as an ordered task list.
@@ -137,7 +138,7 @@ def tasks_for_machines(
     kernels: Iterable[str] | str | None = None,
     *,
     sources: dict[str, str] | None = None,
-    mode: str = "fast",
+    mode: str = DEFAULT_MODE,
     optimize: bool = True,
 ) -> list[SweepTask]:
     """Tasks over explicit :class:`~repro.machine.Machine` objects.
@@ -190,7 +191,7 @@ def sweep(
     kernels: Iterable[str] | str | None = None,
     *,
     sources: dict[str, str] | None = None,
-    mode: str = "fast",
+    mode: str = DEFAULT_MODE,
     optimize: bool = True,
     jobs: int = 1,
     retries: int = 1,

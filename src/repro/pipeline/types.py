@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+from repro.sim.modes import DEFAULT_MODE, check_mode
+
 #: bump when the on-disk ``EvalResult`` JSON layout changes
 #: (2: added the ``extras`` counter dict — RF traffic, transport stats)
 RESULT_SCHEMA = 2
@@ -108,7 +110,7 @@ class SweepTask:
             of a generated machine when ``machine_desc`` is set.
         kernel: display name of the workload.
         source: MiniC source text (hashed into the fingerprint).
-        mode: simulation engine (``fast`` or ``checked``).
+        mode: simulation engine, one of :data:`repro.sim.MODES`.
         optimize: run the IR optimisation pipeline before scheduling.
         machine_desc: canonical machine JSON
             (:func:`repro.machine.machine_to_json`) for design points
@@ -123,10 +125,13 @@ class SweepTask:
     machine: str
     kernel: str
     source: str
-    mode: str = "fast"
+    mode: str = DEFAULT_MODE
     optimize: bool = True
     machine_desc: str | None = None
     expected_exit: int | None = 0
+
+    def __post_init__(self) -> None:
+        check_mode(self.mode)
 
     @property
     def pair(self) -> tuple[str, str]:

@@ -19,6 +19,7 @@ import json
 import time
 
 from repro.serve.server import SERVE_SCHEMA
+from repro.sim.modes import DEFAULT_MODE
 
 
 class ServeError(Exception):
@@ -150,7 +151,7 @@ class ServeClient:
         return self.request("POST", "/v1/compile", body)
 
     def run(self, machine: str, *, kernel: str | None = None,
-            source: str | None = None, mode: str = "fast", **kwargs) -> dict:
+            source: str | None = None, mode: str = DEFAULT_MODE, **kwargs) -> dict:
         body = {"machine": machine, "mode": mode, **kwargs}
         if kernel is not None:
             body["kernel"] = kernel
@@ -158,7 +159,7 @@ class ServeClient:
             body["source"] = source
         return self.request("POST", "/v1/run", body)
 
-    def sweep(self, *, machines=None, kernels=None, mode: str = "fast",
+    def sweep(self, *, machines=None, kernels=None, mode: str = DEFAULT_MODE,
               **kwargs) -> dict:
         body = {"mode": mode, **kwargs}
         if machines is not None:

@@ -39,7 +39,7 @@ from repro import obs
 from repro.pipeline.fingerprint import fingerprint, job_fingerprint
 from repro.pipeline.store import ArtifactStore
 from repro.pipeline.types import EvalResult
-from repro.sim.modes import MODES
+from repro.sim.modes import DEFAULT_MODE, MODES
 
 # job states
 QUEUED = "queued"
@@ -133,7 +133,7 @@ def normalize_params(kind: str, body: dict) -> dict:
     if kind == "compile":
         return params
 
-    mode = body.get("mode", "fast")
+    mode = body.get("mode", DEFAULT_MODE)
     if mode not in MODES:
         raise BadJob(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
     params["mode"] = mode
@@ -171,7 +171,7 @@ def _normalize_sweep(body: dict) -> dict:
     from repro.pipeline import parse_subset
     from repro.pipeline.sweep import resolve_kernel_sources
 
-    mode = body.get("mode", "fast")
+    mode = body.get("mode", DEFAULT_MODE)
     if mode not in MODES:
         raise BadJob(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
     try:

@@ -15,8 +15,11 @@ cycle.  This module adds a third execution mode, ``mode="turbo"``, that
    load/store, helpers) are hoisted into default arguments bound once;
 3. compiles each block once with :func:`compile`/``exec`` (code objects
    are cached on ``Program.predecode_cache`` so every simulator instance
-   of one linked program shares them) and **chains blocks through a
-   dispatch table keyed on the entry pc**.
+   of one linked program shares them) and hands them to the shared
+   stepping driver (:func:`~repro.sim.predecode.run_tta` /
+   :func:`~repro.sim.predecode.run_vliw`) as its **block source**
+   (:func:`turbo_blocks`), which chains them through a dispatch table
+   keyed on the entry pc.
 
 Dynamic, data-dependent checks stay in the generated code and in the
 driver loop: reading a function-unit result before it is due,
@@ -27,9 +30,9 @@ with the reference engine's exact messages at the exact cycle.  All
 :func:`~repro.sim.predecode.static_decode_tta` /
 ``static_decode_vliw``, which turbo runs first.
 
-Anything the code generator cannot prove static falls back **per block**
-to the fast engine's bound closures (and any carried-over redirect or
-out-of-range pc is stepped one precise cycle at a time), so turbo is
+Anything the code generator cannot prove static has no block, and the
+driver steps it one precise cycle at a time exactly as the fast engine
+does (so do carried-over redirects and out-of-range pcs), so turbo is
 never less general than ``mode="fast"``.  The differential tests in
 ``tests/test_blockcompile.py`` assert byte-identical results -- exit
 code, cycles and every statistic counter -- against ``mode="checked"``
@@ -41,7 +44,6 @@ from __future__ import annotations
 from heapq import heappop as _heappop
 
 from repro import obs
-from repro.backend.abi import return_value_reg
 from repro.backend.program import Program
 from repro.isa.operations import OPS, OpKind
 from repro.isa.semantics import sext8, sext16, to_signed
@@ -49,9 +51,6 @@ from repro.sim.errors import SimError
 from repro.sim.predecode import (
     _VLIW_LOADS,
     _VLIW_STORES,
-    _bind_tta_sampler,
-    _bind_tta_thunk,
-    _bind_vliw_op,
     static_decode_tta,
     static_decode_vliw,
 )
@@ -105,8 +104,7 @@ _ALU_HELPERS = {
 
 class _Unsupported(Exception):
     """Raised during codegen for anything not provably static; the block
-    is then materialised as ``None`` and the driver falls back to the
-    fast engine's per-cycle closures for it."""
+    is then materialised as ``None`` and the driver steps it precisely."""
 
 
 def _cexpr(k: int) -> str:
@@ -576,10 +574,21 @@ def _compile_vliw_block(program: Program, start: int, decoded, rf_param, maxlat)
 
 
 # ---------------------------------------------------------------------------
-# shared driver plumbing
+# turbo's block source
 # ---------------------------------------------------------------------------
 
-_ABSENT = object()
+
+def _block_compiler(program: Program):
+    """``(compile function, code-cache key, its trailing arguments)`` for
+    *program*'s style; every compile function is called as
+    ``compile_block(program, start, *args)``."""
+    rf_param, fu_param = _param_maps(program.machine)
+    if program.style == "tta":
+        decoded = static_decode_tta(program)
+        return _compile_tta_block, _TTA_TURBO_KEY, (decoded, rf_param, fu_param)
+    decoded = static_decode_vliw(program)
+    maxlat = _vliw_max_latency(decoded)
+    return _compile_vliw_block, _VLIW_TURBO_KEY, (decoded, rf_param, maxlat)
 
 
 def _block_cache(program: Program, key: str) -> dict:
@@ -590,220 +599,27 @@ def _block_cache(program: Program, key: str) -> dict:
 
 
 def tta_block_source(program: Program, start: int) -> str | None:
-    """Generated source of the TTA block starting at *start* (debugging
-    and tests); ``None`` when the block falls back to the fast engine."""
-    decoded = static_decode_tta(program)
+    """Generated source of the block starting at *start* (debugging and
+    tests); ``None`` when the block falls back to precise stepping.
+    Serves both styles; ``vliw_block_source`` is the same function."""
+    compile_block, key, args = _block_compiler(program)
+    cache = _block_cache(program, key)
+    if start not in cache:
+        cache[start] = compile_block(program, start, *args)
+    entry = cache[start]
+    return None if entry is None else entry[2]
+
+
+vliw_block_source = tta_block_source
+
+
+def turbo_blocks(sim, rfs):
+    """Turbo's block source (see :func:`repro.sim.predecode.block_source_for`):
+    each entry pc's block is compiled once per program, on first entry,
+    and bound to *sim*'s state."""
+    program = sim.program
+    compile_block, key, args = _block_compiler(program)
     rf_param, fu_param = _param_maps(program.machine)
-    cache = _block_cache(program, _TTA_TURBO_KEY)
-    entry = cache.get(start, _ABSENT)
-    if entry is _ABSENT:
-        entry = _compile_tta_block(program, start, decoded, rf_param, fu_param)
-        cache[start] = entry
-    return None if entry is None else entry[2]
-
-
-def vliw_block_source(program: Program, start: int) -> str | None:
-    """Generated source of the VLIW block starting at *start*."""
-    decoded = static_decode_vliw(program)
-    rf_param, _ = _param_maps(program.machine)
-    cache = _block_cache(program, _VLIW_TURBO_KEY)
-    entry = cache.get(start, _ABSENT)
-    if entry is _ABSENT:
-        entry = _compile_vliw_block(
-            program, start, decoded, rf_param, _vliw_max_latency(decoded)
-        )
-        cache[start] = entry
-    return None if entry is None else entry[2]
-
-
-def _expand_hits(hits, block_counters):
-    for start, length, counter in block_counters:
-        count = counter[0]
-        if count:
-            for i in range(start, start + length):
-                hits[i] += count
-    return hits
-
-
-# ---------------------------------------------------------------------------
-# TTA turbo driver
-# ---------------------------------------------------------------------------
-
-
-def run_tta_turbo(sim):
-    """Execute *sim*'s program with the block-compiled engine.
-
-    Bit- and cycle-exact with ``TTASimulator`` in checked mode, including
-    every statistics counter (enforced by ``tests/test_blockcompile.py``).
-    """
-    from repro.sim.tta_sim import TTAResult, fu_unavailable_error
-
-    program = sim.program
-    decoded = static_decode_tta(program)
-    machine = program.machine
-    jl = machine.jump_latency
-    rf_param, fu_param = _param_maps(machine)
-    code_cache = _block_cache(program, _TTA_TURBO_KEY)
-    max_cycles = sim.max_cycles
-    n_instrs = len(decoded)
-    hits = [0] * n_instrs
-
-    ns = {
-        "_sim": sim,
-        "_se": SimError,
-        "_ua": fu_unavailable_error,
-        "_ld": sim.memory.load,
-        "_st": sim.memory.store,
-        "_ts": to_signed,
-        "_sx16": sext16,
-        "_sx8": sext8,
-    }
-    for name, param in rf_param.items():
-        ns[param] = sim.rfs[name]
-    for name, param in fu_param.items():
-        ns[param] = sim.fus[name]
-
-    bound_blocks: dict[int, tuple | None] = {}
-    block_counters: list[tuple[int, int, list]] = []
-
-    def materialize(pc):
-        entry = code_cache.get(pc, _ABSENT)
-        if entry is _ABSENT:
-            entry = _compile_tta_block(program, pc, decoded, rf_param, fu_param)
-            code_cache[pc] = entry
-            obs.count("sim.turbo.blocks_compiled")
-        else:
-            obs.count("sim.turbo.block_cache_hits")
-        if entry is None:
-            bound_blocks[pc] = None
-            obs.count("sim.turbo.fallback_blocks")
-            return None
-        length, _halts, _source, code = entry
-        counter = [0]
-        ns["_x"] = counter
-        exec(code, ns)  # noqa: S102 - self-generated, cached block code
-        blk = (length, ns.pop("_b"), counter)
-        bound_blocks[pc] = blk
-        block_counters.append((pc, length, counter))
-        return blk
-
-    fallback: dict[int, tuple] = {}
-
-    def bind_instr(pc):
-        rf_moves, o1_moves, trig_moves, _counts = decoded[pc]
-        bound = (
-            tuple(
-                (_bind_tta_sampler(src, sim), sim.rfs[rf], idx)
-                for src, rf, idx in rf_moves
-            ),
-            tuple((_bind_tta_sampler(src, sim), sim.fus[fu]) for src, fu in o1_moves),
-            tuple(
-                (_bind_tta_sampler(src, sim), _bind_tta_thunk(fu, opcode, sim, jl))
-                for src, fu, opcode in trig_moves
-            ),
-        )
-        fallback[pc] = bound
-        return bound
-
-    get_block = bound_blocks.get
-    pc = 0
-    cycle = 0
-    rc = -1  # pending redirect fire cycle (-1 = none)
-    rt = 0
-    while True:
-        if rc < 0 and 0 <= pc < n_instrs:
-            blk = get_block(pc, _ABSENT)
-            if blk is _ABSENT:
-                blk = materialize(pc)
-            if blk is not None and cycle + blk[0] <= max_cycles + 1:
-                status, pc, cycle, rc, rt = blk[1](cycle)
-                if status == 3:
-                    break
-                if cycle > max_cycles:
-                    raise SimError("cycle budget exceeded (runaway program?)")
-                continue
-        # precise single-cycle fallback: carried redirects, out-of-range
-        # pcs, budget-edge cycles and uncompilable blocks all land here
-        if cycle == rc:
-            pc = rt
-            rc = -1
-        if pc < 0 or pc >= n_instrs:
-            raise SimError(f"PC out of range: {pc}")
-        bound = fallback.get(pc)
-        if bound is None:
-            bound = bind_instr(pc)
-        rf_moves, o1_moves, trig_moves = bound
-        hits[pc] += 1
-        if rf_moves:
-            pending = [(regs, idx, sample(cycle)) for sample, regs, idx in rf_moves]
-        else:
-            pending = ()
-        for sample, fu in o1_moves:
-            fu.o1 = sample(cycle)
-        halted = False
-        for sample, thunk in trig_moves:
-            effect = thunk(sample(cycle), cycle, pc)
-            if effect is not None:
-                if effect is True:
-                    halted = True
-                elif rc >= 0:
-                    raise SimError("overlapping control transfers")
-                else:
-                    rc, rt = effect
-        for regs, idx, value in pending:
-            regs[idx] = value
-        if halted:
-            break
-        cycle += 1
-        pc += 1
-        if cycle > max_cycles:
-            raise SimError("cycle budget exceeded (runaway program?)")
-
-    rv = return_value_reg(machine)
-    stats = TTAResult(sim.rfs[rv.rf][rv.idx], cycle + 1)
-    _expand_hits(hits, block_counters)
-    for count, (_, _, _, counts) in zip(hits, decoded):
-        if count:
-            stats.moves += count * counts[0]
-            stats.triggers += count * counts[1]
-            stats.rf_reads += count * counts[2]
-            stats.bypass_reads += count * counts[3]
-            stats.rf_writes += count * counts[4]
-    sim._last_hits = hits
-    sim._last_blocks = [(s, n, ctr[0]) for s, n, ctr in block_counters]
-    sim._last_engine = "turbo"
-    return stats
-
-
-# ---------------------------------------------------------------------------
-# VLIW turbo driver
-# ---------------------------------------------------------------------------
-
-
-def run_vliw_turbo(sim):
-    """Execute *sim*'s program with the block-compiled engine.
-
-    Bit- and cycle-exact with ``VLIWSimulator`` in checked mode,
-    including the exposed delayed-write-back semantics.
-    """
-    from repro.sim.vliw_sim import VLIWResult
-
-    program = sim.program
-    decoded = static_decode_vliw(program)
-    machine = program.machine
-    jl1 = machine.jump_latency + 1
-    rf_param, _ = _param_maps(machine)
-    code_cache = _block_cache(program, _VLIW_TURBO_KEY)
-    maxlat = _vliw_max_latency(decoded)
-    max_cycles = sim.max_cycles
-    n_instrs = len(decoded)
-    hits = [0] * n_instrs
-    op_counts = [len(bundle) for bundle in decoded]
-
-    rfs = {rf.name: [0] * rf.size for rf in machine.register_files}
-    sim._fast_rfs = rfs
-    heap = sim._pending_slot_writes
-
     ns = {
         "_sim": sim,
         "_se": SimError,
@@ -812,100 +628,43 @@ def run_vliw_turbo(sim):
         "_ts": to_signed,
         "_sx16": sext16,
         "_sx8": sext8,
-        "_hp": heap,
-        "_hpop": _heappop,
-        "_wl": sim._write_later_slot,
     }
     for name, param in rf_param.items():
         ns[param] = rfs[name]
+    if program.style == "tta":
+        from repro.sim.tta_sim import fu_unavailable_error
 
-    bound_blocks: dict[int, tuple | None] = {}
-    block_counters: list[tuple[int, int, list]] = []
+        ns["_ua"] = fu_unavailable_error
+        for name, param in fu_param.items():
+            ns[param] = sim.fus[name]
+    else:
+        ns["_hp"] = sim._pending_slot_writes
+        ns["_hpop"] = _heappop
+        ns["_wl"] = sim._write_later_slot
+    code_cache = _block_cache(program, key)
+    blocks: dict[int, tuple | None] = {}
+    counters: list[tuple[int, int, list]] = []
 
     def materialize(pc):
-        entry = code_cache.get(pc, _ABSENT)
-        if entry is _ABSENT:
-            entry = _compile_vliw_block(program, pc, decoded, rf_param, maxlat)
-            code_cache[pc] = entry
-            obs.count("sim.turbo.blocks_compiled")
-        else:
+        if pc in code_cache:
+            entry = code_cache[pc]
             obs.count("sim.turbo.block_cache_hits")
+        else:
+            entry = code_cache[pc] = compile_block(program, pc, *args)
+            obs.count("sim.turbo.blocks_compiled")
         if entry is None:
-            bound_blocks[pc] = None
+            blocks[pc] = None
             obs.count("sim.turbo.fallback_blocks")
             return None
         length, _halts, _source, code = entry
         counter = [0]
         ns["_x"] = counter
         exec(code, ns)  # noqa: S102 - self-generated, cached block code
-        blk = (length, ns.pop("_b"), counter)
-        bound_blocks[pc] = blk
-        block_counters.append((pc, length, counter))
+        blk = blocks[pc] = (length, ns.pop("_b"))
+        counters.append((pc, length, counter))
         return blk
 
-    fallback: dict[int, tuple] = {}
+    def finish():
+        return [(start, length, counter[0]) for start, length, counter in counters]
 
-    def bind_bundle(pc):
-        bound = tuple(_bind_vliw_op(op, sim, rfs, jl1) for op in decoded[pc])
-        fallback[pc] = bound
-        return bound
-
-    get_block = bound_blocks.get
-    pc = 0
-    cycle = 0
-    rc = -1
-    rt = 0
-    while True:
-        if rc < 0 and 0 <= pc < n_instrs:
-            blk = get_block(pc, _ABSENT)
-            if blk is _ABSENT:
-                blk = materialize(pc)
-            if blk is not None and cycle + blk[0] <= max_cycles + 1:
-                status, pc, cycle, rc, rt = blk[1](cycle)
-                if status == 3:
-                    break
-                if cycle > max_cycles:
-                    raise SimError("cycle budget exceeded (runaway program?)")
-                continue
-        # precise single-cycle fallback
-        while heap and heap[0][0] < cycle:
-            _, _, regs, idx, value = _heappop(heap)
-            regs[idx] = value
-        if cycle == rc:
-            pc = rt
-            rc = -1
-        if pc < 0 or pc >= n_instrs:
-            raise SimError(f"PC out of range: {pc}")
-        bound = fallback.get(pc)
-        if bound is None:
-            bound = bind_bundle(pc)
-        hits[pc] += 1
-        halted = False
-        for op_fn in bound:
-            effect = op_fn(cycle, pc)
-            if effect is not None:
-                if effect is True:
-                    halted = True
-                elif rc >= 0:
-                    raise SimError("overlapping control transfers")
-                else:
-                    rc, rt = effect
-        if halted:
-            while heap:
-                _, _, regs, idx, value = _heappop(heap)
-                regs[idx] = value
-            break
-        cycle += 1
-        pc += 1
-        if cycle > max_cycles:
-            raise SimError("cycle budget exceeded (runaway program?)")
-
-    rv = return_value_reg(machine)
-    result = VLIWResult(rfs[rv.rf][rv.idx], cycle + 1, cycle + 1)
-    _expand_hits(hits, block_counters)
-    result.ops = sum(count * ops for count, ops in zip(hits, op_counts))
-    sim._sync_regs_from_fast(rfs)
-    sim._last_hits = hits
-    sim._last_blocks = [(s, n, ctr[0]) for s, n, ctr in block_counters]
-    sim._last_engine = "turbo"
-    return result
+    return blocks, materialize, finish

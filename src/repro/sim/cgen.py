@@ -41,9 +41,8 @@ linear in the volume of emitted code, so codegen keeps that volume small:
   ``Program.labels`` address (every jump/call target is a label
   immediate), at every call return site (``pc + jl + 1``, where ``ret``
   lands) and at the fall-through successors of those blocks.  A pc
-  without a block is still correct: the Python dispatch loop steps it
-  with the turbo engine's single-cycle fallback until it reaches an
-  entry.
+  without a block is still correct: the shared Python driver steps it
+  one precise cycle at a time until it reaches an entry.
 * **Static FU-result forwarding (TTA).**  The scheduler bypasses results
   in software: a result is read a fixed latency after its trigger,
   inside the same block.  Codegen models each FU's pending ring per block

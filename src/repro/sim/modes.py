@@ -11,6 +11,9 @@ from __future__ import annotations
 #: every TTA/VLIW execution engine, in cross-engine comparison order
 MODES = ("checked", "fast", "turbo", "native")
 
+#: the engine every entry point uses when none is named
+DEFAULT_MODE = "fast"
+
 #: the engines that keep the hit vectors profiling reads
 PROFILE_MODES = ("fast", "turbo", "native")
 

@@ -3,11 +3,13 @@
 This is the fourth rung of the single-run engine ladder (checked →
 fast → turbo → native): :mod:`repro.sim.cgen` emits the turbo engine's
 basic blocks as one C translation unit, this module compiles it to a
-shared object and drives it through the same pc-keyed dispatch as the
-turbo driver.  Control only returns to Python for block boundaries the
-C dispatcher cannot chain (carried redirects, uncompiled entries,
-budget-edge blocks) — those are stepped by the turbo driver's exact
-single-cycle fallback — and for dynamic errors, whose reference
+shared object and hands its entries to the stepping driver the fast and
+turbo engines share (:func:`~repro.sim.predecode.run_tta` /
+:func:`~repro.sim.predecode.run_vliw`) as the block source
+(:func:`native_blocks`).  Control only returns to Python for block
+boundaries the C dispatcher cannot chain (carried redirects, uncompiled
+entries, budget-edge blocks) — those the driver steps one precise
+cycle at a time — and for dynamic errors, whose reference
 ``SimError``/``ValueError`` messages are reconstructed byte-identically
 from the synced-back machine state.
 
@@ -48,12 +50,11 @@ import shutil
 import subprocess
 import tempfile
 import warnings
-from heapq import heappop as _heappop
+from functools import partial
 from heapq import heappush as _heappush
 
 from repro import obs
-from repro.backend.abi import return_value_reg
-from repro.sim.blockcompile import SIM_ENGINE_VERSION, _expand_hits
+from repro.sim.blockcompile import SIM_ENGINE_VERSION
 from repro.sim.cgen import (
     CTL_CYCLE,
     CTL_ERR_A,
@@ -76,13 +77,6 @@ from repro.sim.cgen import (
     build_native_program,
 )
 from repro.sim.errors import SimError
-from repro.sim.predecode import (
-    _bind_tta_sampler,
-    _bind_tta_thunk,
-    _bind_vliw_op,
-    static_decode_tta,
-    static_decode_vliw,
-)
 
 #: set to any non-empty value to disable C compiler discovery entirely
 NO_CC_ENV = "REPRO_NO_NATIVE_CC"
@@ -411,7 +405,7 @@ def _warn_no_native(reason: str) -> None:
         f"mode='native' unavailable ({reason}); falling back to the "
         "turbo engine",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
 
 
@@ -449,56 +443,90 @@ def _raise_native_error(status: int, err_a: int, err_b: int, fus):
 
 
 # ---------------------------------------------------------------------------
-# TTA driver
+# native's block source
 # ---------------------------------------------------------------------------
 
 
-def run_tta_native(sim):
-    """Execute *sim*'s program with the generated-C engine.
-
-    Bit- and cycle-exact with ``TTASimulator`` in checked mode, including
-    every statistics counter (enforced by ``tests/test_native.py``).
-    """
-    from repro.sim.tta_sim import TTAResult
-
-    engine = _get_engine(sim.program)
+def native_blocks(program):
+    """Native's block source for *program* (see
+    :func:`repro.sim.predecode.block_source_for`), or ``None`` after
+    recording a degraded run when there is no engine."""
+    engine = _get_engine(program)
     if engine is None:
-        _warn_no_native(_unavailable_reason(sim.program))
-        from repro.sim.blockcompile import run_tta_turbo
+        _warn_no_native(_unavailable_reason(program))
+        return None
+    return partial(_native_source, engine)
 
-        return run_tta_turbo(sim)
 
-    program = sim.program
-    decoded = static_decode_tta(program)
-    machine = program.machine
-    jl = machine.jump_latency
-    max_cycles = sim.max_cycles
-    n_instrs = len(decoded)
-    hits = [0] * n_instrs
-
+def _native_source(engine, sim, rfs):
+    """The entry table of *engine*'s shared object, bound to *sim*: each
+    entry pushes the machine state, calls the C dispatcher (which chains
+    blocks until one it cannot enter) and pulls the state back."""
     nat = engine.nat
     ffi = engine.binding
+    rf_arr = ffi.alloc_u32(nat.rf_total)
+    ctl = ffi.alloc_i64(CTL_WORDS)
+    execs = ffi.alloc_i64(nat.n_blocks)
+    mem = ffi.mem_view(sim.memory.data)
+    ctl[CTL_MAX_CYCLES] = sim.max_cycles
+    ctl[CTL_MEM_SIZE] = len(sim.memory.data)
+    rf_lists = [(rfs[name], base, size) for name, base, size in nat.rf_layout]
+    queues = _tta_queues if nat.style == "tta" else _vliw_queues
+    fus, buffers, push_queues, pull_queues = queues(nat, ffi, sim, rfs, ctl)
+
+    def enter(pc, cycle):
+        for regs, base, size in rf_lists:
+            rf_arr[base : base + size] = regs
+        push_queues(cycle)
+        # the driver enters only with no redirect pending
+        ctl[CTL_CYCLE] = cycle
+        ctl[CTL_PC] = pc
+        ctl[CTL_RC] = -1
+        ctl[CTL_RT] = 0
+        ctl[CTL_RA] = sim.ra
+        obs.count("sim.native.calls")
+        status = ffi.call(rf_arr, *buffers, mem, ctl, execs)
+        for regs, base, size in rf_lists:
+            regs[:] = rf_arr[base : base + size]
+        pull_queues()
+        sim.ra = ctl[CTL_RA]
+        if status == ST_BUDGET:
+            raise SimError("cycle budget exceeded (runaway program?)")
+        if status < 0:
+            _raise_native_error(status, ctl[CTL_ERR_A], ctl[CTL_ERR_B], fus)
+        # otherwise halted, or the C gate rejected the next entry (carried
+        # redirect, uncovered pc, budget edge) and the driver's gate, which
+        # mirrors it, steps precisely
+        done = 3 if status == ST_HALT else 0
+        return done, ctl[CTL_PC], ctl[CTL_CYCLE], ctl[CTL_RC], ctl[CTL_RT]
+
+    blocks = {
+        start: (length, partial(enter, start))
+        for start, length in engine.entry_len.items()
+    }
+
+    def finish():
+        return [
+            (start, length, execs[i]) for i, (start, length) in enumerate(nat.entries)
+        ]
+
+    # setdefault(pc) records a pc outside the table as having no block
+    return blocks, blocks.setdefault, finish
+
+
+def _tta_queues(nat, ffi, sim, rfs, ctl):
+    """FU latches and in-flight results: ``(fus, (fu32, pd, pv, fum),
+    push, pull)`` for the TTA side of the shared ABI."""
     n_fus = len(nat.fu_names)
     pcap = nat.pcap
     pmsk = pcap - 1
-    rf_arr = ffi.alloc_u32(nat.rf_total)
     fu32 = ffi.alloc_u32(2 * n_fus)
     pd = ffi.alloc_i64(n_fus * pcap)
     pv = ffi.alloc_u32(n_fus * pcap)
     fum = ffi.alloc_i32(3 * n_fus)
-    ctl = ffi.alloc_i64(CTL_WORDS)
-    execs = ffi.alloc_i64(nat.n_blocks)
-    mem = ffi.mem_view(sim.memory.data)
-    ctl[CTL_MAX_CYCLES] = max_cycles
-    ctl[CTL_MEM_SIZE] = len(sim.memory.data)
-
     fus = [sim.fus[name] for name in nat.fu_names]
-    rf_lists = [(sim.rfs[name], base, size) for name, base, size in nat.rf_layout]
-    entry_len = engine.entry_len
 
-    def push_state(cycle, pc, rc, rt):
-        for regs, base, size in rf_lists:
-            rf_arr[base : base + size] = regs
+    def push(cycle):
         for i, fu in enumerate(fus):
             # committing due results here is observationally neutral (any
             # read would commit first) and bounds the pending ring
@@ -512,15 +540,8 @@ def run_tta_native(sim):
             for j, (due, value) in enumerate(fu.pending):
                 pd[base + j] = due
                 pv[base + j] = value
-        ctl[CTL_CYCLE] = cycle
-        ctl[CTL_PC] = pc
-        ctl[CTL_RC] = rc
-        ctl[CTL_RT] = rt
-        ctl[CTL_RA] = sim.ra
 
-    def pull_state():
-        for regs, base, size in rf_lists:
-            regs[:] = rf_arr[base : base + size]
+    def pull():
         for i, fu in enumerate(fus):
             fu.o1 = fu32[2 * i]
             fu.result = fu32[2 * i + 1]
@@ -535,165 +556,26 @@ def run_tta_native(sim):
                 )
                 for j in range(length)
             ]
-        sim.ra = ctl[CTL_RA]
-        return ctl[CTL_CYCLE], ctl[CTL_PC], ctl[CTL_RC], ctl[CTL_RT]
 
-    fallback: dict[int, tuple] = {}
-
-    def bind_instr(pc):
-        rf_moves, o1_moves, trig_moves, _counts = decoded[pc]
-        bound = (
-            tuple(
-                (_bind_tta_sampler(src, sim), sim.rfs[rf], idx)
-                for src, rf, idx in rf_moves
-            ),
-            tuple((_bind_tta_sampler(src, sim), sim.fus[fu]) for src, fu in o1_moves),
-            tuple(
-                (_bind_tta_sampler(src, sim), _bind_tta_thunk(fu, opcode, sim, jl))
-                for src, fu, opcode in trig_moves
-            ),
-        )
-        fallback[pc] = bound
-        return bound
-
-    pc = 0
-    cycle = 0
-    rc = -1  # pending redirect fire cycle (-1 = none)
-    rt = 0
-    while True:
-        if rc < 0 and 0 <= pc < n_instrs:
-            blk_len = entry_len.get(pc)
-            if blk_len is not None and cycle + blk_len <= max_cycles + 1:
-                push_state(cycle, pc, rc, rt)
-                obs.count("sim.native.calls")
-                status = ffi.call(rf_arr, fu32, pd, pv, fum, mem, ctl, execs)
-                cycle, pc, rc, rt = pull_state()
-                if status == ST_HALT:
-                    break
-                if status == ST_BUDGET:
-                    raise SimError("cycle budget exceeded (runaway program?)")
-                if status < 0:
-                    _raise_native_error(status, ctl[CTL_ERR_A], ctl[CTL_ERR_B], fus)
-                # status 0: the C gate rejected the next entry (carried
-                # redirect, uncovered pc, budget edge), so on re-entering
-                # the loop the mirrored gate above falls through to the
-                # precise single-cycle step below; budget was already
-                # checked in C after every executed block
-                continue
-        # precise single-cycle fallback (the turbo driver's, verbatim)
-        if cycle == rc:
-            pc = rt
-            rc = -1
-        if pc < 0 or pc >= n_instrs:
-            raise SimError(f"PC out of range: {pc}")
-        bound = fallback.get(pc)
-        if bound is None:
-            bound = bind_instr(pc)
-        rf_moves, o1_moves, trig_moves = bound
-        hits[pc] += 1
-        if rf_moves:
-            pending = [(regs, idx, sample(cycle)) for sample, regs, idx in rf_moves]
-        else:
-            pending = ()
-        for sample, fu in o1_moves:
-            fu.o1 = sample(cycle)
-        halted = False
-        for sample, thunk in trig_moves:
-            effect = thunk(sample(cycle), cycle, pc)
-            if effect is not None:
-                if effect is True:
-                    halted = True
-                elif rc >= 0:
-                    raise SimError("overlapping control transfers")
-                else:
-                    rc, rt = effect
-        for regs, idx, value in pending:
-            regs[idx] = value
-        if halted:
-            break
-        cycle += 1
-        pc += 1
-        if cycle > max_cycles:
-            raise SimError("cycle budget exceeded (runaway program?)")
-
-    rv = return_value_reg(machine)
-    stats = TTAResult(sim.rfs[rv.rf][rv.idx], cycle + 1)
-    block_counters = [
-        (start, length, [execs[i]])
-        for i, (start, length) in enumerate(nat.entries)
-    ]
-    _expand_hits(hits, block_counters)
-    for count, (_, _, _, counts) in zip(hits, decoded):
-        if count:
-            stats.moves += count * counts[0]
-            stats.triggers += count * counts[1]
-            stats.rf_reads += count * counts[2]
-            stats.bypass_reads += count * counts[3]
-            stats.rf_writes += count * counts[4]
-    sim._last_hits = hits
-    sim._last_blocks = [(s, n, ctr[0]) for s, n, ctr in block_counters]
-    sim._last_engine = "native"
-    return stats
+    return fus, (fu32, pd, pv, fum), push, pull
 
 
-# ---------------------------------------------------------------------------
-# VLIW driver
-# ---------------------------------------------------------------------------
-
-
-def run_vliw_native(sim):
-    """Execute *sim*'s program with the generated-C engine.
-
-    Bit- and cycle-exact with ``VLIWSimulator`` in checked mode,
-    including the exposed delayed-write-back semantics.
-    """
-    from repro.sim.vliw_sim import VLIWResult
-
-    engine = _get_engine(sim.program)
-    if engine is None:
-        _warn_no_native(_unavailable_reason(sim.program))
-        from repro.sim.blockcompile import run_vliw_turbo
-
-        return run_vliw_turbo(sim)
-
-    program = sim.program
-    decoded = static_decode_vliw(program)
-    machine = program.machine
-    jl1 = machine.jump_latency + 1
-    max_cycles = sim.max_cycles
-    n_instrs = len(decoded)
-    hits = [0] * n_instrs
-    op_counts = [len(bundle) for bundle in decoded]
-
-    rfs = {rf.name: [0] * rf.size for rf in machine.register_files}
-    sim._fast_rfs = rfs
-    heap = sim._pending_slot_writes
-
-    nat = engine.nat
-    ffi = engine.binding
+def _vliw_queues(nat, ffi, sim, rfs, ctl):
+    """The delayed-write-back queue: ``((), (fu32, pd, pv, fum), push,
+    pull)`` for the VLIW side of the shared ABI."""
     wcap = nat.wcap
-    rf_arr = ffi.alloc_u32(nat.rf_total)
     fu32 = ffi.alloc_u32(2)  # unused by VLIW code, the ABI is shared
     pd = ffi.alloc_i64(wcap)
     pv = ffi.alloc_u32(wcap)
     fum = ffi.alloc_i32(wcap)
-    ctl = ffi.alloc_i64(CTL_WORDS)
-    execs = ffi.alloc_i64(nat.n_blocks)
-    mem = ffi.mem_view(sim.memory.data)
-    ctl[CTL_MAX_CYCLES] = max_cycles
-    ctl[CTL_MEM_SIZE] = len(sim.memory.data)
-
-    rf_lists = [(rfs[name], base, size) for name, base, size in nat.rf_layout]
+    heap = sim._pending_slot_writes
     base_of = {id(rfs[name]): base for name, base, _size in nat.rf_layout}
     slot_of = []
     for name, _base, size in nat.rf_layout:
         regs = rfs[name]
         slot_of.extend((regs, idx) for idx in range(size))
-    entry_len = engine.entry_len
 
-    def push_state(cycle, pc, rc, rt):
-        for regs, base, size in rf_lists:
-            rf_arr[base : base + size] = regs
+    def push(cycle):
         # sorted() on the heap list is exactly its (due, seq) pop order
         entries = sorted(heap)
         if len(entries) > wcap:
@@ -704,93 +586,13 @@ def run_vliw_native(sim):
             fum[j] = base_of[id(regs)] + idx
         ctl[CTL_WB_LEN] = len(entries)
         heap.clear()
-        ctl[CTL_CYCLE] = cycle
-        ctl[CTL_PC] = pc
-        ctl[CTL_RC] = rc
-        ctl[CTL_RT] = rt
-        ctl[CTL_RA] = sim.ra
 
-    def pull_state():
-        for regs, base, size in rf_lists:
-            regs[:] = rf_arr[base : base + size]
+    def pull():
         # the queue is already in pop order, so fresh increasing sequence
         # numbers reproduce the reference heap exactly
         for j in range(ctl[CTL_WB_LEN]):
             regs, idx = slot_of[fum[j]]
             sim._seq += 1
             _heappush(heap, (pd[j], sim._seq, regs, idx, pv[j]))
-        sim.ra = ctl[CTL_RA]
-        return ctl[CTL_CYCLE], ctl[CTL_PC], ctl[CTL_RC], ctl[CTL_RT]
 
-    fallback: dict[int, tuple] = {}
-
-    def bind_bundle(pc):
-        bound = tuple(_bind_vliw_op(op, sim, rfs, jl1) for op in decoded[pc])
-        fallback[pc] = bound
-        return bound
-
-    pc = 0
-    cycle = 0
-    rc = -1
-    rt = 0
-    while True:
-        if rc < 0 and 0 <= pc < n_instrs:
-            blk_len = entry_len.get(pc)
-            if blk_len is not None and cycle + blk_len <= max_cycles + 1:
-                push_state(cycle, pc, rc, rt)
-                obs.count("sim.native.calls")
-                status = ffi.call(rf_arr, fu32, pd, pv, fum, mem, ctl, execs)
-                cycle, pc, rc, rt = pull_state()
-                if status == ST_HALT:
-                    break
-                if status == ST_BUDGET:
-                    raise SimError("cycle budget exceeded (runaway program?)")
-                if status < 0:
-                    _raise_native_error(status, ctl[CTL_ERR_A], ctl[CTL_ERR_B], ())
-                continue
-        # precise single-cycle fallback (the turbo driver's, verbatim)
-        while heap and heap[0][0] < cycle:
-            _, _, regs, idx, value = _heappop(heap)
-            regs[idx] = value
-        if cycle == rc:
-            pc = rt
-            rc = -1
-        if pc < 0 or pc >= n_instrs:
-            raise SimError(f"PC out of range: {pc}")
-        bound = fallback.get(pc)
-        if bound is None:
-            bound = bind_bundle(pc)
-        hits[pc] += 1
-        halted = False
-        for op_fn in bound:
-            effect = op_fn(cycle, pc)
-            if effect is not None:
-                if effect is True:
-                    halted = True
-                elif rc >= 0:
-                    raise SimError("overlapping control transfers")
-                else:
-                    rc, rt = effect
-        if halted:
-            while heap:
-                _, _, regs, idx, value = _heappop(heap)
-                regs[idx] = value
-            break
-        cycle += 1
-        pc += 1
-        if cycle > max_cycles:
-            raise SimError("cycle budget exceeded (runaway program?)")
-
-    rv = return_value_reg(machine)
-    result = VLIWResult(rfs[rv.rf][rv.idx], cycle + 1, cycle + 1)
-    block_counters = [
-        (start, length, [execs[i]])
-        for i, (start, length) in enumerate(nat.entries)
-    ]
-    _expand_hits(hits, block_counters)
-    result.ops = sum(count * ops for count, ops in zip(hits, op_counts))
-    sim._sync_regs_from_fast(rfs)
-    sim._last_hits = hits
-    sim._last_blocks = [(s, n, ctr[0]) for s, n, ctr in block_counters]
-    sim._last_engine = "native"
-    return result
+    return (), (fu32, pd, pv, fum), push, pull

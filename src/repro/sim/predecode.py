@@ -17,19 +17,25 @@ verifying ``ttasim`` and its compiled simulation engine, this module
 2. **pre-decodes** every instruction into flat tuples of source
    samplers, port writers and trigger thunks that a lean inner loop
    consumes with no per-cycle string comparison, no dictionary lookups
-   on hot state and no re-verification
-   (:func:`run_tta_fast` / :func:`run_vliw_fast`).
+   on hot state and no re-verification; and
 
-Dynamic properties remain checked in the fast engines because they are
+3. holds the one stepping driver per core style (:func:`run_tta` /
+   :func:`run_vliw`) that the fast, turbo and native engines share.
+   They differ only in their *block source*
+   (:func:`block_source_for`): fast has none and steps every cycle,
+   turbo and native run compiled basic blocks where the driver's gate
+   allows and step precisely everywhere else.
+
+Dynamic properties remain checked in these engines because they are
 data-dependent: reading an FU result before it is due, non-monotonic
 result completion, overlapping control transfers, PC range and the
 cycle budget all still raise :class:`~repro.sim.errors.SimError`.
 
 The static stage is cached on ``Program.predecode_cache`` so repeated
 simulations of one linked program (sweeps, differential tests) verify
-and decode only once.  The per-simulator binding stage is redone for
-each simulator instance because it closes over that instance's mutable
-state (register files, function units, data memory).
+and decode only once.  The binding stage runs per simulator instance,
+lazily on a pc's first precise step, because it closes over that
+instance's mutable state (register files, function units, data memory).
 """
 
 from __future__ import annotations
@@ -262,7 +268,7 @@ def verify_tta_program(program: Program) -> None:
 
 
 # ---------------------------------------------------------------------------
-# TTA: per-simulator binding + fast loop
+# TTA: per-simulator binding
 # ---------------------------------------------------------------------------
 
 
@@ -378,107 +384,6 @@ def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
     return thunk
 
 
-def bind_tta(program: Program, sim) -> list:
-    """Bind the cached static decode of *program* to one simulator's state."""
-    decoded = static_decode_tta(program)
-    jl = program.machine.jump_latency
-    bound = []
-    for rf_moves, o1_moves, trig_moves, counts in decoded:
-        bound.append(
-            (
-                tuple(
-                    (_bind_tta_sampler(src, sim), sim.rfs[rf], idx)
-                    for src, rf, idx in rf_moves
-                ),
-                tuple(
-                    (_bind_tta_sampler(src, sim), sim.fus[fu]) for src, fu in o1_moves
-                ),
-                tuple(
-                    (_bind_tta_sampler(src, sim), _bind_tta_thunk(fu, opcode, sim, jl))
-                    for src, fu, opcode in trig_moves
-                ),
-                counts,
-            )
-        )
-    return bound
-
-
-def run_tta_fast(sim):
-    """Execute *sim*'s program with the pre-decoded engine.
-
-    Bit- and cycle-exact with ``TTASimulator`` in checked mode, including
-    every statistics counter (enforced by ``tests/test_predecode.py``).
-    """
-    from repro.sim.tta_sim import TTAResult
-
-    program = sim.program
-    bound = bind_tta(program, sim)
-    rv = return_value_reg(program.machine)
-    exit_regs = sim.rfs[rv.rf]
-    exit_idx = rv.idx
-    max_cycles = sim.max_cycles
-    n_instrs = len(bound)
-    hits = [0] * n_instrs
-    pc = 0
-    cycle = 0
-    redirect_cycle = -1
-    redirect_target = 0
-    while True:
-        if cycle == redirect_cycle:
-            pc = redirect_target
-            redirect_cycle = -1
-        if pc < 0 or pc >= n_instrs:
-            raise SimError(f"PC out of range: {pc}")
-        rf_moves, o1_moves, trig_moves, _counts = bound[pc]
-        hits[pc] += 1
-        # phase 1+2: sample sources, latch operand ports.  Interleaving the
-        # groups is safe: samplers read only immediates, RF state and
-        # committed FU results, none of which an operand-port latch or a
-        # trigger can change within the same cycle (minimum result latency
-        # is 1, RF writes commit in phase 4).
-        if rf_moves:
-            pending = [(regs, idx, sample(cycle)) for sample, regs, idx in rf_moves]
-        else:
-            pending = ()
-        for sample, fu in o1_moves:
-            fu.o1 = sample(cycle)
-        # phase 3: triggers, in move order
-        halted = False
-        for sample, thunk in trig_moves:
-            effect = thunk(sample(cycle), cycle, pc)
-            if effect is not None:
-                if effect is True:
-                    halted = True
-                elif redirect_cycle >= 0:
-                    raise SimError("overlapping control transfers")
-                else:
-                    redirect_cycle, redirect_target = effect
-        # phase 4: RF write commit
-        for regs, idx, value in pending:
-            regs[idx] = value
-        if halted:
-            break
-        cycle += 1
-        pc += 1
-        if cycle > max_cycles:
-            raise SimError("cycle budget exceeded (runaway program?)")
-    stats = TTAResult(exit_regs[exit_idx], cycle + 1)
-    decoded = static_decode_tta(program)
-    for count, (_, _, _, counts) in zip(hits, decoded):
-        if count:
-            stats.moves += count * counts[0]
-            stats.triggers += count * counts[1]
-            stats.rf_reads += count * counts[2]
-            stats.bypass_reads += count * counts[3]
-            stats.rf_writes += count * counts[4]
-    # zero-overhead profiling hooks: the hit vector already drives the
-    # statistics above, so exposing it costs nothing extra per cycle
-    sim._last_hits = hits
-    sim._last_blocks = None
-    sim._last_engine = "fast"
-    return stats
-
-
 # ---------------------------------------------------------------------------
 # VLIW: static verification + decode
 # ---------------------------------------------------------------------------
@@ -558,7 +463,7 @@ def verify_vliw_program(program: Program) -> None:
 
 
 # ---------------------------------------------------------------------------
-# VLIW: per-simulator binding + fast loop
+# VLIW: per-simulator binding
 # ---------------------------------------------------------------------------
 
 
@@ -706,12 +611,176 @@ def _bind_vliw_op(op, sim, rfs, jl1: int):
     return run_alu1
 
 
-def run_vliw_fast(sim):
-    """Execute *sim*'s program with the pre-decoded engine.
+# ---------------------------------------------------------------------------
+# the stepping drivers shared by the fast, turbo and native engines
+# ---------------------------------------------------------------------------
 
-    Bit- and cycle-exact with ``VLIWSimulator`` in checked mode,
-    including the exposed delayed-write-back semantics (a violated
-    schedule still reads the stale value).
+_ABSENT = object()
+
+_BUDGET_MSG = "cycle budget exceeded (runaway program?)"
+
+
+def block_source_for(sim):
+    """``(engine label, block source)`` for *sim*'s mode.
+
+    A block source is what tells the engines apart: fast has none, turbo
+    compiles blocks to Python on first entry, native runs the blocks of
+    one generated-C shared object and degrades to turbo's source (with
+    its warning) when there is none.  It is called once per run as
+    ``source(sim, rfs)`` and returns ``(blocks, materialize, finish)``:
+    ``blocks`` maps an entry pc to ``(length, enter)`` or ``None``,
+    ``materialize(pc)`` fills and returns a missing entry, and
+    ``finish()`` lists ``(start, length, executions)`` after the run.
+    ``enter(cycle)`` runs the block and returns ``(status, pc, cycle,
+    redirect_cycle, redirect_target)``; status 3 means halted at
+    ``cycle``, any other status continues at ``pc``.
+    """
+    if sim.mode == "fast":
+        return "fast", None
+    if sim.mode == "native":
+        from repro.sim.native import native_blocks
+
+        source = native_blocks(sim.program)
+        if source is not None:
+            return "native", source
+    from repro.sim.blockcompile import turbo_blocks
+
+    return "turbo", turbo_blocks
+
+
+def _expand_hits(hits, blocks) -> None:
+    """Add each block's executions to the hit count of every pc it covers."""
+    for start, length, count in blocks:
+        if count:
+            for i in range(start, start + length):
+                hits[i] += count
+
+
+def run_tta(sim, engine: str, source):
+    """Execute *sim*'s program; the TTA driver of every engine but checked.
+
+    Whenever no redirect is pending, the pc is in range and a block of
+    *source* starts there and fits the cycle budget, the block runs;
+    every other cycle is one precise step through closures bound lazily
+    per pc.  Bit- and cycle-exact with ``TTASimulator`` in checked mode,
+    including every statistics counter and error text (enforced by the
+    differential tests).
+    """
+    from repro.sim.tta_sim import TTAResult
+
+    program = sim.program
+    decoded = static_decode_tta(program)
+    jl = program.machine.jump_latency
+    max_cycles = sim.max_cycles
+    n_instrs = len(decoded)
+    hits = [0] * n_instrs
+    steps = [None] * n_instrs
+
+    def bind(pc):
+        rf_moves, o1_moves, trig_moves, _counts = decoded[pc]
+        steps[pc] = step = (
+            tuple(
+                (_bind_tta_sampler(src, sim), sim.rfs[rf], idx)
+                for src, rf, idx in rf_moves
+            ),
+            tuple((_bind_tta_sampler(src, sim), sim.fus[fu]) for src, fu in o1_moves),
+            tuple(
+                (_bind_tta_sampler(src, sim), _bind_tta_thunk(fu, opcode, sim, jl))
+                for src, fu, opcode in trig_moves
+            ),
+        )
+        return step
+
+    get_block = materialize = finish = None
+    if source is not None:
+        blocks, materialize, finish = source(sim, sim.rfs)
+        get_block = blocks.get
+    pc = 0
+    cycle = 0
+    rc = -1  # pending redirect fire cycle (-1 = none)
+    rt = 0  # its target
+    while True:
+        if get_block is not None and rc < 0 and 0 <= pc < n_instrs:
+            blk = get_block(pc, _ABSENT)
+            if blk is _ABSENT:
+                blk = materialize(pc)
+            if blk is not None and cycle + blk[0] <= max_cycles + 1:
+                status, pc, cycle, rc, rt = blk[1](cycle)
+                if status == 3:
+                    break
+                if cycle > max_cycles:
+                    raise SimError(_BUDGET_MSG)
+                continue
+        # precise single-cycle step: carried redirects, out-of-range pcs,
+        # budget-edge cycles and pcs without a block all land here
+        if cycle == rc:
+            pc = rt
+            rc = -1
+        if pc < 0 or pc >= n_instrs:
+            raise SimError(f"PC out of range: {pc}")
+        step = steps[pc]
+        if step is None:
+            step = bind(pc)
+        rf_moves, o1_moves, trig_moves = step
+        hits[pc] += 1
+        # phase 1+2: sample sources, latch operand ports.  Interleaving the
+        # groups is safe: samplers read only immediates, RF state and
+        # committed FU results, none of which an operand-port latch or a
+        # trigger can change within the same cycle (minimum result latency
+        # is 1, RF writes commit in phase 4).
+        if rf_moves:
+            pending = [(regs, idx, sample(cycle)) for sample, regs, idx in rf_moves]
+        else:
+            pending = ()
+        for sample, fu in o1_moves:
+            fu.o1 = sample(cycle)
+        # phase 3: triggers, in move order
+        halted = False
+        for sample, thunk in trig_moves:
+            effect = thunk(sample(cycle), cycle, pc)
+            if effect is not None:
+                if effect is True:
+                    halted = True
+                elif rc >= 0:
+                    raise SimError("overlapping control transfers")
+                else:
+                    rc, rt = effect
+        # phase 4: RF write commit
+        for regs, idx, value in pending:
+            regs[idx] = value
+        if halted:
+            break
+        cycle += 1
+        pc += 1
+        if cycle > max_cycles:
+            raise SimError(_BUDGET_MSG)
+
+    block_runs = None if finish is None else finish()
+    if block_runs:
+        _expand_hits(hits, block_runs)
+    rv = return_value_reg(program.machine)
+    stats = TTAResult(sim.rfs[rv.rf][rv.idx], cycle + 1)
+    for count, (_, _, _, counts) in zip(hits, decoded):
+        if count:
+            stats.moves += count * counts[0]
+            stats.triggers += count * counts[1]
+            stats.rf_reads += count * counts[2]
+            stats.bypass_reads += count * counts[3]
+            stats.rf_writes += count * counts[4]
+    # profiling hooks: the hit vector already drives the statistics
+    sim._last_hits = hits
+    sim._last_blocks = block_runs
+    sim._last_engine = engine
+    return stats
+
+
+def run_vliw(sim, engine: str, source):
+    """Execute *sim*'s program; the VLIW driver of every engine but checked.
+
+    Blocks run under the same gate as :func:`run_tta`.  Bit- and
+    cycle-exact with ``VLIWSimulator`` in checked mode, including the
+    exposed delayed-write-back semantics (a violated schedule still
+    reads the stale value).
     """
     from repro.sim.vliw_sim import VLIWResult
 
@@ -720,56 +789,79 @@ def run_vliw_fast(sim):
     machine = program.machine
     jl1 = machine.jump_latency + 1
     rfs = {rf.name: [0] * rf.size for rf in machine.register_files}
-    sim._fast_rfs = rfs
-    bound = [
-        tuple(_bind_vliw_op(op, sim, rfs, jl1) for op in bundle) for bundle in decoded
-    ]
-    op_counts = [len(bundle) for bundle in decoded]
-    pending = sim._pending_slot_writes
+    heap = sim._pending_slot_writes
     max_cycles = sim.max_cycles
-    n_instrs = len(bound)
+    n_instrs = len(decoded)
     hits = [0] * n_instrs
+    steps = [None] * n_instrs
+
+    def bind(pc):
+        steps[pc] = step = tuple(_bind_vliw_op(op, sim, rfs, jl1) for op in decoded[pc])
+        return step
+
+    get_block = materialize = finish = None
+    if source is not None:
+        blocks, materialize, finish = source(sim, rfs)
+        get_block = blocks.get
     pc = 0
     cycle = 0
-    redirect_cycle = -1
-    redirect_target = 0
+    rc = -1  # pending redirect fire cycle (-1 = none)
+    rt = 0  # its target
     while True:
-        # commit register writes whose write-back cycle has passed
-        while pending and pending[0][0] < cycle:
-            _, _, regs, idx, value = _heappop(pending)
+        if get_block is not None and rc < 0 and 0 <= pc < n_instrs:
+            blk = get_block(pc, _ABSENT)
+            if blk is _ABSENT:
+                blk = materialize(pc)
+            if blk is not None and cycle + blk[0] <= max_cycles + 1:
+                status, pc, cycle, rc, rt = blk[1](cycle)
+                if status == 3:
+                    break
+                if cycle > max_cycles:
+                    raise SimError(_BUDGET_MSG)
+                continue
+        # precise single-cycle step; first commit the register writes
+        # whose write-back cycle has passed
+        while heap and heap[0][0] < cycle:
+            _, _, regs, idx, value = _heappop(heap)
             regs[idx] = value
-        if cycle == redirect_cycle:
-            pc = redirect_target
-            redirect_cycle = -1
+        if cycle == rc:
+            pc = rt
+            rc = -1
         if pc < 0 or pc >= n_instrs:
             raise SimError(f"PC out of range: {pc}")
+        step = steps[pc]
+        if step is None:
+            step = bind(pc)
         hits[pc] += 1
         halted = False
-        for op_fn in bound[pc]:
+        for op_fn in step:
             effect = op_fn(cycle, pc)
             if effect is not None:
                 if effect is True:
                     halted = True
-                elif redirect_cycle >= 0:
+                elif rc >= 0:
                     raise SimError("overlapping control transfers")
                 else:
-                    redirect_cycle, redirect_target = effect
+                    rc, rt = effect
         if halted:
             # flush in-flight writes so the exit code is final
-            while pending:
-                _, _, regs, idx, value = _heappop(pending)
+            while heap:
+                _, _, regs, idx, value = _heappop(heap)
                 regs[idx] = value
             break
         cycle += 1
         pc += 1
         if cycle > max_cycles:
-            raise SimError("cycle budget exceeded (runaway program?)")
+            raise SimError(_BUDGET_MSG)
+
+    block_runs = None if finish is None else finish()
+    if block_runs:
+        _expand_hits(hits, block_runs)
     rv = return_value_reg(machine)
     result = VLIWResult(rfs[rv.rf][rv.idx], cycle + 1, cycle + 1)
-    result.ops = sum(count * ops for count, ops in zip(hits, op_counts))
+    result.ops = sum(count * len(bundle) for count, bundle in zip(hits, decoded))
     sim._sync_regs_from_fast(rfs)
-    # zero-overhead profiling hooks (the hit vector already exists)
     sim._last_hits = hits
-    sim._last_blocks = None
-    sim._last_engine = "fast"
+    sim._last_blocks = block_runs
+    sim._last_engine = engine
     return result

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.backend.compile import CompiledProgram
 from repro.machine.machine import MachineStyle
-from repro.sim.modes import PROFILE_MODES, check_mode
+from repro.sim.modes import DEFAULT_MODE, PROFILE_MODES, check_mode
 from repro.sim.scalar_sim import ScalarSimulator
 from repro.sim.tta_sim import TTASimulator
 from repro.sim.vliw_sim import VLIWSimulator
@@ -36,7 +36,7 @@ def run_compiled(
     compiled: CompiledProgram,
     check_connectivity: bool = False,
     max_cycles: int = 500_000_000,
-    mode: str = "fast",
+    mode: str = DEFAULT_MODE,
 ):
     """Simulate *compiled* on its machine; returns the style's result object
     (all results expose ``exit_code`` and ``cycles``).
@@ -53,8 +53,10 @@ def run_compiled(
     ``check_connectivity`` additionally routes every executed TTA move in
     checked mode (fast and turbo modes always verify connectivity at
     load time).  The scalar core has a single engine; *mode* is ignored
-    there.  All modes are bit- and cycle-exact with each other.
+    there, but it must still be one of :data:`~repro.sim.modes.MODES`.
+    All modes are bit- and cycle-exact with each other.
     """
+    check_mode(mode)
     return _make_simulator(compiled, check_connectivity, max_cycles, mode).run()
 
 
@@ -63,7 +65,7 @@ def run_batch(
     *,
     lanes: int | None = None,
     inputs=None,
-    mode: str = "fast",
+    mode: str = DEFAULT_MODE,
     max_cycles: int = 500_000_000,
 ) -> list:
     """Run N independent lanes of *compiled*, one after another, and

@@ -6,7 +6,7 @@ operation; the result is readable from the unit's result register once
 the latency has elapsed and until the next operation on the same unit
 overwrites it.
 
-Three execution modes are offered (``mode="fast"`` is the default):
+Four execution modes are offered (``mode="fast"`` is the default):
 
 * ``"fast"`` -- all structural properties (bus exclusivity including
   long-immediate ``extra_slots`` reservations, RF port limits, full
@@ -18,8 +18,8 @@ Three execution modes are offered (``mode="fast"`` is the default):
   transfers) still raise.
 * ``"turbo"`` -- :mod:`repro.sim.blockcompile` additionally compiles
   basic blocks of the pre-decoded program into specialized Python code
-  chained through a per-pc dispatch table, falling back per block to
-  the fast engine for anything it cannot prove static.
+  chained through a per-pc dispatch table; anything it cannot prove
+  static is stepped exactly as in fast mode.
 * ``"native"`` -- :mod:`repro.sim.native` compiles the same basic
   blocks to C (one shared object per program, persistently cached in
   the artifact store) and drives them through the same dispatch;
@@ -29,14 +29,18 @@ Three execution modes are offered (``mode="fast"`` is the default):
   on every executed cycle.  The differential tests assert all modes
   agree bit- and cycle-exactly on every workload.
 
-In both modes the simulator doubles as a schedule verifier:
+Fast, turbo and native run one stepping driver
+(:func:`repro.sim.predecode.run_tta`) and differ only in where its
+compiled blocks come from.
+
+In every mode the simulator doubles as a schedule verifier:
 
 * reading a result before it is due raises :class:`SimError`;
 * two moves on one bus in one instruction raise, as does a
   long-immediate move whose extra bus slots cannot be satisfied;
 * register-file port over-subscription raises;
 * a move over a bus that does not connect its endpoints raises
-  (always at load time in fast mode; per executed cycle in checked
+  (always at load time in the other modes; per executed cycle in checked
   mode when ``check_connectivity=True``).
 """
 
@@ -50,8 +54,8 @@ from repro.isa.operations import OPS, OpKind
 from repro.isa.semantics import MASK32, evaluate
 from repro.sim.errors import SimError
 from repro.sim.memory import DataMemory
-from repro.sim.modes import check_mode
-from repro.sim.predecode import check_tta_slots, run_tta_fast
+from repro.sim.modes import DEFAULT_MODE, check_mode
+from repro.sim.predecode import block_source_for, check_tta_slots, run_tta
 
 
 @dataclass
@@ -128,7 +132,7 @@ class TTASimulator:
     #: (fast mode always verifies connectivity, once, at load time)
     check_connectivity: bool = False
     #: one of :data:`repro.sim.modes.MODES` (see the module docstring)
-    mode: str = "fast"
+    mode: str = DEFAULT_MODE
     memory: DataMemory = field(init=False)
 
     def __post_init__(self) -> None:
@@ -196,18 +200,10 @@ class TTASimulator:
             style="tta",
             mode=self.mode,
         ):
-            if self.mode == "fast":
-                result = run_tta_fast(self)
-            elif self.mode == "turbo":
-                from repro.sim.blockcompile import run_tta_turbo
-
-                result = run_tta_turbo(self)
-            elif self.mode == "native":
-                from repro.sim.native import run_tta_native
-
-                result = run_tta_native(self)
-            else:
+            if self.mode == "checked":
                 result = self._run_checked()
+            else:
+                result = run_tta(self, *block_source_for(self))
         record_run(result, "tta")
         return result
 

@@ -10,15 +10,17 @@ than silently matching the interpreter.
 Control transfers redirect fetch ``jump_latency + 1`` instructions after
 the trigger (exposed delay slots).
 
-Three execution modes are offered (``mode="fast"`` is the default):
+Four execution modes are offered (``mode="fast"`` is the default):
 ``"fast"`` validates every bundle once at load time and runs the
 pre-decoded engine of :mod:`repro.sim.predecode`; ``"turbo"``
 additionally compiles basic blocks into specialized Python code
 (:mod:`repro.sim.blockcompile`); ``"native"`` compiles the same blocks
 to C through :mod:`repro.sim.native` (degrading to turbo when no C
 compiler is available); ``"checked"`` is the per-cycle reference
-implementation.  Differential tests assert all modes agree bit- and
-cycle-exactly.
+implementation.  Fast, turbo and native run one stepping driver
+(:func:`repro.sim.predecode.run_vliw`) and differ only in where its
+compiled blocks come from.  Differential tests assert all modes agree
+bit- and cycle-exactly.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from repro.backend.program import Program, VLIWInstr
 from repro.isa.semantics import MASK32, evaluate
 from repro.sim.errors import SimError
 from repro.sim.memory import DataMemory
-from repro.sim.modes import check_mode
-from repro.sim.predecode import run_vliw_fast
+from repro.sim.modes import DEFAULT_MODE, check_mode
+from repro.sim.predecode import block_source_for, run_vliw
 
 
 @dataclass
@@ -50,7 +52,7 @@ class VLIWSimulator:
     memory_size: int = MEMORY_SIZE
     max_cycles: int = 500_000_000
     #: one of :data:`repro.sim.modes.MODES` (see the module docstring)
-    mode: str = "fast"
+    mode: str = DEFAULT_MODE
     memory: DataMemory = field(init=False)
 
     def __post_init__(self) -> None:
@@ -60,7 +62,7 @@ class VLIWSimulator:
         self.ra = 0
         #: delayed register writes: (due_cycle, seq, reg, value)
         self.pending_writes: list[tuple[int, int, PhysReg, int]] = []
-        #: fast engine's delayed writes: (due_cycle, seq, rf_list, idx, value)
+        #: the shared driver's delayed writes: (due_cycle, seq, rf_list, idx, value)
         self._pending_slot_writes: list = []
         self._seq = 0
 
@@ -86,8 +88,8 @@ class VLIWSimulator:
         heapq.heappush(self._pending_slot_writes, (cycle, self._seq, regs, idx, value))
 
     def _sync_regs_from_fast(self, rfs: dict[str, list[int]]) -> None:
-        """Mirror the fast engine's final register state into ``self.regs``
-        so callers observe the same post-run API in both modes."""
+        """Mirror the shared driver's final register state into ``self.regs``
+        so callers observe the same post-run API in every mode."""
         for rf_name, values in rfs.items():
             for idx, value in enumerate(values):
                 self.regs[PhysReg(rf_name, idx)] = value
@@ -108,18 +110,10 @@ class VLIWSimulator:
             style="vliw",
             mode=self.mode,
         ):
-            if self.mode == "fast":
-                result = run_vliw_fast(self)
-            elif self.mode == "turbo":
-                from repro.sim.blockcompile import run_vliw_turbo
-
-                result = run_vliw_turbo(self)
-            elif self.mode == "native":
-                from repro.sim.native import run_vliw_native
-
-                result = run_vliw_native(self)
-            else:
+            if self.mode == "checked":
                 result = self._run_checked()
+            else:
+                result = run_vliw(self, *block_source_for(self))
         record_run(result, "vliw")
         return result
 

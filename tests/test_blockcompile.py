@@ -164,19 +164,20 @@ class TestTurboDynamics:
         with pytest.raises(SimError, match="overlapping"):
             VLIWSimulator(prog, mode="turbo").run()
 
-    def test_cycle_budget_exact_at_boundary(self):
+    @pytest.mark.parametrize("mode", ("checked", "fast", "turbo"))
+    @pytest.mark.parametrize("machine_name", DIFF_MACHINES)
+    def test_cycle_budget_exact_at_boundary(self, machine_name, mode):
         """A budget one cycle short fails; the exact cycle count passes —
         in lockstep with the fast engine."""
-        compiled = _compile(FIB_SRC, "m-tta-2")
+        compiled = _compile(FIB_SRC, machine_name)
         cycles = run_compiled(compiled, mode="fast").cycles
         # result.cycles == halt_cycle + 1, and a run succeeds iff
         # halt_cycle <= max_cycles: the tightest passing budget is
-        # cycles - 1 and one cycle less must raise in both engines.
-        for mode in ("fast", "turbo"):
-            ok = run_compiled(compiled, mode=mode, max_cycles=cycles - 1)
-            assert ok.cycles == cycles
-            with pytest.raises(SimError, match="cycle budget"):
-                run_compiled(compiled, mode=mode, max_cycles=cycles - 2)
+        # cycles - 1 and one cycle less must raise in every engine.
+        ok = run_compiled(compiled, mode=mode, max_cycles=cycles - 1)
+        assert ok.cycles == cycles
+        with pytest.raises(SimError, match="cycle budget"):
+            run_compiled(compiled, mode=mode, max_cycles=cycles - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +260,9 @@ class TestProfiling:
         assert instrs == sorted(instrs, reverse=True)
         assert profile.opcode_counts  # fib triggers plenty of ops
 
-    def test_fast_and_turbo_profiles_agree(self):
-        compiled = _compile(FIB_SRC, "m-vliw-2")
+    @pytest.mark.parametrize("machine_name", DIFF_MACHINES)
+    def test_fast_and_turbo_profiles_agree(self, machine_name):
+        compiled = _compile(FIB_SRC, machine_name)
         _, fast = run_compiled_profiled(compiled, mode="fast")
         _, turbo = run_compiled_profiled(compiled, mode="turbo")
         assert fast.engine == "fast" and turbo.engine == "turbo"

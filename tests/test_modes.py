@@ -11,15 +11,25 @@ import pytest
 
 import repro.cli as cli
 import repro.corpus
-from repro import build_machine, compile_for_machine, compile_source
+from repro import build_machine, compile_for_machine, compile_source, pipeline
 from repro.serve import normalize_params
 from repro.sim import MODES, PROFILE_MODES, TTASimulator, VLIWSimulator, run_batch
+from repro.sim import run_compiled
 from repro.sim import run_compiled_profiled
 
 
+SOURCE = "int main(void){ int s = 0; for (int i = 0; i < 4; i++) s += i; return s - 6; }"
+
+
 def _compiled(machine_name):
-    source = "int main(void){ int s = 0; for (int i = 0; i < 4; i++) s += i; return s - 6; }"
-    return compile_for_machine(compile_source(source), build_machine(machine_name))
+    return compile_for_machine(compile_source(SOURCE), build_machine(machine_name))
+
+
+def _scalar_sweep(mode, ctx):
+    """Library sweep over a scalar-only matrix: every pair must run."""
+    outcome = pipeline.sweep(machines=["mblaze-3"], sources={"tiny": SOURCE},
+                             mode=mode, use_cache=False)
+    assert not outcome.errors, outcome.errors
 
 
 def _cli(ctx, *argv):
@@ -55,6 +65,10 @@ ENTRY_POINTS = {
         _compiled("m-vliw-2").program, mode=mode)),
     "run_batch": (MODES, lambda mode, ctx: run_batch(
         _compiled("m-tta-2"), lanes=0, mode=mode)),
+    # the scalar core has one engine, yet the mode name is still checked
+    "run_compiled (scalar)": (MODES, lambda mode, ctx: run_compiled(
+        _compiled("mblaze-3"), mode=mode)),
+    "sweep (scalar)": (MODES, _scalar_sweep),
     "run_compiled_profiled": (PROFILE_MODES, lambda mode, ctx: run_compiled_profiled(
         _compiled("m-tta-2"), mode=mode)),
     "cli run --mode": (MODES, _parsed("_cmd_run", "run", "prog.mc", "--mode")),
