@@ -2,7 +2,7 @@
 
 The pre-decoded fast engine (:mod:`repro.sim.predecode`) removed
 per-cycle re-verification but still walks tuples of bound closures every
-cycle.  This module adds a third execution mode, ``mode="turbo"``, that
+cycle.  This module holds the turbo engine, ``mode="turbo"``, which
 
 1. partitions the pre-decoded TTA/VLIW program into **basic blocks**
    (control-transfer boundaries *including their exposed delay-slot
@@ -30,6 +30,11 @@ with the reference engine's exact messages at the exact cycle.  All
 :func:`~repro.sim.predecode.static_decode_tta` /
 ``static_decode_vliw``, which turbo runs first.
 
+What a block does is decided once per core style, by the block walkers
+:func:`_walk_tta` and :func:`_walk_vliw`.  They print through a printer
+that supplies only syntax: :class:`_PyBlock` here, and the C printer of
+:mod:`repro.sim.cgen`, so the native engine compiles the same blocks.
+
 Anything the code generator cannot prove static has no block, and the
 driver steps it one precise cycle at a time exactly as the fast engine
 does (so do carried-over redirects and out-of-range pcs), so turbo is
@@ -49,8 +54,10 @@ from repro.isa.operations import OPS, OpKind
 from repro.isa.semantics import sext8, sext16, to_signed
 from repro.sim.errors import SimError
 from repro.sim.predecode import (
+    _CONTROL_OPS,
     _VLIW_LOADS,
     _VLIW_STORES,
+    ALU_FUNCS,
     static_decode_tta,
     static_decode_vliw,
 )
@@ -69,9 +76,6 @@ _VLIW_TURBO_KEY = "vliw-turbo"
 
 #: soft cap on block length before any control transfer is seen
 _MAX_BLOCK = 256
-
-_TTA_CTL = frozenset({"jump", "call", "ret", "cjump", "cjumpz"})
-_VLIW_CTL = _TTA_CTL
 
 #: ALU opcodes inlined as Python expressions.  Each template must agree
 #: bit-exactly with ``predecode.ALU_FUNCS`` (differential tests enforce
@@ -103,8 +107,8 @@ _ALU_HELPERS = {
 
 
 class _Unsupported(Exception):
-    """Raised during codegen for anything not provably static; the block
-    is then materialised as ``None`` and the driver steps it precisely."""
+    """Raised by a block walker for anything not provably static; the
+    block is then not compiled and the driver steps it precisely."""
 
 
 def _cexpr(k: int) -> str:
@@ -139,7 +143,7 @@ def _assemble(lines, prologue, used, tag):
 
 
 # ---------------------------------------------------------------------------
-# TTA block compilation
+# block partitioning and op predicates
 # ---------------------------------------------------------------------------
 
 
@@ -172,214 +176,32 @@ def _partition(start, n_instrs, jl, has_halt, has_ctl):
     return n, halts, end_rel is not None
 
 
-def _compile_tta_block(program: Program, start: int, decoded, rf_param, fu_param):
-    """Generate + compile one TTA basic block; ``None`` if unsupported."""
-    machine = program.machine
-    jl = machine.jump_latency
-    jl1 = jl + 1
-    n_instrs = len(decoded)
+def _op_predicates(style, decoded):
+    """``(has_halt, has_ctl, has_call)`` over a style's static decode,
+    each a pc predicate closed over the decoded tuples."""
+    if style == "tta":
 
-    def has_halt(p):
-        return any(op == "halt" for _, _, op in decoded[p][2])
+        def has_halt(p):
+            return any(op == "halt" for _, _, op in decoded[p][2])
 
-    def has_ctl(p):
-        return any(op in _TTA_CTL for _, _, op in decoded[p][2])
+        def has_ctl(p):
+            return any(op in _CONTROL_OPS for _, _, op in decoded[p][2])
 
-    n, halts, any_ctl = _partition(start, n_instrs, jl, has_halt, has_ctl)
-    if n == 0:
-        return None
+        def has_call(p):
+            return any(op == "call" for _, _, op in decoded[p][2])
 
-    lines: list[str] = []
-    used: set[str] = set()
-    tempc = [0]
-
-    def emit(s, ind=""):
-        lines.append(ind + s)
-
-    def newtemp():
-        tempc[0] += 1
-        return f"t{tempc[0]}"
-
-    def sample_fu(fu_name, C, ind=""):
-        """Open-coded FU result read: commit due results, then read or
-        raise exactly like ``_FU.commit`` + ``fu_unavailable_error``."""
-        f = fu_param[fu_name]
-        used.add(f)
-        used.add("_ua")
-        t = newtemp()
-        emit(f"_p = {f}.pending", ind)
-        emit(f"while _p and _p[0][0] <= {C}:", ind)
-        emit(f"    {f}.result = _p.pop(0)[1]", ind)
-        emit(f"    {f}.has_result = True", ind)
-        emit(f"if not {f}.has_result:", ind)
-        emit(f"    raise _ua({f}, {C})", ind)
-        emit(f"{t} = {f}.result", ind)
-        return t
-
-    def value_expr(src, C, ind=""):
-        kind = src[0]
-        if kind == "imm":
-            return repr(src[1])
-        if kind == "rf":
-            rp = rf_param[src[1]]
-            used.add(rp)
-            return f"{rp}[{src[2]}]"
-        return sample_fu(src[1], C, ind)
-
-    def emit_push(f, due, val, ind=""):
-        """Open-coded ``_FU.push`` with the reference error message."""
-        emit(f"_p = {f}.pending", ind)
-        emit(f"if _p and {due} <= _p[-1][0]:", ind)
-        emit(
-            "    raise ValueError('%s: result due %s not after pending %s'"
-            f" % ({f}.name, {due}, _p[-1][0]))",
-            ind,
-        )
-        emit(f"_p.append(({due}, {val}))", ind)
-
-    def emit_ctl_check(ind=""):
-        used.add("_se")
-        emit("if rc >= 0:", ind)
-        emit("    raise _se('overlapping control transfers')", ind)
-
-    ctl_emitted = False
-    try:
-        for k in range(n):
-            p = start + k
-            C = _cexpr(k)
-            rf_moves, o1_moves, trig_moves, _counts = decoded[p]
-            # phase 1: sample every RF-bound source into a temp *before*
-            # any latch, trigger or commit of this cycle can run, so an
-            # aliasing write (RF[1]->RF[2]; RF[2]->RF[3]) still reads the
-            # pre-cycle value and early-FU-read errors keep their order.
-            commits = []
-            for src, rf, idx in rf_moves:
-                rp = rf_param[rf]
-                used.add(rp)
-                if src[0] == "imm":
-                    commits.append((rp, idx, repr(src[1])))
-                elif src[0] == "rf":
-                    sp = rf_param[src[1]]
-                    used.add(sp)
-                    t = newtemp()
-                    emit(f"{t} = {sp}[{src[2]}]")
-                    commits.append((rp, idx, t))
-                else:
-                    commits.append((rp, idx, sample_fu(src[1], C)))
-            # phase 2: operand-port latches
-            for src, fu in o1_moves:
-                f = fu_param[fu]
-                used.add(f)
-                e = value_expr(src, C)
-                emit(f"{f}.o1 = {e}")
-            # phase 3: triggers, in move order
-            for src, fu, opcode in trig_moves:
-                f = fu_param[fu]
-                used.add(f)
-                if opcode == "halt":
-                    # value sampled for side effects/errors only
-                    if src[0] == "fu":
-                        sample_fu(src[1], C)
-                    continue
-                if opcode == "getra":
-                    if src[0] == "fu":
-                        sample_fu(src[1], C)
-                    used.add("_sim")
-                    emit_push(f, f"c + {k + 1}", "_sim.ra")
-                    continue
-                if opcode == "setra":
-                    e = value_expr(src, C)
-                    used.add("_sim")
-                    emit(f"_sim.ra = {e}")
-                    continue
-                if opcode == "jump":
-                    e = value_expr(src, C)
-                    if ctl_emitted:
-                        emit_ctl_check()
-                    emit(f"rc = c + {k + jl1}")
-                    emit(f"rt = {e}")
-                    ctl_emitted = True
-                    continue
-                if opcode == "call":
-                    e = value_expr(src, C)
-                    used.add("_sim")
-                    emit(f"_sim.ra = {p + jl1}")
-                    if ctl_emitted:
-                        emit_ctl_check()
-                    emit(f"rc = c + {k + jl1}")
-                    emit(f"rt = {e}")
-                    ctl_emitted = True
-                    continue
-                if opcode == "ret":
-                    if src[0] == "fu":
-                        sample_fu(src[1], C)
-                    used.add("_sim")
-                    if ctl_emitted:
-                        emit_ctl_check()
-                    emit(f"rc = c + {k + jl1}")
-                    emit("rt = _sim.ra")
-                    ctl_emitted = True
-                    continue
-                if opcode in ("cjump", "cjumpz"):
-                    e = value_expr(src, C)
-                    if opcode == "cjump":
-                        emit(f"if {e}:")
-                    else:
-                        emit(f"if not ({e}):")
-                    if ctl_emitted:
-                        emit_ctl_check("    ")
-                    emit(f"rc = c + {k + jl1}", "    ")
-                    emit(f"rt = {f}.o1", "    ")
-                    ctl_emitted = True
-                    continue
-                spec = OPS.get(opcode)
-                if spec is None:
-                    raise _Unsupported(opcode)
-                if spec.kind is OpKind.LSU:
-                    e = value_expr(src, C)
-                    if spec.writes_mem:
-                        used.add("_st")
-                        emit(f"_st({opcode!r}, {e}, {f}.o1)")
-                    else:
-                        used.add("_ld")
-                        t = newtemp()
-                        emit(f"{t} = _ld({opcode!r}, {e})")
-                        emit_push(f, f"c + {k + spec.latency}", t)
-                    continue
-                tmpl = _ALU_EXPR.get(opcode)
-                if tmpl is None or spec.latency < 1:
-                    raise _Unsupported(opcode)
-                used.update(_ALU_HELPERS.get(opcode, ()))
-                e = value_expr(src, C)
-                if spec.operands == 2:
-                    expr = tmpl.format(a=e, b=f"{f}.o1")
-                else:
-                    expr = tmpl.format(a=e)
-                emit_push(f, f"c + {k + spec.latency}", expr)
-            # phase 4: RF write commit
-            for rp, idx, e in commits:
-                emit(f"{rp}[{idx}] = {e}")
-    except _Unsupported:
-        return None
-
-    emit("_x[0] += 1")
-    if halts:
-        emit(f"return (3, 0, {_cexpr(n - 1)}, -1, 0)")
-    elif ctl_emitted:
-        emit(f"if rc == c + {n}:")
-        emit(f"    return (1, rt, c + {n}, -1, 0)")
-        emit(f"return (0, {start + n}, c + {n}, rc, rt)")
     else:
-        emit(f"return (0, {start + n}, c + {n}, -1, 0)")
 
-    prologue = ["rc = -1", "rt = 0"] if ctl_emitted else []
-    source, code = _assemble(lines, prologue, used, f"tta:{start}")
-    return (n, halts, source, code)
+        def has_halt(p):
+            return any(op[0] == "halt" for op in decoded[p])
 
+        def has_ctl(p):
+            return any(op[0] in _CONTROL_OPS for op in decoded[p])
 
-# ---------------------------------------------------------------------------
-# VLIW block compilation
-# ---------------------------------------------------------------------------
+        def has_call(p):
+            return any(op[0] == "call" for op in decoded[p])
+
+    return has_halt, has_ctl, has_call
 
 
 def _vliw_max_latency(decoded) -> int:
@@ -392,185 +214,357 @@ def _vliw_max_latency(decoded) -> int:
     )
 
 
-def _compile_vliw_block(program: Program, start: int, decoded, rf_param, maxlat):
-    """Generate + compile one VLIW basic block; ``None`` if unsupported."""
-    machine = program.machine
-    jl = machine.jump_latency
-    jl1 = jl + 1
-    n_instrs = len(decoded)
+# ---------------------------------------------------------------------------
+# block walkers: what a block does, once per core style.  A walker visits
+# every move or op of the block once and emits through a printer -- the
+# Python one below (turbo) or the C one in repro.sim.cgen (native) -- which
+# supplies only syntax.  A walker returns the printer's ``finish`` result,
+# or ``None`` when the block cannot be compiled.
+# ---------------------------------------------------------------------------
 
-    def has_halt(p):
-        return any(op[0] == "halt" for op in decoded[p])
 
-    def has_ctl(p):
-        return any(op[0] in _VLIW_CTL for op in decoded[p])
-
-    n, halts, _any_ctl = _partition(start, n_instrs, jl, has_halt, has_ctl)
+def _walk_tta(out, decoded, start, jl, has_halt, has_ctl):
+    """One TTA block in the four-phase move order of one cycle."""
+    n, halts, _any_ctl = _partition(start, len(decoded), jl, has_halt, has_ctl)
     if n == 0:
         return None
+    jl1 = jl + 1
+    redirects = False
 
-    lines: list[str] = []
-    used: set[str] = set()
-    tempc = [0]
+    def value(src, k):
+        kind = src[0]
+        if kind == "imm":
+            return out.imm(src[1])
+        if kind == "rf":
+            return out.rf(src[1], src[2])
+        return out.fu_read(src[1], k)
+
+    def sample(src, k):
+        # value sampled for side effects/errors only
+        if src[0] == "fu":
+            out.fu_read(src[1], k)
+
+    def redirect(k, target):
+        nonlocal redirects
+        if redirects:
+            out.ctl_check()
+        out.assign("rc", f"c + {k + jl1}")
+        out.assign("rt", target)
+        redirects = True
+
+    try:
+        for k in range(n):
+            p = start + k
+            rf_moves, o1_moves, trig_moves, _counts = decoded[p]
+            # phase 1: sample every RF-bound source into a temp *before*
+            # any latch, trigger or commit of this cycle can run, so an
+            # aliasing write (RF[1]->RF[2]; RF[2]->RF[3]) still reads the
+            # pre-cycle value and early-FU-read errors keep their order.
+            commits = []
+            for src, rf, idx in rf_moves:
+                dest = out.rf(rf, idx)
+                e = value(src, k)
+                commits.append((dest, out.temp(e) if src[0] == "rf" else e))
+            # phase 2: operand-port latches
+            for src, fu in o1_moves:
+                out.assign(out.o1(fu), value(src, k))
+            # phase 3: triggers, in move order
+            for src, fu, opcode in trig_moves:
+                o1 = out.o1(fu)
+                if opcode == "halt":
+                    sample(src, k)
+                elif opcode == "getra":
+                    sample(src, k)
+                    out.fu_push(fu, k, k + 1, out.ra())
+                elif opcode == "setra":
+                    out.assign(out.ra(), value(src, k))
+                elif opcode == "jump":
+                    redirect(k, value(src, k))
+                elif opcode == "call":
+                    target = value(src, k)
+                    out.assign(out.ra(), out.imm(p + jl1))
+                    redirect(k, target)
+                elif opcode == "ret":
+                    sample(src, k)
+                    redirect(k, out.ra())
+                elif opcode in ("cjump", "cjumpz"):
+                    out.begin_if(value(src, k), negate=opcode == "cjumpz")
+                    redirect(k, o1)
+                    out.end_if()
+                else:
+                    spec = OPS.get(opcode)
+                    if spec is None:
+                        raise _Unsupported(opcode)
+                    if spec.kind is OpKind.LSU:
+                        addr = value(src, k)
+                        if spec.writes_mem:
+                            out.store(opcode, addr, o1)
+                        else:
+                            t = out.load(opcode, addr)
+                            out.fu_push(fu, k, k + spec.latency, t)
+                        continue
+                    if opcode not in ALU_FUNCS or spec.latency < 1:
+                        raise _Unsupported(opcode)
+                    b = o1 if spec.operands == 2 else None
+                    expr = out.alu(opcode, value(src, k), b)
+                    out.fu_push(fu, k, k + spec.latency, expr)
+            # phase 4: RF write commit
+            for dest, e in commits:
+                out.assign(dest, e)
+    except _Unsupported:
+        return None
+    return out.finish(start, n, halts, redirects)
+
+
+def _walk_vliw(out, decoded, start, jl, has_halt, has_ctl, maxlat):
+    """One VLIW block: ops in issue order, write-backs applied in place."""
+    n, halts, _any_ctl = _partition(start, len(decoded), jl, has_halt, has_ctl)
+    if n == 0:
+        return None
+    jl1 = jl + 1
+    redirects = False
     #: textual write-back application points inside the block:
-    #: rel index -> [(reg_param, idx, temp)] in issue order
+    #: rel index -> [(rf, idx, temp)] in issue order
     apply_at: dict[int, list] = {}
     #: writes whose application point falls past block end, issue order
     exit_writes: list[tuple[int, str, int, str]] = []
 
-    def emit(s, ind=""):
-        lines.append(ind + s)
-
-    def newtemp():
-        tempc[0] += 1
-        return f"t{tempc[0]}"
-
-    def vsrc(src):
+    def value(src):
         if src[0] == "imm":
-            return repr(src[1])
-        rp = rf_param[src[1]]
-        used.add(rp)
-        return f"{rp}[{src[2]}]"
+            return out.imm(src[1])
+        return out.rf(src[1], src[2])
 
-    def sched_write(due_rel, rf, idx, t):
+    def write(due_rel, dest, t):
         """A write due at ``c + due_rel`` becomes visible one cycle
         later.  Inside the block it is applied textually (bypassing the
-        heap); past block end it is pushed to the simulator heap at exit
-        in issue order, which preserves the fast engine's sequence
-        numbering for same-due writes."""
-        rp = rf_param[rf]
-        used.add(rp)
+        write-back queue); past block end it is queued at exit in issue
+        order, which preserves the fast engine's sequence numbering for
+        same-due writes."""
         point = due_rel + 1
         if point <= n - 1:
-            apply_at.setdefault(point, []).append((rp, idx, t))
+            apply_at.setdefault(point, []).append((dest[0], dest[1], t))
         else:
-            exit_writes.append((due_rel, rp, idx, t))
+            exit_writes.append((due_rel, dest[0], dest[1], t))
 
-    def emit_ctl_check(ind=""):
-        used.add("_se")
-        emit("if rc >= 0:", ind)
-        emit("    raise _se('overlapping control transfers')", ind)
+    def redirect(k, target):
+        nonlocal redirects
+        if redirects:
+            out.ctl_check()
+        out.assign("rc", f"c + {k + jl1}")
+        out.assign("rt", target)
+        redirects = True
 
-    def emit_drain(C):
-        used.update(("_hp", "_hpop"))
-        emit(f"while _hp and _hp[0][0] < {C}:")
-        emit("    _w = _hpop(_hp)")
-        emit("    _w[2][_w[3]] = _w[4]")
-
-    ctl_emitted = False
     try:
         for k in range(n):
-            C = _cexpr(k)
             # external in-flight writes (due <= entry_cycle - 1 + maxlat)
             # can only land within the first maxlat instructions
             if k <= maxlat:
-                emit_drain(C)
-            for rp, idx, t in apply_at.get(k, ()):
-                emit(f"{rp}[{idx}] = {t}")
+                out.drain(k)
+            for rf, idx, t in apply_at.get(k, ()):
+                out.assign(out.rf(rf, idx), t)
             for name, srcs, dest, lat in decoded[start + k]:
                 if name == "halt":
                     continue
                 if name == "jump":
-                    e = vsrc(srcs[0])
-                    if ctl_emitted:
-                        emit_ctl_check()
-                    emit(f"rc = c + {k + jl1}")
-                    emit(f"rt = {e}")
-                    ctl_emitted = True
-                    continue
-                if name == "call":
-                    e = vsrc(srcs[0])
-                    used.add("_sim")
-                    emit(f"_sim.ra = {start + k + jl1}")
-                    if ctl_emitted:
-                        emit_ctl_check()
-                    emit(f"rc = c + {k + jl1}")
-                    emit(f"rt = {e}")
-                    ctl_emitted = True
-                    continue
-                if name == "ret":
-                    used.add("_sim")
-                    if ctl_emitted:
-                        emit_ctl_check()
-                    emit(f"rc = c + {k + jl1}")
-                    emit("rt = _sim.ra")
-                    ctl_emitted = True
-                    continue
-                if name in ("cjump", "cjumpz"):
-                    pe = vsrc(srcs[0])
-                    te = vsrc(srcs[1])
-                    if name == "cjump":
-                        emit(f"if {pe}:")
-                    else:
-                        emit(f"if not ({pe}):")
-                    if ctl_emitted:
-                        emit_ctl_check("    ")
-                    emit(f"rc = c + {k + jl1}", "    ")
-                    emit(f"rt = {te}", "    ")
-                    ctl_emitted = True
-                    continue
-                if lat < 0:
+                    redirect(k, value(srcs[0]))
+                elif name == "call":
+                    target = value(srcs[0])
+                    out.assign(out.ra(), out.imm(start + k + jl1))
+                    redirect(k, target)
+                elif name == "ret":
+                    redirect(k, out.ra())
+                elif name in ("cjump", "cjumpz"):
+                    target = value(srcs[1])
+                    out.begin_if(value(srcs[0]), negate=name == "cjumpz")
+                    redirect(k, target)
+                    out.end_if()
+                elif lat < 0:
                     raise _Unsupported(name)
-                if name in _VLIW_LOADS:
-                    used.add("_ld")
-                    t = newtemp()
-                    emit(f"{t} = _ld({name!r}, {vsrc(srcs[0])})")
-                    sched_write(k + lat, dest[0], dest[1], t)
-                    continue
-                if name in _VLIW_STORES:
-                    used.add("_st")
-                    emit(f"_st({name!r}, {vsrc(srcs[0])}, {vsrc(srcs[1])})")
-                    continue
-                if name == "setra":
-                    used.add("_sim")
-                    emit(f"_sim.ra = {vsrc(srcs[0])}")
-                    continue
-                if name == "getra":
-                    used.add("_sim")
-                    t = newtemp()
-                    emit(f"{t} = _sim.ra")
-                    sched_write(k + lat, dest[0], dest[1], t)
-                    continue
-                if name == "copy":
-                    t = newtemp()
-                    emit(f"{t} = {vsrc(srcs[0])}")
-                    sched_write(k + lat, dest[0], dest[1], t)
-                    continue
-                tmpl = _ALU_EXPR.get(name)
-                if tmpl is None:
+                elif name in _VLIW_LOADS:
+                    write(k + lat, dest, out.load(name, value(srcs[0])))
+                elif name in _VLIW_STORES:
+                    out.store(name, value(srcs[0]), value(srcs[1]))
+                elif name == "setra":
+                    out.assign(out.ra(), value(srcs[0]))
+                elif name == "getra":
+                    write(k + lat, dest, out.temp(out.ra()))
+                elif name == "copy":
+                    write(k + lat, dest, out.temp(value(srcs[0])))
+                elif name not in ALU_FUNCS:
                     raise _Unsupported(name)
-                used.update(_ALU_HELPERS.get(name, ()))
-                if len(srcs) == 2:
-                    expr = tmpl.format(a=vsrc(srcs[0]), b=vsrc(srcs[1]))
                 else:
-                    expr = tmpl.format(a=vsrc(srcs[0]))
-                t = newtemp()
-                emit(f"{t} = {expr}")
-                sched_write(k + lat, dest[0], dest[1], t)
+                    b = value(srcs[1]) if len(srcs) == 2 else None
+                    expr = out.alu(name, value(srcs[0]), b)
+                    write(k + lat, dest, out.temp(expr))
     except _Unsupported:
         return None
+    for due_rel, rf, idx, t in exit_writes:
+        out.exit_write(due_rel, rf, idx, t)
+    # a halting block flushes every in-flight write so the exit code is final
+    return out.finish(start, n, halts, redirects, flush=halts)
 
-    for due_rel, rp, idx, t in exit_writes:
-        used.add("_wl")
-        emit(f"_wl({_cexpr(due_rel)}, {rp}, {idx}, {t})")
-    emit("_x[0] += 1")
-    if halts:
-        # flush every in-flight write so the exit code is final
-        used.update(("_hp", "_hpop"))
-        emit("while _hp:")
-        emit("    _w = _hpop(_hp)")
-        emit("    _w[2][_w[3]] = _w[4]")
-        emit(f"return (3, 0, {_cexpr(n - 1)}, -1, 0)")
-    elif ctl_emitted:
-        emit(f"if rc == c + {n}:")
-        emit(f"    return (1, rt, c + {n}, -1, 0)")
-        emit(f"return (0, {start + n}, c + {n}, rc, rt)")
-    else:
-        emit(f"return (0, {start + n}, c + {n}, -1, 0)")
 
-    prologue = ["rc = -1", "rt = 0"] if ctl_emitted else []
-    source, code = _assemble(lines, prologue, used, f"vliw:{start}")
-    return (n, halts, source, code)
+# ---------------------------------------------------------------------------
+# the Python printer (turbo)
+# ---------------------------------------------------------------------------
+
+
+class _PyBlock:
+    """Prints one block as a Python function (see :func:`_assemble`).
+
+    Register files, FUs and helpers are referenced by short local names
+    and recorded in ``used``, which binds each once as a default
+    argument.  FU result reads and pushes open-code ``_FU.commit`` /
+    ``_FU.push`` on the unit's ``pending`` list, raising exactly what
+    the reference engine raises.
+    """
+
+    __slots__ = ("style", "rf_param", "fu_param", "lines", "used", "ind", "ntemp")
+
+    def __init__(self, style, rf_param, fu_param):
+        self.style = style
+        self.rf_param = rf_param
+        self.fu_param = fu_param
+        self.lines: list[str] = []
+        self.used: set[str] = set()
+        self.ind = ""
+        self.ntemp = 0
+
+    def _emit(self, s):
+        self.lines.append(self.ind + s)
+
+    def _newtemp(self):
+        self.ntemp += 1
+        return f"t{self.ntemp}"
+
+    def _fu(self, fu):
+        f = self.fu_param[fu]
+        self.used.add(f)
+        return f
+
+    def imm(self, v):
+        return repr(v)
+
+    def rf(self, rf, idx):
+        rp = self.rf_param[rf]
+        self.used.add(rp)
+        return f"{rp}[{idx}]"
+
+    def temp(self, expr):
+        t = self._newtemp()
+        self._emit(f"{t} = {expr}")
+        return t
+
+    def ra(self):
+        self.used.add("_sim")
+        return "_sim.ra"
+
+    def o1(self, fu):
+        return f"{self._fu(fu)}.o1"
+
+    def assign(self, lhs, rhs):
+        self._emit(f"{lhs} = {rhs}")
+
+    def fu_read(self, fu, k):
+        """Commit due results, then read or raise exactly like
+        ``_FU.commit`` + ``fu_unavailable_error``."""
+        f = self._fu(fu)
+        self.used.add("_ua")
+        C = _cexpr(k)
+        t = self._newtemp()
+        self._emit(f"_p = {f}.pending")
+        self._emit(f"while _p and _p[0][0] <= {C}:")
+        self._emit(f"    {f}.result = _p.pop(0)[1]")
+        self._emit(f"    {f}.has_result = True")
+        self._emit(f"if not {f}.has_result:")
+        self._emit(f"    raise _ua({f}, {C})")
+        self._emit(f"{t} = {f}.result")
+        return t
+
+    def fu_push(self, fu, k, due_rel, val):
+        """``_FU.push`` with the reference error message."""
+        f = self._fu(fu)
+        due = f"c + {due_rel}"
+        self._emit(f"_p = {f}.pending")
+        self._emit(f"if _p and {due} <= _p[-1][0]:")
+        self._emit(
+            "    raise ValueError('%s: result due %s not after pending %s'"
+            f" % ({f}.name, {due}, _p[-1][0]))"
+        )
+        self._emit(f"_p.append(({due}, {val}))")
+
+    def load(self, op, addr):
+        self.used.add("_ld")
+        return self.temp(f"_ld({op!r}, {addr})")
+
+    def store(self, op, addr, val):
+        self.used.add("_st")
+        self._emit(f"_st({op!r}, {addr}, {val})")
+
+    def alu(self, op, a, b):
+        self.used.update(_ALU_HELPERS.get(op, ()))
+        return _ALU_EXPR[op].format(a=a, b=b)
+
+    def ctl_check(self):
+        self.used.add("_se")
+        self._emit("if rc >= 0:")
+        self._emit("    raise _se('overlapping control transfers')")
+
+    def begin_if(self, cond, negate):
+        self._emit(f"if not ({cond}):" if negate else f"if {cond}:")
+        self.ind = "    "
+
+    def end_if(self):
+        self.ind = ""
+
+    def _drain_while(self, cond):
+        self.used.update(("_hp", "_hpop"))
+        self._emit(f"while {cond}:")
+        self._emit("    _w = _hpop(_hp)")
+        self._emit("    _w[2][_w[3]] = _w[4]")
+
+    def drain(self, k):
+        self._drain_while(f"_hp and _hp[0][0] < {_cexpr(k)}")
+
+    def exit_write(self, due_rel, rf, idx, t):
+        self.used.add("_wl")
+        rp = self.rf_param[rf]
+        self.used.add(rp)
+        self._emit(f"_wl({_cexpr(due_rel)}, {rp}, {idx}, {t})")
+
+    def finish(self, start, n, halts, redirects, flush=False):
+        """``(length, halts, source, code)`` of the finished block."""
+        self._emit("_x[0] += 1")
+        if halts:
+            if flush:
+                self._drain_while("_hp")
+            self._emit(f"return (3, 0, {_cexpr(n - 1)}, -1, 0)")
+        elif redirects:
+            self._emit(f"if rc == c + {n}:")
+            self._emit(f"    return (1, rt, c + {n}, -1, 0)")
+            self._emit(f"return (0, {start + n}, c + {n}, rc, rt)")
+        else:
+            self._emit(f"return (0, {start + n}, c + {n}, -1, 0)")
+        prologue = ["rc = -1", "rt = 0"] if redirects else []
+        tag = f"{self.style}:{start}"
+        source, code = _assemble(self.lines, prologue, self.used, tag)
+        return (n, halts, source, code)
+
+
+def _compile_tta_block(
+    program: Program, start: int, decoded, preds, rf_param, fu_param
+):
+    """Generate + compile one TTA basic block; ``None`` if unsupported."""
+    out = _PyBlock("tta", rf_param, fu_param)
+    jl = program.machine.jump_latency
+    return _walk_tta(out, decoded, start, jl, *preds)
+
+
+def _compile_vliw_block(program: Program, start: int, decoded, preds, rf_param, maxlat):
+    """Generate + compile one VLIW basic block; ``None`` if unsupported."""
+    out = _PyBlock("vliw", rf_param, {})
+    jl = program.machine.jump_latency
+    return _walk_vliw(out, decoded, start, jl, *preds, maxlat)
 
 
 # ---------------------------------------------------------------------------
@@ -585,10 +579,12 @@ def _block_compiler(program: Program):
     rf_param, fu_param = _param_maps(program.machine)
     if program.style == "tta":
         decoded = static_decode_tta(program)
-        return _compile_tta_block, _TTA_TURBO_KEY, (decoded, rf_param, fu_param)
+        preds = _op_predicates("tta", decoded)[:2]
+        return _compile_tta_block, _TTA_TURBO_KEY, (decoded, preds, rf_param, fu_param)
     decoded = static_decode_vliw(program)
+    preds = _op_predicates("vliw", decoded)[:2]
     maxlat = _vliw_max_latency(decoded)
-    return _compile_vliw_block, _VLIW_TURBO_KEY, (decoded, rf_param, maxlat)
+    return _compile_vliw_block, _VLIW_TURBO_KEY, (decoded, preds, rf_param, maxlat)
 
 
 def _block_cache(program: Program, key: str) -> dict:

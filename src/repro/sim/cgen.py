@@ -1,11 +1,12 @@
 """C code generation for the native simulation engine (``mode="native"``).
 
-This module is the C twin of :mod:`repro.sim.blockcompile`: it reuses the
-turbo engine's basic-block partitioning (:func:`~repro.sim.blockcompile._partition`,
-same delay-slot-window and halt-terminal rules) but emits each block as
-specialized C instead of specialized Python, and assembles every block of
-a program into **one translation unit** compiled to a single shared
-object by :mod:`repro.sim.native`.
+The turbo and native engines compile the same basic blocks: one block
+walker per core style (:func:`~repro.sim.blockcompile._walk_tta` /
+:func:`~repro.sim.blockcompile._walk_vliw`) decides what a block does and
+prints it through a printer that supplies only syntax.  Turbo's printer
+emits a Python function; this module's :class:`_CBlock` emits a ``case``
+of C, and every block of a program goes into **one translation unit**
+compiled to a single shared object by :mod:`repro.sim.native`.
 
 State layout (flat C arrays, shared with the Python driver through the
 FFI call)::
@@ -81,19 +82,16 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.backend.program import Program
-from repro.isa.operations import OPS, OpKind
+from repro.isa.operations import OPS
 from repro.sim.blockcompile import (
-    _TTA_CTL,
-    _VLIW_CTL,
+    _cexpr,
+    _op_predicates,
     _partition,
     _vliw_max_latency,
+    _walk_tta,
+    _walk_vliw,
 )
-from repro.sim.predecode import (
-    _VLIW_LOADS,
-    _VLIW_STORES,
-    static_decode_tta,
-    static_decode_vliw,
-)
+from repro.sim.predecode import static_decode_tta, static_decode_vliw
 
 #: function exported by every generated translation unit
 ENTRY_SYMBOL = "repro_native_run"
@@ -123,11 +121,6 @@ ST_INTERNAL = -9  # capacity invariant broken (unreachable by design)
 
 #: cap on the total specialized cycles emitted into one translation unit
 _MAX_TOTAL_CYCLES = 65536
-
-
-class _Unsupported(Exception):
-    """Raised during codegen for anything not provably static; the entry
-    is skipped and the driver's precise fallback interprets it."""
 
 
 #: C twins of ``blockcompile._ALU_EXPR`` / ``predecode.ALU_FUNCS``.  All
@@ -174,10 +167,6 @@ class NativeProgram:
     #: VLIW: write-back queue capacity
     wcap: int
     n_blocks: int
-
-
-def _cexpr(k: int) -> str:
-    return "c" if k == 0 else f"c + {k}"
 
 
 def _rf_layout(machine):
@@ -389,7 +378,7 @@ done:""")
 
 
 # ---------------------------------------------------------------------------
-# TTA block generation (mirrors blockcompile._compile_tta_block)
+# the C printer (native)
 # ---------------------------------------------------------------------------
 
 
@@ -415,34 +404,60 @@ class _FUState:
         self.result = None
 
 
-def _gen_tta_block(program, start, decoded, rf_off, fu_idx, pcap, bi):
-    machine = program.machine
-    jl = machine.jump_latency
-    jl1 = jl + 1
-    n_instrs = len(decoded)
+class _CBlock:
+    """Prints one block as a ``case`` of the dispatch ``switch``.
 
-    def has_halt(p):
-        return any(op == "halt" for _, _, op in decoded[p][2])
+    Register files and FU ports are flat-array slots; every value a block
+    computes lives in a ``uint32_t`` temp.  FU result reads and pushes
+    forward statically through a per-unit :class:`_FUState` and fall back
+    to the ``FUREAD``/``FUPUSH`` macros where the ring is not known.
+    """
 
-    def has_ctl(p):
-        return any(op in _TTA_CTL for _, _, op in decoded[p][2])
+    __slots__ = (
+        "rf_off", "fu_idx", "pcap", "bi", "lines", "ind", "ntemp", "temps", "fu_states"
+    )
 
-    n, halts, _any_ctl = _partition(start, n_instrs, jl, has_halt, has_ctl)
-    if n == 0:
-        raise _Unsupported("empty block")
+    def __init__(self, rf_off, fu_idx, pcap, bi):
+        self.rf_off = rf_off
+        self.fu_idx = fu_idx
+        self.pcap = pcap
+        self.bi = bi
+        self.lines: list[str] = []
+        self.ind = ""
+        self.ntemp = 0
+        self.temps: set[str] = set()
+        self.fu_states: dict[str, _FUState] = defaultdict(_FUState)
 
-    lines: list[str] = []
-    tempc = [0]
-    fu_states: dict[str, _FUState] = defaultdict(_FUState)
+    def _emit(self, s):
+        self.lines.append(self.ind + s)
 
-    def emit(s, ind=""):
-        lines.append(ind + s)
+    def _newtemp(self):
+        self.ntemp += 1
+        t = f"t{self.ntemp}"
+        self.temps.add(t)
+        return t
 
-    def newtemp():
-        tempc[0] += 1
-        return f"t{tempc[0]}"
+    def imm(self, v):
+        return f"{v}u"
 
-    def pop_due(f, state, k):
+    def rf(self, rf, idx):
+        return f"rf[{self.rf_off[rf] + idx}]"
+
+    def temp(self, expr):
+        t = self._newtemp()
+        self._emit(f"uint32_t {t} = {expr};")
+        return t
+
+    def ra(self):
+        return "ra"
+
+    def o1(self, fu):
+        return f"fu32[{2 * self.fu_idx[fu]}]"
+
+    def assign(self, lhs, rhs):
+        self._emit(f"{lhs} = {rhs};")
+
+    def _pop_due(self, f, state, k):
         """Statically commit the known ring's entries due by cycle ``k``
         (the reference's lazy ``commit``), keeping memory in sync."""
         ring = state.ring
@@ -451,361 +466,129 @@ def _gen_tta_block(program, start, decoded, rf_off, fu_idx, pcap, bi):
             n_due += 1
         if n_due:
             state.result = ring[n_due - 1][1]
-            state.head = (state.head + n_due) % pcap
+            state.head = (state.head + n_due) % self.pcap
             del ring[:n_due]
-            emit(
+            self._emit(
                 f"fu32[{2 * f + 1}] = {state.result}; "
                 f"fum[{3 * f}] = {len(ring)}; fum[{3 * f + 1}] = {state.head};"
             )
 
-    def sample_fu(fu_name, k):
-        f = fu_idx[fu_name]
-        state = fu_states[fu_name]
+    def fu_read(self, fu, k):
+        f = self.fu_idx[fu]
+        state = self.fu_states[fu]
         if state.ring is not None:
-            pop_due(f, state, k)
+            self._pop_due(f, state, k)
             return state.result
         due = [t for d, t in state.pushes if d <= k]
         if not due:
-            t = newtemp()
-            emit(f"uint32_t {t}; FUREAD({t}, {f}, {_cexpr(k)});")
+            t = self._newtemp()
+            self._emit(f"uint32_t {t}; FUREAD({t}, {f}, {_cexpr(k)});")
             return t
         # forwarded read: the ring now holds exactly the in-block pushes
         # not yet due; lay them out from slot 0
+        pcap = self.pcap
         state.result = due[-1]
         state.ring = [(d, t) for d, t in state.pushes if d > k]
         state.pushes = None
         for j, (d, t) in enumerate(state.ring):
-            emit(f"pd[{f * pcap + j}] = {_cexpr(d)}; pv[{f * pcap + j}] = {t};")
-        emit(
+            self._emit(f"pd[{f * pcap + j}] = {_cexpr(d)}; pv[{f * pcap + j}] = {t};")
+        self._emit(
             f"fu32[{2 * f + 1}] = {state.result}; fum[{3 * f}] = {len(state.ring)}; "
             f"fum[{3 * f + 1}] = 0; fum[{3 * f + 2}] = 1;"
         )
         return state.result
 
-    def temp_of(expr):
-        t = newtemp()
-        emit(f"uint32_t {t} = {expr};")
-        return t
-
-    def push_fu(fu_name, k, due_rel, t):
-        f = fu_idx[fu_name]
-        state = fu_states[fu_name]
+    def fu_push(self, fu, k, due_rel, val):
+        # every pushed value is held in a temp, which a forwarded read
+        # returns; the walker may pass an expression (ALU result, ``ra``)
+        if val not in self.temps:
+            val = self.temp(val)
+        f = self.fu_idx[fu]
+        state = self.fu_states[fu]
         ring = state.ring
         if ring is None:
-            emit(f"FUPUSH({f}, {_cexpr(due_rel)}, {t}, {_cexpr(k)});")
-            state.pushes.append((due_rel, t))
+            self._emit(f"FUPUSH({f}, {_cexpr(due_rel)}, {val}, {_cexpr(k)});")
+            state.pushes.append((due_rel, val))
             return
         if ring and due_rel <= ring[-1][0]:
             # statically non-monotonic: the reference raises every time
-            emit(f"ERR(-2, {f}, {_cexpr(due_rel)});")
+            self._emit(f"ERR(-2, {f}, {_cexpr(due_rel)});")
             return
-        if len(ring) == pcap:
-            pop_due(f, state, k)
-            if len(ring) == pcap:
-                emit(f"ERR(-9, {f}, 0);")
+        if len(ring) == self.pcap:
+            self._pop_due(f, state, k)
+            if len(ring) == self.pcap:
+                self._emit(f"ERR(-9, {f}, 0);")
                 return
-        slot = f * pcap + (state.head + len(ring)) % pcap
-        ring.append((due_rel, t))
-        emit(
-            f"pd[{slot}] = {_cexpr(due_rel)}; pv[{slot}] = {t}; "
+        slot = f * self.pcap + (state.head + len(ring)) % self.pcap
+        ring.append((due_rel, val))
+        self._emit(
+            f"pd[{slot}] = {_cexpr(due_rel)}; pv[{slot}] = {val}; "
             f"fum[{3 * f}] = {len(ring)};"
         )
 
-    def value_expr(src, k):
-        kind = src[0]
-        if kind == "imm":
-            return f"{src[1]}u"
-        if kind == "rf":
-            return f"rf[{rf_off[src[1]] + src[2]}]"
-        return sample_fu(src[1], k)
+    def load(self, op, addr):
+        t = self._newtemp()
+        self._emit(f"uint32_t {t}; {_LD_MACRO[op]}({t}, {addr});")
+        return t
 
-    def emit_ctl_check(ind=""):
-        emit("if (rc >= 0) { ERR(-3, 0, 0); }", ind)
+    def store(self, op, addr, val):
+        self._emit(f"{_ST_MACRO[op]}({addr}, {val});")
 
-    ctl_emitted = False
-    for k in range(n):
-        p = start + k
-        rf_moves, o1_moves, trig_moves, _counts = decoded[p]
-        # phase 1: sample RF-bound sources before any same-cycle effect
-        commits = []
-        for src, rf, idx in rf_moves:
-            off = rf_off[rf] + idx
-            if src[0] == "imm":
-                commits.append((off, f"{src[1]}u"))
-            elif src[0] == "rf":
-                commits.append((off, temp_of(f"rf[{rf_off[src[1]] + src[2]}]")))
-            else:
-                commits.append((off, sample_fu(src[1], k)))
-        # phase 2: operand-port latches
-        for src, fu in o1_moves:
-            e = value_expr(src, k)
-            emit(f"fu32[{2 * fu_idx[fu]}] = {e};")
-        # phase 3: triggers, in move order
-        for src, fu, opcode in trig_moves:
-            f = fu_idx[fu]
-            if opcode == "halt":
-                if src[0] == "fu":
-                    sample_fu(src[1], k)
-                continue
-            if opcode == "getra":
-                if src[0] == "fu":
-                    sample_fu(src[1], k)
-                push_fu(fu, k, k + 1, temp_of("ra"))
-                continue
-            if opcode == "setra":
-                e = value_expr(src, k)
-                emit(f"ra = {e};")
-                continue
-            if opcode == "jump":
-                e = value_expr(src, k)
-                if ctl_emitted:
-                    emit_ctl_check()
-                emit(f"rc = c + {k + jl1};")
-                emit(f"rt = {e};")
-                ctl_emitted = True
-                continue
-            if opcode == "call":
-                e = value_expr(src, k)
-                emit(f"ra = {p + jl1}u;")
-                if ctl_emitted:
-                    emit_ctl_check()
-                emit(f"rc = c + {k + jl1};")
-                emit(f"rt = {e};")
-                ctl_emitted = True
-                continue
-            if opcode == "ret":
-                if src[0] == "fu":
-                    sample_fu(src[1], k)
-                if ctl_emitted:
-                    emit_ctl_check()
-                emit(f"rc = c + {k + jl1};")
-                emit("rt = ra;")
-                ctl_emitted = True
-                continue
-            if opcode in ("cjump", "cjumpz"):
-                e = value_expr(src, k)
-                cond = e if opcode == "cjump" else f"!({e})"
-                emit(f"if ({cond}) {{")
-                if ctl_emitted:
-                    emit_ctl_check("    ")
-                emit(f"rc = c + {k + jl1};", "    ")
-                emit(f"rt = fu32[{2 * f}];", "    ")
-                emit("}")
-                ctl_emitted = True
-                continue
-            spec = OPS.get(opcode)
-            if spec is None:
-                raise _Unsupported(opcode)
-            if spec.kind is OpKind.LSU:
-                e = value_expr(src, k)
-                if spec.writes_mem:
-                    emit(f"{_ST_MACRO[opcode]}({e}, fu32[{2 * f}]);")
-                else:
-                    t = newtemp()
-                    emit(f"uint32_t {t}; {_LD_MACRO[opcode]}({t}, {e});")
-                    push_fu(fu, k, k + spec.latency, t)
-                continue
-            tmpl = _C_ALU.get(opcode)
-            if tmpl is None or spec.latency < 1:
-                raise _Unsupported(opcode)
-            e = value_expr(src, k)
-            if spec.operands == 2:
-                expr = tmpl.format(a=e, b=f"fu32[{2 * f}]")
-            else:
-                expr = tmpl.format(a=e)
-            push_fu(fu, k, k + spec.latency, temp_of(expr))
-        # phase 4: RF write commit
-        for off, e in commits:
-            emit(f"rf[{off}] = {e};")
+    def alu(self, op, a, b):
+        return _C_ALU[op].format(a=a, b=b)
 
-    case = [f"case {bi}: {{"]
-    case.extend("    " + line for line in lines)
-    case.append(f"    execs[{bi}] += 1;")
-    if halts:
-        if n > 1:
-            case.append(f"    c += {n - 1};")
-        case.append("    st = 3; goto done;")
-    else:
-        case.append(f"    c += {n};")
-        if ctl_emitted:
-            case.append("    if (rc == c) { pc = (int64_t)rt; rc = -1; }")
-            case.append(f"    else {{ pc = {start + n}; }}")
-        else:
-            case.append(f"    pc = {start + n};")
-        case.append("    break;")
-    case.append("}")
-    return n, case
+    def ctl_check(self):
+        self._emit("if (rc >= 0) { ERR(-3, 0, 0); }")
 
+    def begin_if(self, cond, negate):
+        self._emit(f"if (!({cond})) {{" if negate else f"if ({cond}) {{")
+        self.ind = "    "
 
-# ---------------------------------------------------------------------------
-# VLIW block generation (mirrors blockcompile._compile_vliw_block)
-# ---------------------------------------------------------------------------
+    def end_if(self):
+        self.ind = ""
+        self._emit("}")
 
+    def drain(self, k):
+        self._emit(f"WB_DRAIN({_cexpr(k)});")
 
-def _gen_vliw_block(program, start, decoded, rf_off, maxlat, bi):
-    machine = program.machine
-    jl = machine.jump_latency
-    jl1 = jl + 1
-    n_instrs = len(decoded)
-
-    def has_halt(p):
-        return any(op[0] == "halt" for op in decoded[p])
-
-    def has_ctl(p):
-        return any(op[0] in _VLIW_CTL for op in decoded[p])
-
-    n, halts, _any_ctl = _partition(start, n_instrs, jl, has_halt, has_ctl)
-    if n == 0:
-        raise _Unsupported("empty block")
-
-    lines: list[str] = []
-    tempc = [0]
-    apply_at: dict[int, list] = {}
-    exit_writes: list = []
-
-    def emit(s, ind=""):
-        lines.append(ind + s)
-
-    def newtemp():
-        tempc[0] += 1
-        return f"t{tempc[0]}"
-
-    def vsrc(src):
-        if src[0] == "imm":
-            return f"{src[1]}u"
-        return f"rf[{rf_off[src[1]] + src[2]}]"
-
-    def sched_write(due_rel, rf, idx, t):
-        off = rf_off[rf] + idx
-        point = due_rel + 1
-        if point <= n - 1:
-            apply_at.setdefault(point, []).append((off, t))
-        else:
-            exit_writes.append((due_rel, off, t))
-
-    def emit_ctl_check(ind=""):
-        emit("if (rc >= 0) { ERR(-3, 0, 0); }", ind)
-
-    def emit_drain(C):
-        emit(f"WB_DRAIN({C});")
-
-    ctl_emitted = False
-    for k in range(n):
-        C = _cexpr(k)
-        # external in-flight writes can only land within the first
-        # maxlat instructions (same elision as the turbo engine)
-        if k <= maxlat:
-            emit_drain(C)
-        for off, t in apply_at.get(k, ()):
-            emit(f"rf[{off}] = {t};")
-        for name, srcs, dest, lat in decoded[start + k]:
-            if name == "halt":
-                continue
-            if name == "jump":
-                e = vsrc(srcs[0])
-                if ctl_emitted:
-                    emit_ctl_check()
-                emit(f"rc = c + {k + jl1};")
-                emit(f"rt = {e};")
-                ctl_emitted = True
-                continue
-            if name == "call":
-                e = vsrc(srcs[0])
-                emit(f"ra = {start + k + jl1}u;")
-                if ctl_emitted:
-                    emit_ctl_check()
-                emit(f"rc = c + {k + jl1};")
-                emit(f"rt = {e};")
-                ctl_emitted = True
-                continue
-            if name == "ret":
-                if ctl_emitted:
-                    emit_ctl_check()
-                emit(f"rc = c + {k + jl1};")
-                emit("rt = ra;")
-                ctl_emitted = True
-                continue
-            if name in ("cjump", "cjumpz"):
-                pe = vsrc(srcs[0])
-                te = vsrc(srcs[1])
-                cond = pe if name == "cjump" else f"!({pe})"
-                emit(f"if ({cond}) {{")
-                if ctl_emitted:
-                    emit_ctl_check("    ")
-                emit(f"rc = c + {k + jl1};", "    ")
-                emit(f"rt = {te};", "    ")
-                emit("}")
-                ctl_emitted = True
-                continue
-            if lat < 0:
-                raise _Unsupported(name)
-            if name in _VLIW_LOADS:
-                t = newtemp()
-                emit(f"uint32_t {t}; {_LD_MACRO[name]}({t}, {vsrc(srcs[0])});")
-                sched_write(k + lat, dest[0], dest[1], t)
-                continue
-            if name in _VLIW_STORES:
-                emit(f"{_ST_MACRO[name]}({vsrc(srcs[0])}, {vsrc(srcs[1])});")
-                continue
-            if name == "setra":
-                emit(f"ra = {vsrc(srcs[0])};")
-                continue
-            if name == "getra":
-                t = newtemp()
-                emit(f"uint32_t {t} = ra;")
-                sched_write(k + lat, dest[0], dest[1], t)
-                continue
-            if name == "copy":
-                t = newtemp()
-                emit(f"uint32_t {t} = {vsrc(srcs[0])};")
-                sched_write(k + lat, dest[0], dest[1], t)
-                continue
-            tmpl = _C_ALU.get(name)
-            if tmpl is None:
-                raise _Unsupported(name)
-            if len(srcs) == 2:
-                expr = tmpl.format(a=vsrc(srcs[0]), b=vsrc(srcs[1]))
-            else:
-                expr = tmpl.format(a=vsrc(srcs[0]))
-            t = newtemp()
-            emit(f"uint32_t {t} = {expr};")
-            sched_write(k + lat, dest[0], dest[1], t)
-
-    for due_rel, off, t in exit_writes:
-        emit(
+    def exit_write(self, due_rel, rf, idx, t):
+        self._emit(
             f"if (wb_push(pd, pv, fum, &whead, &wlen, {_cexpr(due_rel)}, "
-            f"{off}, {t})) {{ ERR(-9, 0, 0); }}"
+            f"{self.rf_off[rf] + idx}, {t})) {{ ERR(-9, 0, 0); }}"
         )
 
-    case = [f"case {bi}: {{"]
-    case.extend("    " + line for line in lines)
-    case.append(f"    execs[{bi}] += 1;")
-    if halts:
-        # flush every in-flight write so the exit code is final
-        case.append("    while (wlen > 0) {")
-        case.append("        rf[fum[whead]] = pv[whead]; whead++; wlen--;")
-        case.append("    }")
-        if n > 1:
-            case.append(f"    c += {n - 1};")
-        case.append("    st = 3; goto done;")
-    else:
-        case.append(f"    c += {n};")
-        if ctl_emitted:
-            case.append("    if (rc == c) { pc = (int64_t)rt; rc = -1; }")
-            case.append(f"    else {{ pc = {start + n}; }}")
+    def finish(self, start, n, halts, redirects, flush=False):
+        """``(length, case lines)`` of the finished block."""
+        bi = self.bi
+        case = [f"case {bi}: {{"]
+        case.extend("    " + line for line in self.lines)
+        case.append(f"    execs[{bi}] += 1;")
+        if halts:
+            if flush:
+                case.append("    while (wlen > 0) {")
+                case.append("        rf[fum[whead]] = pv[whead]; whead++; wlen--;")
+                case.append("    }")
+            if n > 1:
+                case.append(f"    c += {n - 1};")
+            case.append("    st = 3; goto done;")
         else:
-            case.append(f"    pc = {start + n};")
-        case.append("    break;")
-    case.append("}")
-    return n, case
+            case.append(f"    c += {n};")
+            if redirects:
+                case.append("    if (rc == c) { pc = (int64_t)rt; rc = -1; }")
+                case.append(f"    else {{ pc = {start + n}; }}")
+            else:
+                case.append(f"    pc = {start + n};")
+            case.append("    break;")
+        case.append("}")
+        return n, case
 
 
 # ---------------------------------------------------------------------------
-# entry discovery
+# entry discovery and the program-level builder
 # ---------------------------------------------------------------------------
 
 
-def _collect_entries(program, n_instrs, has_halt, has_ctl, has_call):
+def _collect_entries(program, decoded):
     """Block entry pcs: pc 0, every program label, every call return site
     (``pc + jl + 1``), and the closure of their fall-through successors.
     In a linked program these are all the pcs a redirect can reach (every
@@ -813,6 +596,8 @@ def _collect_entries(program, n_instrs, has_halt, has_ctl, has_call):
     site), so chained execution leaves the shared object only for carried
     redirects.  Any other pc is stepped by the Python dispatch loop's
     single-cycle fallback."""
+    n_instrs = len(decoded)
+    has_halt, has_ctl, has_call = _op_predicates(program.style, decoded)
     jl = program.machine.jump_latency
     returns = (pc + jl + 1 for pc in range(n_instrs) if has_call(pc))
     roots = {0, *program.labels.values(), *returns}
@@ -829,32 +614,9 @@ def _collect_entries(program, n_instrs, has_halt, has_ctl, has_call):
     return sorted(seen)
 
 
-# ---------------------------------------------------------------------------
-# program-level builders
-# ---------------------------------------------------------------------------
-
-
-def build_native_program(program: Program) -> NativeProgram | None:
-    """Generate the C translation unit for *program*; ``None`` when the
-    style is not supported or no block could be compiled."""
-    if program.style == "tta":
-        return _build_tta(program)
-    if program.style == "vliw":
-        return _build_vliw(program)
-    return None
-
-
-def _build_tta(program: Program) -> NativeProgram | None:
-    decoded = static_decode_tta(program)
-    n_instrs = len(decoded)
-    if n_instrs == 0:
-        return None
-    machine = program.machine
-    rf_layout, rf_total = _rf_layout(machine)
-    rf_off = {name: base for name, base, _size in rf_layout}
-    fu_names = [fu.name for fu in machine.all_units]
-    fu_idx = {name: i for i, name in enumerate(fu_names)}
-
+def _tta_pcap(decoded) -> int:
+    """Per-FU pending-ring capacity: a power of two above the longest
+    result latency plus two (the due-window bound)."""
     maxlat = 1  # getra pushes at cycle + 1
     for _rf_moves, _o1_moves, trig_moves, _counts in decoded:
         for _src, _fu, opcode in trig_moves:
@@ -864,93 +626,65 @@ def _build_tta(program: Program) -> NativeProgram | None:
     pcap = 8
     while pcap < maxlat + 2:
         pcap *= 2
+    return pcap
 
-    def has_halt(p):
-        return any(op == "halt" for _, _, op in decoded[p][2])
 
-    def has_ctl(p):
-        return any(op in _TTA_CTL for _, _, op in decoded[p][2])
+def build_native_program(program: Program) -> NativeProgram | None:
+    """Generate the C translation unit for *program*; ``None`` when the
+    style is not supported or no block could be compiled."""
+    style = program.style
+    if style == "tta":
+        decoded = static_decode_tta(program)
+    elif style == "vliw":
+        decoded = static_decode_vliw(program)
+    else:
+        return None
+    n_instrs = len(decoded)
+    if n_instrs == 0:
+        return None
+    machine = program.machine
+    jl = machine.jump_latency
+    rf_layout, rf_total = _rf_layout(machine)
+    rf_off = {name: base for name, base, _size in rf_layout}
+    has_halt, has_ctl, _has_call = _op_predicates(style, decoded)
+    if style == "tta":
+        fu_names = [fu.name for fu in machine.all_units]
+        pcap, wcap = _tta_pcap(decoded), 16
 
-    def has_call(p):
-        return any(op == "call" for _, _, op in decoded[p][2])
+        def walk(out, start):
+            return _walk_tta(out, decoded, start, jl, has_halt, has_ctl)
 
-    entries = _collect_entries(program, n_instrs, has_halt, has_ctl, has_call)
+    else:
+        fu_names = []
+        maxlat = _vliw_max_latency(decoded)
+        pcap, wcap = 8, max(16, 4 * (maxlat + 2) * max(1, machine.issue_width))
+
+        def walk(out, start):
+            return _walk_vliw(out, decoded, start, jl, has_halt, has_ctl, maxlat)
+
+    fu_idx = {name: i for i, name in enumerate(fu_names)}
     blocks = []
     total = 0
-    for start in entries:
-        try:
-            n, case = _gen_tta_block(
-                program, start, decoded, rf_off, fu_idx, pcap, len(blocks)
-            )
-        except _Unsupported:
+    for start in _collect_entries(program, decoded):
+        built = walk(_CBlock(rf_off, fu_idx, pcap, len(blocks)), start)
+        if built is None:
             continue
+        n, case = built
         if total + n > _MAX_TOTAL_CYCLES:
             break
         total += n
         blocks.append((start, n, case))
     if not blocks:
         return None
-    source = _assemble("tta", n_instrs, blocks, pcap, 16)
     return NativeProgram(
-        style="tta",
-        source=source,
+        style=style,
+        source=_assemble(style, n_instrs, blocks, pcap, wcap),
         n_instrs=n_instrs,
         entries=[(s, n) for s, n, _ in blocks],
         rf_layout=rf_layout,
         rf_total=rf_total,
         fu_names=fu_names,
         pcap=pcap,
-        wcap=16,
-        n_blocks=len(blocks),
-    )
-
-
-def _build_vliw(program: Program) -> NativeProgram | None:
-    decoded = static_decode_vliw(program)
-    n_instrs = len(decoded)
-    if n_instrs == 0:
-        return None
-    machine = program.machine
-    rf_layout, rf_total = _rf_layout(machine)
-    rf_off = {name: base for name, base, _size in rf_layout}
-    maxlat = _vliw_max_latency(decoded)
-    wcap = max(16, 4 * (maxlat + 2) * max(1, machine.issue_width))
-
-    def has_halt(p):
-        return any(op[0] == "halt" for op in decoded[p])
-
-    def has_ctl(p):
-        return any(op[0] in _VLIW_CTL for op in decoded[p])
-
-    def has_call(p):
-        return any(op[0] == "call" for op in decoded[p])
-
-    entries = _collect_entries(program, n_instrs, has_halt, has_ctl, has_call)
-    blocks = []
-    total = 0
-    for start in entries:
-        try:
-            n, case = _gen_vliw_block(
-                program, start, decoded, rf_off, maxlat, len(blocks)
-            )
-        except _Unsupported:
-            continue
-        if total + n > _MAX_TOTAL_CYCLES:
-            break
-        total += n
-        blocks.append((start, n, case))
-    if not blocks:
-        return None
-    source = _assemble("vliw", n_instrs, blocks, pcap=8, wcap=wcap)
-    return NativeProgram(
-        style="vliw",
-        source=source,
-        n_instrs=n_instrs,
-        entries=[(s, n) for s, n, _ in blocks],
-        rf_layout=rf_layout,
-        rf_total=rf_total,
-        fu_names=[],
-        pcap=8,
         wcap=wcap,
         n_blocks=len(blocks),
     )

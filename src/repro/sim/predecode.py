@@ -87,6 +87,9 @@ ALU_FUNCS: dict[str, object] = {
     "sxqw": sext8,
 }
 
+#: control-transfer operations of both core styles (``halt`` is not one)
+_CONTROL_OPS = frozenset({"jump", "call", "ret", "cjump", "cjumpz"})
+
 #: cache keys on ``Program.predecode_cache``
 _TTA_KEY = "tta-static"
 _VLIW_KEY = "vliw-static"
@@ -388,7 +391,6 @@ def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
 # VLIW: static verification + decode
 # ---------------------------------------------------------------------------
 
-_VLIW_CONTROL = frozenset({"jump", "call", "ret", "cjump", "cjumpz", "halt"})
 _VLIW_LOADS = frozenset({"ldw", "ldh", "ldq", "ldqu", "ldhu"})
 _VLIW_STORES = frozenset({"stw", "sth", "stq"})
 _VLIW_PSEUDO = frozenset({"copy", "getra", "setra", "halt"})
@@ -435,9 +437,9 @@ def static_decode_vliw(program: Program) -> list:
                 raise SimError(f"unknown operation {name!r} at pc={pc}")
             srcs = tuple(_check_vliw_src(s, pc, machine) for s in op.srcs)
             needs_dest = (
-                name not in _VLIW_CONTROL
+                name not in _CONTROL_OPS
                 and name not in _VLIW_STORES
-                and name != "setra"
+                and name not in ("halt", "setra")
             )
             dest = None
             if needs_dest:

@@ -667,16 +667,15 @@ class TestDriverIntegration:
 def _entry_closure(program):
     """{0} | labels | call return sites, closed under block fall-through
     (computed independently of cgen from the turbo partition rule)."""
-    from repro.sim.blockcompile import _TTA_CTL, _VLIW_CTL, _partition
+    from repro.sim.blockcompile import _partition
+    from repro.sim.predecode import _CONTROL_OPS as ctl_ops
     from repro.sim.predecode import static_decode_tta, static_decode_vliw
 
     jl = program.machine.jump_latency
     if program.style == "tta":
         ops = [[op for _, _, op in d[2]] for d in static_decode_tta(program)]
-        ctl_ops = _TTA_CTL
     else:
         ops = [[op[0] for op in bundle] for bundle in static_decode_vliw(program)]
-        ctl_ops = _VLIW_CTL
     n = len(ops)
     roots = {0, *program.labels.values()}
     roots |= {pc + jl + 1 for pc, names in enumerate(ops) if "call" in names}
@@ -713,6 +712,29 @@ class TestCodegenShape:
         assert compiled.program.labels and set(compiled.program.labels.values()) <= (
             starts | {len(compiled.program.instrs)}
         )
+
+    @pytest.mark.parametrize("machine_name", DIFF_MACHINES)
+    @pytest.mark.parametrize("kernel", ("mips", "adpcm", "jpeg"))
+    def test_turbo_and_native_compile_the_same_blocks(self, machine_name, kernel):
+        # an op only one printer supports would silently drop coverage
+        from repro.sim.blockcompile import _block_compiler
+
+        program = compile_for_machine(
+            compile_kernel(kernel), build_machine(machine_name)
+        ).program
+        native_len = dict(build_native_program(program).entries)
+        compile_block, _key, args = _block_compiler(program)
+        for pc in sorted(_entry_closure(program)):
+            entry = compile_block(program, pc, *args)
+            turbo_len = None if entry is None else entry[0]
+            assert turbo_len == native_len.get(pc), f"{kernel}/{machine_name} pc={pc}"
+
+    def test_printers_share_the_alu_op_set(self):
+        from repro.sim.blockcompile import _ALU_EXPR
+        from repro.sim.cgen import _C_ALU
+        from repro.sim.predecode import ALU_FUNCS
+
+        assert set(_ALU_EXPR) == set(_C_ALU) == set(ALU_FUNCS)
 
     def test_mips_emits_about_one_cycle_per_instruction(self):
         compiled = compile_for_machine(compile_kernel("mips"), build_machine("m-tta-2"))
