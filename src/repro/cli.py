@@ -4,33 +4,32 @@ Commands:
 
 * ``machines`` -- list the built-in design points with key facts.
 * ``kernels`` -- list the CHStone-like workloads.
-* ``run FILE.mc -m MACHINE`` -- compile a MiniC file and simulate it
-  (``--trace out.json`` records a compile+sim timeline).
+* ``run FILE.mc -m MACHINE`` -- compile a MiniC file and simulate it.
 * ``asm FILE.mc -m MACHINE`` -- print the scheduled assembly listing.
-* ``report [--kernels a,b,..] [--machines a,b,..]`` -- regenerate the
-  paper's tables/figures (optionally on a subset).
+* ``report`` -- regenerate the paper's tables/figures (optionally on a
+  ``--kernels``/``--machines`` subset).
 * ``sweep`` -- run the (machine, kernel) evaluation matrix through the
-  parallel, disk-cached pipeline (``--jobs``, ``--machines``,
-  ``--kernels``, ``--no-cache``, ``--refresh``, ``--json``;
-  ``--trace out.json`` merges every worker's span/counter payload into
-  one Chrome-trace timeline and implies ``--refresh``).
+  parallel, disk-cached pipeline.
+* ``explore`` -- seeded design-space exploration over TTA machines,
+  reported as a Pareto frontier.
+* ``fuzz`` -- differential fuzzing: seeded random kernels co-simulated
+  on every design point and engine against the reference-interpreter
+  oracle; divergences are minimized into ``fuzz/corpus/`` reproducers.
+* ``corpus`` -- stress-benchmark corpus: ``promote`` fuzz kernels with
+  pinned goldens, ``replay`` every golden across all engines (non-zero
+  exit on any drift), ``stats``, and ``pin`` to deliberately re-pin.
 * ``trace summary FILE.json`` -- aggregate statistics of a trace file
-  written by ``--trace``.
-* ``fuzz`` -- differential fuzzing: generate seeded random kernels and
-  co-simulate them on every design point and engine mode against the
-  reference-interpreter oracle; divergences are auto-minimized into
-  ``fuzz/corpus/`` reproducers (``--seed``, ``--count``, ``--machines``,
-  ``--modes``, ``--jobs``, ``--time-budget``, ``--smoke``, ``--json``).
-* ``corpus`` -- stress-benchmark corpus: ``promote`` fuzz kernels into
-  a pinned conformance suite (interestingness scoring + per-(machine,
-  engine) golden stats), ``replay`` every golden across all engines
-  (non-zero exit on any drift), ``stats``, and ``pin`` to deliberately
-  re-pin after intentional toolchain changes.
+  written by ``run``/``sweep``/``explore --trace``.
 * ``synth MACHINE`` -- print the analytic synthesis report.
-* ``serve`` -- HTTP compile-and-simulate service with bounded queueing,
-  store-backed request dedup and sharded worker processes (``--host``,
-  ``--port``, ``--jobs``, ``--queue-limit``, ``--job-timeout``,
-  ``--drain-grace``; SIGINT/SIGTERM drain gracefully).
+* ``serve`` -- HTTP compile-and-simulate service (SIGINT/SIGTERM drain
+  gracefully).
+
+This module only parses, checks and prints; the work lives in the
+packages it calls.  :func:`build_parser` defines each flag that several
+commands share once (``_SHARED``).  :func:`main` then fills ``--smoke``
+presets and defaults, applies each command's range rules and runs the
+command.  User mistakes (bad values, unknown names, unreadable files)
+exit 2 with an ``error`` line on stderr instead of a traceback.
 """
 
 from __future__ import annotations
@@ -50,6 +49,79 @@ from repro import (
     synthesize,
 )
 from repro.sim.modes import DEFAULT_MODE, MODES, PROFILE_MODES
+
+
+class _UsageError(Exception):
+    """A user mistake found after parsing; :func:`main` prints it and
+    exits 2."""
+
+
+def _subset(spec, known, what: str, absent=None):
+    """Validate a comma-separated ``--machines``/``--modes``/``--kernels``.
+
+    *absent* when the flag was not given; ``""`` is an *empty* subset
+    (an error), never "all".  ``known=None`` accepts any addressable
+    kernel: built-in, extra (``fft``) or promoted.
+    """
+    from repro.pipeline import parse_subset, resolve_kernel_sources
+
+    if spec is None:
+        return absent
+    try:
+        if known is None:
+            return resolve_kernel_sources(spec)[0]
+        return parse_subset(spec, known, what)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _store(args):
+    """The artifact store ``--cache-dir`` names, else the process default."""
+    from repro.pipeline import ArtifactStore, default_store
+
+    return ArtifactStore(args.cache_dir) if args.cache_dir else default_store()
+
+
+def _progress(args, line):
+    """A progress callback printing ``line(done, total, item, outcome)``
+    on stderr, or ``None`` under ``--quiet``."""
+    if args.quiet:
+        return None
+    return lambda *update: print(line(*update), file=sys.stderr)
+
+
+def _print_json(payload) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _traced(path: str | None, process: str, body):
+    """Call *body* under a fresh tracer when *path* is given.
+
+    *body* returns ``(status, outcome, worker_payloads)``; this returns
+    ``(status, outcome)``.  This process's payload and *worker_payloads*
+    are merged into one Chrome-trace file at *path*, unless *status* is
+    2 (nothing was measured).  An unwritable *path* makes the status 2.
+    """
+    if not path:
+        status, outcome, _ = body()
+        return status, outcome
+    from repro import obs
+
+    with obs.tracing(obs.Tracer(process=process)) as tracer:
+        status, outcome, payloads = body()
+    if status == 2:
+        return status, outcome
+    payloads = [tracer.to_payload(), *payloads]
+    doc = obs.to_chrome_trace(payloads)
+    try:
+        out = obs.write_trace(path, doc)
+    except OSError as exc:
+        print(f"error: cannot write trace to {path}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2, outcome
+    print(f"trace: {len(payloads)} payload(s), {len(doc['traceEvents'])} "
+          f"events -> {out}", file=sys.stderr)
+    return status, outcome
 
 
 def _cmd_machines(_args) -> int:
@@ -103,31 +175,6 @@ def _load_module(path: str):
         return None
 
 
-def _write_trace_file(path: str, payloads: list[dict]) -> int:
-    """Merge *payloads* into one Chrome-trace document at *path*.
-
-    Returns 0 on success, 2 (with a stderr message) when the destination
-    is unwritable — a user mistake, not a crash.
-    """
-    from repro.obs import to_chrome_trace, write_trace
-
-    doc = to_chrome_trace(payloads)
-    try:
-        out = write_trace(path, doc)
-    except OSError as exc:
-        print(
-            f"error: cannot write trace to {path}: {exc.strerror or exc}",
-            file=sys.stderr,
-        )
-        return 2
-    print(
-        f"trace: {len(payloads)} payload(s), {len(doc['traceEvents'])} "
-        f"events -> {out}",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def _cmd_run(args) -> int:
     # --verify *is* the checked reference engine with full move routing;
     # combining it with an explicitly requested fast/turbo engine is a
@@ -150,18 +197,11 @@ def _cmd_run(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if not args.trace:
-        return _run_and_report(args, mode)
-    from repro import obs
-
-    with obs.tracing(
-        obs.Tracer(process=f"repro run {args.machine} {Path(args.file).name}")
-    ) as tracer:
-        status = _run_and_report(args, mode)
-    if status == 2:  # nothing was measured; don't write an empty timeline
-        return status
-    write_status = _write_trace_file(args.trace, [tracer.to_payload()])
-    return write_status or status
+    status, _ = _traced(
+        args.trace, f"repro run {args.machine} {Path(args.file).name}",
+        lambda: (_run_and_report(args, mode), None, ()),
+    )
+    return status
 
 
 def _run_and_report(args, mode: str) -> int:
@@ -221,59 +261,25 @@ def _cmd_asm(args) -> int:
     return 0
 
 
-def _parse_subsets(args, full_catalog: bool = False) -> tuple[tuple[str, ...], tuple[str, ...] | None]:
-    """Shared ``--kernels``/``--machines`` parsing and validation.
-
-    Returns ``(kernels, machines)`` with ``machines=None`` when no
-    subset was requested; raises ``ValueError`` for unknown names (both
-    ``report`` and ``sweep`` use this and turn it into exit code 2).
-    With ``full_catalog`` an explicit kernel subset may also name extra
-    (``fft``) and promoted corpus kernels; ``report`` stays on the
-    paper's eight (its tables compare against published numbers).
-    """
-    from repro.kernels import KERNELS
-    from repro.pipeline import parse_subset
-
-    if full_catalog:
-        from repro.pipeline import resolve_kernel_sources
-
-        kernels, _ = resolve_kernel_sources(args.kernels)
-    else:
-        kernels = parse_subset(args.kernels, KERNELS, "kernel")
-    # "" is an *empty* subset (an error parse_subset reports), not "all
-    # machines" -- only an absent flag means the full set
-    machines = (
-        parse_subset(args.machines, preset_names(), "machine")
-        if getattr(args, "machines", None) is not None
-        else None
-    )
-    return kernels, machines
-
-
 def _cmd_report(args) -> int:
     from repro.eval import render_all
+    from repro.kernels import KERNELS
 
-    try:
-        kernels, machines = _parse_subsets(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(render_all(kernels, machines))
+    # the tables compare against published numbers: the paper's eight only
+    kernels = _subset(args.kernels, KERNELS, "kernel")
+    print(render_all(kernels, _subset(args.machines, preset_names(), "machine")))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    from repro.pipeline import ArtifactStore, default_store, sweep
+    from repro.kernels import KERNELS
+    from repro.pipeline import EvalResult, sweep
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    try:
-        kernels, machines = _parse_subsets(args, full_catalog=True)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    store = ArtifactStore(args.cache_dir) if args.cache_dir else default_store()
+    # no --kernels is the paper's eight, still checked for promoted
+    # kernels that shadow one of them
+    kernels = _subset(KERNELS if args.kernels is None else args.kernels, None, "kernel")
+    machines = _subset(args.machines, preset_names(), "machine")
+    store = _store(args)
     if args.clear_cache:
         if store is None:
             print("no cache to clear (cache disabled)", file=sys.stderr)
@@ -281,29 +287,18 @@ def _cmd_sweep(args) -> int:
             removed = store.clear()
             print(f"cleared {removed} cache entries from {store.root}", file=sys.stderr)
 
-    def _progress(done: int, total: int, task, outcome) -> None:
-        if args.quiet:
-            return
-        from repro.pipeline import EvalResult
-
+    def line(done, total, task, outcome) -> str:
         if isinstance(outcome, EvalResult):
             detail = f"{outcome.cycles} cycles"
         else:
             detail = f"FAILED: {outcome.error_type}: {outcome.message.splitlines()[0]}"
-        print(
-            f"[{done:3d}/{total}] {task.machine:10s} {task.kernel:10s} {detail}",
-            file=sys.stderr,
-        )
+        return f"[{done:3d}/{total}] {task.machine:10s} {task.kernel:10s} {detail}"
 
-    tracer = None
-    if args.trace:
-        from repro import obs
-
+    def run():
         # --trace implies --refresh: cache hits compute nothing and thus
         # contribute no worker payload, so a warm-cache trace would be an
         # empty (misleading) timeline.
-        tracer = obs.enable(obs.Tracer(process="sweep driver"))
-    try:
+        tracing = bool(args.trace)
         outcome = sweep(
             machines=machines,
             kernels=kernels,
@@ -312,21 +307,15 @@ def _cmd_sweep(args) -> int:
             retries=args.retries,
             store=store,
             use_cache=not args.no_cache,
-            refresh=args.refresh or tracer is not None,
-            progress=_progress,
-            trace=tracer is not None,
+            refresh=args.refresh or tracing,
+            progress=_progress(args, line),
+            trace=tracing,
         )
-    finally:
-        if tracer is not None:
-            from repro import obs
+        return 0, outcome, outcome.traces
 
-            obs.disable()
-    if tracer is not None:
-        write_status = _write_trace_file(
-            args.trace, [tracer.to_payload(), *outcome.traces]
-        )
-        if write_status:
-            return write_status
+    status, outcome = _traced(args.trace, "sweep driver", run)
+    if status:
+        return status
     stats = outcome.stats
     print(
         f"swept {stats.total} pairs in {stats.elapsed_s:.2f}s "
@@ -335,7 +324,7 @@ def _cmd_sweep(args) -> int:
         file=sys.stderr,
     )
     if args.json:
-        print(json.dumps(outcome.to_dict(), indent=2, sort_keys=True))
+        _print_json(outcome.to_dict())
     else:
         print(f"{'machine':10s} {'kernel':10s} {'cycles':>10s} {'instrs':>7s} "
               f"{'width':>6s} {'runtime':>10s}")
@@ -355,94 +344,44 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    from repro.explore import (
-        ExploreConfig,
-        ExploreError,
-        render_explore,
-        run_explore,
-    )
-    from repro.pipeline import ArtifactStore, default_store, resolve_kernel_sources
+    from repro.explore import ExploreConfig, ExploreError, render_explore, run_explore
+    from repro.pipeline import EvalResult
 
-    # --smoke: a bounded, seeded CI-sized campaign on the cheap turbo
-    # engine; explicit flags given alongside it still win.
-    generations = args.generations
-    population = args.population
-    kernels = args.kernels
-    jobs = args.jobs
-    mode = args.mode
-    if args.smoke:
-        generations = 2 if generations is None else generations
-        population = 4 if population is None else population
-        kernels = "mips,motion" if kernels is None else kernels
-        jobs = 2 if jobs is None else jobs
-        mode = "turbo" if mode is None else mode
-    generations = 3 if generations is None else generations
-    population = 8 if population is None else population
-    jobs = 1 if jobs is None else jobs
-    mode = "native" if mode is None else mode
-    if jobs < 1:
-        print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
-        return 2
-    try:
-        kernel_subset = (
-            resolve_kernel_sources(kernels)[0] if kernels is not None else None
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    kernels = _subset(args.kernels, None, "kernel")
     base = tuple(part.strip() for part in args.base.split(",") if part.strip())
     if not base:
         print("error: --base must name at least one TTA preset", file=sys.stderr)
         return 2
-    store = ArtifactStore(args.cache_dir) if args.cache_dir else default_store()
+    store = _store(args)
     config = ExploreConfig(
         base=base,
-        kernels=kernel_subset,
-        generations=generations,
-        population=population,
+        kernels=kernels,
+        generations=args.generations,
+        population=args.population,
         seed=args.seed,
-        mode=mode,
-        jobs=jobs,
+        mode=args.mode,
+        jobs=args.jobs,
     )
 
-    def _progress(done: int, total: int, task, outcome) -> None:
-        if args.quiet:
-            return
-        from repro.pipeline import EvalResult
-
+    def line(done, total, task, outcome) -> str:
         if isinstance(outcome, EvalResult):
             detail = f"{outcome.cycles} cycles"
         else:
             detail = f"infeasible: {outcome.error_type}"
-        print(
-            f"[{done:3d}/{total}] {task.machine:16s} {task.kernel:10s} {detail}",
-            file=sys.stderr,
-        )
+        return f"[{done:3d}/{total}] {task.machine:16s} {task.kernel:10s} {detail}"
 
-    tracer = None
-    if args.trace:
-        from repro import obs
+    def run():
+        result = run_explore(config, store=store, use_cache=not args.no_cache,
+                             progress=_progress(args, line))
+        return 0, result, ()
 
-        tracer = obs.enable(obs.Tracer(process="explore driver"))
     try:
-        result = run_explore(
-            config,
-            store=store,
-            use_cache=not args.no_cache,
-            progress=_progress,
-        )
+        status, result = _traced(args.trace, "explore driver", run)
     except (ExploreError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if tracer is not None:
-            from repro import obs
-
-            obs.disable()
-    if tracer is not None:
-        write_status = _write_trace_file(args.trace, [tracer.to_payload()])
-        if write_status:
-            return write_status
+    if status:
+        return status
     stats = result.stats
     print(
         f"explored {stats.evaluated + stats.infeasible} candidates in "
@@ -468,59 +407,10 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from repro.fuzz import FuzzConfig, default_corpus_dir, run_fuzz
-    from repro.pipeline import ArtifactStore, default_store, parse_subset
+    from repro.fuzz import FuzzCaseReport, FuzzConfig, default_corpus_dir, run_fuzz
+    from repro.pipeline import TaskError
 
-    # --smoke: a bounded, deterministic CI-sized campaign; explicit
-    # --count/--time-budget still win when given alongside it.
-    count = args.count
-    time_budget = args.time_budget
-    minimize_checks = 2000
-    if args.smoke:
-        if count is None:
-            count = 5
-        if time_budget is None:
-            time_budget = 120.0
-        # smoke campaigns stay bounded even when they do find a bug:
-        # minimization gets a small predicate budget instead of the
-        # full overnight one.
-        minimize_checks = 200
-    if count is None:
-        count = 50
-    if count < 0:
-        print(f"error: --count must be >= 0, got {count}", file=sys.stderr)
-        return 2
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if time_budget is not None and time_budget <= 0:
-        print(
-            f"error: --time-budget must be positive (seconds), got {time_budget}",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        machines = (
-            parse_subset(args.machines, preset_names(), "machine")
-            if args.machines is not None
-            else None
-        )
-        modes = (
-            parse_subset(args.modes, MODES, "mode")
-            if args.modes is not None
-            else None
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    store = ArtifactStore(args.cache_dir) if args.cache_dir else default_store()
-
-    def _progress(done: int, total: int, case, outcome) -> None:
-        if args.quiet:
-            return
-        from repro.fuzz import FuzzCaseReport
-        from repro.pipeline import TaskError
-
+    def line(done, total, case, outcome) -> str:
         if isinstance(outcome, FuzzCaseReport):
             detail = "ok" if outcome.ok else "DIVERGED: " + "; ".join(
                 f"{d.mode}/{d.kind}" for d in outcome.divergences
@@ -529,25 +419,25 @@ def _cmd_fuzz(args) -> int:
             detail = f"ERROR {outcome.error_type}"
         else:  # pragma: no cover - defensive
             detail = str(outcome)
-        print(
-            f"[{done:4d}/{total}] {case.machine:10s} {case.kernel:14s} {detail}",
-            file=sys.stderr,
-        )
+        return f"[{done:4d}/{total}] {case.machine:10s} {case.kernel:14s} {detail}"
 
     report = run_fuzz(
         FuzzConfig(
             seed=args.seed,
-            count=count,
-            machines=machines,
-            modes=modes,
+            count=args.count,
+            machines=_subset(args.machines, preset_names(), "machine"),
+            modes=_subset(args.modes, MODES, "mode"),
             jobs=args.jobs,
-            time_budget=time_budget,
+            time_budget=args.time_budget,
             minimize=not args.no_minimize,
-            minimize_checks=minimize_checks,
+            # smoke campaigns stay bounded even when they do find a bug:
+            # minimization gets a small predicate budget instead of the
+            # full overnight one.
+            minimize_checks=200 if args.smoke else 2000,
             corpus_dir=args.corpus_dir or default_corpus_dir(),
-            store=store,
+            store=_store(args),
             use_cache=not args.no_cache,
-            progress=_progress,
+            progress=_progress(args, line),
         )
     )
     print(
@@ -560,7 +450,7 @@ def _cmd_fuzz(args) -> int:
         file=sys.stderr,
     )
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _print_json(report.to_dict())
     else:
         for div in report.divergences:
             print(f"DIVERGENCE: {div.summary()}")
@@ -580,66 +470,23 @@ def _cmd_fuzz(args) -> int:
 def _cmd_corpus_promote(args) -> int:
     from repro.corpus import PromoteConfig, promote
     from repro.corpus.goldens import GoldenError
-    from repro.pipeline import parse_subset
 
-    count = args.count
-    target = args.target
-    machines = args.machines
-    jobs = args.jobs
-    if args.smoke:
-        count = 8 if count is None else count
-        target = 3 if target is None else target
-        machines = "m-tta-2,mblaze-3" if machines is None else machines
-        jobs = 2 if jobs is None else jobs
-    count = 40 if count is None else count
-    target = 12 if target is None else target
-    jobs = 1 if jobs is None else jobs
-    if jobs < 1:
-        print(f"error: --jobs must be >= 1, got {jobs}", file=sys.stderr)
-        return 2
-    if count < 1 or target < 1:
-        print(
-            f"error: --count and --target must be >= 1, got {count}/{target}",
-            file=sys.stderr,
-        )
-        return 2
+    config = PromoteConfig(
+        seed=args.seed,
+        count=args.count,
+        target=args.target,
+        machines=_subset(args.machines, preset_names(), "machine", absent=()),
+        modes=_subset(args.modes, MODES, "mode", absent=MODES),
+        jobs=args.jobs,
+        out_dir=args.out_dir,
+    )
     try:
-        machine_subset = (
-            parse_subset(machines, preset_names(), "machine")
-            if machines is not None
-            else ()
-        )
-        modes = (
-            parse_subset(args.modes, MODES, "mode")
-            if args.modes is not None
-            else MODES
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    def _log(msg: str) -> None:
-        if not args.quiet:
-            print(msg, file=sys.stderr)
-
-    try:
-        report = promote(
-            PromoteConfig(
-                seed=args.seed,
-                count=count,
-                target=target,
-                machines=machine_subset,
-                modes=modes,
-                jobs=jobs,
-                out_dir=args.out_dir,
-            ),
-            log=_log,
-        )
+        report = promote(config, log=_progress(args, str))
     except GoldenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _print_json(report.to_dict())
     else:
         print(f"{'name':18s} {'axis':10s} {'cycles':>9s} {'branch':>7s} "
               f"{'mem':>7s} {'opcodes':>7s}")
@@ -654,20 +501,8 @@ def _cmd_corpus_promote(args) -> int:
 
 def _cmd_corpus_replay(args) -> int:
     from repro.corpus import discover_entries, replay_entries
-    from repro.pipeline import parse_subset
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    try:
-        machines = (
-            parse_subset(args.machines, preset_names(), "machine")
-            if args.machines is not None
-            else None
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    machines = _subset(args.machines, preset_names(), "machine")
     entries = discover_entries(
         promoted_dir=args.promoted_dir,
         corpus_dir=args.corpus_dir,
@@ -676,14 +511,13 @@ def _cmd_corpus_replay(args) -> int:
     if not entries:
         print("error: no golden-bearing kernels found to replay", file=sys.stderr)
         return 2
-
-    def _progress(done: int, total: int, case, outcome) -> None:
-        if args.quiet:
-            return
-        print(f"[{done:3d}/{total}] {case.machine:10s} {case.kernel}", file=sys.stderr)
-
-    report = replay_entries(entries, jobs=args.jobs, machines=machines,
-                            progress=_progress)
+    report = replay_entries(
+        entries, jobs=args.jobs, machines=machines,
+        progress=_progress(
+            args, lambda done, total, case, _: f"[{done:3d}/{total}] "
+            f"{case.machine:10s} {case.kernel}"
+        ),
+    )
     print(
         f"replayed {report.cases} pinned (kernel, machine) cases from "
         f"{report.entries} entries: "
@@ -691,7 +525,7 @@ def _cmd_corpus_replay(args) -> int:
         file=sys.stderr,
     )
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+        _print_json(report.to_dict())
     else:
         for line in report.broken:
             print(f"BROKEN: {line}")
@@ -707,7 +541,7 @@ def _cmd_corpus_stats(args) -> int:
 
     stats = corpus_stats(promoted=args.promoted_dir)
     if args.json:
-        print(json.dumps(stats, indent=2, sort_keys=True))
+        _print_json(stats)
         return 0
     print(f"promoted corpus: {stats['dir']} ({stats['count']} kernels, "
           f"{len(stats['machines'])} machines pinned)")
@@ -728,58 +562,18 @@ def _cmd_corpus_stats(args) -> int:
 
 
 def _cmd_corpus_pin(args) -> int:
-    """Deliberately (re-)pin goldens after an intentional change.
-
-    Covers all three golden groups: built-in extras (``fft``) pin into
-    ``src/repro/kernels/goldens/``, regression reproducers next to
-    their ``.mc`` in the fuzz corpus (on their recorded machine only),
-    and promoted kernels next to theirs.
-    """
+    """Deliberately (re-)pin goldens after an intentional change; which
+    kernels are pinnable, on which machines, is
+    :func:`repro.corpus.replay.pin_targets`."""
     from repro.corpus.goldens import GoldenError, save_golden
-    from repro.corpus.replay import BUILTIN_GOLDEN_DIR, golden_path_for, pin_entry
-    from repro.fuzz.corpus import default_corpus_dir, load_corpus
-    from repro.kernels import ALL_KERNELS, kernel_source, promoted_dir
-    from repro.pipeline import parse_subset
+    from repro.corpus.replay import pin_entry, pin_targets
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    try:
-        machines = (
-            parse_subset(args.machines, preset_names(), "machine")
-            if args.machines is not None
-            else preset_names()
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    # name -> (source, mc_path_or_None, golden_path, machines, exit)
-    targets: dict[str, tuple] = {}
-    corpus_dir = Path(args.corpus_dir) if args.corpus_dir else default_corpus_dir()
-    for entry in load_corpus(corpus_dir):
-        # regression reproducers stay pinned on their recorded machine:
-        # they reproduce a machine-specific bug, and the vault must not
-        # inflate replay cost 13x
-        machine = entry.machine
-        pin_machines = (machine,) if machine else machines
-        targets[entry.name] = (entry.source, entry.path, golden_path_for(entry.path),
-                               pin_machines)
-    pdir = Path(args.promoted_dir) if args.promoted_dir else promoted_dir()
-    if pdir.is_dir():
-        for mc_path in sorted(pdir.glob("*.mc")):
-            targets[mc_path.stem] = (mc_path.read_text(), mc_path,
-                                     golden_path_for(mc_path), machines)
-    # built-in extras always pin; paper kernels only when explicitly
-    # named (their conformance is already covered by tier-1 tests, and
-    # pinning them would inflate every replay by 8 x 13 machines)
-    from repro.kernels import EXTRA_KERNELS
-
-    for name in ALL_KERNELS:
-        if name in EXTRA_KERNELS or name in (args.names or ()):
-            golden_path = BUILTIN_GOLDEN_DIR / f"{name}.golden.json"
-            targets[name] = (kernel_source(name), None, golden_path, machines)
-
+    targets = pin_targets(
+        _subset(args.machines, preset_names(), "machine", absent=preset_names()),
+        names=args.names,
+        promoted_dir=args.promoted_dir or None,
+        corpus_dir=args.corpus_dir or None,
+    )
     names = args.names or sorted(targets)
     unknown = [n for n in names if n not in targets]
     if unknown:
@@ -791,10 +585,10 @@ def _cmd_corpus_pin(args) -> int:
         return 2
     status = 0
     for name in names:
-        source, _mc, golden_path, pin_machines = targets[name]
+        target = targets[name]
         try:
-            payload = pin_entry(name, source, tuple(pin_machines), jobs=args.jobs)
-            save_golden(golden_path, payload)
+            payload = pin_entry(name, target.source, target.machines, jobs=args.jobs)
+            save_golden(target.golden_path, payload)
         except GoldenError as exc:
             print(f"error: {exc}", file=sys.stderr)
             status = 1
@@ -802,7 +596,7 @@ def _cmd_corpus_pin(args) -> int:
         if not args.quiet:
             print(
                 f"pinned {name} on {len(payload['machines'])} machine(s) "
-                f"-> {golden_path}",
+                f"-> {target.golden_path}",
                 file=sys.stderr,
             )
     return status
@@ -829,7 +623,7 @@ def _cmd_trace_summary(args) -> int:
         return 2
     summary = summarize(doc)
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        _print_json(summary)
     else:
         print(format_summary(summary, top=args.top))
     return 0
@@ -854,30 +648,9 @@ def _cmd_serve(args) -> int:
     import asyncio
     import signal
 
-    from repro.pipeline import ArtifactStore, default_store
     from repro.serve import ReproServer
 
-    if args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.queue_limit < 1:
-        print(f"error: --queue-limit must be >= 1, got {args.queue_limit}",
-              file=sys.stderr)
-        return 2
-    if args.job_timeout <= 0:
-        print(f"error: --job-timeout must be positive, got {args.job_timeout}",
-              file=sys.stderr)
-        return 2
-    if not 0 <= args.port <= 65535:
-        print(f"error: --port must be in 0..65535, got {args.port}",
-              file=sys.stderr)
-        return 2
-    if args.no_cache:
-        store = None
-    elif args.cache_dir:
-        store = ArtifactStore(args.cache_dir)
-    else:
-        store = default_store()
+    store = None if args.no_cache else _store(args)
 
     async def _serve_main() -> int:
         server = ReproServer(
@@ -911,7 +684,100 @@ def _cmd_serve(args) -> int:
     return asyncio.run(_serve_main())
 
 
-def main(argv: list[str] | None = None) -> int:
+# ---------------------------------------------------------------------------
+# the parser
+# ---------------------------------------------------------------------------
+
+#: flags several commands share, defined once: dest -> (option strings,
+#: ``add_argument`` keywords); :func:`_add` takes per-command overrides
+_SHARED = {
+    "machine": (("-m", "--machine"), dict(default="m-tta-2", choices=preset_names())),
+    "kernels": (("--kernels",), dict(default=None, help="comma-separated kernel subset")),
+    "machines": (("--machines",), dict(default=None, help="comma-separated machine subset")),
+    "modes": (("--modes",), dict(
+        default=None,
+        help=f"comma-separated engine subset of {','.join(MODES)} (default: all)",
+    )),
+    "mode": (("--mode",), dict(choices=MODES, default=None)),
+    "jobs": (("-j", "--jobs"), dict(
+        type=int, default=1, help="worker processes (1 = serial, in-process)",
+    )),
+    "seed": (("--seed",), dict(
+        type=int, default=0, help="campaign seed; a campaign is fully deterministic",
+    )),
+    "smoke": (("--smoke",), dict(action="store_true")),
+    "cache_dir": (("--cache-dir",), dict(
+        default=None,
+        help="artifact store location (default: $REPRO_CACHE_DIR or "
+        "~/.cache/repro/artifacts)",
+    )),
+    "no_cache": (("--no-cache",), dict(
+        action="store_true", help="neither read nor write the on-disk artifact store",
+    )),
+    "promoted_dir": (("--promoted-dir",), dict(
+        default=None,
+        help="promoted-corpus directory (default: $REPRO_PROMOTED_CORPUS or fuzz/promoted)",
+    )),
+    "corpus_dir": (("--corpus-dir",), dict(
+        default=None,
+        help="fuzz regression vault (default: $REPRO_FUZZ_CORPUS or fuzz/corpus)",
+    )),
+    "trace": (("--trace",), dict(metavar="FILE", default=None)),
+    "json": (("--json",), dict(action="store_true", help="machine-readable JSON on stdout")),
+    "quiet": (("-q", "--quiet"), dict(
+        action="store_true", help="suppress progress lines on stderr",
+    )),
+}
+
+
+def _add(parser, *dests: str, **overrides: dict) -> None:
+    """Add the shared flags *dests* to *parser*; ``overrides[dest]``
+    replaces keywords (``flags`` replaces the option strings)."""
+    for dest in dests:
+        flags, kwargs = _SHARED[dest]
+        kwargs = {**kwargs, **overrides.get(dest, {})}
+        parser.add_argument(*kwargs.pop("flags", flags), **kwargs)
+
+
+def _at_least(flag: str, low: int):
+    return (flag,), f">= {low}", lambda value: value >= low
+
+
+def _positive(flag: str, must: str = "positive"):
+    return (flag,), must, lambda value: value > 0
+
+
+_JOBS = _at_least("--jobs", 1)
+
+
+def _check_ranges(args) -> None:
+    """Apply the command's ``ranges``: ``(flags, requirement, predicate)``
+    rules over each given value.
+
+    Checked after parsing rather than through ``type=``, so that a bad
+    value is exit code 2 from :func:`main` instead of ``SystemExit``.
+    """
+    for flags, must, ok in getattr(args, "ranges", ()):
+        values = [getattr(args, flag.lstrip("-").replace("-", "_")) for flag in flags]
+        if not all(value is None or ok(value) for value in values):
+            raise _UsageError(
+                f"error: {' and '.join(flags)} must be {must}, "
+                f"got {'/'.join(map(str, values))}"
+            )
+
+
+def _apply_presets(args) -> None:
+    """Fill the flags a command leaves unset (parser default ``None``):
+    from its ``--smoke`` preset when given, then from its plain defaults,
+    so an explicitly given flag always wins."""
+    smoke, plain = getattr(args, "presets", ({}, {}))
+    for preset in (smoke, plain) if getattr(args, "smoke", False) else (plain,):
+        for dest, value in preset.items():
+            if getattr(args, dest) is None:
+                setattr(args, dest, value)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="Transport-Triggered Soft Cores toolkit"
     )
@@ -922,7 +788,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="compile and simulate a MiniC file")
     p_run.add_argument("file")
-    p_run.add_argument("-m", "--machine", default="m-tta-2", choices=preset_names())
     p_run.add_argument(
         "--verify",
         action="store_true",
@@ -930,48 +795,38 @@ def main(argv: list[str] | None = None) -> int:
         "(same as --mode checked; rejected alongside --mode fast/turbo)",
     )
     p_run.add_argument(
-        "--mode",
-        choices=MODES,
-        default=None,
-        help="simulation engine (default fast): 'fast' verifies the schedule "
-        "once at load time and runs pre-decoded code; 'turbo' additionally "
-        "compiles basic blocks to specialized Python; 'native' compiles the "
-        "same blocks to C via cffi/ctypes with the shared object cached in "
-        "the artifact store (falls back to turbo without a C compiler); "
-        "'checked' re-verifies every cycle; the scalar (MicroBlaze-like) "
-        "core has a single engine and ignores --mode",
-    )
-    p_run.add_argument(
         "--profile",
         action="store_true",
         help="print per-block execution counts and the trigger histogram "
         "after the run (fast/turbo/native engines on TTA/VLIW cores)",
     )
-    p_run.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="record a compile+simulate timeline (spans + counters) as a "
+    _add(p_run, "machine", "mode", "trace", mode={
+        "help": f"simulation engine (default {DEFAULT_MODE}): 'fast' verifies "
+        "the schedule once at load time and runs pre-decoded code; 'turbo' "
+        "additionally compiles basic blocks to specialized Python; 'native' "
+        "compiles the same blocks to C via ctypes with the shared object "
+        "cached in the artifact store (falls back to turbo without a C "
+        "compiler); 'checked' re-verifies every cycle; the scalar "
+        "(MicroBlaze-like) core has a single engine and ignores --mode",
+    }, trace={
+        "help": "record a compile+simulate timeline (spans + counters) as a "
         "Chrome-trace JSON file; inspect with 'repro trace summary FILE' "
         "or chrome://tracing",
-    )
+    })
     p_run.set_defaults(fn=_cmd_run)
 
     p_asm = sub.add_parser("asm", help="print scheduled assembly")
     p_asm.add_argument("file")
-    p_asm.add_argument("-m", "--machine", default="m-tta-2", choices=preset_names())
+    _add(p_asm, "machine")
     p_asm.add_argument("--start", type=int, default=0)
     p_asm.add_argument("--count", type=int, default=None)
     p_asm.set_defaults(fn=_cmd_asm)
 
     p_rep = sub.add_parser("report", help="regenerate the paper's tables/figures")
-    p_rep.add_argument("--kernels", default=None, help="comma-separated kernel subset")
-    p_rep.add_argument(
-        "--machines",
-        default=None,
-        help="comma-separated design-point subset (group baselines are "
+    _add(p_rep, "kernels", "machines", machines={
+        "help": "comma-separated design-point subset (group baselines are "
         "still measured so relative columns keep the paper's normalisation)",
-    )
+    })
     p_rep.set_defaults(fn=_cmd_report)
 
     p_sweep = sub.add_parser(
@@ -979,25 +834,14 @@ def main(argv: list[str] | None = None) -> int:
         help="evaluate the (machine, kernel) matrix through the "
         "parallel, disk-cached pipeline",
     )
-    p_sweep.add_argument("--kernels", default=None, help="comma-separated kernel subset")
-    p_sweep.add_argument("--machines", default=None, help="comma-separated machine subset")
-    p_sweep.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes (1 = serial, in-process)",
-    )
-    p_sweep.add_argument(
-        "--mode", choices=MODES,
-        default=DEFAULT_MODE,
-        help="simulation engine for computed pairs ('native' runs "
+    _add(p_sweep, "kernels", "machines", "jobs", "mode", mode={
+        "default": DEFAULT_MODE,
+        "help": "simulation engine for computed pairs ('native' runs "
         "generated C with store-cached shared objects)",
-    )
+    })
     p_sweep.add_argument(
         "--retries", type=int, default=1,
         help="re-attempts per failing pair before it is recorded as an error",
-    )
-    p_sweep.add_argument(
-        "--no-cache", action="store_true",
-        help="neither read nor write the on-disk artifact store",
     )
     p_sweep.add_argument(
         "--refresh", action="store_true",
@@ -1007,24 +851,13 @@ def main(argv: list[str] | None = None) -> int:
         "--clear-cache", action="store_true",
         help="delete all store entries before sweeping",
     )
-    p_sweep.add_argument(
-        "--cache-dir", default=None,
-        help="artifact store location (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro/artifacts)",
-    )
-    p_sweep.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="merge every worker's span/counter payload plus the driver's "
+    _add(p_sweep, "no_cache", "cache_dir", "trace", "json", "quiet", trace={
+        "help": "merge every worker's span/counter payload plus the driver's "
         "own phases into one Chrome-trace JSON timeline (implies "
         "--refresh: cache hits compute nothing and would leave an empty "
         "timeline)",
-    )
-    p_sweep.add_argument("--json", action="store_true", help="JSON results on stdout")
-    p_sweep.add_argument("-q", "--quiet", action="store_true",
-                         help="suppress per-pair progress on stderr")
-    p_sweep.set_defaults(fn=_cmd_sweep)
+    })
+    p_sweep.set_defaults(fn=_cmd_sweep, ranges=(_JOBS, _at_least("--retries", 0)))
 
     p_exp = sub.add_parser(
         "explore",
@@ -1032,7 +865,6 @@ def main(argv: list[str] | None = None) -> int:
         "TTA machines, evaluated through the cached pipeline, reported "
         "as a Pareto frontier over (cycles, area, fmax)",
     )
-    p_exp.add_argument("--seed", type=int, default=0, help="campaign seed")
     p_exp.add_argument(
         "--generations", type=int, default=None,
         help="mutation rounds after the baseline evaluation (default 3)",
@@ -1045,45 +877,26 @@ def main(argv: list[str] | None = None) -> int:
         "--base", default="m-tta-2",
         help="comma-separated TTA preset(s) to explore outward from",
     )
-    p_exp.add_argument("--kernels", default=None, help="comma-separated kernel subset")
-    p_exp.add_argument(
-        "--mode", choices=MODES,
-        default=None,
-        help="simulation engine for computed pairs (default 'native', "
-        "which falls back to turbo without a C compiler)",
-    )
-    p_exp.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="worker processes (1 = serial, in-process)",
-    )
-    p_exp.add_argument(
-        "--smoke", action="store_true",
-        help="bounded CI-sized campaign: 2 generations x 4 candidates on "
-        "mips+motion, turbo engine, 2 jobs (explicit flags still win)",
-    )
     p_exp.add_argument(
         "--out", metavar="FILE", default=None,
         help="write the frontier JSON payload to FILE",
     )
-    p_exp.add_argument("--json", action="store_true",
-                       help="frontier JSON on stdout instead of the report")
-    p_exp.add_argument(
-        "--cache-dir", default=None,
-        help="artifact store location (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro/artifacts)",
-    )
-    p_exp.add_argument(
-        "--no-cache", action="store_true",
-        help="neither read nor write the on-disk artifact store",
-    )
-    p_exp.add_argument(
-        "--trace", metavar="FILE", default=None,
-        help="write the driver's explore.*/sweep.* span timeline as "
-        "Chrome-trace JSON",
-    )
-    p_exp.add_argument("-q", "--quiet", action="store_true",
-                       help="suppress per-pair progress on stderr")
-    p_exp.set_defaults(fn=_cmd_explore)
+    _add(p_exp, "seed", "kernels", "mode", "jobs", "smoke", "cache_dir", "no_cache",
+         "trace", "json", "quiet", mode={
+             "help": "simulation engine for computed pairs (default 'native', "
+             "which falls back to turbo without a C compiler)",
+         }, jobs={"default": None}, smoke={
+             "help": "bounded CI-sized campaign: 2 generations x 4 candidates on "
+             "mips+motion, turbo engine, 2 jobs (explicit flags still win)",
+         }, trace={
+             "help": "write the driver's explore.*/sweep.* span timeline as "
+             "Chrome-trace JSON",
+         })
+    p_exp.set_defaults(fn=_cmd_explore, ranges=(_JOBS,), presets=(
+        {"generations": 2, "population": 4, "kernels": "mips,motion", "jobs": 2,
+         "mode": "turbo"},
+        {"generations": 3, "population": 8, "jobs": 1, "mode": "native"},
+    ))
 
     p_fuzz = sub.add_parser(
         "fuzz",
@@ -1091,56 +904,33 @@ def main(argv: list[str] | None = None) -> int:
         "design point and engine against the reference interpreter",
     )
     p_fuzz.add_argument(
-        "--seed", type=int, default=0,
-        help="campaign seed; kernel i of seed s is fully deterministic",
-    )
-    p_fuzz.add_argument(
         "--count", type=int, default=None,
         help="how many kernels to generate (default 50; 5 with --smoke)",
-    )
-    p_fuzz.add_argument("--machines", default=None,
-                        help="comma-separated design-point subset (default: all 13)")
-    p_fuzz.add_argument(
-        "--modes", default=None,
-        help=f"comma-separated engine subset of {','.join(MODES)} "
-        "(default: all; the scalar core always runs its single engine)",
-    )
-    p_fuzz.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes (1 = serial, in-process)",
     )
     p_fuzz.add_argument(
         "--time-budget", type=float, default=None,
         help="stop scheduling new kernels after this many seconds",
     )
     p_fuzz.add_argument(
-        "--smoke", action="store_true",
-        help="bounded CI preset: 5 kernels, 120s budget (explicit "
-        "--count/--time-budget still win)",
-    )
-    p_fuzz.add_argument(
         "--no-minimize", action="store_true",
         help="report divergences without delta-debugging reproducers",
     )
-    p_fuzz.add_argument(
-        "--corpus-dir", default=None,
-        help="where minimized reproducers are written "
-        "(default: $REPRO_FUZZ_CORPUS or fuzz/corpus at the repo root)",
-    )
-    p_fuzz.add_argument(
-        "--no-cache", action="store_true",
-        help="neither read nor write memoised passing verdicts",
-    )
-    p_fuzz.add_argument(
-        "--cache-dir", default=None,
-        help="artifact store location (default: $REPRO_CACHE_DIR or "
-        "~/.cache/repro/artifacts)",
-    )
-    p_fuzz.add_argument("--json", action="store_true",
-                        help="JSON campaign report on stdout")
-    p_fuzz.add_argument("-q", "--quiet", action="store_true",
-                        help="suppress per-case progress on stderr")
-    p_fuzz.set_defaults(fn=_cmd_fuzz)
+    _add(p_fuzz, "seed", "machines", "modes", "jobs", "smoke", "corpus_dir", "no_cache",
+         "cache_dir", "json", "quiet", machines={
+             "help": "comma-separated design-point subset (default: all 13)",
+         }, modes={
+             "help": f"comma-separated engine subset of {','.join(MODES)} "
+             "(default: all; the scalar core always runs its single engine)",
+         }, smoke={
+             "help": "bounded CI preset: 5 kernels, 120s budget (explicit "
+             "--count/--time-budget still win)",
+         }, corpus_dir={
+             "help": "where minimized reproducers are written "
+             "(default: $REPRO_FUZZ_CORPUS or fuzz/corpus at the repo root)",
+         }, no_cache={"help": "neither read nor write memoised passing verdicts"})
+    p_fuzz.set_defaults(fn=_cmd_fuzz, ranges=(
+        _at_least("--count", 0), _JOBS, _positive("--time-budget", "positive (seconds)"),
+    ), presets=({"count": 5, "time_budget": 120.0}, {"count": 50}))
 
     p_corpus = sub.add_parser(
         "corpus",
@@ -1156,7 +946,6 @@ def main(argv: list[str] | None = None) -> int:
         "diverse subset and persist it with pinned per-(machine, engine) "
         "golden stats",
     )
-    p_cpro.add_argument("--seed", type=int, default=0, help="campaign seed")
     p_cpro.add_argument(
         "--count", type=int, default=None,
         help="candidates to generate and score (default 40; 8 with --smoke)",
@@ -1166,33 +955,24 @@ def main(argv: list[str] | None = None) -> int:
         help="corpus size to select (default 12; 3 with --smoke)",
     )
     p_cpro.add_argument(
-        "--machines", default=None,
-        help="comma-separated presets to pin goldens on (default: all 13)",
-    )
-    p_cpro.add_argument(
-        "--modes", default=None,
-        help=f"comma-separated engine subset of {','.join(MODES)} to pin "
-        "(default: all)",
-    )
-    p_cpro.add_argument(
-        "-j", "--jobs", type=int, default=None,
-        help="worker processes for golden pinning (default 1)",
-    )
-    p_cpro.add_argument(
         "--out-dir", default=None,
         help="promoted-corpus directory (default: $REPRO_PROMOTED_CORPUS "
         "or fuzz/promoted at the repo root)",
     )
-    p_cpro.add_argument(
-        "--smoke", action="store_true",
-        help="bounded CI preset: 8 candidates, 3 selected, 2 machines "
+    _add(p_cpro, "seed", "machines", "modes", "jobs", "smoke", "json", "quiet", machines={
+        "help": "comma-separated presets to pin goldens on (default: all 13)",
+    }, jobs={
+        "default": None, "help": "worker processes for golden pinning (default 1)",
+    }, smoke={
+        "help": "bounded CI preset: 8 candidates, 3 selected, 2 machines "
         "(explicit flags still win)",
-    )
-    p_cpro.add_argument("--json", action="store_true",
-                        help="JSON promotion report on stdout")
-    p_cpro.add_argument("-q", "--quiet", action="store_true",
-                        help="suppress progress on stderr")
-    p_cpro.set_defaults(fn=_cmd_corpus_promote)
+    })
+    p_cpro.set_defaults(fn=_cmd_corpus_promote, ranges=(
+        _JOBS, (("--count", "--target"), ">= 1", lambda value: value >= 1),
+    ), presets=(
+        {"count": 8, "target": 3, "machines": "m-tta-2,mblaze-3", "jobs": 2},
+        {"count": 40, "target": 12, "jobs": 1},
+    ))
 
     p_crep = corpus_sub.add_parser(
         "replay",
@@ -1201,41 +981,20 @@ def main(argv: list[str] | None = None) -> int:
         "machines; any stat drifting from its golden fails the replay",
     )
     p_crep.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes (1 = serial, in-process)",
-    )
-    p_crep.add_argument(
-        "--machines", default=None,
-        help="comma-separated preset subset (pairs pinned on other "
-        "machines are skipped; default: every pinned machine)",
-    )
-    p_crep.add_argument(
-        "--promoted-dir", default=None,
-        help="promoted-corpus directory (default: $REPRO_PROMOTED_CORPUS "
-        "or fuzz/promoted)",
-    )
-    p_crep.add_argument(
-        "--corpus-dir", default=None,
-        help="fuzz regression vault (default: $REPRO_FUZZ_CORPUS or "
-        "fuzz/corpus)",
-    )
-    p_crep.add_argument(
         "--no-builtin", action="store_true",
         help="skip the built-in extra kernels' goldens (fft)",
     )
-    p_crep.add_argument("--json", action="store_true",
-                        help="JSON replay report on stdout")
-    p_crep.add_argument("-q", "--quiet", action="store_true",
-                        help="suppress per-case progress on stderr")
-    p_crep.set_defaults(fn=_cmd_corpus_replay)
+    _add(p_crep, "jobs", "machines", "promoted_dir", "corpus_dir", "json", "quiet",
+         machines={
+             "help": "comma-separated preset subset (pairs pinned on other "
+             "machines are skipped; default: every pinned machine)",
+         })
+    p_crep.set_defaults(fn=_cmd_corpus_replay, ranges=(_JOBS,))
 
     p_csta = corpus_sub.add_parser(
         "stats", help="summarize the promoted corpus (traits, axes, coverage)"
     )
-    p_csta.add_argument("--promoted-dir", default=None,
-                        help="promoted-corpus directory")
-    p_csta.add_argument("--json", action="store_true",
-                        help="machine-readable stats on stdout")
+    _add(p_csta, "promoted_dir", "json")
     p_csta.set_defaults(fn=_cmd_corpus_stats)
 
     p_cpin = corpus_sub.add_parser(
@@ -1248,22 +1007,11 @@ def main(argv: list[str] | None = None) -> int:
         "names", nargs="*",
         help="kernels to pin (default: fft + every corpus/promoted entry)",
     )
-    p_cpin.add_argument(
-        "--machines", default=None,
-        help="comma-separated presets to pin on (default: all 13; "
+    _add(p_cpin, "machines", "jobs", "promoted_dir", "corpus_dir", "quiet", machines={
+        "help": "comma-separated presets to pin on (default: all 13; "
         "regression reproducers always pin on their recorded machine)",
-    )
-    p_cpin.add_argument(
-        "-j", "--jobs", type=int, default=1,
-        help="worker processes (1 = serial, in-process)",
-    )
-    p_cpin.add_argument("--promoted-dir", default=None,
-                        help="promoted-corpus directory")
-    p_cpin.add_argument("--corpus-dir", default=None,
-                        help="fuzz regression vault directory")
-    p_cpin.add_argument("-q", "--quiet", action="store_true",
-                        help="suppress per-kernel progress on stderr")
-    p_cpin.set_defaults(fn=_cmd_corpus_pin)
+    })
+    p_cpin.set_defaults(fn=_cmd_corpus_pin, ranges=(_JOBS,))
 
     p_trace = sub.add_parser(
         "trace", help="inspect trace files written by --trace"
@@ -1278,8 +1026,7 @@ def main(argv: list[str] | None = None) -> int:
         "--top", type=int, default=20,
         help="how many span rows to show (by total time; default 20)",
     )
-    p_tsum.add_argument("--json", action="store_true",
-                        help="machine-readable summary on stdout")
+    _add(p_tsum, "json")
     p_tsum.set_defaults(fn=_cmd_trace_summary)
 
     p_syn = sub.add_parser("synth", help="analytic synthesis report")
@@ -1301,8 +1048,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="bind address (default 127.0.0.1)")
     p_serve.add_argument("--port", type=int, default=8321,
                          help="bind port; 0 picks a free port (default 8321)")
-    p_serve.add_argument("--jobs", type=int, default=2,
-                         help="worker shards / max concurrent jobs (default 2)")
     p_serve.add_argument("--queue-limit", type=int, default=64,
                          help="max queued jobs before 429 (default 64)")
     p_serve.add_argument("--job-timeout", type=float, default=300.0,
@@ -1314,16 +1059,30 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--drain-grace", type=float, default=30.0,
                          help="seconds to let in-flight jobs finish on "
                          "shutdown (default 30)")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="artifact store root (default: "
-                         "$REPRO_CACHE_DIR or the user cache dir)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="serve without the artifact store (no dedup "
-                         "across requests)")
-    p_serve.set_defaults(fn=_cmd_serve)
+    _add(p_serve, "jobs", "cache_dir", "no_cache", jobs={
+        "flags": ("--jobs",), "default": 2,
+        "help": "worker shards / max concurrent jobs (default 2)",
+    }, no_cache={"help": "serve without the artifact store (no dedup across requests)"})
+    p_serve.set_defaults(fn=_cmd_serve, ranges=(
+        _JOBS,
+        _at_least("--queue-limit", 1),
+        _positive("--job-timeout"),
+        (("--port",), "in 0..65535", lambda value: 0 <= value <= 65535),
+        _at_least("--max-body", 1),
+        _at_least("--drain-grace", 0),
+    ))
+    return parser
 
-    args = parser.parse_args(argv)
-    return args.fn(args)
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        _apply_presets(args)
+        _check_ranges(args)
+        return args.fn(args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

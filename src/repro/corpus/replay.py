@@ -10,6 +10,9 @@ Discovery walks three groups of golden-bearing kernels:
 * the **built-in extras** (``src/repro/kernels/goldens/``) — goldens
   for hand-written non-paper kernels (``fft``).
 
+:func:`pin_targets` walks the same groups to decide what
+``repro corpus pin`` (re-)pins, on which machines, and where.
+
 Replay fans (kernel, machine) pairs through the sweep executor's
 process pool, runs every pinned engine via :func:`repro.fuzz.diff.run_case`
 (which also performs the full cross-engine comparison), and diffs the
@@ -58,43 +61,60 @@ class GoldenEntry:
         return self.error is None
 
 
-def _entry_from_mc(mc_path: Path, group: str) -> GoldenEntry:
-    golden_path = golden_path_for(mc_path)
-    source = mc_path.read_text()
+def _walk(promoted_dir, corpus_dir, builtin_names):
+    """The walk over the three groups that discovery and pinning share.
+
+    Yields ``(group, name, mc_path, golden_path)`` for every ``.mc`` in
+    the promoted corpus, then in the regression vault, then for each
+    built-in kernel in *builtin_names* (``mc_path`` is ``None``; its
+    golden lives in :data:`BUILTIN_GOLDEN_DIR`).
+    """
+    from repro.kernels import promoted_dir as default_promoted
+
+    pdir = Path(promoted_dir) if promoted_dir is not None else default_promoted()
+    cdir = Path(corpus_dir) if corpus_dir is not None else default_corpus_dir()
+    for group, directory in (("promoted", pdir), ("regression", cdir)):
+        if directory.is_dir():
+            for mc_path in sorted(directory.glob("*.mc")):
+                yield group, mc_path.stem, mc_path, golden_path_for(mc_path)
+    for name in builtin_names:
+        yield "builtin", name, None, BUILTIN_GOLDEN_DIR / f"{name}{GOLDEN_SUFFIX}"
+
+
+def _entry(group: str, name: str, mc_path: Path | None, golden_path: Path) -> GoldenEntry:
+    """Load one walked kernel and its golden; any problem becomes ``error``."""
+    from repro.kernels import kernel_source
+
+    def entry(source, golden=None, error=None):
+        return GoldenEntry(name, group, source, golden, golden_path, error)
+
+    if mc_path is not None:
+        source = mc_path.read_text()
+        stale = (
+            f"{mc_path.name} changed since its golden was pinned "
+            f"(source hash mismatch); re-pin with `repro corpus pin`"
+        )
+    else:
+        try:
+            source = kernel_source(name)
+        except KeyError:
+            return entry(None, error=f"golden {golden_path.name} has no built-in kernel source")
+        stale = (
+            f"{name}.mc changed since its golden was pinned; "
+            f"re-pin with `repro corpus pin {name}`"
+        )
     if not golden_path.exists():
-        return GoldenEntry(
-            name=mc_path.stem,
-            group=group,
-            source=source,
-            golden=None,
-            golden_path=golden_path,
+        return entry(
+            source,
             error=f"missing golden {golden_path.name}; pin with `repro corpus pin`",
         )
     try:
         golden = load_golden(golden_path)
     except GoldenError as exc:
-        return GoldenEntry(
-            name=mc_path.stem,
-            group=group,
-            source=source,
-            golden=None,
-            golden_path=golden_path,
-            error=str(exc),
-        )
-    error = None
+        return entry(source, error=str(exc))
     if golden["source_sha256"] != source_sha256(source):
-        error = (
-            f"{mc_path.name} changed since its golden was pinned "
-            f"(source hash mismatch); re-pin with `repro corpus pin`"
-        )
-    return GoldenEntry(
-        name=mc_path.stem,
-        group=group,
-        source=source,
-        golden=golden,
-        golden_path=golden_path,
-        error=error,
-    )
+        return entry(source, golden, error=stale)
+    return entry(source, golden)
 
 
 def discover_entries(
@@ -108,71 +128,66 @@ def discover_entries(
     with ``error`` set so replay can fail loudly instead of skipping.
     In the regression vault, ``.mc`` files *without* a golden are
     included as errors too — a reproducer must never silently drop out
-    of replay.
+    of replay.  The built-in group is every golden file in
+    :data:`BUILTIN_GOLDEN_DIR`.
     """
-    from repro.kernels import kernel_source, promoted_dir as default_promoted
-
-    entries: list[GoldenEntry] = []
-
-    pdir = Path(promoted_dir) if promoted_dir is not None else default_promoted()
-    if pdir.is_dir():
-        for mc_path in sorted(pdir.glob("*.mc")):
-            entries.append(_entry_from_mc(mc_path, "promoted"))
-
-    cdir = Path(corpus_dir) if corpus_dir is not None else default_corpus_dir()
-    if cdir.is_dir():
-        for mc_path in sorted(cdir.glob("*.mc")):
-            entries.append(_entry_from_mc(mc_path, "regression"))
-
+    builtin: list[str] = []
     if include_builtin and BUILTIN_GOLDEN_DIR.is_dir():
-        for golden_path in sorted(BUILTIN_GOLDEN_DIR.glob(f"*{GOLDEN_SUFFIX}")):
-            name = golden_path.name[: -len(GOLDEN_SUFFIX)]
-            try:
-                source = kernel_source(name)
-            except KeyError:
-                entries.append(
-                    GoldenEntry(
-                        name=name,
-                        group="builtin",
-                        source=None,
-                        golden=None,
-                        golden_path=golden_path,
-                        error=f"golden {golden_path.name} has no built-in kernel source",
-                    )
-                )
-                continue
-            try:
-                golden = load_golden(golden_path)
-            except GoldenError as exc:
-                entries.append(
-                    GoldenEntry(
-                        name=name,
-                        group="builtin",
-                        source=source,
-                        golden=None,
-                        golden_path=golden_path,
-                        error=str(exc),
-                    )
-                )
-                continue
-            error = None
-            if golden["source_sha256"] != source_sha256(source):
-                error = (
-                    f"{name}.mc changed since its golden was pinned; "
-                    f"re-pin with `repro corpus pin {name}`"
-                )
-            entries.append(
-                GoldenEntry(
-                    name=name,
-                    group="builtin",
-                    source=source,
-                    golden=golden,
-                    golden_path=golden_path,
-                    error=error,
-                )
-            )
+        builtin = [
+            golden_path.name[: -len(GOLDEN_SUFFIX)]
+            for golden_path in sorted(BUILTIN_GOLDEN_DIR.glob(f"*{GOLDEN_SUFFIX}"))
+        ]
+    return [_entry(*walked) for walked in _walk(promoted_dir, corpus_dir, builtin)]
 
-    return entries
+
+@dataclasses.dataclass(frozen=True)
+class PinTarget:
+    """One kernel ``repro corpus pin`` can (re-)pin, and where."""
+
+    name: str
+    source: str
+    golden_path: Path
+    machines: tuple[str, ...]
+
+
+def pin_targets(
+    machines: tuple[str, ...],
+    names: tuple[str, ...] | list[str] = (),
+    promoted_dir: Path | str | None = None,
+    corpus_dir: Path | str | None = None,
+) -> dict[str, PinTarget]:
+    """Every pinnable kernel by name, over :func:`discover_entries`'
+    groups and golden paths.
+
+    Regression reproducers pin on their recorded machine (they
+    reproduce a machine-specific bug, and the vault must not inflate
+    replay cost 13x), or on *machines* when none is recorded.  Promoted
+    kernels and the built-in extras (``fft``) pin on every one of
+    *machines*.  Paper kernels pin only when named in *names*: tier-1
+    tests already cover their conformance, and pinning them would
+    inflate every replay by 8 x 13 machines.
+    """
+    from repro.fuzz.corpus import load_entry
+    from repro.kernels import ALL_KERNELS, EXTRA_KERNELS, kernel_source
+
+    machines = tuple(machines)
+    builtin = [name for name in ALL_KERNELS if name in EXTRA_KERNELS or name in names]
+    targets: dict[str, PinTarget] = {}
+    for group, name, mc_path, golden_path in _walk(promoted_dir, corpus_dir, builtin):
+        if mc_path is None:
+            source, pin_on = kernel_source(name), machines
+        else:
+            loaded = load_entry(mc_path)
+            recorded = loaded.machine if group == "regression" else None
+            source, pin_on = loaded.source, (recorded,) if recorded else machines
+        target = PinTarget(name, source, golden_path, pin_on)
+        # on a name clash a promoted kernel wins over a reproducer and a
+        # built-in kernel over both
+        if group == "regression":
+            targets.setdefault(name, target)
+        else:
+            targets[name] = target
+    return targets
 
 
 @dataclasses.dataclass

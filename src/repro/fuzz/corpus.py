@@ -84,33 +84,30 @@ def save_reproducer(
     return mc_path
 
 
-def load_corpus(directory: Path | str | None = None) -> list[CorpusEntry]:
-    """Every reproducer under *directory*, sorted by name.
+def load_entry(mc_path: Path) -> CorpusEntry:
+    """The reproducer at *mc_path* with its ``.json`` sidecar metadata.
 
-    Entries whose ``.json`` sidecar is missing or unparseable still load
-    (with empty metadata) -- a reproducer must never be silently skipped
-    because its metadata rotted.
+    A missing or unparseable sidecar gives empty metadata -- a
+    reproducer must never be silently skipped because its metadata
+    rotted.
     """
+    meta: dict = {}
+    sidecar = mc_path.with_suffix(".json")
+    if sidecar.exists():
+        try:
+            loaded = json.loads(sidecar.read_text())
+            if isinstance(loaded, dict):
+                meta = loaded
+        except ValueError:
+            pass
+    return CorpusEntry(name=mc_path.stem, source=mc_path.read_text(), meta=meta,
+                       path=mc_path)
+
+
+def load_corpus(directory: Path | str | None = None) -> list[CorpusEntry]:
+    """Every reproducer under *directory* (see :func:`load_entry`),
+    sorted by name."""
     directory = Path(directory) if directory is not None else default_corpus_dir()
     if not directory.is_dir():
         return []
-    entries: list[CorpusEntry] = []
-    for mc_path in sorted(directory.glob("*.mc")):
-        meta: dict = {}
-        sidecar = mc_path.with_suffix(".json")
-        if sidecar.exists():
-            try:
-                loaded = json.loads(sidecar.read_text())
-                if isinstance(loaded, dict):
-                    meta = loaded
-            except ValueError:
-                pass
-        entries.append(
-            CorpusEntry(
-                name=mc_path.stem,
-                source=mc_path.read_text(),
-                meta=meta,
-                path=mc_path,
-            )
-        )
-    return entries
+    return [load_entry(mc_path) for mc_path in sorted(directory.glob("*.mc"))]

@@ -339,33 +339,34 @@ def sweep_tasks(
     return outcome
 
 
-def compile_cached(machine_name: str, kernel_name: str, *,
+def compile_cached(machine, source: str, name: str, *,
                    optimize: bool = True,
-                   store: ArtifactStore | None = None):
-    """Compile a built-in kernel for a preset, through the program cache.
+                   store: ArtifactStore | None = None,
+                   use_cache: bool = True):
+    """Compile MiniC *source* (kernel *name*) for *machine* through the
+    program cache.
 
     Returns a :class:`repro.backend.CompiledProgram`; a warm store skips
-    the frontend/scheduler entirely (pickle round-trip).  Used by the
-    CLI and available to benchmarks/tools that re-run programs under
-    different simulator settings without paying recompilation.
+    the frontend/scheduler entirely (pickle round-trip).  *store* and
+    *use_cache* follow :func:`sweep_tasks`: ``store=None`` is the
+    process-default store, ``use_cache=False`` neither reads nor writes
+    one.  The service compiles through it, and benchmarks/tools re-run
+    programs under different simulator settings without recompiling.
     """
     from repro.backend import compile_for_machine
-    from repro.kernels import load
-    from repro.machine import build_machine
     from repro.pipeline.executor import optimized_module
     from repro.pipeline.fingerprint import fingerprint
 
-    machine = build_machine(machine_name)
-    source = load(kernel_name)
     active_store = store if store is not None else default_store()
+    if not use_cache:
+        active_store = None
     key = None
     if active_store is not None:
         key = fingerprint(machine, source, mode="program", optimize=optimize)
         hit = active_store.load_program(key)
         if hit is not None:
             return hit
-    module = optimized_module(source, kernel_name, optimize)
-    compiled = compile_for_machine(module, machine)
-    if active_store is not None and key is not None:
+    compiled = compile_for_machine(optimized_module(source, name, optimize), machine)
+    if key is not None:
         active_store.store_program(key, compiled)
     return compiled

@@ -332,23 +332,16 @@ def _execute(kind, params, store, key, plain, request_id) -> dict:
 
 
 def _compiled_program(params, store):
-    """The compiled program, through the shared program cache."""
-    from repro.backend import compile_for_machine
+    """The job's machine and compiled program, through the shared
+    program cache."""
     from repro.machine import build_machine
-    from repro.pipeline.executor import optimized_module
+    from repro.pipeline import compile_cached
 
     machine = build_machine(params["machine"])
-    pkey = fingerprint(
-        machine, params["_source"], mode="program", optimize=params["optimize"]
+    compiled = compile_cached(
+        machine, params["_source"], params.get("kernel") or "request",
+        optimize=params["optimize"], store=store, use_cache=store is not None,
     )
-    compiled = store.load_program(pkey) if store is not None else None
-    if compiled is None:
-        module = optimized_module(
-            params["_source"], params.get("kernel") or "request", params["optimize"]
-        )
-        compiled = compile_for_machine(module, machine)
-        if store is not None:
-            store.store_program(pkey, compiled)
     return machine, compiled
 
 

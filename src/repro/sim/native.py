@@ -32,9 +32,9 @@ Compilation and caching:
   and persistently in the artifact store's binary-blob kind, keyed by
   SHA-256 of (``SIM_ENGINE_VERSION``, compiler id, generated C source)
   so warm sweeps and service workers never invoke the C compiler;
-* the FFI binding is cffi when importable, ctypes otherwise
-  (``$REPRO_NATIVE_FFI=cffi|ctypes`` forces one for the differential
-  tests).
+* the shared object is called through ctypes (the standard library;
+  C is entered once per block chain, so the binding's per-call cost
+  does not matter).
 
 Byte-identity with ``mode="checked"`` across exit code, cycles, every
 statistics counter and error text is asserted by ``tests/test_native.py``
@@ -82,8 +82,6 @@ from repro.sim.errors import SimError
 NO_CC_ENV = "REPRO_NO_NATIVE_CC"
 #: explicit compiler executable (name or path) overriding discovery
 CC_ENV = "REPRO_CC"
-#: force the FFI binding: "cffi" or "ctypes" (default: cffi, then ctypes)
-FFI_ENV = "REPRO_NATIVE_FFI"
 
 #: cache keys on ``Program.predecode_cache`` (None = engine unavailable)
 _NATIVE_KEYS = {"tta": "tta-native", "vliw": "vliw-native"}
@@ -212,45 +210,11 @@ def _write_so(path: str, blob: bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# FFI bindings (cffi preferred, ctypes fallback) — one tiny shared surface
+# the ctypes binding of the generated entry point
 # ---------------------------------------------------------------------------
-
-_SIGNATURE = (
-    f"int {ENTRY_SYMBOL}(uint32_t *, uint32_t *, int64_t *, uint32_t *, "
-    "int32_t *, uint8_t *, int64_t *, int64_t *);"
-)
-
-
-class _CffiBinding:
-    kind = "cffi"
-
-    def __init__(self, path: str):
-        from cffi import FFI
-
-        self._ffi = ffi = FFI()
-        ffi.cdef(_SIGNATURE)
-        self._lib = ffi.dlopen(path)
-        self._fn = getattr(self._lib, ENTRY_SYMBOL)
-
-    def alloc_u32(self, n: int):
-        return self._ffi.new("uint32_t[]", max(1, n))
-
-    def alloc_i32(self, n: int):
-        return self._ffi.new("int32_t[]", max(1, n))
-
-    def alloc_i64(self, n: int):
-        return self._ffi.new("int64_t[]", max(1, n))
-
-    def mem_view(self, data: bytearray):
-        return self._ffi.from_buffer("uint8_t[]", data, require_writable=True)
-
-    def call(self, rf, fu32, pd, pv, fum, mem, ctl, execs) -> int:
-        return self._fn(rf, fu32, pd, pv, fum, mem, ctl, execs)
 
 
 class _CtypesBinding:
-    kind = "ctypes"
-
     def __init__(self, path: str):
         import ctypes
 
@@ -287,19 +251,6 @@ class _CtypesBinding:
         return self._fn(rf, fu32, pd, pv, fum, mem, ctl, execs)
 
 
-def _make_binding(path: str):
-    choice = os.environ.get(FFI_ENV, "").strip().lower()
-    if choice not in ("", "cffi", "ctypes"):
-        raise ValueError(f"unknown native FFI binding {choice!r}")
-    if choice in ("", "cffi"):
-        try:
-            return _CffiBinding(path)
-        except ImportError:
-            if choice == "cffi":
-                raise
-    return _CtypesBinding(path)
-
-
 # ---------------------------------------------------------------------------
 # engine acquisition
 # ---------------------------------------------------------------------------
@@ -329,7 +280,7 @@ def _load_or_compile(cc: str, key: str, source: str):
         if blob is not None:
             _write_so(so_path, blob)
             try:
-                binding = _make_binding(so_path)
+                binding = _CtypesBinding(so_path)
             except OSError:
                 # cached object not loadable here (other arch/toolchain,
                 # truncated write survivor): rebuild and re-store below
@@ -345,7 +296,7 @@ def _load_or_compile(cc: str, key: str, source: str):
     obs.count("sim.native.so_compiled")
     _write_so(so_path, blob)
     try:
-        binding = _make_binding(so_path)
+        binding = _CtypesBinding(so_path)
     except OSError as exc:
         return f"compiled shared object did not load: {exc}"
     if store is not None:

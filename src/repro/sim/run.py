@@ -46,7 +46,7 @@ def run_compiled(
     ``mode="turbo"`` additionally compiles basic blocks to specialized
     Python code chained through a dispatch table (falling back per block
     to the fast engine where codegen cannot prove the block static);
-    ``mode="native"`` compiles the same blocks to C via cffi/ctypes
+    ``mode="native"`` compiles the same blocks to C, called via ctypes,
     with the shared object cached in the artifact store (degrading to
     turbo with a one-time warning when no C compiler is available);
     ``mode="checked"`` runs the per-cycle reference engine.

@@ -288,6 +288,57 @@ class TestExploreCLI:
         assert "--jobs" in capsys.readouterr().err
 
 
+#: every command taking --jobs, as (argv prefix, spelling of the flag)
+JOBS_COMMANDS = [
+    (["sweep"], "-j"),
+    (["explore"], "-j"),
+    (["fuzz"], "-j"),
+    (["corpus", "promote"], "-j"),
+    (["corpus", "replay"], "-j"),
+    (["corpus", "pin"], "-j"),
+    (["serve"], "--jobs"),
+]
+
+MACHINES_COMMANDS = [
+    ["report"],
+    ["sweep"],
+    ["fuzz"],
+    ["corpus", "promote"],
+    ["corpus", "replay"],
+    ["corpus", "pin"],
+]
+
+
+class TestSharedFlagChecks:
+    """Each shared flag is checked the same way on every command that
+    takes it (exit 2 and a message, before any work starts)."""
+
+    @pytest.mark.parametrize(("command", "flag"), JOBS_COMMANDS,
+                             ids=[" ".join(c) for c, _ in JOBS_COMMANDS])
+    def test_zero_jobs_rejected(self, command, flag, capsys):
+        assert main([*command, flag, "0"]) == 2
+        assert "--jobs must be >= 1, got 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", MACHINES_COMMANDS,
+                             ids=[" ".join(c) for c in MACHINES_COMMANDS])
+    def test_unknown_machine_rejected(self, command, capsys):
+        assert main([*command, "--machines", "nope"]) == 2
+        assert "unknown machine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(("argv", "message"), [
+        (["sweep", "--retries", "-1"], "error: --retries must be >= 0, got -1"),
+        (["serve", "--max-body", "0"], "error: --max-body must be >= 1, got 0"),
+        (["serve", "--drain-grace", "-1"], "error: --drain-grace must be >= 0, got -1.0"),
+    ])
+    def test_numeric_ranges_rejected(self, argv, message, capsys, monkeypatch):
+        import repro.cli as cli
+
+        # a value that slipped through must not start a sweep or a server
+        monkeypatch.setattr(cli, f"_cmd_{argv[0]}", lambda args: 0)
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_import_does_not_load_numpy():
     """``import repro.cli`` in a fresh interpreter leaves numpy unloaded."""
     import subprocess

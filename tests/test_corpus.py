@@ -336,3 +336,33 @@ class TestBuiltinGoldens:
         golden = fft[0].golden
         assert golden["expected_exit"] == 0
         assert len(golden["machines"]) == 13
+
+
+class TestPinTargets:
+    def test_pin_targets_match_discovered_entries(self):
+        """`repro corpus pin` and replay walk the same kernels: every
+        discovered golden is pinnable at the same path, and nothing else
+        is (paper kernels pin only when named)."""
+        from repro.corpus.replay import pin_targets
+        from repro.machine import preset_names
+
+        entries = discover_entries()
+        targets = pin_targets(preset_names())
+        assert entries
+        assert sorted(targets) == sorted(e.name for e in entries)
+        for entry in entries:
+            assert targets[entry.name].golden_path == entry.golden_path, entry.name
+
+    def test_pin_rules_per_group(self, promoted, tmp_path):
+        from repro.corpus.replay import pin_targets
+        from repro.fuzz.corpus import save_reproducer
+
+        vault = tmp_path / "vault"
+        save_reproducer(vault, "bug", "int main(void){return 0;}", {"machine": "m-vliw-2"})
+        targets = pin_targets(("m-tta-1", "m-tta-2"), names=["mips"],
+                              promoted_dir=promoted, corpus_dir=vault)
+        assert targets["bug"].machines == ("m-vliw-2",)
+        assert targets["fft"].machines == targets["mips"].machines == ("m-tta-1", "m-tta-2")
+        assert all(targets[p.stem].machines == ("m-tta-1", "m-tta-2")
+                   for p in promoted.glob("*.mc"))
+        assert "sha" not in targets

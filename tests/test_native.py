@@ -408,7 +408,7 @@ class TestNativeDynamics:
 
 
 # ---------------------------------------------------------------------------
-# availability: degradation to turbo, codegen bailout, FFI selection
+# availability: degradation to turbo, codegen bailout
 # ---------------------------------------------------------------------------
 
 
@@ -503,27 +503,6 @@ class TestDegradation:
         monkeypatch.setattr(native.subprocess, "run", timeout)
         with pytest.raises(native._CcFailed, match="timeout after 120 s"):
             native._compile_so("cc", "int x;")
-
-    @requires_cc
-    def test_forced_ctypes_binding_differential(self, monkeypatch):
-        monkeypatch.setenv(native.FFI_ENV, "ctypes")
-        monkeypatch.setattr(native, "_LIB_CACHE", {})
-        for machine_name in DIFF_MACHINES:
-            compiled = _compile(FIB_SRC, machine_name)
-            checked = run_compiled(compiled, mode="checked")
-            nat = run_compiled(compiled, mode="native")
-            assert asdict(nat) == asdict(checked), machine_name
-            style = compiled.program.style
-            engine = compiled.program.predecode_cache[f"{style}-native"]
-            assert engine.binding.kind == "ctypes"
-
-    @requires_cc
-    def test_unknown_ffi_choice_rejected(self, monkeypatch):
-        monkeypatch.setenv(native.FFI_ENV, "rust")
-        monkeypatch.setattr(native, "_LIB_CACHE", {})
-        compiled = _compile(FIB_SRC, "m-tta-2")
-        with pytest.raises(ValueError, match="unknown native FFI"):
-            run_compiled(compiled, mode="native")
 
 
 # ---------------------------------------------------------------------------

@@ -299,14 +299,14 @@ class TestArtifactStore:
 
     def test_program_round_trip_and_corruption(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        compiled = compile_cached("m-tta-1", "mips", store=store)
+        compiled = compile_cached(build_machine("m-tta-1"), kernel_source("mips"), "mips", store=store)
         # second call is a pickle round-trip from disk
-        warm = compile_cached("m-tta-1", "mips", store=store)
+        warm = compile_cached(build_machine("m-tta-1"), kernel_source("mips"), "mips", store=store)
         assert warm.instruction_count == compiled.instruction_count
         assert store.entry_count()["programs"] == 1
         [path] = (tmp_path / "programs").rglob("*.pkl")
         path.write_bytes(path.read_bytes()[:40])
-        rebuilt = compile_cached("m-tta-1", "mips", store=store)
+        rebuilt = compile_cached(build_machine("m-tta-1"), kernel_source("mips"), "mips", store=store)
         assert rebuilt.instruction_count == compiled.instruction_count
 
 
