@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-def compile_and_run(source: str, machine_name: str, check_connectivity: bool = False):
+def compile_and_run(source: str, machine_name: str):
     """Compile MiniC *source* for the named design point and simulate it.
 
     Returns the simulator result (``exit_code``, ``cycles`` and
@@ -59,4 +59,4 @@ def compile_and_run(source: str, machine_name: str, check_connectivity: bool = F
     module = compile_source(source)
     machine = build_machine(machine_name)
     compiled = compile_for_machine(module, machine)
-    return run_compiled(compiled, check_connectivity=check_connectivity)
+    return run_compiled(compiled)

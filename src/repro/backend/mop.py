@@ -150,9 +150,6 @@ class MFunction:
     #: filled by frame layout: total frame size in bytes
     frame_size: int = 0
 
-    def entry_label(self) -> str:
-        return self.blocks[0].name
-
     def all_ops(self):
         for block in self.blocks:
             yield from block.ops

@@ -176,35 +176,23 @@ def _load_module(path: str):
 
 
 def _cmd_run(args) -> int:
-    # --verify *is* the checked reference engine with full move routing;
-    # combining it with an explicitly requested fast/turbo engine is a
-    # contradiction, so reject it instead of silently overriding.
-    if args.verify and args.mode not in (None, "checked"):
-        print(
-            f"error: --verify runs the checked reference engine and cannot "
-            f"be combined with --mode {args.mode}; drop --verify or use "
-            f"--mode checked",
-            file=sys.stderr,
-        )
-        return 2
-    mode = "checked" if args.verify else (args.mode or DEFAULT_MODE)
-    if args.profile and mode not in PROFILE_MODES:
+    if args.profile and args.mode not in PROFILE_MODES:
         *others, last = PROFILE_MODES
         print(
             f"error: --profile needs the {', '.join(others)} or {last} "
-            "engine (the checked reference keeps no hit vector); drop "
-            "--verify or pick one of those with --mode",
+            "engine (the checked reference keeps no hit vector); pick one "
+            "of those with --mode",
             file=sys.stderr,
         )
         return 2
     status, _ = _traced(
         args.trace, f"repro run {args.machine} {Path(args.file).name}",
-        lambda: (_run_and_report(args, mode), None, ()),
+        lambda: (_run_and_report(args), None, ()),
     )
     return status
 
 
-def _run_and_report(args, mode: str) -> int:
+def _run_and_report(args) -> int:
     """The measured portion of ``repro run`` (traced when ``--trace``)."""
     from repro.machine.machine import MachineStyle
 
@@ -224,16 +212,16 @@ def _run_and_report(args, mode: str) -> int:
             return 2
         from repro.sim import format_profile, run_compiled_profiled
 
-        result, profile = run_compiled_profiled(compiled, mode=mode)
+        result, profile = run_compiled_profiled(compiled, mode=args.mode)
     else:
         profile = None
-        result = run_compiled(compiled, check_connectivity=args.verify, mode=mode)
+        result = run_compiled(compiled, mode=args.mode)
     encoding = encode_machine(machine)
     print(f"exit code : {result.exit_code}")
     print(f"cycles    : {result.cycles}")
     # the scalar (MicroBlaze-like) core has a single engine: --mode is
     # accepted for CLI symmetry but ignored there
-    print(f"engine    : {'scalar (single engine; --mode ignored)' if scalar else mode}")
+    print(f"engine    : {'scalar (single engine; --mode ignored)' if scalar else args.mode}")
     print(f"image     : {compiled.instruction_count} instructions "
           f"({compiled.instruction_count * encoding.instruction_width / 1000:.1f} kbit)")
     if hasattr(result, "bypass_reads"):
@@ -698,7 +686,7 @@ _SHARED = {
         default=None,
         help=f"comma-separated engine subset of {','.join(MODES)} (default: all)",
     )),
-    "mode": (("--mode",), dict(choices=MODES, default=None)),
+    "mode": (("--mode",), dict(choices=MODES, default=DEFAULT_MODE)),
     "jobs": (("-j", "--jobs"), dict(
         type=int, default=1, help="worker processes (1 = serial, in-process)",
     )),
@@ -789,12 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="compile and simulate a MiniC file")
     p_run.add_argument("file")
     p_run.add_argument(
-        "--verify",
-        action="store_true",
-        help="run the per-cycle reference engine with full connectivity checks "
-        "(same as --mode checked; rejected alongside --mode fast/turbo)",
-    )
-    p_run.add_argument(
         "--profile",
         action="store_true",
         help="print per-block execution counts and the trigger histogram "
@@ -806,8 +788,9 @@ def build_parser() -> argparse.ArgumentParser:
         "additionally compiles basic blocks to specialized Python; 'native' "
         "compiles the same blocks to C via ctypes with the shared object "
         "cached in the artifact store (falls back to turbo without a C "
-        "compiler); 'checked' re-verifies every cycle; the scalar "
-        "(MicroBlaze-like) core has a single engine and ignores --mode",
+        "compiler); 'checked' re-verifies every cycle, bus routing "
+        "included; the scalar (MicroBlaze-like) core has a single engine "
+        "and ignores --mode",
     }, trace={
         "help": "record a compile+simulate timeline (spans + counters) as a "
         "Chrome-trace JSON file; inspect with 'repro trace summary FILE' "
@@ -820,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p_asm, "machine")
     p_asm.add_argument("--start", type=int, default=0)
     p_asm.add_argument("--count", type=int, default=None)
-    p_asm.set_defaults(fn=_cmd_asm)
+    p_asm.set_defaults(fn=_cmd_asm, ranges=(_at_least("--start", 0), _at_least("--count", 1)))
 
     p_rep = sub.add_parser("report", help="regenerate the paper's tables/figures")
     _add(p_rep, "kernels", "machines", machines={
@@ -835,9 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
         "parallel, disk-cached pipeline",
     )
     _add(p_sweep, "kernels", "machines", "jobs", "mode", mode={
-        "default": DEFAULT_MODE,
-        "help": "simulation engine for computed pairs ('native' runs "
-        "generated C with store-cached shared objects)",
+        "help": f"simulation engine for computed pairs (default {DEFAULT_MODE}; "
+        "'native' runs generated C with store-cached shared objects)",
     })
     p_sweep.add_argument(
         "--retries", type=int, default=1,
@@ -883,19 +865,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add(p_exp, "seed", "kernels", "mode", "jobs", "smoke", "cache_dir", "no_cache",
          "trace", "json", "quiet", mode={
-             "help": "simulation engine for computed pairs (default 'native', "
-             "which falls back to turbo without a C compiler)",
+             "help": f"simulation engine for computed pairs (default {DEFAULT_MODE})",
          }, jobs={"default": None}, smoke={
              "help": "bounded CI-sized campaign: 2 generations x 4 candidates on "
-             "mips+motion, turbo engine, 2 jobs (explicit flags still win)",
+             "mips+motion, 2 jobs (explicit flags still win)",
          }, trace={
              "help": "write the driver's explore.*/sweep.* span timeline as "
              "Chrome-trace JSON",
          })
     p_exp.set_defaults(fn=_cmd_explore, ranges=(_JOBS,), presets=(
-        {"generations": 2, "population": 4, "kernels": "mips,motion", "jobs": 2,
-         "mode": "turbo"},
-        {"generations": 3, "population": 8, "jobs": 1, "mode": "native"},
+        {"generations": 2, "population": 4, "kernels": "mips,motion", "jobs": 2},
+        {"generations": 3, "population": 8, "jobs": 1},
     ))
 
     p_fuzz = sub.add_parser(

@@ -33,7 +33,6 @@ from repro.corpus.goldens import (
     golden_path_for,
     load_golden,
     make_golden,
-    save_golden,
     source_sha256,
 )
 from repro.fuzz.corpus import default_corpus_dir
@@ -331,25 +330,3 @@ def pin_entry(
         )
     return make_golden(name, source, expected_exit, runs_by_machine, modes, max_cycles)
 
-
-def pin_and_save(
-    name: str,
-    source: str,
-    mc_path: Path | str,
-    machines: tuple[str, ...],
-    modes: tuple[str, ...] = MODES,
-    max_cycles: int = FUZZ_MAX_CYCLES,
-    expected_exit: int | None = None,
-    jobs: int = 1,
-) -> Path:
-    """Pin *source* and write its golden next to *mc_path*."""
-    payload = pin_entry(
-        name,
-        source,
-        machines,
-        modes=modes,
-        max_cycles=max_cycles,
-        expected_exit=expected_exit,
-        jobs=jobs,
-    )
-    return save_golden(golden_path_for(mc_path), payload)

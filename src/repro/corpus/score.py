@@ -76,7 +76,7 @@ def measure_traits(
 
     module = compile_source(source, module_name=name, optimize=True)
     compiled = compile_for_machine(module, build_machine(machine))
-    result, profile = run_compiled_profiled(compiled, max_cycles=max_cycles, mode="fast")
+    result, profile = run_compiled_profiled(compiled, max_cycles=max_cycles)
     counts = profile.opcode_counts
     return KernelTraits(
         name=name,

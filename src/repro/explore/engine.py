@@ -5,7 +5,7 @@ or more preset baselines: every generation it mutates the current Pareto
 frontier's survivors (:mod:`repro.explore.mutate`), evaluates each new
 candidate on every campaign kernel through the shared sweep pipeline
 (:func:`repro.pipeline.sweep_tasks` — content-addressed store, parallel
-executor, native simulation by default), scores it with the analytic
+executor, the default simulation engine), scores it with the analytic
 FPGA model, and keeps the non-dominated set over (geomean cycles, core
 LUTs, fmax).
 
@@ -33,6 +33,7 @@ from repro.explore.pareto import ParetoPoint, geomean, pareto_frontier
 from repro.machine.machine import Machine, MachineStyle
 from repro.machine.serialize import machine_digest, machine_to_dict
 from repro.pipeline.sweep import sweep_tasks, tasks_for_machines
+from repro.sim.modes import DEFAULT_MODE
 
 #: version of the ``repro explore --json`` payload; bump on layout change
 EXPLORE_JSON_SCHEMA = 1
@@ -55,7 +56,7 @@ class ExploreConfig:
     generations: int = 3
     population: int = 8
     seed: int = 0
-    mode: str = "native"
+    mode: str = DEFAULT_MODE
     jobs: int = 1
     optimize: bool = True
 

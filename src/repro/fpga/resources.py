@@ -124,11 +124,6 @@ def _transport_structure(machine: Machine) -> tuple[Bus, ...]:
     return _full_buses(count, machine.all_units, machine.register_files)
 
 
-def _endpoint_rf(machine: Machine, endpoint: str) -> RegisterFile | None:
-    unit = endpoint.split(".", 1)[0]
-    return machine.rf_by_name.get(unit)
-
-
 def ic_luts(machine: Machine) -> int:
     """Interconnect mux LUTs from the (real or equivalent) bus structure."""
     buses = _transport_structure(machine)

@@ -30,7 +30,7 @@ import pickle
 import traceback
 
 from repro.fuzz.gen import GENERATOR_VERSION
-from repro.sim.modes import MODES
+from repro.sim.modes import DEFAULT_MODE, MODES
 
 #: faults of the harness, not of the system under test: these must
 #: propagate (the executor turns them into TaskError records / the
@@ -202,7 +202,7 @@ def run_case(case: FuzzCase) -> FuzzCaseReport:
             result = run_compiled(
                 compiled,
                 max_cycles=case.max_cycles,
-                mode="fast" if mode == "scalar" else mode,
+                mode=DEFAULT_MODE if mode == "scalar" else mode,
             )
             record = _result_record(result)
         except INFRA_ERRORS:

@@ -6,7 +6,6 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from repro.isa.operations import OPS, OpKind
 from repro.machine.components import Bus, FunctionUnit, RegisterFile
 
 
@@ -123,24 +122,6 @@ class Machine:
     @property
     def bus_count(self) -> int:
         return len(self.buses)
-
-    def supports_op(self, op: str) -> bool:
-        return op in self.units_for_op
-
-    @cached_property
-    def supported_ops(self) -> frozenset[str]:
-        return frozenset(self.units_for_op)
-
-    def buses_connecting(self, source: str, destination: str) -> tuple[Bus, ...]:
-        """All buses able to transport *source* -> *destination*."""
-        return tuple(b for b in self.buses if b.connects(source, destination))
-
-    def operation_latency(self, op: str) -> int:
-        return OPS[op].latency
-
-    @property
-    def lsu_names(self) -> tuple[str, ...]:
-        return tuple(fu.name for fu in self.function_units if fu.kind is OpKind.LSU)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -11,14 +11,22 @@ A cache entry's key must change exactly when its result could change:
 * the **toolchain** — the package version *plus* a digest over every
   ``repro`` source file, so editing the scheduler or the simulator
   invalidates results computed by the old code;
-* the **flags** — simulation mode, optimisation level and the
-  **sim-engine version token**
+* the **flags** — the key class of the simulation mode (below),
+  optimisation level and the **sim-engine version token**
   (:data:`repro.sim.blockcompile.SIM_ENGINE_VERSION`).  The toolchain
   digest only sees *this* checkout's sources; the explicit version
   token also retires entries produced by engines whose semantics
   changed without a local source edit (installed-package runs, store
   sharing across checkouts), so a cached artifact can never mask a
   codegen semantics change.
+
+The engine that computes a result is not part of its key: ``fast``,
+``turbo`` and ``native`` are byte-identical by contract (the pinned
+corpus goldens and the cross-engine suites enforce it), so they share
+the key class ``"result"`` and a result one of them computed serves the
+others.  ``checked`` keeps its own class, because its point is to
+re-verify every cycle; so does every *mode* string that names no engine
+(``"program"`` for compiled programs, the fuzz verdict flags).
 
 Keys are hex SHA-256 digests, deterministic across processes, machines
 and Python versions (``PYTHONHASHSEED`` never enters the picture).
@@ -39,6 +47,10 @@ from repro.sim.modes import DEFAULT_MODE
 #: shared with the serialisation layer so a task's ``machine_desc`` and
 #: its cache key can never disagree about what a field means
 describe_machine = machine_to_dict
+
+
+#: the engines that share the result key class (see the module docstring)
+_SHARED_RESULT_MODES = ("fast", "turbo", "native")
 
 
 def _canonical_json(payload) -> bytes:
@@ -81,6 +93,8 @@ def fingerprint(
 ) -> str:
     """Hex SHA-256 key for one (machine, kernel-source, flags) artifact.
 
+    *mode* enters only as its key class, so ``fast``, ``turbo`` and
+    ``native`` get one key (see the module docstring).
     *toolchain* defaults to :func:`toolchain_fingerprint`;
     *engine_version* defaults to
     :data:`repro.sim.blockcompile.SIM_ENGINE_VERSION`.  Tests inject
@@ -96,7 +110,7 @@ def fingerprint(
         "source": source,
         "toolchain": toolchain if toolchain is not None else toolchain_fingerprint(),
         "flags": {
-            "mode": mode,
+            "key": "result" if mode in _SHARED_RESULT_MODES else mode,
             "optimize": bool(optimize),
             "engine": int(engine_version),
         },

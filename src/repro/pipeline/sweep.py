@@ -100,6 +100,8 @@ def build_tasks(
 ) -> list[SweepTask]:
     """The (machine, kernel) matrix as an ordered task list.
 
+    *machines* is a preset subset, taken in canonical preset order; the
+    kernels and *sources* are resolved as in :func:`tasks_for_machines`.
     *sources* maps kernel names to MiniC text and defaults to the
     built-in CHStone-like workloads (explicit subsets may also name
     extra/promoted kernels); passing extra names sweeps ad-hoc
@@ -107,30 +109,10 @@ def build_tasks(
     """
     from repro.machine import preset_names
 
-    from repro.kernels import expected_exit
-
-    machine_names = parse_subset(machines, preset_names(), "machine")
-    if sources is None:
-        kernel_names, sources = resolve_kernel_sources(kernels)
-        exits = {k: expected_exit(k) for k in kernel_names}
-    else:
-        kernel_names = (
-            tuple(sources) if kernels is None
-            else parse_subset(kernels, tuple(sources), "kernel")
-        )
-        exits = {k: 0 for k in kernel_names}
-    return [
-        SweepTask(
-            machine=m,
-            kernel=k,
-            source=sources[k],
-            mode=mode,
-            optimize=optimize,
-            expected_exit=exits[k],
-        )
-        for m in machine_names
-        for k in kernel_names
-    ]
+    return tasks_for_machines(
+        parse_subset(machines, preset_names(), "machine"), kernels,
+        sources=sources, mode=mode, optimize=optimize,
+    )
 
 
 def tasks_for_machines(

@@ -381,47 +381,54 @@ def _run_job(params, store, key, plain) -> dict:
         compiled, lanes=params["lanes"], inputs=inputs, mode=params["mode"],
         max_cycles=params["max_cycles"],
     )
-    encoding = encode_machine(machine)
-    report = synthesize(machine)
     first = results[0]
-    lane_stats = [
-        {
-            "exit_code": r.exit_code,
-            "cycles": r.cycles,
-            "stats": result_extras(r),
-        }
-        for r in results
-    ]
-    result = {
-        "machine": params["machine"],
-        "kernel": params.get("kernel") or "adhoc",
-        "mode": params["mode"],
-        "exit_code": first.exit_code,
-        "cycles": first.cycles,
-        "instruction_count": compiled.instruction_count,
-        "instruction_width": encoding.instruction_width,
-        "fmax_mhz": report.fmax_mhz,
-        "stats": lane_stats[0]["stats"],
-    }
-    payload = {"result": result}
+    measured = EvalResult(
+        machine=params["machine"],
+        kernel=params.get("kernel") or "adhoc",
+        exit_code=first.exit_code,
+        cycles=first.cycles,
+        instruction_count=compiled.instruction_count,
+        instruction_width=encode_machine(machine).instruction_width,
+        fmax_mhz=synthesize(machine).fmax_mhz,
+        extras=result_extras(first),
+    )
+    lanes = None
     if len(results) > 1:
-        payload["results"] = lane_stats
+        lanes = [
+            {"exit_code": r.exit_code, "cycles": r.cycles, "stats": result_extras(r)}
+            for r in results
+        ]
     if store is not None and key is not None and not params.get("trace"):
         if plain and first.exit_code == 0:
             # the exact entry `repro sweep` would write: warm either
             # side, serve the other
-            store.store_result(key, EvalResult(
-                machine=params["machine"],
-                kernel=params.get("kernel") or "adhoc",
-                exit_code=first.exit_code,
-                cycles=first.cycles,
-                instruction_count=compiled.instruction_count,
-                instruction_width=encoding.instruction_width,
-                fmax_mhz=report.fmax_mhz,
-                extras=result_extras(first),
-            ))
+            store.store_result(key, measured)
         else:
-            store.store_json(key, payload)
+            store.store_json(key, {"result": measured.to_dict(), "results": lanes})
+    return _run_payload(params, measured, lanes)
+
+
+def _run_payload(params, measured: EvalResult, lanes: list | None) -> dict:
+    """The ``/v1/run`` response body for *measured*, plus the per-lane
+    stats of a several-lane run.
+
+    The body names the engine the request asked for: fast, turbo and
+    native share one stored entry, so the engine whose run filled it is
+    neither stored nor reported.
+    """
+    payload = {"result": {
+        "machine": params["machine"],
+        "kernel": params.get("kernel") or "adhoc",
+        "mode": params["mode"],
+        "exit_code": measured.exit_code,
+        "cycles": measured.cycles,
+        "instruction_count": measured.instruction_count,
+        "instruction_width": measured.instruction_width,
+        "fmax_mhz": measured.fmax_mhz,
+        "stats": dict(measured.extras),
+    }}
+    if lanes is not None:
+        payload["results"] = lanes
     return payload
 
 
@@ -446,26 +453,16 @@ def load_cached_payload(
     """Serve a finished job's payload straight from the artifact store."""
     if store is None or kind == "sweep" or params.get("trace"):
         return None
-    if kind == "run" and plain:
+    if kind != "run":
+        return store.load_json(key)
+    if plain:
         res = store.load_result(key)
         if res is not None:
-            return {
-                "result": {
-                    "machine": params["machine"],
-                    "kernel": params.get("kernel") or "adhoc",
-                    "mode": params["mode"],
-                    "exit_code": res.exit_code,
-                    "cycles": res.cycles,
-                    "instruction_count": res.instruction_count,
-                    "instruction_width": res.instruction_width,
-                    "fmax_mhz": res.fmax_mhz,
-                    "stats": {
-                        k: v for k, v in res.extras.items()
-                        if not k.startswith("_")
-                    },
-                }
-            }
-    return store.load_json(key)
+            return _run_payload(params, res, None)
+    entry = store.load_json(key)
+    if entry is None:
+        return None
+    return _run_payload(params, EvalResult.from_dict(entry["result"]), entry["results"])
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +562,13 @@ class Job:
         self.cancel_requested = False
 
     @property
+    def live_key(self) -> tuple:
+        """The in-flight dedup key.  Fast, turbo and native share a store
+        key, but a coalesced request must still report its own engine,
+        so only requests for the same mode share a live job."""
+        return self.key, self.params.get("mode")
+
+    @property
     def finished_state(self) -> bool:
         return self.state in TERMINAL_STATES
 
@@ -632,7 +636,7 @@ class JobManager:
         self._ctx = _job_context()
         self._jobs: dict[str, Job] = {}
         self._finished_order: list[str] = []
-        self._inflight: dict[str, Job] = {}
+        self._inflight: dict[tuple, Job] = {}
         self._active_procs: set = set()
         self._queued = 0
         self._running = 0
@@ -714,7 +718,7 @@ class JobManager:
         :class:`Draining`; returns the (possibly shared or already
         finished) job."""
         key, plain = compute_job_key(kind, params)
-        live = self._inflight.get(key)
+        live = self._inflight.get((key, params.get("mode")))
         if live is not None:
             live.request_ids.append(request_id)
             if self.metrics:
@@ -741,7 +745,7 @@ class JobManager:
             raise QueueFull(self._queued, self.queue_limit)
         job = self._new_job(kind, params, key, plain, request_id)
         self._register(job)
-        self._inflight[key] = job
+        self._inflight[job.live_key] = job
         self._queued += 1
         shard = int(key[:8], 16) % self.shard_count
         self._queues[shard].put_nowait(job)
@@ -756,7 +760,7 @@ class JobManager:
             return None
         if job.state == QUEUED:
             self._queued -= 1
-            self._inflight.pop(job.key, None)
+            self._inflight.pop(job.live_key, None)
             self._finish(job, CANCELLED, None, {"type": "Cancelled",
                                                 "message": "cancelled while queued"})
         elif job.state == RUNNING:
@@ -827,7 +831,7 @@ class JobManager:
                 status, payload = "error", _error_payload(exc)
             finally:
                 self._running -= 1
-            self._inflight.pop(job.key, None)
+            self._inflight.pop(job.live_key, None)
             if status == "ok":
                 self._finish(job, DONE, payload, None)
             elif status == "cancelled":

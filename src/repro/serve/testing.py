@@ -83,13 +83,3 @@ class BackgroundServer:
 
     def client(self, **kwargs) -> ServeClient:
         return ServeClient(self.host, self.port, **kwargs)
-
-    def submit_threadsafe(self, kind: str, params: dict, request_id: str):
-        """Call ``manager.submit`` on the loop thread (white-box tests)."""
-        future = asyncio.run_coroutine_threadsafe(
-            self._submit(kind, params, request_id), self.loop
-        )
-        return future.result(timeout=30)
-
-    async def _submit(self, kind, params, request_id):
-        return self.server.manager.submit(kind, params, request_id)

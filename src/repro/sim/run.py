@@ -10,20 +10,10 @@ from repro.sim.tta_sim import TTASimulator
 from repro.sim.vliw_sim import VLIWSimulator
 
 
-def _make_simulator(
-    compiled: CompiledProgram,
-    check_connectivity: bool,
-    max_cycles: int,
-    mode: str,
-):
+def _make_simulator(compiled: CompiledProgram, max_cycles: int, mode: str):
     style = compiled.machine.style
     if style is MachineStyle.TTA:
-        sim = TTASimulator(
-            compiled.program,
-            check_connectivity=check_connectivity,
-            max_cycles=max_cycles,
-            mode=mode,
-        )
+        sim = TTASimulator(compiled.program, max_cycles=max_cycles, mode=mode)
     elif style is MachineStyle.VLIW:
         sim = VLIWSimulator(compiled.program, max_cycles=max_cycles, mode=mode)
     else:
@@ -34,30 +24,30 @@ def _make_simulator(
 
 def run_compiled(
     compiled: CompiledProgram,
-    check_connectivity: bool = False,
     max_cycles: int = 500_000_000,
     mode: str = DEFAULT_MODE,
 ):
     """Simulate *compiled* on its machine; returns the style's result object
     (all results expose ``exit_code`` and ``cycles``).
 
-    ``mode="fast"`` (the default) verifies all structural schedule
-    properties once at load time and executes the pre-decoded program;
-    ``mode="turbo"`` additionally compiles basic blocks to specialized
-    Python code chained through a dispatch table (falling back per block
-    to the fast engine where codegen cannot prove the block static);
-    ``mode="native"`` compiles the same blocks to C, called via ctypes,
-    with the shared object cached in the artifact store (degrading to
-    turbo with a one-time warning when no C compiler is available);
-    ``mode="checked"`` runs the per-cycle reference engine.
-    ``check_connectivity`` additionally routes every executed TTA move in
-    checked mode (fast and turbo modes always verify connectivity at
-    load time).  The scalar core has a single engine; *mode* is ignored
-    there, but it must still be one of :data:`~repro.sim.modes.MODES`.
-    All modes are bit- and cycle-exact with each other.
+    ``mode="fast"`` verifies all structural schedule properties, bus
+    routing included, once at load time and executes the pre-decoded
+    program; ``mode="turbo"`` additionally compiles basic blocks to
+    specialized Python code chained through a dispatch table (falling
+    back per block to the fast engine where codegen cannot prove the
+    block static); ``mode="native"`` compiles the same blocks to C,
+    called via ctypes, with the shared object cached in the artifact
+    store (degrading to turbo with a one-time warning when no C compiler
+    is available); ``mode="checked"`` runs the per-cycle reference
+    engine, which re-verifies every structural property, bus routing
+    included, on every executed cycle.  The scalar core has a single
+    engine; *mode* is ignored there, but it must still be one of
+    :data:`~repro.sim.modes.MODES`.  All modes are bit- and cycle-exact
+    with each other.  *mode* defaults to
+    :data:`~repro.sim.modes.DEFAULT_MODE`.
     """
     check_mode(mode)
-    return _make_simulator(compiled, check_connectivity, max_cycles, mode).run()
+    return _make_simulator(compiled, max_cycles, mode).run()
 
 
 def run_batch(
@@ -90,7 +80,7 @@ def run_batch(
             )
     results = []
     for lane_input in lane_inputs:
-        sim = _make_simulator(compiled, False, max_cycles, mode)
+        sim = _make_simulator(compiled, max_cycles, mode)
         for address, blob in lane_input:
             sim.memory.preload(int(address), bytes(blob))
         results.append(sim.run())
@@ -100,7 +90,7 @@ def run_batch(
 def run_compiled_profiled(
     compiled: CompiledProgram,
     max_cycles: int = 500_000_000,
-    mode: str = "turbo",
+    mode: str = DEFAULT_MODE,
 ):
     """Simulate *compiled* and return ``(result, SimProfile)``.
 
@@ -119,6 +109,6 @@ def run_compiled_profiled(
             + " or ".join(f"mode={known!r}" for known in PROFILE_MODES)
             + f", not {mode!r}"
         )
-    sim = _make_simulator(compiled, False, max_cycles, mode)
+    sim = _make_simulator(compiled, max_cycles, mode)
     result = sim.run()
     return result, collect_profile(sim, result)

@@ -6,7 +6,8 @@ operation; the result is readable from the unit's result register once
 the latency has elapsed and until the next operation on the same unit
 overwrites it.
 
-Four execution modes are offered (``mode="fast"`` is the default):
+Four execution modes are offered (the default is
+:data:`repro.sim.modes.DEFAULT_MODE`):
 
 * ``"fast"`` -- all structural properties (bus exclusivity including
   long-immediate ``extra_slots`` reservations, RF port limits, full
@@ -25,9 +26,10 @@ Four execution modes are offered (``mode="fast"`` is the default):
   the artifact store) and drives them through the same dispatch;
   degrades to turbo with a one-time warning when no C compiler is
   available.
-* ``"checked"`` -- the reference implementation: every check is re-run
-  on every executed cycle.  The differential tests assert all modes
-  agree bit- and cycle-exactly on every workload.
+* ``"checked"`` -- the reference implementation: every check, bus
+  routing included, is re-run on every executed cycle.  The
+  differential tests assert all modes agree bit- and cycle-exactly on
+  every workload.
 
 Fast, turbo and native run one stepping driver
 (:func:`repro.sim.predecode.run_tta`) and differ only in where its
@@ -39,9 +41,8 @@ In every mode the simulator doubles as a schedule verifier:
 * two moves on one bus in one instruction raise, as does a
   long-immediate move whose extra bus slots cannot be satisfied;
 * register-file port over-subscription raises;
-* a move over a bus that does not connect its endpoints raises
-  (always at load time in the other modes; per executed cycle in checked
-  mode when ``check_connectivity=True``).
+* a move over a bus that does not connect its endpoints raises (at
+  load time in fast, turbo and native; per executed cycle in checked).
 """
 
 from __future__ import annotations
@@ -55,7 +56,13 @@ from repro.isa.semantics import MASK32, evaluate
 from repro.sim.errors import SimError
 from repro.sim.memory import DataMemory
 from repro.sim.modes import DEFAULT_MODE, check_mode
-from repro.sim.predecode import block_source_for, check_tta_slots, run_tta
+from repro.sim.predecode import (
+    block_source_for,
+    check_tta_slots,
+    dst_endpoint,
+    run_tta,
+    src_endpoint,
+)
 
 
 @dataclass
@@ -128,9 +135,6 @@ class TTASimulator:
     program: Program
     memory_size: int = MEMORY_SIZE
     max_cycles: int = 500_000_000
-    #: checked mode only: verify bus connectivity of every executed move
-    #: (fast mode always verifies connectivity, once, at load time)
-    check_connectivity: bool = False
     #: one of :data:`repro.sim.modes.MODES` (see the module docstring)
     mode: str = DEFAULT_MODE
     memory: DataMemory = field(init=False)
@@ -175,20 +179,6 @@ class TTASimulator:
             stats.bypass_reads += 1
             return value
         raise SimError(f"bad move source {move.src!r}")
-
-    def _endpoint_of_src(self, move: Move) -> str:
-        kind = move.src[0]
-        if kind == "imm":
-            return "IMM"
-        if kind == "rf":
-            return f"{move.src[1]}.read"
-        return f"{move.src[1]}.r"
-
-    def _endpoint_of_dst(self, move: Move) -> str:
-        if move.dst[0] == "rf":
-            return f"{move.dst[1]}.write"
-        _, fu, port, _ = move.dst
-        return f"{fu}.{port}"
 
     def run(self) -> TTAResult:
         from repro import obs
@@ -241,10 +231,11 @@ class TTASimulator:
                     reads[move.src[1]] = reads.get(move.src[1], 0) + 1
                 if move.dst[0] == "rf":
                     writes[move.dst[1]] = writes.get(move.dst[1], 0) + 1
-                if self.check_connectivity:
-                    bus = self.buses[move.bus]
-                    if not bus.connects(self._endpoint_of_src(move), self._endpoint_of_dst(move)):
-                        raise SimError(f"move {move!r} not routable on bus {move.bus}")
+                bus = self.buses.get(move.bus)
+                if bus is None:
+                    raise SimError(f"unknown bus {move.bus} at pc={pc}")
+                if not bus.connects(src_endpoint(move), dst_endpoint(move)):
+                    raise SimError(f"move {move!r} not routable on bus {move.bus}")
             for rf, count in reads.items():
                 if count > read_limits[rf]:
                     raise SimError(f"{rf} read ports oversubscribed at pc={pc}")

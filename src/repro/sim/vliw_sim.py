@@ -10,7 +10,8 @@ than silently matching the interpreter.
 Control transfers redirect fetch ``jump_latency + 1`` instructions after
 the trigger (exposed delay slots).
 
-Four execution modes are offered (``mode="fast"`` is the default):
+Four execution modes are offered (the default is
+:data:`repro.sim.modes.DEFAULT_MODE`):
 ``"fast"`` validates every bundle once at load time and runs the
 pre-decoded engine of :mod:`repro.sim.predecode`; ``"turbo"``
 additionally compiles basic blocks into specialized Python code

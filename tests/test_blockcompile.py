@@ -55,7 +55,7 @@ def _compile(src, machine_name):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernels_identical_turbo_vs_checked(machine_name, kernel):
     compiled = compile_for_machine(compile_kernel(kernel), build_machine(machine_name))
-    checked = run_compiled(compiled, mode="checked", check_connectivity=True)
+    checked = run_compiled(compiled, mode="checked")
     turbo = run_compiled(compiled, mode="turbo")
     assert asdict(turbo) == asdict(checked), f"{machine_name}/{kernel} diverged"
     assert turbo.exit_code == 0
@@ -66,7 +66,7 @@ def test_branchy_recursion_identical_turbo_vs_checked():
     kernel sweep above does not cover."""
     for name in ("m-tta-1", "bm-tta-3", "p-vliw-3"):
         compiled = _compile(FIB_SRC, name)
-        checked = run_compiled(compiled, mode="checked", check_connectivity=True)
+        checked = run_compiled(compiled, mode="checked")
         turbo = run_compiled(compiled, mode="turbo")
         assert asdict(turbo) == asdict(checked), name
         assert turbo.exit_code == 0
@@ -82,7 +82,7 @@ class TestTurboDifferentialSmoke:
         compiled = compile_for_machine(
             compile_kernel(kernel), build_machine(machine_name)
         )
-        checked = run_compiled(compiled, mode="checked", check_connectivity=True)
+        checked = run_compiled(compiled, mode="checked")
         turbo = run_compiled(compiled, mode="turbo")
         assert asdict(turbo) == asdict(checked), f"{machine_name}/{kernel} diverged"
         assert turbo.exit_code == 0
@@ -211,7 +211,7 @@ class TestBlockCacheAndFallback:
             blockcompile, "_compile_tta_block", lambda *a, **k: None
         )
         compiled = _compile(FIB_SRC, "m-tta-2")
-        checked = run_compiled(compiled, mode="checked", check_connectivity=True)
+        checked = run_compiled(compiled, mode="checked")
         turbo = run_compiled(compiled, mode="turbo")
         assert asdict(turbo) == asdict(checked)
         assert turbo.exit_code == 0
@@ -226,7 +226,7 @@ class TestBlockCacheAndFallback:
             blockcompile, "_compile_vliw_block", lambda *a, **k: None
         )
         compiled = _compile(FIB_SRC, "m-vliw-2")
-        checked = run_compiled(compiled, mode="checked", check_connectivity=True)
+        checked = run_compiled(compiled, mode="checked")
         turbo = run_compiled(compiled, mode="turbo")
         assert asdict(turbo) == asdict(checked)
         assert turbo.exit_code == 0

@@ -25,7 +25,7 @@ class TestCLI:
         assert "sha" in capsys.readouterr().out
 
     def test_run_success(self, minic_file, capsys):
-        assert main(["run", minic_file, "-m", "m-tta-1", "--verify"]) == 0
+        assert main(["run", minic_file, "-m", "m-tta-1", "--mode", "checked"]) == 0
         out = capsys.readouterr().out
         assert "exit code : 0" in out
         assert "cycles" in out
@@ -41,17 +41,6 @@ class TestCLI:
         assert "engine    : turbo" in out
         assert "exit code : 0" in out
 
-    def test_run_verify_conflicts_with_mode(self, minic_file, capsys):
-        for mode in ("fast", "turbo"):
-            assert main(
-                ["run", minic_file, "-m", "m-tta-1", "--verify", "--mode", mode]
-            ) == 2
-            assert "cannot be combined with --mode" in capsys.readouterr().err
-        # --verify --mode checked is redundant but consistent: allowed
-        assert main(
-            ["run", minic_file, "-m", "m-tta-1", "--verify", "--mode", "checked"]
-        ) == 0
-
     def test_run_scalar_ignores_mode(self, minic_file, capsys):
         assert main(["run", minic_file, "-m", "mblaze-3", "--mode", "turbo"]) == 0
         assert "scalar (single engine; --mode ignored)" in capsys.readouterr().out
@@ -66,7 +55,7 @@ class TestCLI:
     def test_run_profile_rejects_scalar_and_checked(self, minic_file, capsys):
         assert main(["run", minic_file, "-m", "mblaze-3", "--profile"]) == 2
         assert "TTA and VLIW cores only" in capsys.readouterr().err
-        assert main(["run", minic_file, "-m", "m-tta-1", "--verify", "--profile"]) == 2
+        assert main(["run", minic_file, "-m", "m-tta-1", "--mode", "checked", "--profile"]) == 2
         assert "fast, turbo or native engine" in capsys.readouterr().err
 
     def test_asm(self, minic_file, capsys):
@@ -329,6 +318,10 @@ class TestSharedFlagChecks:
         (["sweep", "--retries", "-1"], "error: --retries must be >= 0, got -1"),
         (["serve", "--max-body", "0"], "error: --max-body must be >= 1, got 0"),
         (["serve", "--drain-grace", "-1"], "error: --drain-grace must be >= 0, got -1.0"),
+        (["asm", "f.mc", "-m", "m-tta-2", "--start", "-5"],
+         "error: --start must be >= 0, got -5"),
+        (["asm", "f.mc", "-m", "m-tta-2", "--count", "-3"],
+         "error: --count must be >= 1, got -3"),
     ])
     def test_numeric_ranges_rejected(self, argv, message, capsys, monkeypatch):
         import repro.cli as cli

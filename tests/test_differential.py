@@ -75,7 +75,7 @@ def test_random_programs_agree_across_stack(src):
     expected = Interpreter(compile_source(src)).run()
     for name in DIFF_MACHINES:
         compiled = compile_for_machine(compile_source(src), build_machine(name))
-        result = run_compiled(compiled, check_connectivity=True, max_cycles=3_000_000)
+        result = run_compiled(compiled, max_cycles=3_000_000)
         assert result.exit_code == expected, f"{name} diverged on:\n{src}"
 
 
@@ -113,5 +113,5 @@ def test_mixed_workload_on_remaining_machines(machine_name):
     """
     expected = Interpreter(compile_source(src)).run()
     compiled = compile_for_machine(compile_source(src), build_machine(machine_name))
-    result = run_compiled(compiled, check_connectivity=True, max_cycles=3_000_000)
+    result = run_compiled(compiled, max_cycles=3_000_000)
     assert result.exit_code == expected

@@ -66,7 +66,7 @@ def _compile(src, machine_name):
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernels_identical_native_vs_checked(machine_name, kernel):
     compiled = compile_for_machine(compile_kernel(kernel), build_machine(machine_name))
-    checked = run_compiled(compiled, mode="checked", check_connectivity=True)
+    checked = run_compiled(compiled, mode="checked")
     nat = run_compiled(compiled, mode="native")
     assert asdict(nat) == asdict(checked), f"{machine_name}/{kernel} diverged"
     assert nat.exit_code == 0
@@ -83,7 +83,7 @@ class TestNativeDifferentialSmoke:
         compiled = compile_for_machine(
             compile_kernel(kernel), build_machine(machine_name)
         )
-        checked = run_compiled(compiled, mode="checked", check_connectivity=True)
+        checked = run_compiled(compiled, mode="checked")
         nat = run_compiled(compiled, mode="native")
         assert asdict(nat) == asdict(checked), f"{machine_name}/{kernel} diverged"
         assert nat.exit_code == 0
@@ -93,7 +93,7 @@ class TestNativeDifferentialSmoke:
 def test_branchy_recursion_identical_native_vs_checked():
     for name in ("m-tta-1", "bm-tta-3", "p-vliw-3"):
         compiled = _compile(FIB_SRC, name)
-        checked = run_compiled(compiled, mode="checked", check_connectivity=True)
+        checked = run_compiled(compiled, mode="checked")
         nat = run_compiled(compiled, mode="native")
         assert asdict(nat) == asdict(checked), name
         assert nat.exit_code == 0

@@ -106,6 +106,19 @@ class TestFingerprint:
         assert fingerprint(machine, GOOD_SOURCE, optimize=False) != base
         assert fingerprint(machine, GOOD_SOURCE, toolchain="other") != base
 
+    def test_result_key_ignores_the_engine(self):
+        """fast, turbo and native are byte-identical by contract, so they
+        share one result key; checked and compiled programs keep their
+        own."""
+        machine = build_machine("m-tta-2")
+        shared = {fingerprint(machine, GOOD_SOURCE, mode=mode)
+                  for mode in ("fast", "turbo", "native")}
+        assert len(shared) == 1
+        (result_key,) = shared
+        checked = fingerprint(machine, GOOD_SOURCE, mode="checked")
+        program = fingerprint(machine, GOOD_SOURCE, mode="program")
+        assert len({result_key, checked, program}) == 3
+
     def test_engine_version_default_is_current(self):
         from repro.sim import SIM_ENGINE_VERSION
 
@@ -380,6 +393,16 @@ class TestSweepCaching:
         warm = sweep(machines=("m-tta-1",), kernels=("mips",), store=store)
         assert warm.stats.cache_hits == 1 and warm.stats.computed == 0
         assert warm.results == cold.results
+
+    def test_result_from_one_engine_serves_another(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        turbo = sweep(machines=("m-tta-1",), kernels=("mips",), mode="turbo",
+                      store=store)
+        assert turbo.stats.computed == 1
+        native = sweep(machines=("m-tta-1",), kernels=("mips",), mode="native",
+                       store=store)
+        assert native.stats.computed == 0 and native.stats.cache_hits == 1
+        assert native.results == turbo.results
 
     def test_no_cache_never_touches_store(self, tmp_path):
         store = ArtifactStore(tmp_path)

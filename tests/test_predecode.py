@@ -45,7 +45,7 @@ DIFF_MACHINES = ("m-tta-2", "m-vliw-2")
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_kernels_identical_across_modes(machine_name, kernel):
     compiled = compile_for_machine(compile_kernel(kernel), build_machine(machine_name))
-    checked = run_compiled(compiled, mode="checked", check_connectivity=True)
+    checked = run_compiled(compiled, mode="checked")
     fast = run_compiled(compiled, mode="fast")
     assert asdict(fast) == asdict(checked), f"{machine_name}/{kernel} diverged"
     assert fast.exit_code == 0
@@ -60,7 +60,7 @@ def test_branchy_recursion_identical_across_modes():
     """
     for name in ("m-tta-1", "bm-tta-3", "p-vliw-3"):
         compiled = compile_for_machine(compile_source(src), build_machine(name))
-        checked = run_compiled(compiled, mode="checked", check_connectivity=True)
+        checked = run_compiled(compiled, mode="checked")
         fast = run_compiled(compiled, mode="fast")
         assert asdict(fast) == asdict(checked), name
         assert fast.exit_code == 0
@@ -137,7 +137,7 @@ class TestTTALoadTimeVerifier:
 
     def test_connectivity_always_checked_in_fast_mode(self):
         # bm-tta-2 bus 3 cannot read from the register files; fast mode
-        # needs no check_connectivity opt-in.
+        # rejects the move at load time.
         machine = build_machine("bm-tta-2")
         prog = Program(
             machine, "tta", [TTAInstr([Move(("rf", "RF0", 1), ("rf", "RF1", 1), 3)])]

@@ -1,6 +1,6 @@
 """Scheduler tests: correctness across machines plus TTA-specific
-invariants (the simulator itself verifies structural constraints on
-every executed instruction when ``check_connectivity`` is on)."""
+invariants (the checked simulator itself verifies structural
+constraints, bus routing included, on every executed instruction)."""
 
 from __future__ import annotations
 
@@ -63,7 +63,7 @@ def test_scheduled_result_matches_interpreter(core_machine, snippet):
     src = SNIPPETS[snippet]
     expected = Interpreter(compile_source(src)).run()
     compiled = compile_for_machine(compile_source(src), core_machine)
-    result = run_compiled(compiled, check_connectivity=True, max_cycles=2_000_000)
+    result = run_compiled(compiled, max_cycles=2_000_000)
     assert result.exit_code == expected
 
 
@@ -81,15 +81,14 @@ class TestTTAScheduleProperties:
             assert len(buses) == len(set(buses))
 
     def test_moves_respect_connectivity(self, compiled):
-        machine = compiled.machine
-        from repro.sim.tta_sim import TTASimulator
+        from repro.sim.predecode import dst_endpoint, src_endpoint
 
-        sim = TTASimulator(compiled.program, check_connectivity=True)
+        buses = {bus.index: bus for bus in compiled.machine.buses}
         for instr in compiled.program.instrs:
             for move in instr.moves:
-                bus = sim.buses[move.bus]
-                src_ep = sim._endpoint_of_src(move)
-                dst_ep = sim._endpoint_of_dst(move)
+                bus = buses[move.bus]
+                src_ep = src_endpoint(move)
+                dst_ep = dst_endpoint(move)
                 if move.src[0] == "imm" and not isinstance(move.src[1], int):
                     continue
                 assert bus.connects(src_ep, dst_ep), move

@@ -308,6 +308,31 @@ class TestDedupAndCache:
         assert after["cache_hits"] >= before["cache_hits"] + 1
         assert after["executed"] == before["executed"] + 1
 
+    @pytest.mark.parametrize("request_body", [
+        # a nonzero exit is stored as a job entry, not a sweep result
+        {"source": "int main(void){ return 7; }"},
+        {"source": TINY_SRC.replace("i<100", "i<102"), "lanes": 2},
+    ], ids=["nonzero-exit", "lanes"])
+    def test_turbo_run_served_from_fast_entry(self, served, request_body):
+        """fast and turbo share one result key; the hit still reports the
+        engine the request asked for."""
+        with served.client() as c:
+            fast = c.run("m-tta-2", mode="fast", **request_body)
+            turbo = c.run("m-tta-2", mode="turbo", **request_body)
+        assert fast["cached"] is False
+        assert turbo["cached"] is True
+        assert turbo["result"]["mode"] == "turbo"
+        assert {**turbo["result"], "mode": "fast"} == fast["result"]
+        assert turbo.get("results") == fast.get("results")
+
+    def test_checked_run_not_served_from_fast_entry(self, served):
+        src = TINY_SRC.replace("i<100", "i<103")
+        with served.client() as c:
+            c.run("m-tta-2", source=src, mode="fast")
+            checked = c.run("m-tta-2", source=src, mode="checked")
+        assert checked["cached"] is False
+        assert checked["result"]["mode"] == "checked"
+
     def test_sweep_cache_answers_served_run(self, tmp_path):
         """The plain-run key contract is shared with ``repro sweep``:
         a sweep-warmed store answers ``/v1/run`` without executing."""
@@ -360,6 +385,19 @@ class TestDedupAndCache:
         assert len(done["request_ids"]) == 3
         assert stats["dedup"]["executed"] == 1
         assert stats["dedup"]["coalesced"] == 2
+
+    def test_in_flight_requests_coalesce_per_mode(self, tmp_path):
+        """A turbo request never joins an in-flight fast job, whose body
+        would name the wrong engine."""
+        with BackgroundServer(store=ArtifactStore(tmp_path), jobs=2) as bg:
+            with bg.client() as c:
+                body = {"machine": "m-tta-2", "source": SLOW_SRC, "wait": False}
+                fast = c.request("POST", "/v1/run", {**body, "mode": "fast"})
+                turbo = c.request("POST", "/v1/run", {**body, "mode": "turbo"})
+                assert fast["job_id"] != turbo["job_id"]
+                done = c.wait_job(turbo["job_id"])
+        assert done["state"] == "done"
+        assert done["result"]["mode"] == "turbo"
 
 
 class TestBackpressure:

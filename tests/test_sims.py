@@ -227,7 +227,25 @@ class TestTTAVerifier:
             [TTAInstr([Move(("rf", "RF0", 1), ("rf", "RF1", 1), 3)])],
         )
         with pytest.raises(SimError, match="not routable"):
-            TTASimulator(prog, check_connectivity=True).run()
+            TTASimulator(prog).run()
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(("bus", "message"), [
+        # bm-tta-2 bus 3 cannot read from the register files
+        (3, "move [b3] ('rf', 'RF0', 1) -> ('rf', 'RF1', 1) not routable on bus 3"),
+        (9, "unknown bus 9 at pc=0"),
+    ])
+    def test_unroutable_move_rejected_by_every_engine(self, mode, bus, message):
+        # checked routes every executed move; the others reject the
+        # program at load time -- with the same message
+        machine = build_machine("bm-tta-2")
+        prog = Program(machine, "tta", [
+            TTAInstr([Move(("rf", "RF0", 1), ("rf", "RF1", 1), bus)]),
+            TTAInstr([Move(("imm", 0), ("op", "CU", "t", "halt"), 0)]),
+        ])
+        with pytest.raises(SimError) as excinfo:
+            TTASimulator(prog, mode=mode).run()
+        assert str(excinfo.value) == message
 
     def test_semi_virtual_latching_multiple_inflight(self):
         # mul at cycle 0 (due 3), shl at cycle 2 (due 4): a read at cycle 3
