@@ -4,15 +4,19 @@ Reports simulated MIPS (million simulated cycles per wall second) for the
 Table IV workloads in all four single-run execution modes, asserting
 bit-exact agreement on every architectural statistic along the way (the
 differential tests in ``tests/test_predecode.py``,
-``tests/test_blockcompile.py`` and ``tests/test_native.py`` enforce the
-same property exhaustively).
+``tests/test_blockcompile.py``, ``tests/test_native.py`` and
+``tests/test_scalar_sim.py`` enforce the same property exhaustively).
+The scalar rows (``mblaze-3``) time the scalar core's interpreter in the
+checked column and its Python block engine in the other three (there is
+no C engine for the scalar core, so it has no cold column either).
 
 Two entry points:
 
 * ``pytest benchmarks/bench_sim_throughput.py -s`` — the historical
   benchmark-as-test: prints the table and asserts the engine speedup
   floors (fast >= 3x over checked; turbo >= 3x over fast and native
-  >= 3x over turbo on at least one TTA and one VLIW design point).
+  >= 3x over turbo on at least one TTA and one VLIW design point; the
+  scalar block engine >= 3x over the scalar interpreter).
   Native is timed with a warm compiled-object cache — the warm-up run
   pays the one-time C compile (or pulls the shared object from the
   artifact store) before the clock starts, matching the sweep/service
@@ -50,10 +54,11 @@ from repro import build_machine, compile_for_machine, compile_source, obs
 from repro.kernels import KERNELS, kernel_source
 from repro.sim import MODES, run_compiled
 
-#: Table IV design points exercised by the throughput comparison.
-MACHINES = ("m-tta-2", "m-vliw-2")
+#: Table IV design points exercised by the throughput comparison, one
+#: per core style
+MACHINES = ("m-tta-2", "m-vliw-2", "mblaze-3")
 
-#: minimum fast/checked speedup required on at least one workload
+#: minimum fast/checked speedup required on at least one TTA/VLIW workload
 SPEEDUP_FLOOR = 3.0
 
 #: minimum turbo/fast speedup required on at least one workload per style
@@ -62,6 +67,10 @@ TURBO_FLOOR = 3.0
 #: minimum native/turbo speedup required on at least one workload per
 #: style, with a warm compiled-object cache (the ISSUE acceptance floor)
 NATIVE_FLOOR = 3.0
+
+#: minimum warm speedup of the scalar core's block engine (turbo) over its
+#: checked interpreter, on at least one workload; the same floor as turbo's
+SCALAR_FLOOR = TURBO_FLOOR
 
 #: maximum tracing overhead on the fast engine (enabled-tracer wall time
 #: over untraced wall time, best row): the observability layer never
@@ -101,6 +110,8 @@ def _time_native_cold(compiled):
         return None
     start = time.perf_counter()
     nat = build_native_program(compiled.program)
+    if nat is None:  # the scalar core has no C engine
+        return None
     generated = time.perf_counter()
     native._compile_so(cc, nat.source)
     end = time.perf_counter()
@@ -206,6 +217,50 @@ def best_per_style(rows, ratio: str) -> dict[str, float]:
     return best
 
 
+def best_speedups(rows) -> dict:
+    """The best row per floor: fast/checked over the TTA/VLIW rows,
+    turbo/fast and native/turbo per style, and the scalar block engine
+    over its interpreter."""
+    return {
+        "fast_vs_checked": max(
+            row["speedup"]["fast_vs_checked"] for row in rows if row["style"] != "scalar"
+        ),
+        "turbo_vs_fast": best_per_style(rows, "turbo_vs_fast"),
+        "native_vs_turbo": best_per_style(rows, "native_vs_turbo"),
+        "scalar_blocks_vs_checked": best_per_style(rows, "turbo_vs_checked").get("scalar", 0.0),
+    }
+
+
+def floor_failures(best) -> list[str]:
+    """One message per speedup floor *best* misses."""
+    failures = []
+    if best["fast_vs_checked"] < SPEEDUP_FLOOR:
+        failures.append(
+            f"fast engine only reached {best['fast_vs_checked']:.1f}x over the "
+            f"checked reference (target {SPEEDUP_FLOOR}x)"
+        )
+    for style in ("tta", "vliw"):
+        turbo = best["turbo_vs_fast"].get(style, 0.0)
+        if turbo < TURBO_FLOOR:
+            failures.append(
+                f"turbo engine only reached {turbo:.1f}x over fast on the best "
+                f"{style} point (target {TURBO_FLOOR}x)"
+            )
+        native = best["native_vs_turbo"].get(style, 0.0)
+        if _native_available() and native < NATIVE_FLOOR:
+            failures.append(
+                f"native engine only reached {native:.1f}x over turbo on the best "
+                f"{style} point (target {NATIVE_FLOOR}x, warm compiled-object cache)"
+            )
+    scalar = best["scalar_blocks_vs_checked"]
+    if scalar < SCALAR_FLOOR:
+        failures.append(
+            f"scalar block engine only reached {scalar:.1f}x over the scalar "
+            f"interpreter (target {SCALAR_FLOOR}x, warm block cache)"
+        )
+    return failures
+
+
 def format_table(rows) -> str:
     lines = [
         f"{'machine':10s} {'kernel':10s} {'cycles':>10s} "
@@ -256,30 +311,13 @@ def test_sim_throughput(kernels, capsys):
         f"(ceiling {(TRACE_OVERHEAD_CEILING - 1) * 100:.0f}%): instrumentation "
         f"has leaked into a per-cycle path"
     )
-    fast_best = max(row["speedup"]["fast_vs_checked"] for row in rows)
-    assert fast_best >= SPEEDUP_FLOOR, (
-        f"fast engine only reached {fast_best:.1f}x over the checked "
-        f"reference (target {SPEEDUP_FLOOR}x)"
-    )
-    turbo_best = best_per_style(rows, "turbo_vs_fast")
-    for style in ("tta", "vliw"):
-        assert turbo_best.get(style, 0.0) >= TURBO_FLOOR, (
-            f"turbo engine only reached {turbo_best.get(style, 0.0):.1f}x over "
-            f"fast on the best {style} point (target {TURBO_FLOOR}x)"
-        )
-    if _native_available():
-        native_best = best_per_style(rows, "native_vs_turbo")
-        for style in ("tta", "vliw"):
-            assert native_best.get(style, 0.0) >= NATIVE_FLOOR, (
-                f"native engine only reached {native_best.get(style, 0.0):.1f}x "
-                f"over turbo on the best {style} point (target {NATIVE_FLOOR}x, "
-                f"warm compiled-object cache)"
-            )
+    failures = floor_failures(best_speedups(rows))
+    assert not failures, "; ".join(failures)
 
 
 def test_smoke_covers_both_styles(kernels):
-    """Touch every engine on both styles cheaply so CI exercises the full
-    engine matrix end to end even when the main benchmark is trimmed."""
+    """Touch every engine on every core style cheaply so CI exercises the
+    full engine matrix end to end even when the main benchmark is trimmed."""
     if not _smoke_env():
         import pytest
 
@@ -327,17 +365,16 @@ def main(argv=None) -> int:
     rows = measure(MACHINES, bench_kernels)
     print(format_table(rows))
 
-    turbo_best = best_per_style(rows, "turbo_vs_fast")
-    native_best = best_per_style(rows, "native_vs_turbo")
-    fast_best = max(row["speedup"]["fast_vs_checked"] for row in rows)
+    best = best_speedups(rows)
     overhead_best = min(row["trace_overhead"] for row in rows)
     print()
     print(
         "best speedups: fast/checked "
-        + f"{fast_best:.1f}x; turbo/fast "
-        + ", ".join(f"{s} {v:.1f}x" for s, v in sorted(turbo_best.items()))
+        + f"{best['fast_vs_checked']:.1f}x; turbo/fast "
+        + ", ".join(f"{s} {v:.1f}x" for s, v in sorted(best["turbo_vs_fast"].items()))
         + "; native/turbo "
-        + ", ".join(f"{s} {v:.1f}x" for s, v in sorted(native_best.items()))
+        + ", ".join(f"{s} {v:.1f}x" for s, v in sorted(best["native_vs_turbo"].items()))
+        + f"; scalar blocks/interpreter {best['scalar_blocks_vs_checked']:.1f}x"
         + f"; tracing overhead (best row) {(overhead_best - 1) * 100:+.1f}%"
     )
 
@@ -354,11 +391,7 @@ def main(argv=None) -> int:
             "machines": list(MACHINES),
             "kernels": list(bench_kernels),
             "results": rows,
-            "best_speedup": {
-                "fast_vs_checked": fast_best,
-                "turbo_vs_fast": turbo_best,
-                "native_vs_turbo": native_best,
-            },
+            "best_speedup": best,
             "native_compiler_available": _native_available(),
             "trace_overhead_best": overhead_best,
         }
@@ -367,17 +400,10 @@ def main(argv=None) -> int:
 
     if args.smoke:
         return 0
-    ok = fast_best >= SPEEDUP_FLOOR and all(
-        turbo_best.get(style, 0.0) >= TURBO_FLOOR for style in ("tta", "vliw")
-    )
-    if _native_available():
-        ok = ok and all(
-            native_best.get(style, 0.0) >= NATIVE_FLOOR for style in ("tta", "vliw")
-        )
-    if not ok:
-        print("warning: speedup floors not met", file=sys.stderr)
-        return 1
-    return 0
+    failures = floor_failures(best)
+    for failure in failures:
+        print(f"warning: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

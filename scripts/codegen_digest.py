@@ -1,9 +1,11 @@
-"""Digest the generated block code of the turbo and native engines.
+"""Digest the generated block code of the turbo, native and scalar engines.
 
-For every (kernel, machine) pair this prints one SHA-256 over turbo's
+For every (kernel, machine) pair this prints one SHA-256 over the
 generated Python block source at every start pc (``None`` where the
-block falls back to precise stepping) and over native's C translation
-unit together with its block entries, ``pcap`` and ``wcap``.  A last
+block falls back to precise stepping) -- turbo's on a TTA/VLIW preset,
+the scalar block engine's on a scalar one -- and over native's C
+translation unit together with its block entries, ``pcap`` and ``wcap``
+(``native: none`` on a scalar preset, which has no C engine).  A last
 ``total`` line digests all the pair lines.
 
 A refactor of the code generators (``repro.sim.blockcompile`` /
@@ -18,8 +20,9 @@ Run from the repository root (point ``PYTHONPATH`` at another checkout's
     PYTHONPATH=src python scripts/codegen_digest.py --kernels mips,aes \\
         --machines m-tta-2,m-vliw-2
 
-Defaults: every catalogue kernel (built-ins and promoted) x every TTA and
-VLIW preset.
+Defaults: every catalogue kernel (built-ins and promoted) x every preset.
+A tree without scalar blocks digests only the TTA/VLIW presets; compare
+the two with ``--machines`` naming those.
 """
 
 from __future__ import annotations
@@ -66,13 +69,10 @@ def _names(spec: str | None, known: tuple[str, ...], what: str) -> list[str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--kernels", help="comma-separated kernel names")
-    parser.add_argument("--machines", help="comma-separated TTA/VLIW presets")
+    parser.add_argument("--machines", help="comma-separated presets")
     args = parser.parse_args(argv)
-    block_presets = tuple(
-        n for n in preset_names() if build_machine(n).style.value != "scalar"
-    )
     kernels = _names(args.kernels, catalog(), "kernel")
-    machines = _names(args.machines, block_presets, "TTA/VLIW machine")
+    machines = _names(args.machines, preset_names(), "machine")
     total = hashlib.sha256()
     n_blocks = 0
     for kernel in kernels:
@@ -85,7 +85,7 @@ def main(argv=None) -> int:
             print(line, flush=True)
     print(
         f"total {total.hexdigest()} "
-        f"({len(kernels) * len(machines)} C units, {n_blocks} start pcs)"
+        f"({len(kernels) * len(machines)} pairs, {n_blocks} start pcs)"
     )
     return 0
 

@@ -16,6 +16,9 @@ The stack grows downward from the top of data memory.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import SimpleNamespace
+
 from repro.backend.mop import PhysReg
 from repro.machine.machine import Machine
 
@@ -43,9 +46,9 @@ def return_value_reg(machine: Machine) -> PhysReg:
     return PhysReg(first_rf, 1)
 
 
-def caller_saved(machine: Machine) -> set[PhysReg]:
+def caller_saved(machine: Machine) -> frozenset[PhysReg]:
     """Registers clobbered by a call (argument/return-value registers)."""
-    return set(arg_regs(machine))
+    return _caller_saved(machine.register_files)
 
 
 def scratch_regs(machine: Machine) -> list[PhysReg]:
@@ -59,6 +62,31 @@ def ret_preserved_regs(machine: Machine) -> tuple[PhysReg, ...]:
     """Registers that must hold their ABI-mandated values when a function
     returns: the stack pointer, the return value, and every callee-saved
     register."""
+    return _ret_preserved_regs(machine.register_files)
+
+
+def allocatable_regs(machine: Machine) -> tuple[PhysReg, ...]:
+    """All registers the allocator may hand out, in a round-robin order
+    that interleaves the register files (spreads port pressure on the
+    partitioned design points)."""
+    return _allocatable_regs(machine.register_files)
+
+
+# The three helpers above depend on the register files alone and the
+# backend calls them per instruction, so they are memoised on
+# ``machine.register_files`` (hashing that tuple is far cheaper than a
+# machine digest).  Each memo entry computes on a stand-in machine that
+# has only the register files.
+
+
+@lru_cache(maxsize=256)
+def _caller_saved(register_files) -> frozenset[PhysReg]:
+    return frozenset(arg_regs(SimpleNamespace(register_files=register_files)))
+
+
+@lru_cache(maxsize=256)
+def _ret_preserved_regs(register_files) -> tuple[PhysReg, ...]:
+    machine = SimpleNamespace(register_files=register_files)
     clobbered = caller_saved(machine) | set(scratch_regs(machine))
     preserved = [stack_pointer(machine), return_value_reg(machine)]
     for reg in allocatable_regs(machine):
@@ -67,17 +95,16 @@ def ret_preserved_regs(machine: Machine) -> tuple[PhysReg, ...]:
     return tuple(preserved)
 
 
-def allocatable_regs(machine: Machine) -> list[PhysReg]:
-    """All registers the allocator may hand out, in a round-robin order
-    that interleaves the register files (spreads port pressure on the
-    partitioned design points)."""
+@lru_cache(maxsize=256)
+def _allocatable_regs(register_files) -> tuple[PhysReg, ...]:
+    machine = SimpleNamespace(register_files=register_files)
     reserved = {stack_pointer(machine), *scratch_regs(machine)}
     regs: list[PhysReg] = []
-    max_size = max(rf.size for rf in machine.register_files)
+    max_size = max(rf.size for rf in register_files)
     for idx in range(max_size):
-        for rf in machine.register_files:
+        for rf in register_files:
             if idx < rf.size:
                 reg = PhysReg(rf.name, idx)
                 if reg not in reserved:
                     regs.append(reg)
-    return regs
+    return tuple(regs)

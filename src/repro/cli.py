@@ -206,7 +206,7 @@ def _run_and_report(args) -> int:
         if scalar:
             print(
                 "error: --profile supports TTA and VLIW cores only "
-                "(the scalar core has a single engine)",
+                "(the scalar core keeps no hit vectors)",
                 file=sys.stderr,
             )
             return 2
@@ -219,9 +219,10 @@ def _run_and_report(args) -> int:
     encoding = encode_machine(machine)
     print(f"exit code : {result.exit_code}")
     print(f"cycles    : {result.cycles}")
-    # the scalar (MicroBlaze-like) core has a single engine: --mode is
-    # accepted for CLI symmetry but ignored there
-    print(f"engine    : {'scalar (single engine; --mode ignored)' if scalar else args.mode}")
+    engine = args.mode
+    if scalar and engine == "native":
+        engine += " (Python blocks: the scalar core has no C engine)"
+    print(f"engine    : {engine}")
     print(f"image     : {compiled.instruction_count} instructions "
           f"({compiled.instruction_count * encoding.instruction_width / 1000:.1f} kbit)")
     if hasattr(result, "bypass_reads"):
@@ -789,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compiles the same blocks to C via ctypes with the shared object "
         "cached in the artifact store (falls back to turbo without a C "
         "compiler); 'checked' re-verifies every cycle, bus routing "
-        "included; the scalar (MicroBlaze-like) core has a single engine "
-        "and ignores --mode",
+        "included; on the scalar (MicroBlaze-like) core 'checked' is the "
+        "interpreter and the other three run its Python block engine",
     }, trace={
         "help": "record a compile+simulate timeline (spans + counters) as a "
         "Chrome-trace JSON file; inspect with 'repro trace summary FILE' "
@@ -900,7 +901,8 @@ def build_parser() -> argparse.ArgumentParser:
              "help": "comma-separated design-point subset (default: all 13)",
          }, modes={
              "help": f"comma-separated engine subset of {','.join(MODES)} "
-             "(default: all; the scalar core always runs its single engine)",
+             "(default: all; the scalar core always runs its block engine "
+             "against its checked interpreter)",
          }, smoke={
              "help": "bounded CI preset: 5 kernels, 120s budget (explicit "
              "--count/--time-budget still win)",

@@ -18,9 +18,12 @@ campaign keeps running and reports everything at the end.  Only
 infrastructure faults (e.g. an unpicklable result) escape, and the
 pipeline executor turns those into ``TaskError`` records.
 
-The scalar (MicroBlaze-like) core has a single engine; its one run is
-recorded under the pseudo-mode ``"scalar"`` and compared against the
-oracle only.
+The scalar (MicroBlaze-like) core runs its block engine
+(:data:`~repro.sim.modes.DEFAULT_MODE`) and its checked interpreter,
+whatever modes the case names.  The block engine's run is recorded under
+the pseudo-mode ``"scalar"`` and compared against the oracle; any
+difference from the interpreter -- in a result field or in the error
+raised -- is a ``"scalar"`` stats-mismatch.
 """
 
 from __future__ import annotations
@@ -196,19 +199,30 @@ def run_case(case: FuzzCase) -> FuzzCaseReport:
             divergences=tuple(divergences),
         )
 
-    modes = ("scalar",) if machine.style is MachineStyle.SCALAR else tuple(case.modes)
-    for mode in modes:
+    def outcome(mode: str):
+        """``(record, None)`` of one run, or ``(None, (error line,
+        traceback))`` when it raised."""
         try:
-            result = run_compiled(
-                compiled,
-                max_cycles=case.max_cycles,
-                mode=DEFAULT_MODE if mode == "scalar" else mode,
-            )
-            record = _result_record(result)
+            result = run_compiled(compiled, max_cycles=case.max_cycles, mode=mode)
+            return _result_record(result), None
         except INFRA_ERRORS:
             raise
-        except Exception:
-            diverge(mode, "crash", traceback.format_exc())
+        except Exception as exc:
+            return None, (f"{type(exc).__name__}: {exc}", traceback.format_exc())
+
+    scalar = machine.style is MachineStyle.SCALAR
+    modes = ("scalar",) if scalar else tuple(case.modes)
+    for mode in modes:
+        record, error = outcome(DEFAULT_MODE if scalar else mode)
+        if scalar:
+            # the interpreter must agree on every field, or raise the same error
+            checked, checked_error = outcome("checked")
+            want = checked if checked_error is None else checked_error[0]
+            got = record if error is None else error[0]
+            if got != want:
+                diverge(mode, "stats-mismatch", f"{DEFAULT_MODE}={got!r} != checked={want!r}")
+        if error is not None:
+            diverge(mode, "crash", error[1])
             continue
         runs[mode] = record
         if record["exit_code"] != case.expected_exit:

@@ -536,12 +536,6 @@ def _job_context():
 class Job:
     """One queued/running/finished unit of work."""
 
-    _SLOTTED = (
-        "id", "kind", "params", "key", "plain", "state", "cached",
-        "result", "error", "request_ids", "timeout_s",
-        "created", "started", "finished",
-    )
-
     def __init__(self, job_id, kind, params, key, plain, timeout_s, request_id):
         self.id = job_id
         self.kind = kind
@@ -728,16 +722,8 @@ class JobManager:
         cached = load_cached_payload(kind, params, key, plain, self.store)
         if cached is not None:
             job = self._new_job(kind, params, key, plain, request_id)
-            job.state = DONE
-            job.cached = True
-            job.result = cached
-            job.created = job.started = job.finished = time.monotonic()
-            job.done_event.set()
             self._register(job)
-            self._retire(job)
-            if self.metrics:
-                self.metrics.cache_hits += 1
-            obs.count("serve.cache_hits")
+            self._finish_cached(job, cached)
             return job
         if self._draining:
             raise Draining("server is draining")
@@ -790,6 +776,18 @@ class JobManager:
         if job.cancel_event is not None:
             job.cancel_event.set()
 
+    def _finish_cached(self, job: Job, payload: dict) -> None:
+        """Finish *job* as a store hit, without running anything."""
+        job.state = DONE
+        job.cached = True
+        job.result = payload
+        job.started = job.finished = time.monotonic()
+        job.done_event.set()
+        self._retire(job)
+        if self.metrics:
+            self.metrics.cache_hits += 1
+        obs.count("serve.cache_hits")
+
     def _finish(self, job: Job, state: str, result: dict | None,
                 error: dict | None) -> None:
         job.state = state
@@ -812,6 +810,14 @@ class JobManager:
             if job is None:
                 return  # drain sentinel
             if job.state != QUEUED:  # cancelled while waiting
+                continue
+            # a job queued behind another of the same result key (say, fast
+            # then turbo) finds the result that one stored
+            cached = load_cached_payload(job.kind, job.params, job.key, job.plain, self.store)
+            if cached is not None:
+                self._queued -= 1
+                self._inflight.pop(job.live_key, None)
+                self._finish_cached(job, cached)
                 continue
             job.state = RUNNING
             job.started = time.monotonic()

@@ -42,6 +42,17 @@ never less general than ``mode="fast"``.  The differential tests in
 ``tests/test_blockcompile.py`` assert byte-identical results -- exit
 code, cycles and every statistic counter -- against ``mode="checked"``
 for every kernel x machine pair in both styles.
+
+The scalar core's block engine lives here too (:func:`scalar_blocks`,
+walked by :func:`_walk_scalar` through the same Python printer).  A
+scalar block is straight-line code up to its first control operation;
+its stall cost is static except for a conditional branch's
+taken/untaken extra, so each block adds one constant to the cycle count
+and its instruction, load and store counts are folded in after the run
+from its execution count.  The scalar driver
+(:class:`~repro.sim.scalar_sim.ScalarSimulator`) steps precisely --
+through the reference interpreter -- wherever a block has no code or
+could cross the cycle budget.
 """
 
 from __future__ import annotations
@@ -49,18 +60,20 @@ from __future__ import annotations
 from heapq import heappop as _heappop
 
 from repro import obs
+from repro.backend.mop import Imm, PhysReg
 from repro.backend.program import Program
 from repro.isa.operations import OPS, OpKind
-from repro.isa.semantics import sext8, sext16, to_signed
+from repro.isa.semantics import MASK32, sext8, sext16, to_signed
 from repro.sim.errors import SimError
 from repro.sim.predecode import (
     _CONTROL_OPS,
-    _VLIW_LOADS,
-    _VLIW_STORES,
+    _LOADS,
+    _STORES,
     ALU_FUNCS,
     static_decode_tta,
     static_decode_vliw,
 )
+from repro.sim.scalar_sim import ENDS_BLOCK, static_cost
 
 #: Version token for the simulation-engine family.  It participates in
 #: the pipeline artifact fingerprint (:mod:`repro.pipeline.fingerprint`)
@@ -73,6 +86,7 @@ SIM_ENGINE_VERSION = 5
 #: cache keys on ``Program.predecode_cache`` for compiled block code
 _TTA_TURBO_KEY = "tta-turbo"
 _VLIW_TURBO_KEY = "vliw-turbo"
+_SCALAR_KEY = "scalar-blocks"
 
 #: soft cap on block length before any control transfer is seen
 _MAX_BLOCK = 256
@@ -125,12 +139,13 @@ def _param_maps(machine):
 def _assemble(lines, prologue, used, tag):
     """Build the block function source and compile it.
 
-    The generated function receives the entry cycle ``c`` and returns a
-    ``(status, pc, cycle, redirect_cycle, redirect_target)`` tuple:
-    status 0 = fell through (a still-pending redirect may be carried),
-    status 1 = redirect consumed at block end (pc is the target),
-    status 3 = halted (cycle is the halt cycle).
-    Everything else the block touches -- register-file lists, FU
+    The generated function receives the entry cycle ``c``.  A TTA/VLIW
+    block returns a ``(status, pc, cycle, redirect_cycle,
+    redirect_target)`` tuple: status 0 = fell through (a still-pending
+    redirect may be carried), status 1 = redirect consumed at block end
+    (pc is the target), status 3 = halted (cycle is the halt cycle).  A
+    scalar block returns ``(next pc, cycle)``, with pc ``None`` once
+    halted.  Everything else the block touches -- register-file lists, FU
     objects, memory accessors, the execution counter ``_x`` -- is bound
     once as a default argument, so the body runs on locals only.
     """
@@ -380,9 +395,9 @@ def _walk_vliw(out, decoded, start, jl, has_halt, has_ctl, maxlat):
                     out.end_if()
                 elif lat < 0:
                     raise _Unsupported(name)
-                elif name in _VLIW_LOADS:
+                elif name in _LOADS:
                     write(k + lat, dest, out.load(name, value(srcs[0])))
-                elif name in _VLIW_STORES:
+                elif name in _STORES:
                     out.store(name, value(srcs[0]), value(srcs[1]))
                 elif name == "setra":
                     out.assign(out.ra(), value(srcs[0]))
@@ -402,6 +417,102 @@ def _walk_vliw(out, decoded, start, jl, has_halt, has_ctl, maxlat):
         out.exit_write(due_rel, rf, idx, t)
     # a halting block flushes every in-flight write so the exit code is final
     return out.finish(start, n, halts, redirects, flush=halts)
+
+
+#: scalar operations that write no register
+_NO_DEST = ENDS_BLOCK | _STORES | {"setra"}
+
+
+def _walk_scalar(out, instrs, start, machine):
+    """One scalar block: ops in program order through the first control
+    operation, or up to (not including) the first op that reads or
+    writes anything but an immediate or a register of *machine* (an
+    unresolved operand, an unknown opcode), which the interpreter steps.
+
+    Returns ``(worst-case cycles, ops, loads, stores, source, code)``.
+    """
+    timing = machine.scalar_timing
+    sizes = {rf.name: rf.size for rf in machine.register_files}
+
+    def reg(r):
+        if isinstance(r, PhysReg) and 0 <= r.idx < sizes.get(r.rf, 0):
+            return out.rf(r.rf, r.idx)
+        raise _Unsupported(r)
+
+    def value(src):
+        if isinstance(src, Imm):
+            return out.imm(src.value & MASK32)
+        return reg(src)
+
+    cost = n = loads = stores = 0
+    end = min(len(instrs), start + _MAX_BLOCK)
+    while start + n < end:
+        pc = start + n
+        op = instrs[pc]
+        name = op.op
+        srcs = op.srcs
+        try:
+            # every operand the interpreter reads, before anything is printed
+            if name in ("jump", "call", "setra", "copy") or name in _LOADS:
+                a = value(srcs[0])
+            elif name in ("cjump", "cjumpz") or name in _STORES:
+                a, b = value(srcs[0]), value(srcs[1])
+            elif name in _ALU_EXPR:
+                operands = [value(src) for src in srcs]
+                a = operands[0]
+                b = operands[1] if len(operands) > 1 else "0"
+            elif name not in ("ret", "halt", "getra"):
+                raise _Unsupported(name)
+            dest = None if name in _NO_DEST else reg(op.dest)
+        except (_Unsupported, IndexError):
+            break
+        n += 1
+        op_cost = cost + static_cost(op, machine)
+        if name in ENDS_BLOCK:
+            out.count(0)
+            if name == "halt":
+                out.leave("None", cost)
+            elif name in ("cjump", "cjumpz"):
+                taken = op_cost + timing.taken_branch_extra
+                untaken = op_cost + timing.untaken_branch_extra
+                static_target = isinstance(srcs[1], Imm)
+                target = b if static_target else out.temp(b)
+                out.begin_if(a, negate=name == "cjumpz")
+                # a taken branch to the next op does not count as taken
+                if not static_target:
+                    out.count(1, f"{target} != {pc + 1}")
+                elif srcs[1].value & MASK32 != pc + 1:
+                    out.count(1)
+                out.leave(target, taken)
+                out.end_if()
+                out.leave(repr(pc + 1), untaken)
+                cost = max(taken, untaken)
+            else:
+                if name == "call":
+                    out.assign(out.ra(), out.imm(pc + 1))
+                out.leave(out.ra() if name == "ret" else a, op_cost)
+                cost = op_cost
+            return cost, n, loads, stores, *out.compiled(start)
+        cost = op_cost
+        if name in _LOADS:
+            out.assign(dest, out.load(name, a))
+            loads += 1
+        elif name in _STORES:
+            out.store(name, a, b)
+            stores += 1
+        elif name == "copy":
+            out.assign(dest, a)
+        elif name == "getra":
+            out.assign(dest, out.ra())
+        elif name == "setra":
+            out.assign(out.ra(), a)
+        else:
+            out.assign(dest, out.alu(name, a, b))
+    if n == 0:
+        return None
+    out.count(0)
+    out.leave(repr(start + n), cost)
+    return cost, n, loads, stores, *out.compiled(start)
 
 
 # ---------------------------------------------------------------------------
@@ -546,9 +657,19 @@ class _PyBlock:
         else:
             self._emit(f"return (0, {start + n}, c + {n}, -1, 0)")
         prologue = ["rc = -1", "rt = 0"] if redirects else []
-        tag = f"{self.style}:{start}"
-        source, code = _assemble(self.lines, prologue, self.used, tag)
-        return (n, halts, source, code)
+        return (n, halts, *self.compiled(start, prologue))
+
+    def count(self, slot, by="1"):
+        """Add *by* to slot *slot* of the block's counter ``_x``."""
+        self._emit(f"_x[{slot}] += {by}")
+
+    def leave(self, pc, k):
+        """A scalar block exit: continue at *pc* with ``c + k`` cycles."""
+        self._emit(f"return ({pc}, {_cexpr(k)})")
+
+    def compiled(self, start, prologue=()):
+        """``(source, code)`` of the printed block."""
+        return _assemble(self.lines, list(prologue), self.used, f"{self.style}:{start}")
 
 
 def _compile_tta_block(
@@ -567,6 +688,12 @@ def _compile_vliw_block(program: Program, start: int, decoded, preds, rf_param, 
     return _walk_vliw(out, decoded, start, jl, *preds, maxlat)
 
 
+def _compile_scalar_block(program: Program, start: int, rf_param):
+    """Generate + compile one scalar block; ``None`` if unsupported."""
+    out = _PyBlock("scalar", rf_param, {})
+    return _walk_scalar(out, program.instrs, start, program.machine)
+
+
 # ---------------------------------------------------------------------------
 # turbo's block source
 # ---------------------------------------------------------------------------
@@ -577,6 +704,8 @@ def _block_compiler(program: Program):
     *program*'s style; every compile function is called as
     ``compile_block(program, start, *args)``."""
     rf_param, fu_param = _param_maps(program.machine)
+    if program.style == "scalar":
+        return _compile_scalar_block, _SCALAR_KEY, (rf_param,)
     if program.style == "tta":
         decoded = static_decode_tta(program)
         preds = _op_predicates("tta", decoded)[:2]
@@ -597,25 +726,22 @@ def _block_cache(program: Program, key: str) -> dict:
 def tta_block_source(program: Program, start: int) -> str | None:
     """Generated source of the block starting at *start* (debugging and
     tests); ``None`` when the block falls back to precise stepping.
-    Serves both styles; ``vliw_block_source`` is the same function."""
+    Serves every style; ``vliw_block_source`` and ``scalar_block_source``
+    are the same function."""
     compile_block, key, args = _block_compiler(program)
     cache = _block_cache(program, key)
     if start not in cache:
         cache[start] = compile_block(program, start, *args)
     entry = cache[start]
-    return None if entry is None else entry[2]
+    return None if entry is None else entry[-2]
 
 
-vliw_block_source = tta_block_source
+vliw_block_source = scalar_block_source = tta_block_source
 
 
-def turbo_blocks(sim, rfs):
-    """Turbo's block source (see :func:`repro.sim.predecode.block_source_for`):
-    each entry pc's block is compiled once per program, on first entry,
-    and bound to *sim*'s state."""
-    program = sim.program
-    compile_block, key, args = _block_compiler(program)
-    rf_param, fu_param = _param_maps(program.machine)
+def _namespace(sim, rfs, rf_param) -> dict:
+    """The names every generated block may bind: *sim*, its memory
+    accessors, the ALU helpers and its register files."""
     ns = {
         "_sim": sim,
         "_se": SimError,
@@ -627,6 +753,46 @@ def turbo_blocks(sim, rfs):
     }
     for name, param in rf_param.items():
         ns[param] = rfs[name]
+    return ns
+
+
+def _bind_blocks(program: Program, ns: dict, counter, tag: str):
+    """``(blocks, materialize, bound)`` over *program*'s cached block code:
+    each entry pc's block is compiled once per program, on first entry,
+    and bound to *ns* with a fresh execution counter ``counter()``;
+    ``bound`` lists ``(start, cache entry, counter)`` per bound block."""
+    compile_block, key, args = _block_compiler(program)
+    code_cache = _block_cache(program, key)
+    blocks: dict[int, tuple | None] = {}
+    bound: list[tuple[int, tuple, list]] = []
+
+    def materialize(pc):
+        if pc in code_cache:
+            entry = code_cache[pc]
+            obs.count(f"sim.{tag}.block_cache_hits")
+        else:
+            entry = code_cache[pc] = compile_block(program, pc, *args)
+            obs.count(f"sim.{tag}.blocks_compiled")
+        if entry is None:
+            blocks[pc] = None
+            obs.count(f"sim.{tag}.fallback_blocks")
+            return None
+        ns["_x"] = x = counter()
+        exec(entry[-1], ns)  # noqa: S102 - self-generated, cached block code
+        blk = blocks[pc] = (entry[0], ns.pop("_b"))
+        bound.append((pc, entry, x))
+        return blk
+
+    return blocks, materialize, bound
+
+
+def turbo_blocks(sim, rfs):
+    """Turbo's block source (see :func:`repro.sim.predecode.block_source_for`):
+    each entry pc's block is compiled once per program, on first entry,
+    and bound to *sim*'s state."""
+    program = sim.program
+    rf_param, fu_param = _param_maps(program.machine)
+    ns = _namespace(sim, rfs, rf_param)
     if program.style == "tta":
         from repro.sim.tta_sim import fu_unavailable_error
 
@@ -637,30 +803,31 @@ def turbo_blocks(sim, rfs):
         ns["_hp"] = sim._pending_slot_writes
         ns["_hpop"] = _heappop
         ns["_wl"] = sim._write_later_slot
-    code_cache = _block_cache(program, key)
-    blocks: dict[int, tuple | None] = {}
-    counters: list[tuple[int, int, list]] = []
-
-    def materialize(pc):
-        if pc in code_cache:
-            entry = code_cache[pc]
-            obs.count("sim.turbo.block_cache_hits")
-        else:
-            entry = code_cache[pc] = compile_block(program, pc, *args)
-            obs.count("sim.turbo.blocks_compiled")
-        if entry is None:
-            blocks[pc] = None
-            obs.count("sim.turbo.fallback_blocks")
-            return None
-        length, _halts, _source, code = entry
-        counter = [0]
-        ns["_x"] = counter
-        exec(code, ns)  # noqa: S102 - self-generated, cached block code
-        blk = blocks[pc] = (length, ns.pop("_b"))
-        counters.append((pc, length, counter))
-        return blk
+    blocks, materialize, bound = _bind_blocks(program, ns, lambda: [0], "turbo")
 
     def finish():
-        return [(start, length, counter[0]) for start, length, counter in counters]
+        return [(start, entry[0], x[0]) for start, entry, x in bound]
+
+    return blocks, materialize, finish
+
+
+def scalar_blocks(sim):
+    """The scalar core's block source, shaped like :func:`turbo_blocks`:
+    ``blocks`` maps an entry pc to ``(worst-case cycles, enter)``, where
+    ``enter(cycle)`` returns ``(next pc, cycle)`` (pc ``None`` once
+    halted), and ``finish()`` returns the ``(instructions, loads,
+    stores, taken_branches)`` the blocks retired."""
+    rf_param, _ = _param_maps(sim.program.machine)
+    ns = _namespace(sim, sim.rfs, rf_param)
+    blocks, materialize, bound = _bind_blocks(sim.program, ns, lambda: [0, 0], "scalar")
+
+    def finish():
+        totals = [0, 0, 0, 0]
+        for _start, (_worst, ops, loads, stores, *_), (runs, taken) in bound:
+            totals[0] += runs * ops
+            totals[1] += runs * loads
+            totals[2] += runs * stores
+            totals[3] += taken
+        return totals
 
     return blocks, materialize, finish

@@ -1,14 +1,16 @@
 """The simulation engine names, defined once.
 
-Every entry point that takes an engine mode (the TTA/VLIW simulators,
-profiling, the CLI, the service, fuzzing and golden replay) validates
-against these tuples.  A leaf module so the simulators can import it
+Every entry point that takes an engine mode (the simulators, profiling,
+the CLI, the service, fuzzing and golden replay) validates against these
+tuples.  A leaf module so the simulators can import it
 without an import cycle through :mod:`repro.sim.run`.
 """
 
 from __future__ import annotations
 
-#: every TTA/VLIW execution engine, in cross-engine comparison order
+#: every execution engine, in cross-engine comparison order.  The scalar
+#: core has two: ``checked`` is its interpreter, and ``fast``, ``turbo``
+#: and ``native`` all run its Python block engine (it has no C engine)
 MODES = ("checked", "fast", "turbo", "native")
 
 #: the engine every entry point uses when none is named; the only

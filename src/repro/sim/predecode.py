@@ -391,8 +391,9 @@ def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
 # VLIW: static verification + decode
 # ---------------------------------------------------------------------------
 
-_VLIW_LOADS = frozenset({"ldw", "ldh", "ldq", "ldqu", "ldhu"})
-_VLIW_STORES = frozenset({"stw", "sth", "stq"})
+#: load and store operations of the op-list styles (VLIW and scalar)
+_LOADS = frozenset({"ldw", "ldh", "ldq", "ldqu", "ldhu"})
+_STORES = frozenset({"stw", "sth", "stq"})
 _VLIW_PSEUDO = frozenset({"copy", "getra", "setra", "halt"})
 
 
@@ -438,7 +439,7 @@ def static_decode_vliw(program: Program) -> list:
             srcs = tuple(_check_vliw_src(s, pc, machine) for s in op.srcs)
             needs_dest = (
                 name not in _CONTROL_OPS
-                and name not in _VLIW_STORES
+                and name not in _STORES
                 and name not in ("halt", "setra")
             )
             dest = None
@@ -446,7 +447,7 @@ def static_decode_vliw(program: Program) -> list:
                 if not isinstance(op.dest, PhysReg):
                     raise SimError(f"operation {op!r} lacks a destination at pc={pc}")
                 dest = _check_vliw_src(op.dest, pc, machine)[1:]
-            is_alu = needs_dest and name not in _VLIW_LOADS and name not in (
+            is_alu = needs_dest and name not in _LOADS and name not in (
                 "copy",
                 "getra",
             )
@@ -517,7 +518,7 @@ def _bind_vliw_op(op, sim, rfs, jl1: int):
             return None if _p() else (cycle + _j, _t())
 
         return run_cjumpz
-    if name in _VLIW_LOADS:
+    if name in _LOADS:
         read_addr = _bind_vliw_reader(srcs[0], rfs)
         regs = rfs[dest[0]]
 
@@ -536,7 +537,7 @@ def _bind_vliw_op(op, sim, rfs, jl1: int):
             return None
 
         return run_load
-    if name in _VLIW_STORES:
+    if name in _STORES:
         read_addr = _bind_vliw_reader(srcs[0], rfs)
         read_value = _bind_vliw_reader(srcs[1], rfs)
 

@@ -17,7 +17,7 @@ def _make_simulator(compiled: CompiledProgram, max_cycles: int, mode: str):
     elif style is MachineStyle.VLIW:
         sim = VLIWSimulator(compiled.program, max_cycles=max_cycles, mode=mode)
     else:
-        sim = ScalarSimulator(compiled.program, max_cycles=max_cycles)
+        sim = ScalarSimulator(compiled.program, max_cycles=max_cycles, mode=mode)
     sim.preload(compiled.data_init)
     return sim
 
@@ -40,10 +40,12 @@ def run_compiled(
     store (degrading to turbo with a one-time warning when no C compiler
     is available); ``mode="checked"`` runs the per-cycle reference
     engine, which re-verifies every structural property, bus routing
-    included, on every executed cycle.  The scalar core has a single
-    engine; *mode* is ignored there, but it must still be one of
-    :data:`~repro.sim.modes.MODES`.  All modes are bit- and cycle-exact
-    with each other.  *mode* defaults to
+    included, on every executed cycle.  On the scalar core ``checked``
+    is the reference interpreter, and ``fast``, ``turbo`` and ``native``
+    all run its block engine: straight-line blocks compiled to Python
+    (there is no C engine for the scalar core), stepped through the
+    interpreter wherever a block cannot be proven static.  All modes are
+    bit- and cycle-exact with each other.  *mode* defaults to
     :data:`~repro.sim.modes.DEFAULT_MODE`.
     """
     check_mode(mode)

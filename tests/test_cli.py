@@ -41,9 +41,18 @@ class TestCLI:
         assert "engine    : turbo" in out
         assert "exit code : 0" in out
 
-    def test_run_scalar_ignores_mode(self, minic_file, capsys):
-        assert main(["run", minic_file, "-m", "mblaze-3", "--mode", "turbo"]) == 0
-        assert "scalar (single engine; --mode ignored)" in capsys.readouterr().out
+    def test_run_scalar_honours_mode(self, minic_file, capsys):
+        engines, others = {}, {}
+        for mode in ("checked", "turbo", "native"):
+            assert main(["run", minic_file, "-m", "mblaze-3", "--mode", mode]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            engines[mode] = [line for line in lines if line.startswith("engine")]
+            others[mode] = [line for line in lines if not line.startswith("engine")]
+        assert engines["checked"] == ["engine    : checked"]
+        assert engines["turbo"] == ["engine    : turbo"]
+        assert "Python blocks" in engines["native"][0]
+        # every other printed line is the same whatever the engine
+        assert others["checked"] == others["turbo"] == others["native"]
 
     def test_run_profile(self, minic_file, capsys):
         assert main(

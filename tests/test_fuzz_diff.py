@@ -54,6 +54,30 @@ def test_scalar_machine_uses_single_pseudo_mode():
     assert set(report.runs) == {"scalar"}
 
 
+@pytest.mark.parametrize("skew", ["cycles", "error"])
+def test_scalar_engines_disagreeing_is_a_stats_mismatch(monkeypatch, skew):
+    """The scalar core's checked interpreter runs alongside its block
+    engine; a different record or error from it is a divergence."""
+    import repro.sim
+    from repro.sim import SimError
+
+    real = repro.sim.run_compiled
+
+    def skewed(compiled, *args, mode, **kwargs):
+        result = real(compiled, *args, mode=mode, **kwargs)
+        if mode == "checked":
+            if skew == "error":
+                raise SimError("PC out of range: 99")
+            result.cycles += 1
+        return result
+
+    monkeypatch.setattr(repro.sim, "run_compiled", skewed)
+    report = run_case(_case("mblaze-3"))
+    assert [(d.mode, d.kind) for d in report.divergences] == [("scalar", "stats-mismatch")]
+    assert "checked=" in report.divergences[0].detail
+    assert set(report.runs) == {"scalar"}
+
+
 def test_wrong_expectation_is_one_divergence_per_mode():
     report = run_case(_case("m-tta-2", expected=255))
     assert not report.ok

@@ -386,6 +386,25 @@ class TestDedupAndCache:
         assert stats["dedup"]["executed"] == 1
         assert stats["dedup"]["coalesced"] == 2
 
+    def test_queued_job_served_from_result_stored_ahead_of_it(self, tmp_path):
+        """fast then turbo of one pair, both queued on one shard: the turbo
+        job is dequeued after the fast job stored their shared result, so
+        it is answered from the store instead of running again."""
+        with BackgroundServer(store=ArtifactStore(tmp_path), jobs=2) as bg:
+            with bg.client() as c:
+                body = {"machine": "m-tta-2", "source": SLOW_SRC, "wait": False}
+                fast = c.request("POST", "/v1/run", {**body, "mode": "fast"})
+                turbo = c.request("POST", "/v1/run", {**body, "mode": "turbo"})
+                fast_done = c.wait_job(fast["job_id"])
+                turbo_done = c.wait_job(turbo["job_id"])
+                stats = c.stats()
+        assert turbo_done["state"] == "done"
+        assert turbo_done["cached"] is True
+        assert turbo_done["result"]["mode"] == "turbo"
+        assert {**turbo_done["result"], "mode": "fast"} == fast_done["result"]
+        assert stats["dedup"]["executed"] == 1
+        assert stats["dedup"]["cache_hits"] == 1
+
     def test_in_flight_requests_coalesce_per_mode(self, tmp_path):
         """A turbo request never joins an in-flight fast job, whose body
         would name the wrong engine."""
