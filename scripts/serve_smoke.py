@@ -2,7 +2,8 @@
 
 Starts the service exactly as a user would (``python -m repro serve``
 on an ephemeral port), drives one of every request shape through the
-bundled client — compile, run, repeat-run (must be a store hit),
+bundled client — compile, compile on a second preset (must match a
+direct compile), run, repeat-run (must be a store hit),
 four-lane run, sweep, stats — and shuts it down with SIGTERM, asserting a
 clean graceful drain.
 
@@ -21,6 +22,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
+from repro.backend import compile_for_machine  # noqa: E402
+from repro.frontend import compile_source  # noqa: E402
+from repro.kernels import load  # noqa: E402
+from repro.machine import build_machine  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
 
 
@@ -49,6 +54,21 @@ def main() -> int:
                 assert compiled["result"]["instruction_count"] > 0
                 print(f"compile ok: {compiled['result']['instruction_count']} "
                       f"instructions")
+
+                # the second preset's job loads the optimised IR module the
+                # first one stored instead of parsing the kernel again
+                other = client.compile("m-vliw-2", kernel="mips", trace=True)
+                counters = other["trace"]["counters"]
+                assert counters.get("frontend.module_store_hit") == 1, counters
+                direct = compile_for_machine(
+                    compile_source(load("mips"), module_name="mips"),
+                    build_machine("m-vliw-2"),
+                )
+                assert other["result"]["instruction_count"] == \
+                    direct.instruction_count, (other, direct.instruction_count)
+                print(f"second-preset compile ok: "
+                      f"{direct.instruction_count} instructions, as a direct "
+                      f"compile, from the stored IR module")
 
                 first = client.run("m-tta-2", kernel="mips", mode="fast")
                 assert first["result"]["exit_code"] == 0

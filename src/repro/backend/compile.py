@@ -24,18 +24,14 @@ class CompiledProgram:
     Attributes:
         program: the linked instruction stream.
         machine: the target design point.
-        module: the IR module it was built from.
         symbols: global-variable address map (for simulator memory init).
         data_init: (address, bytes) pairs to preload into data memory.
-        mfuncs: the lowered machine functions (for inspection/tests).
     """
 
     program: Program
     machine: Machine
-    module: Module
     symbols: dict[str, int]
     data_init: list[tuple[int, bytes]] = field(default_factory=list)
-    mfuncs: dict[str, MFunction] = field(default_factory=dict)
 
     @property
     def instruction_count(self) -> int:
@@ -160,4 +156,4 @@ def compile_for_machine(module: Module, machine: Machine) -> CompiledProgram:
         for gname, gvar in module.globals.items()
         if gvar.init
     ]
-    return CompiledProgram(program, machine, module, symbols, data_init, mfuncs)
+    return CompiledProgram(program, machine, symbols, data_init)

@@ -30,6 +30,7 @@ import multiprocessing
 import os
 import time
 import traceback
+from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -61,7 +62,12 @@ class TracedOutcome:
     wall_ms: float | None = None
 
 
-@functools.lru_cache(maxsize=64)
+#: optimised modules built or loaded in this process, least recently
+#: used first, keyed by (source, name, optimize)
+_MODULES: OrderedDict[tuple[str, str, bool], object] = OrderedDict()
+_MODULES_MAX = 64
+
+
 def _front_half(source: str, name: str, optimize: bool):
     # looked up at call time, so a wrapper installed on
     # ``repro.frontend.compile_source`` sees every front-half run
@@ -70,7 +76,22 @@ def _front_half(source: str, name: str, optimize: bool):
     return compile_source(source, module_name=name, optimize=optimize)
 
 
-def optimized_module(source: str, name: str, optimize: bool = True):
+def _stored_front_half(store, source: str, name: str, optimize: bool):
+    """The module from *store*'s module entry, or built and written there."""
+    from repro.pipeline.fingerprint import module_fingerprint
+
+    key = module_fingerprint(source, name, optimize)
+    module = store.load_module(key)
+    if module is not None:
+        obs.count("frontend.module_store_hit")
+        return module
+    obs.count("frontend.module_store_miss")
+    module = _front_half(source, name, optimize)
+    store.store_module(key, module)
+    return module
+
+
+def optimized_module(source: str, name: str, optimize: bool = True, *, store=None):
     """The IR module of *source*, parsed, lowered to IR and (if asked)
     optimised once per process per (source, name, optimize).
 
@@ -79,15 +100,31 @@ def optimized_module(source: str, name: str, optimize: bool = True):
     caller and must be treated as read-only.  A reuse is counted as
     ``frontend.module_reuse``; only the first compile of each key shows
     ``frontend.*`` and ``ir.optimize`` spans.
+
+    With an :class:`~repro.pipeline.store.ArtifactStore` *store*, a key
+    this process has not seen yet is loaded from the store's module
+    entry (``frontend.module_store_hit``) or built and written there
+    (``frontend.module_store_miss``), so another process compiling the
+    same kernel -- a service job child on another preset -- skips the
+    front half as well.
     """
-    hits = _front_half.cache_info().hits
-    module = _front_half(source, name, optimize)
-    if _front_half.cache_info().hits > hits:
+    key = (source, name, bool(optimize))
+    module = _MODULES.get(key)
+    if module is not None:
+        _MODULES.move_to_end(key)
         obs.count("frontend.module_reuse")
+        return module
+    if store is None:
+        module = _front_half(source, name, optimize)
+    else:
+        module = _stored_front_half(store, source, name, optimize)
+    _MODULES[key] = module
+    if len(_MODULES) > _MODULES_MAX:
+        _MODULES.popitem(last=False)
     return module
 
 
-optimized_module.cache_clear = _front_half.cache_clear
+optimized_module.cache_clear = _MODULES.clear
 
 
 def execute_task(task: SweepTask) -> EvalResult:

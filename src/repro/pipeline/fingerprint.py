@@ -150,6 +150,28 @@ def job_fingerprint(
     return hashlib.sha256(_canonical_json(payload)).hexdigest()
 
 
+def module_fingerprint(
+    source: str,
+    name: str,
+    optimize: bool = True,
+    *,
+    toolchain: str | None = None,
+    engine_version: int | None = None,
+) -> str:
+    """Hex SHA-256 key for the optimised IR module of *source*.
+
+    The front half does not depend on the machine, so the key holds only
+    the source text, the module *name* and *optimize*, under the
+    :func:`job_fingerprint` toolchain-digest + engine-version contract.
+    """
+    return job_fingerprint(
+        "module",
+        {"source": source, "name": name, "optimize": bool(optimize)},
+        toolchain=toolchain,
+        engine_version=engine_version,
+    )
+
+
 def resolve_task_machine(task) -> Machine:
     """The :class:`Machine` a task targets.
 

@@ -5,6 +5,7 @@ Layout (under the store root, default ``~/.cache/repro/artifacts`` or
 
     results/<k0k1>/<key>.json    # EvalResult entries (JSON payload)
     programs/<k0k1>/<key>.pkl    # CompiledProgram entries (pickle payload)
+    modules/<k0k1>/<key>.pkl     # optimised IR modules (pickle payload)
     json/<k0k1>/<key>.json       # generic JSON entries (fuzz verdicts, ...)
     blobs/<k0k1>/<key>.bin       # opaque binary entries (native-engine .so)
 
@@ -38,9 +39,10 @@ from repro.pipeline.types import EvalResult
 _HEADER_PREFIX = b"repro-artifact sha256="
 _KIND_RESULTS = "results"
 _KIND_PROGRAMS = "programs"
+_KIND_MODULES = "modules"
 _KIND_JSON = "json"
 _KIND_BLOBS = "blobs"
-_ALL_KINDS = (_KIND_RESULTS, _KIND_PROGRAMS, _KIND_JSON, _KIND_BLOBS)
+_ALL_KINDS = (_KIND_RESULTS, _KIND_PROGRAMS, _KIND_MODULES, _KIND_JSON, _KIND_BLOBS)
 
 #: environment override for the store root
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -84,6 +86,17 @@ class ArtifactStore:
         self.stats = StoreStats()
         self._gc_stale_tmp()
 
+    # A handle pickled into another process (a service job child) keeps
+    # its root and starts its own counters.  Unpickling skips
+    # ``__init__``, so the receiver does not re-run the stale-tmp GC its
+    # sender already ran over the whole store.
+    def __getstate__(self) -> dict:
+        return {"root": self.root}
+
+    def __setstate__(self, state: dict) -> None:
+        self.root = state["root"]
+        self.stats = StoreStats()
+
     # ---- paths ----------------------------------------------------------
 
     def _entry_path(self, kind: str, key: str, suffix: str) -> Path:
@@ -96,6 +109,9 @@ class ArtifactStore:
 
     def program_path(self, key: str) -> Path:
         return self._entry_path(_KIND_PROGRAMS, key, ".pkl")
+
+    def module_path(self, key: str) -> Path:
+        return self._entry_path(_KIND_MODULES, key, ".pkl")
 
     def json_path(self, key: str) -> Path:
         return self._entry_path(_KIND_JSON, key, ".json")
@@ -222,16 +238,13 @@ class ArtifactStore:
         are deleted so the caller transparently rebuilds them)."""
         return self._read_entry(self.blob_path(key))
 
-    # ---- CompiledProgram entries ----------------------------------------
+    # ---- pickled entries: CompiledPrograms and optimised IR modules -----
 
-    def store_program(self, key: str, compiled) -> Path:
-        path = self.program_path(key)
-        payload = pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
-        self._write_entry(path, payload)
+    def _store_pickle(self, path: Path, obj) -> Path:
+        self._write_entry(path, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
         return path
 
-    def load_program(self, key: str):
-        path = self.program_path(key)
+    def _load_pickle(self, path: Path):
         payload = self._read_entry(path)
         if payload is None:
             return None
@@ -241,6 +254,20 @@ class ArtifactStore:
             self.stats.hits -= 1
             self._drop_corrupt(path)
             return None
+
+    def store_program(self, key: str, compiled) -> Path:
+        return self._store_pickle(self.program_path(key), compiled)
+
+    def load_program(self, key: str):
+        return self._load_pickle(self.program_path(key))
+
+    def store_module(self, key: str, module) -> Path:
+        """Store an optimised IR module, keyed by
+        :func:`~repro.pipeline.fingerprint.module_fingerprint`."""
+        return self._store_pickle(self.module_path(key), module)
+
+    def load_module(self, key: str):
+        return self._load_pickle(self.module_path(key))
 
     # ---- maintenance ----------------------------------------------------
 

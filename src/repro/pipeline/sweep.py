@@ -329,11 +329,15 @@ def compile_cached(machine, source: str, name: str, *,
     program cache.
 
     Returns a :class:`repro.backend.CompiledProgram`; a warm store skips
-    the frontend/scheduler entirely (pickle round-trip).  *store* and
-    *use_cache* follow :func:`sweep_tasks`: ``store=None`` is the
-    process-default store, ``use_cache=False`` neither reads nor writes
-    one.  The service compiles through it, and benchmarks/tools re-run
-    programs under different simulator settings without recompiling.
+    the frontend/scheduler entirely (pickle round-trip).  A program miss
+    still takes the kernel's optimised IR module from the store when
+    any process compiled it before, for any machine (see
+    :func:`~repro.pipeline.executor.optimized_module`), so only the
+    backend runs.  *store* and *use_cache* follow :func:`sweep_tasks`:
+    ``store=None`` is the process-default store, ``use_cache=False``
+    neither reads nor writes one.  The service compiles through it, and
+    benchmarks/tools re-run programs under different simulator settings
+    without recompiling.
     """
     from repro.backend import compile_for_machine
     from repro.pipeline.executor import optimized_module
@@ -348,7 +352,8 @@ def compile_cached(machine, source: str, name: str, *,
         hit = active_store.load_program(key)
         if hit is not None:
             return hit
-    compiled = compile_for_machine(optimized_module(source, name, optimize), machine)
+    module = optimized_module(source, name, optimize, store=active_store)
+    compiled = compile_for_machine(module, machine)
     if key is not None:
         active_store.store_program(key, compiled)
     return compiled

@@ -478,8 +478,12 @@ def _error_payload(exc: BaseException) -> dict:
     }
 
 
-def _child_main(conn, kind, params, store_root, key, plain, request_id) -> None:
+def _child_main(conn, kind, params, store, key, plain, request_id) -> None:
     """Execute one job and ship ``(status, payload)`` through *conn*.
+
+    *store* is the server's own handle, pickled across: it reopens the
+    same root without a second stale-tmp GC (see
+    :class:`~repro.pipeline.store.ArtifactStore`).
 
     Never raises: every failure becomes a structured verdict so the
     parent can map it to a 4xx/5xx JSON body instead of hanging on a
@@ -490,7 +494,6 @@ def _child_main(conn, kind, params, store_root, key, plain, request_id) -> None:
 
     status, payload = "error", {}
     try:
-        store = ArtifactStore(store_root) if store_root is not None else None
         payload = execute_job(
             kind, params, store=store, key=key, plain=plain,
             request_id=request_id,
@@ -512,16 +515,16 @@ def _child_main(conn, kind, params, store_root, key, plain, request_id) -> None:
 def _job_context():
     """Start-method context for job children.
 
-    ``forkserver`` (preloading this module, so children inherit a warm
-    toolchain import) when the platform has it; ``spawn`` otherwise.
-    Plain ``fork`` is not safe here: the server process runs an event
-    loop plus worker threads.
+    ``forkserver`` (preloading :mod:`repro.serve.forkserver`, so children
+    inherit a warm toolchain import and toolchain digest) when the
+    platform has it; ``spawn`` otherwise.  Plain ``fork`` is not safe
+    here: the server process runs an event loop plus worker threads.
     """
     methods = multiprocessing.get_all_start_methods()
     if "forkserver" in methods:
         ctx = multiprocessing.get_context("forkserver")
         try:
-            ctx.set_forkserver_preload(["repro.serve.jobs"])
+            ctx.set_forkserver_preload(["repro.serve.forkserver"])
         except Exception:  # pragma: no cover - forkserver already running
             pass
         return ctx
@@ -858,11 +861,10 @@ class JobManager:
         """Thread-side: run *job* in a dedicated child process, policing
         its timeout and cancellation by polling; the child is terminated
         (then killed) the moment either trips."""
-        store_root = str(self.store.root) if self.store is not None else None
         parent_conn, child_conn = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_child_main,
-            args=(child_conn, job.kind, job.params, store_root, job.key,
+            args=(child_conn, job.kind, job.params, self.store, job.key,
                   job.plain, job.request_ids[0]),
             daemon=True,
         )

@@ -322,6 +322,171 @@ class TestArtifactStore:
         rebuilt = compile_cached(build_machine("m-tta-1"), kernel_source("mips"), "mips", store=store)
         assert rebuilt.instruction_count == compiled.instruction_count
 
+    def test_pickled_handle_keeps_root_and_skips_tmp_gc(self, tmp_path, monkeypatch):
+        """A handle sent to a service job child reopens the same store
+        with its own counters and without a second stale-tmp GC."""
+        import pickle
+
+        store = ArtifactStore(tmp_path)
+        store.store_result("ab" * 32, RESULT)
+        monkeypatch.setattr(
+            ArtifactStore, "_gc_stale_tmp",
+            lambda self: pytest.fail("a pickled handle re-ran the tmp GC"),
+        )
+        copy = pickle.loads(pickle.dumps(store))
+        assert copy.root == store.root
+        assert copy.stats.writes == 0 and store.stats.writes == 1
+        assert copy.load_result("ab" * 32) == RESULT
+
+
+def _traced_compiler(store):
+    """``compile_on(machine, source, name)``: a traced ``compile_cached``
+    through *store*, returning the program and its (module-store hit,
+    miss) counters."""
+    from repro import obs
+
+    def compile_on(machine, source, name):
+        tracer = obs.enable(obs.Tracer(process="test"))
+        try:
+            compiled = compile_cached(build_machine(machine), source, name,
+                                      store=store)
+        finally:
+            obs.disable()
+        counters = tracer.to_payload()["counters"]
+        return compiled, (counters.get("frontend.module_store_hit", 0),
+                          counters.get("frontend.module_store_miss", 0))
+
+    return compile_on
+
+
+class TestModuleStore:
+    """The optimised IR module is stored once per (source, name,
+    optimize) and reused by every later compile of that kernel in any
+    process, on any machine."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        from repro.pipeline.executor import optimized_module
+
+        optimized_module.cache_clear()
+        yield
+        optimized_module.cache_clear()
+
+    @pytest.mark.parametrize("kernel", ["mips", "stress-2024-022"])
+    def test_stored_module_compiles_like_a_fresh_one_on_every_preset(
+        self, tmp_path, kernel
+    ):
+        from repro.backend import compile_for_machine
+        from repro.backend.asmprint import format_program
+        from repro.frontend import compile_source
+        from repro.kernels import load
+        from repro.machine import preset_names
+        from repro.pipeline import result_extras
+        from repro.pipeline.fingerprint import module_fingerprint
+        from repro.sim import run_compiled
+
+        source = load(kernel)
+        store = ArtifactStore(tmp_path)
+        key = module_fingerprint(source, kernel)
+        store.store_module(key, compile_source(source, module_name=kernel))
+        stored = store.load_module(key)
+        assert stored is not None
+        for name in preset_names():
+            machine = build_machine(name)
+            fresh = compile_for_machine(
+                compile_source(source, module_name=kernel), machine
+            )
+            loaded = compile_for_machine(stored, machine)
+            assert format_program(loaded.program) == format_program(fresh.program), name
+            assert loaded.data_init == fresh.data_init
+            assert loaded.symbols == fresh.symbols
+            want, got = run_compiled(fresh, mode="fast"), run_compiled(loaded, mode="fast")
+            assert (got.exit_code, got.cycles, result_extras(got)) == (
+                want.exit_code, want.cycles, result_extras(want)
+            ), name
+
+    def test_second_preset_loads_the_module_instead_of_parsing(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.frontend
+        from repro.pipeline.executor import optimized_module
+
+        parsed = []
+        original = repro.frontend.compile_source
+
+        def counting(*args, **kwargs):
+            parsed.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.frontend, "compile_source", counting)
+        store = ArtifactStore(tmp_path)
+        compile_on = _traced_compiler(store)
+        _, first = compile_on("m-tta-2", GOOD_SOURCE, "good")
+        optimized_module.cache_clear()  # as in a fresh process
+        _, second = compile_on("m-vliw-2", GOOD_SOURCE, "good")
+        assert (first, second) == ((0, 1), (1, 0))
+        assert len(parsed) == 1
+        assert store.entry_count()["modules"] == 1
+        # in-process reuse never touches the store
+        _, third = compile_on("mblaze-3", GOOD_SOURCE, "good")
+        assert third == (0, 0) and len(parsed) == 1
+
+    def test_corrupt_module_entry_is_dropped_and_rebuilt(self, tmp_path):
+        from repro.pipeline.executor import optimized_module
+
+        store = ArtifactStore(tmp_path)
+        compile_on = _traced_compiler(store)
+        compile_on("m-tta-2", GOOD_SOURCE, "good")
+        [path] = (tmp_path / "modules").rglob("*.pkl")
+        path.write_bytes(path.read_bytes()[:40])
+        optimized_module.cache_clear()
+        got, stats = compile_on("m-tta-1", GOOD_SOURCE, "good")
+        assert stats == (0, 1), "a corrupt entry is a miss"
+        assert store.stats.corrupt_dropped == 1
+        assert got.instruction_count == compile_cached(
+            build_machine("m-tta-1"), GOOD_SOURCE, "good", use_cache=False
+        ).instruction_count
+        # the rebuild rewrote a valid entry
+        optimized_module.cache_clear()
+        _, stats = compile_on("m-vliw-2", GOOD_SOURCE, "good")
+        assert stats == (1, 0)
+
+    def test_no_store_writes_no_module(self, tmp_path):
+        compile_cached(build_machine("m-tta-2"), GOOD_SOURCE, "good",
+                       store=ArtifactStore(tmp_path), use_cache=False)
+        assert not (tmp_path / "modules").exists()
+
+    def test_module_key_tracks_source_name_optimize_and_toolchain(self):
+        from repro.pipeline.fingerprint import module_fingerprint
+
+        base = module_fingerprint(GOOD_SOURCE, "good", True, toolchain="t0")
+        variants = {
+            module_fingerprint(GOOD_SOURCE + " ", "good", True, toolchain="t0"),
+            module_fingerprint(GOOD_SOURCE, "other", True, toolchain="t0"),
+            module_fingerprint(GOOD_SOURCE, "good", False, toolchain="t0"),
+            module_fingerprint(GOOD_SOURCE, "good", True, toolchain="t1"),
+            module_fingerprint(GOOD_SOURCE, "good", True, toolchain="t0",
+                               engine_version=10**6),
+        }
+        assert base == module_fingerprint(GOOD_SOURCE, "good", True, toolchain="t0")
+        assert base not in variants and len(variants) == 5
+        # the default toolchain is this checkout's digest
+        assert module_fingerprint(GOOD_SOURCE, "good") == module_fingerprint(
+            GOOD_SOURCE, "good", toolchain=toolchain_fingerprint()
+        )
+
+    def test_module_entries_are_cleared_counted_and_tmp_collected(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        key = "3c" * 32
+        path = store.store_module(key, {"not": "a module"})
+        assert store.entry_count()["modules"] == 1
+        stale = path.parent / f".{key}.pkl.xyz123.tmp"
+        stale.write_bytes(b"half-written")
+        os.utime(stale, (0, 0))
+        assert ArtifactStore(tmp_path).stats.stale_tmp_removed == 1
+        assert store.clear() == 1
+        assert store.entry_count()["modules"] == 0
+
 
 class TestExecutor:
     def test_failure_isolation_and_structured_records(self, tmp_path):

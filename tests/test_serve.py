@@ -598,6 +598,54 @@ class TestObservability:
         assert "execution_ms" in stats["jobs"]
 
 
+class TestModuleEntry:
+    """A served compile of a kernel on a second preset loads the
+    optimised IR module the first compile stored, instead of running
+    the front half again."""
+
+    def test_two_presets_run_the_front_half_once(self, tmp_path, monkeypatch):
+        import repro.frontend
+        from repro.pipeline.executor import optimized_module
+        from repro.serve.jobs import compute_job_key, execute_job
+
+        parsed = []
+        original = repro.frontend.compile_source
+
+        def counting(*args, **kwargs):
+            parsed.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.frontend, "compile_source", counting)
+        store = ArtifactStore(tmp_path)
+        counts = []
+        for machine in ("m-tta-2", "mblaze-3"):
+            optimized_module.cache_clear()  # each job child is a fresh process
+            params = normalize_params("compile", {"machine": machine, "kernel": "mips"})
+            key, _ = compute_job_key("compile", params)
+            payload = execute_job("compile", params, store=store, key=key)
+            direct = compile_for_machine(
+                original(params["_source"], module_name="mips"), build_machine(machine)
+            )
+            assert payload["result"]["instruction_count"] == direct.instruction_count
+            counts.append(len(parsed))
+        optimized_module.cache_clear()
+        assert counts == [1, 1]
+        assert store.entry_count()["modules"] == 1
+
+    def test_traced_compile_shows_the_skipped_front_half(self, served):
+        src = TINY_SRC.replace("i<100", "i<104")
+        with served.client() as c:
+            c.compile("m-tta-2", source=src)
+            got = c.request("POST", "/v1/compile",
+                            {"machine": "m-vliw-2", "source": src, "trace": True})
+        trace = got["trace"]
+        assert trace["counters"].get("frontend.module_store_hit") == 1
+        assert "frontend.module_store_miss" not in trace["counters"]
+        names = {rec["name"] for rec in trace["spans"]}
+        assert "serve.job.compile" in names
+        assert not any(n.startswith(("frontend.", "ir.")) for n in names), names
+
+
 class TestSweepEndpoint:
     def test_sweep_async_by_default_and_matches_direct(self, tmp_path):
         store = ArtifactStore(tmp_path)
