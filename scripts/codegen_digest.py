@@ -1,17 +1,20 @@
 """Digest the generated block code of the turbo, native and scalar engines.
 
-For every (kernel, machine) pair this prints one SHA-256 over the
-generated Python block source at every start pc (``None`` where the
-block falls back to precise stepping) -- turbo's on a TTA/VLIW preset,
-the scalar block engine's on a scalar one -- and over native's C
-translation unit together with its block entries, ``pcap`` and ``wcap``
-(``native: none`` on a scalar preset, which has no C engine).  A last
-``total`` line digests all the pair lines.
+For every (kernel, machine) pair this prints two SHA-256 digests: ``py``
+over the generated Python block source at every start pc (``None``
+where the block falls back to precise stepping) -- turbo's on a
+TTA/VLIW preset, the scalar block engine's on a scalar one -- and ``c``
+over native's C translation unit together with its block entries,
+``pcap`` and ``wcap`` (``native: none`` on a scalar preset, which has
+no C engine), plus the Python source's size in bytes.  The last lines
+digest all the pairs' ``py`` and ``c`` digests and sum the Python bytes
+(cold turbo cost grows with them).
 
 A refactor of the code generators (``repro.sim.blockcompile`` /
 ``repro.sim.cgen``) that is meant to leave their output alone must print
-the same digests as its parent: generated code is what the cached shared
-objects are keyed on, so any byte of difference is a behaviour change.
+the same digests as its parent, and a change to one printer the same
+digest of the other: the generated C is what the cached shared objects
+are keyed on, so any byte of difference there re-keys them.
 
 Run from the repository root (point ``PYTHONPATH`` at another checkout's
 ``src`` to digest that tree instead)::
@@ -39,21 +42,24 @@ from repro.sim.blockcompile import tta_block_source
 from repro.sim.cgen import build_native_program
 
 
-def pair_digest(module, machine) -> tuple[str, int]:
-    """(hex digest, number of start pcs) of one compiled pair."""
+def pair_digest(module, machine) -> tuple[str, str, int, int]:
+    """(Python digest, C digest, number of start pcs, Python source
+    bytes) of one compiled pair."""
     program = compile_for_machine(module, machine).program
-    h = hashlib.sha256()
+    py, c = hashlib.sha256(), hashlib.sha256()
     n_instrs = len(program.instrs)
+    py_bytes = 0
     for pc in range(n_instrs):
         source = tta_block_source(program, pc)
-        h.update(f"{pc}\n{source}\0".encode())
+        py.update(f"{pc}\n{source}\0".encode())
+        py_bytes += len(source or "")
     nat = build_native_program(program)
     if nat is None:
-        h.update(b"native: none\0")
+        c.update(b"native: none\0")
     else:
-        h.update(nat.source.encode())
-        h.update(f"\0{nat.entries!r}\0{nat.pcap}\0{nat.wcap}\0".encode())
-    return h.hexdigest(), n_instrs
+        c.update(nat.source.encode())
+        c.update(f"\0{nat.entries!r}\0{nat.pcap}\0{nat.wcap}\0".encode())
+    return py.hexdigest(), c.hexdigest(), n_instrs, py_bytes
 
 
 def _names(spec: str | None, known: tuple[str, ...], what: str) -> list[str]:
@@ -73,20 +79,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     kernels = _names(args.kernels, catalog(), "kernel")
     machines = _names(args.machines, preset_names(), "machine")
-    total = hashlib.sha256()
-    n_blocks = 0
+    total_py, total_c = hashlib.sha256(), hashlib.sha256()
+    n_blocks = total_bytes = 0
     for kernel in kernels:
         module = compile_source(load(kernel), module_name=kernel)
         for name in machines:
-            digest, n_pcs = pair_digest(module, build_machine(name))
+            py, c, n_pcs, py_bytes = pair_digest(module, build_machine(name))
             n_blocks += n_pcs
-            line = f"{kernel} {name} {digest}"
-            total.update(line.encode() + b"\n")
-            print(line, flush=True)
-    print(
-        f"total {total.hexdigest()} "
-        f"({len(kernels) * len(machines)} pairs, {n_blocks} start pcs)"
-    )
+            total_bytes += py_bytes
+            total_py.update(f"{kernel} {name} {py}\n".encode())
+            total_c.update(f"{kernel} {name} {c}\n".encode())
+            print(f"{kernel} {name} py={py} c={c} py_bytes={py_bytes}", flush=True)
+    pairs = f"({len(kernels) * len(machines)} pairs, {n_blocks} start pcs)"
+    print(f"total py {total_py.hexdigest()} {pairs}")
+    print(f"total c {total_c.hexdigest()} {pairs}")
+    print(f"total py_bytes {total_bytes}")
     return 0
 
 

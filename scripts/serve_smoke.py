@@ -4,8 +4,9 @@ Starts the service exactly as a user would (``python -m repro serve``
 on an ephemeral port), drives one of every request shape through the
 bundled client — compile, compile on a second preset (must match a
 direct compile), run, repeat-run (must be a store hit),
-four-lane run, sweep, stats — and shuts it down with SIGTERM, asserting a
-clean graceful drain.
+four-lane run, sweep, a promoted-kernel run, its repeat (a store hit
+with no store miss) and its sweep (served from the store), stats — and
+shuts it down with SIGTERM, asserting a clean graceful drain.
 
 Run:  PYTHONPATH=src python scripts/serve_smoke.py
 """
@@ -24,9 +25,12 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.backend import compile_for_machine  # noqa: E402
 from repro.frontend import compile_source  # noqa: E402
-from repro.kernels import load  # noqa: E402
+from repro.kernels import expected_exit, load  # noqa: E402
 from repro.machine import build_machine  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
+
+#: a promoted corpus kernel, whose expected exit is nonzero
+PROMOTED = "stress-2024-022"
 
 
 def main() -> int:
@@ -97,6 +101,25 @@ def main() -> int:
                 assert swept["result"]["stats"]["total"] == 2
                 assert not swept["result"]["errors"]
                 print("sweep ok: 2 pairs")
+
+                # a promoted corpus kernel (nonzero expected exit): its run
+                # is stored as the sweep result entry, so a repeat is one
+                # store read with no miss, and a sweep of it reads it too
+                promoted = client.run("m-tta-2", kernel=PROMOTED, mode="fast")
+                assert promoted["result"]["exit_code"] == expected_exit(PROMOTED)
+                assert promoted["cached"] is False
+                misses = client.stats()["store"]["misses"]
+                repeat = client.run("m-tta-2", kernel=PROMOTED, mode="fast")
+                assert repeat["cached"] is True, "promoted repeat missed the store"
+                assert repeat["result"] == promoted["result"]
+                assert client.stats()["store"]["misses"] == misses, \
+                    "promoted repeat read past a store miss"
+                swept = client.sweep(machines=["m-tta-2"], kernels=[PROMOTED],
+                                     wait=True)
+                assert swept["result"]["stats"]["cache_hits"] == 1, swept
+                assert swept["result"]["stats"]["computed"] == 0, swept
+                print(f"promoted-kernel run ok: {PROMOTED} served from the "
+                      f"store with no miss, and its sweep read the same entry")
 
                 stats = client.stats()
                 dedup = stats["dedup"]

@@ -141,7 +141,7 @@ def _cmd_machines(_args) -> int:
 
 
 def _cmd_kernels(_args) -> int:
-    from repro.kernels import EXTRA_KERNELS, KERNELS, kernel_source, promoted_sources
+    from repro.kernels import EXTRA_KERNELS, KERNELS, kernel_source, promoted_names
 
     for name in KERNELS:
         first_line = kernel_source(name).strip().splitlines()[1].strip(" *")
@@ -149,8 +149,7 @@ def _cmd_kernels(_args) -> int:
     for name in EXTRA_KERNELS:
         first_line = kernel_source(name).strip().splitlines()[1].strip(" *")
         print(f"{name:10s} {first_line} [extra; not in the paper's set]")
-    promoted = promoted_sources()
-    for name in sorted(promoted):
+    for name in promoted_names():
         print(f"{name:14s} [promoted fuzz kernel]")
     return 0
 

@@ -51,35 +51,37 @@ _KERNEL_DIR = Path(__file__).parent
 PROMOTED_ENV = "REPRO_PROMOTED_CORPUS"
 
 
-def promoted_dir() -> Path:
-    """Directory holding promoted fuzz kernels (``<name>.mc`` files)."""
-    env = os.environ.get(PROMOTED_ENV)
-    if env:
-        return Path(env)
+@lru_cache(maxsize=1)
+def _default_promoted_dir() -> Path:
     return Path(__file__).resolve().parents[3] / "fuzz" / "promoted"
 
 
-def promoted_sources() -> dict[str, str]:
-    """Name -> MiniC source for every promoted corpus kernel.
+def promoted_dir() -> Path:
+    """Directory holding promoted fuzz kernels (``<name>.mc`` files).
 
-    Reads the directory fresh on every call (tests point
-    ``REPRO_PROMOTED_CORPUS`` at temporary corpora), sorted by name for
-    deterministic iteration.
+    ``$REPRO_PROMOTED_CORPUS`` is read on every call (tests point it at
+    temporary corpora); the default location is resolved once.
     """
+    env = os.environ.get(PROMOTED_ENV)
+    if env:
+        return Path(env)
+    return _default_promoted_dir()
+
+
+def promoted_names() -> tuple[str, ...]:
+    """Sorted names of the promoted corpus kernels (file stems; no
+    source is read)."""
     root = promoted_dir()
     if not root.is_dir():
-        return {}
-    out: dict[str, str] = {}
-    for path in sorted(root.glob("*.mc")):
-        out[path.stem] = path.read_text()
-    return out
+        return ()
+    return tuple(sorted(path.stem for path in root.glob("*.mc")))
 
 
 def catalog(include_promoted: bool = True) -> tuple[str, ...]:
     """Every addressable kernel name: built-ins, then promoted."""
     names = list(ALL_KERNELS)
     if include_promoted:
-        names.extend(n for n in promoted_sources() if n not in ALL_KERNELS)
+        names.extend(n for n in promoted_names() if n not in ALL_KERNELS)
     return tuple(names)
 
 
@@ -110,26 +112,39 @@ def expected_exit(name: str) -> int:
         return 0
 
 
+def _promoted_file(name: str) -> Path | None:
+    """``<promoted_dir>/<name>.mc``, or ``None`` when *name* is not one
+    plain file name (a path separator, ``..`` or NUL in it), so no name
+    reaches a file outside the corpus directory."""
+    if not name or any(part in name for part in ("/", os.sep, "..", "\0")):
+        return None
+    return promoted_dir() / f"{name}.mc"
+
+
 def load(name: str) -> str:
     """MiniC source of any addressable kernel (built-in or promoted).
 
-    Raises ``KeyError`` listing both built-in and promoted names when
-    the kernel is unknown, and when a promoted kernel shadows a
-    built-in name (the corpus must not silently override the benchmark
-    set).
+    Reads one file: the built-in's package file, or the promoted
+    kernel's ``.mc``.  Raises ``KeyError`` when a promoted kernel
+    shadows a built-in name (the corpus must not silently override the
+    benchmark set), and when the kernel is unknown, listing both
+    built-in and promoted names (the only case that lists the corpus).
     """
-    promoted = promoted_sources()
+    path = _promoted_file(name)
     if name in ALL_KERNELS:
-        if name in promoted:
+        if path.is_file():
             raise KeyError(
                 f"ambiguous kernel {name!r}: a promoted corpus kernel in "
                 f"{promoted_dir()} shadows the built-in; rename the "
                 f"promoted kernel"
             )
         return kernel_source(name)
-    if name in promoted:
-        return promoted[name]
-    known = ALL_KERNELS + tuple(n for n in promoted if n not in ALL_KERNELS)
+    if path is not None:
+        try:
+            return path.read_text()
+        except (FileNotFoundError, NotADirectoryError):
+            pass
+    known = ALL_KERNELS + tuple(n for n in promoted_names() if n not in ALL_KERNELS)
     raise KeyError(f"unknown kernel {name!r}; known: {known}")
 
 

@@ -105,17 +105,41 @@ def fingerprint(
         from repro.sim.blockcompile import SIM_ENGINE_VERSION
 
         engine_version = SIM_ENGINE_VERSION
-    payload = {
-        "machine": describe_machine(machine),
-        "source": source,
-        "toolchain": toolchain if toolchain is not None else toolchain_fingerprint(),
-        "flags": {
-            "key": "result" if mode in _SHARED_RESULT_MODES else mode,
-            "optimize": bool(optimize),
-            "engine": int(engine_version),
-        },
-    }
-    return hashlib.sha256(_canonical_json(payload)).hexdigest()
+    key_class = "result" if mode in _SHARED_RESULT_MODES else mode
+    if toolchain is None:
+        toolchain = toolchain_fingerprint()
+    memo = (
+        machine,
+        hashlib.sha256(source.encode("utf-8", "surrogatepass")).digest(),
+        key_class, bool(optimize), toolchain, int(engine_version),
+    )
+    key = _KEYS.get(memo)
+    if key is None:
+        payload = {
+            "machine": describe_machine(machine),
+            "source": source,
+            "toolchain": toolchain,
+            "flags": {
+                "key": key_class,
+                "optimize": bool(optimize),
+                "engine": int(engine_version),
+            },
+        }
+        key = hashlib.sha256(_canonical_json(payload)).hexdigest()
+        if len(_KEYS) >= _KEYS_MAX:
+            _KEYS.clear()
+        _KEYS[memo] = key
+    return key
+
+
+#: finished :func:`fingerprint` keys by (machine, source digest, flags):
+#: a served store hit re-keys the same preset and kernel again and
+#: again, and serialising the machine is most of a key's cost.  Keyed
+#: by the machine *value* (machines are frozen); nothing is stored on
+#: the object, whose ``__dict__`` is pickled with every compiled
+#: program.  Emptied when full.
+_KEYS: dict[tuple, str] = {}
+_KEYS_MAX = 1024
 
 
 def job_fingerprint(

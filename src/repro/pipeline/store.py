@@ -29,6 +29,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import tempfile
 import time
 from dataclasses import dataclass
@@ -37,6 +38,8 @@ from pathlib import Path
 from repro.pipeline.types import EvalResult
 
 _HEADER_PREFIX = b"repro-artifact sha256="
+#: a well-formed entry key: lower-case hex, at least 8 digits
+_KEY_RE = re.compile("[0-9a-f]{8,}")
 _KIND_RESULTS = "results"
 _KIND_PROGRAMS = "programs"
 _KIND_MODULES = "modules"
@@ -100,7 +103,7 @@ class ArtifactStore:
     # ---- paths ----------------------------------------------------------
 
     def _entry_path(self, kind: str, key: str, suffix: str) -> Path:
-        if len(key) < 8 or any(c not in "0123456789abcdef" for c in key):
+        if not _KEY_RE.fullmatch(key):
             raise ValueError(f"malformed artifact key {key!r}")
         return self.root / kind / key[:2] / f"{key}{suffix}"
 

@@ -366,6 +366,7 @@ def _compile_job(params, store, key) -> dict:
 
 def _run_job(params, store, key, plain) -> dict:
     from repro.fpga import synthesize
+    from repro.kernels import expected_exit
     from repro.machine import encode_machine
     from repro.pipeline.executor import result_extras
     from repro.sim import run_batch
@@ -399,9 +400,10 @@ def _run_job(params, store, key, plain) -> dict:
             for r in results
         ]
     if store is not None and key is not None and not params.get("trace"):
-        if plain and first.exit_code == 0:
-            # the exact entry `repro sweep` would write: warm either
-            # side, serve the other
+        kernel = params.get("kernel")
+        if plain and first.exit_code == (0 if kernel is None else expected_exit(kernel)):
+            # the exact entry `repro sweep` writes for a run that passes
+            # the kernel's self-check: warm either side, serve the other
             store.store_result(key, measured)
         else:
             store.store_json(key, {"result": measured.to_dict(), "results": lanes})

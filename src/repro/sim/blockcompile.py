@@ -63,7 +63,7 @@ from repro import obs
 from repro.backend.mop import Imm, PhysReg
 from repro.backend.program import Program
 from repro.isa.operations import OPS, OpKind
-from repro.isa.semantics import MASK32, sext8, sext16, to_signed
+from repro.isa.semantics import MASK32, sext8, sext16
 from repro.sim.errors import SimError
 from repro.sim.predecode import (
     _CONTROL_OPS,
@@ -102,19 +102,17 @@ _ALU_EXPR = {
     "ior": "{a} | {b}",
     "xor": "{a} ^ {b}",
     "eq": "1 if {a} == {b} else 0",
-    "gt": "1 if _ts({a}) > _ts({b}) else 0",
+    "gt": "1 if {a} ^ 2147483648 > {b} ^ 2147483648 else 0",
     "gtu": "1 if {a} > {b} else 0",
     "shl": "({a} << ({b} & 31)) & 4294967295",
     "shru": "{a} >> ({b} & 31)",
-    "shr": "(_ts({a}) >> ({b} & 31)) & 4294967295",
+    "shr": "(({a} ^ 2147483648) - 2147483648 >> ({b} & 31)) & 4294967295",
     "sxhw": "_sx16({a})",
     "sxqw": "_sx8({a})",
 }
 
 #: helper names each ALU template needs in the generated namespace
 _ALU_HELPERS = {
-    "gt": ("_ts",),
-    "shr": ("_ts",),
     "sxhw": ("_sx16",),
     "sxqw": ("_sx8",),
 }
@@ -605,12 +603,12 @@ class _PyBlock:
         self._emit(f"_p.append(({due}, {val}))")
 
     def load(self, op, addr):
-        self.used.add("_ld")
-        return self.temp(f"_ld({op!r}, {addr})")
+        self.used.add(f"_{op}")
+        return self.temp(f"_{op}({addr})")
 
     def store(self, op, addr, val):
-        self.used.add("_st")
-        self._emit(f"_st({op!r}, {addr}, {val})")
+        self.used.add(f"_{op}")
+        self._emit(f"_{op}({addr}, {val})")
 
     def alu(self, op, a, b):
         self.used.update(_ALU_HELPERS.get(op, ()))
@@ -745,12 +743,11 @@ def _namespace(sim, rfs, rf_param) -> dict:
     ns = {
         "_sim": sim,
         "_se": SimError,
-        "_ld": sim.memory.load,
-        "_st": sim.memory.store,
-        "_ts": to_signed,
         "_sx16": sext16,
         "_sx8": sext8,
     }
+    for op in _LOADS | _STORES:
+        ns[f"_{op}"] = sim.memory.accessor(op)
     for name, param in rf_param.items():
         ns[param] = rfs[name]
     return ns

@@ -47,7 +47,7 @@ from repro.backend.abi import return_value_reg
 from repro.backend.mop import Imm, PhysReg
 from repro.backend.program import Program
 from repro.isa.operations import OPS, OpKind
-from repro.isa.semantics import MASK32, sext8, sext16, to_signed
+from repro.isa.semantics import MASK32, sext8, sext16
 from repro.sim.errors import SimError
 
 # ---------------------------------------------------------------------------
@@ -63,11 +63,12 @@ from repro.sim.errors import SimError
 
 
 def _gt(a: int, b: int) -> int:
-    return 1 if to_signed(a) > to_signed(b) else 0
+    # flipping the sign bit orders two's-complement words as unsigned ones
+    return 1 if a ^ 0x80000000 > b ^ 0x80000000 else 0
 
 
 def _shr(a: int, b: int) -> int:
-    return (to_signed(a) >> (b & 31)) & MASK32
+    return ((a ^ 0x80000000) - 0x80000000 >> (b & 31)) & MASK32
 
 
 ALU_FUNCS: dict[str, object] = {
@@ -355,18 +356,18 @@ def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
         return thunk
     spec = OPS[opcode]
     if spec.kind is OpKind.LSU:
-        memory = sim.memory
+        access = sim.memory.accessor(opcode)
         if spec.writes_mem:
 
-            def thunk(value, cycle, pc, _mem=memory, _fu=fu, _op=opcode):
-                _mem.store(_op, value, _fu.o1)
+            def thunk(value, cycle, pc, _st=access, _fu=fu):
+                _st(value, _fu.o1)
                 return None
 
             return thunk
         latency = spec.latency
 
-        def thunk(value, cycle, pc, _mem=memory, _fu=fu, _op=opcode, _lat=latency):
-            _fu.push(cycle + _lat, _mem.load(_op, value))
+        def thunk(value, cycle, pc, _ld=access, _fu=fu, _lat=latency):
+            _fu.push(cycle + _lat, _ld(value))
             return None
 
         return thunk
@@ -526,14 +527,13 @@ def _bind_vliw_op(op, sim, rfs, jl1: int):
             cycle,
             pc,
             _r=read_addr,
-            _mem=sim.memory,
-            _op=name,
+            _ld=sim.memory.accessor(name),
             _lat=latency,
             _w=sim._write_later_slot,
             _regs=regs,
             _i=dest[1],
         ):
-            _w(cycle + _lat, _regs, _i, _mem.load(_op, _r()))
+            _w(cycle + _lat, _regs, _i, _ld(_r()))
             return None
 
         return run_load
@@ -541,8 +541,8 @@ def _bind_vliw_op(op, sim, rfs, jl1: int):
         read_addr = _bind_vliw_reader(srcs[0], rfs)
         read_value = _bind_vliw_reader(srcs[1], rfs)
 
-        def run_store(cycle, pc, _a=read_addr, _v=read_value, _mem=sim.memory, _op=name):
-            _mem.store(_op, _a(), _v())
+        def run_store(cycle, pc, _a=read_addr, _v=read_value, _st=sim.memory.accessor(name)):
+            _st(_a(), _v())
             return None
 
         return run_store

@@ -274,6 +274,82 @@ class TestKernelCatalog:
         with pytest.raises(ValueError, match="ambiguous"):
             resolve_kernel_sources("sha")
 
+    def test_load_reads_at_most_one_promoted_file(self, promoted, monkeypatch):
+        """A built-in reads no corpus file and a promoted kernel reads
+        its own ``.mc`` only; neither lists the corpus, and the catalog
+        lists it without reading any source."""
+        from repro.kernels import catalog, load
+
+        monkeypatch.setenv("REPRO_PROMOTED_CORPUS", str(promoted))
+        reads, globs = [], []
+        read_text, glob = Path.read_text, Path.glob
+
+        def counting_read(self, *args, **kwargs):
+            if promoted in self.parents:
+                reads.append(self.name)
+            return read_text(self, *args, **kwargs)
+
+        def counting_glob(self, *args, **kwargs):
+            globs.append(self)
+            return glob(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read)
+        monkeypatch.setattr(Path, "glob", counting_glob)
+        name = sorted(p.stem for p in promoted.glob("*.mc"))[0]
+        globs.clear()
+        assert "sha" in load("sha")[:200]
+        assert reads == [] and globs == []
+        assert load(name) == read_text(promoted / f"{name}.mc")
+        assert reads == [f"{name}.mc"] and globs == []
+        reads.clear()
+        assert name in catalog()
+        assert reads == []
+
+    @pytest.mark.parametrize("name", [
+        "../outside", "..", "sub/inner", "/abs/outside", "out\0side", "a..b",
+    ])
+    def test_path_like_names_are_unknown_kernels(self, tmp_path, monkeypatch, name):
+        """A name is one plain file name: a separator, ``..`` or NUL in
+        it is an unknown kernel, and nothing outside the corpus is read."""
+        from repro.kernels import load
+
+        corpus = tmp_path / "corpus"
+        (corpus / "sub").mkdir(parents=True)
+        (corpus / "sub" / "inner.mc").write_text("int main(void) { return 1; }")
+        (tmp_path / "outside.mc").write_text("int main(void) { return 2; }")
+        monkeypatch.setenv("REPRO_PROMOTED_CORPUS", str(corpus))
+        reads = []
+        read_text = Path.read_text
+
+        def counting_read(self, *args, **kwargs):
+            reads.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting_read)
+        with pytest.raises(KeyError, match="unknown kernel"):
+            load(name)
+        assert not any(tmp_path in path.parents for path in reads), reads
+
+    def test_error_texts(self, tmp_path, monkeypatch):
+        """The shadowing and unknown-kernel texts name the corpus
+        directory and list every addressable kernel."""
+        from repro.kernels import ALL_KERNELS, load
+
+        (tmp_path / "sha.mc").write_text("int main(void) { return 0; }")
+        (tmp_path / "zz-extra.mc").write_text("int main(void) { return 0; }")
+        monkeypatch.setenv("REPRO_PROMOTED_CORPUS", str(tmp_path))
+        with pytest.raises(KeyError) as ambiguous:
+            load("sha")
+        assert ambiguous.value.args[0] == (
+            f"ambiguous kernel 'sha': a promoted corpus kernel in {tmp_path} "
+            f"shadows the built-in; rename the promoted kernel"
+        )
+        with pytest.raises(KeyError) as unknown:
+            load("nope")
+        assert unknown.value.args[0] == (
+            f"unknown kernel 'nope'; known: {ALL_KERNELS + ('zz-extra',)}"
+        )
+
     def test_promoted_expected_exit_comes_from_golden(self, promoted, monkeypatch):
         from repro.kernels import expected_exit
 

@@ -173,6 +173,71 @@ class TestFingerprint:
         assert len(digest) == 64
         int(digest, 16)
 
+    @staticmethod
+    def _fresh_key(machine, source, mode="fast"):
+        """The key as the module docstring defines it, computed from
+        scratch."""
+        import hashlib
+
+        from repro.pipeline.fingerprint import _canonical_json
+        from repro.sim import SIM_ENGINE_VERSION
+
+        return hashlib.sha256(_canonical_json({
+            "machine": describe_machine(machine),
+            "source": source,
+            "toolchain": toolchain_fingerprint(),
+            "flags": {"key": "result" if mode in ("fast", "turbo", "native") else mode,
+                      "optimize": True, "engine": SIM_ENGINE_VERSION},
+        })).hexdigest()
+
+    def test_memoised_key_equals_a_fresh_key(self):
+        """Every preset, an exploration mutant, and equal but distinct
+        machine objects: the memoised key is the from-scratch digest,
+        asked for twice."""
+        import random
+
+        from repro.explore.mutate import mutate_machine
+        from repro.machine import preset_names
+        from repro.machine.serialize import machine_from_json, machine_to_json
+
+        source = kernel_source("mips")
+        machines = [build_machine(name) for name in preset_names()]
+        assert len(machines) == 13
+        child = mutate_machine(build_machine("m-tta-2"), random.Random(3))
+        assert child is not None
+        machines.append(child)
+        twin_a = machine_from_json(machine_to_json(build_machine("p-tta-2")))
+        twin_b = machine_from_json(machine_to_json(build_machine("p-tta-2")))
+        assert twin_a == twin_b and twin_a is not twin_b
+        machines += [twin_a, twin_b]
+        for machine in machines:
+            for mode in ("fast", "program"):
+                want = self._fresh_key(machine, source, mode)
+                assert fingerprint(machine, source, mode=mode) == want, machine.name
+                assert fingerprint(machine, source, mode=mode) == want, machine.name
+        # a lone surrogate is hashed, not rejected
+        odd = GOOD_SOURCE + "/*\ud800*/"
+        assert fingerprint(twin_a, odd) == self._fresh_key(twin_a, odd)
+
+    def test_keying_leaves_no_trace_on_the_program(self, tmp_path):
+        """Keys are memoised off the machine: a stored program entry
+        pickles the same bytes whether or not its machine was keyed."""
+        import pickle
+
+        from repro.machine.serialize import machine_from_json, machine_to_json
+
+        machine = machine_from_json(machine_to_json(build_machine("m-tta-2")))
+        compiled = compile_cached(machine, GOOD_SOURCE, "good", use_cache=False)
+        before = pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL)
+        attrs = set(vars(machine))
+        fingerprint(machine, GOOD_SOURCE)
+        fingerprint(machine, GOOD_SOURCE, mode="program")
+        assert set(vars(machine)) == attrs
+        assert pickle.dumps(compiled, protocol=pickle.HIGHEST_PROTOCOL) == before
+        store = ArtifactStore(tmp_path)
+        store.store_program("ab" * 32, compiled)
+        assert store.program_path("ab" * 32).read_bytes().endswith(before)
+
     def test_task_fingerprint_matches_fingerprint(self):
         task = SweepTask(machine="m-tta-2", kernel="x", source=GOOD_SOURCE)
         assert task_fingerprint(task) == fingerprint(

@@ -58,6 +58,9 @@ SLOW_SRC = "int main(void){ int i=0; int s=0; while(i<200000){ s=s+i; i=i+1; } r
 #: never terminates -- timeout/cancellation/straggler-drain fodder
 SPIN_SRC = "int main(void){ int i=1; while(i){ } return 0; }"
 
+#: a promoted corpus kernel (nonzero expected exit, from its golden)
+PROMOTED = "stress-2024-022"
+
 #: control flow driven by memory, for per-lane input tests
 BRANCH_SRC = """
 int g[4] = {3, 10, 7, 2};
@@ -365,6 +368,45 @@ class TestDedupAndCache:
         assert outcome.stats.computed == 0
         result = outcome.results[("m-tta-2", "mips")]
         assert result.cycles == got["result"]["cycles"]
+
+    def test_served_promoted_kernel_warms_sweep_and_hits_without_a_miss(
+        self, tmp_path
+    ):
+        """A promoted kernel's expected exit is nonzero; its plain run is
+        still stored as the sweep result entry, so a repeat is one store
+        read with no miss and ``repro sweep`` computes nothing."""
+        from repro.kernels import expected_exit
+        from repro.pipeline import build_tasks, sweep_tasks
+
+        store = ArtifactStore(tmp_path)
+        with BackgroundServer(store=store, jobs=1) as bg:
+            with bg.client() as c:
+                first = c.run("m-tta-2", kernel=PROMOTED, mode="fast")
+                misses = store.stats.misses
+                again = c.run("m-tta-2", kernel=PROMOTED, mode="turbo")
+                assert store.stats.misses == misses
+        assert first["cached"] is False and again["cached"] is True
+        assert first["result"]["exit_code"] == expected_exit(PROMOTED) != 0
+        assert {**again["result"], "mode": "fast"} == first["result"]
+        outcome = sweep_tasks(
+            build_tasks(["m-tta-2"], [PROMOTED], mode="fast"), store=store
+        )
+        assert outcome.stats.computed == 0
+        assert outcome.stats.cache_hits == 1
+        assert outcome.results[("m-tta-2", PROMOTED)].cycles == \
+            first["result"]["cycles"]
+
+    def test_swept_promoted_kernel_is_served_without_a_miss(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        sweep(machines=["m-tta-2"], kernels=[PROMOTED], mode="fast", store=store)
+        with BackgroundServer(store=store, jobs=1) as bg:
+            with bg.client() as c:
+                misses = store.stats.misses
+                got = c.run("m-tta-2", kernel=PROMOTED, mode="fast")
+                stats = c.stats()
+        assert got["cached"] is True
+        assert store.stats.misses == misses
+        assert stats["dedup"]["executed"] == 0
 
     def test_concurrent_identical_requests_execute_once(self, tmp_path):
         """The acceptance contract: N identical in-flight requests run

@@ -134,6 +134,39 @@ class TestDataMemory:
             mem.load("ldx", 0)
         with pytest.raises(SimError):
             mem.store("stx", 0, 1)
+        with pytest.raises(SimError):
+            mem.load("stw", 0)
+        with pytest.raises(SimError):
+            mem.store("ldw", 0, 1)
+        with pytest.raises(SimError, match="unknown memory operation"):
+            mem.accessor("add")
+
+    @pytest.mark.parametrize("op, width", [
+        ("ldw", 4), ("ldh", 2), ("ldhu", 2), ("ldq", 1), ("ldqu", 1),
+        ("stw", 4), ("sth", 2), ("stq", 1),
+    ])
+    def test_accessor_is_the_dispatched_access(self, op, width):
+        """The per-opcode accessor the fast engines bind reads and writes
+        exactly what :meth:`load`/:meth:`store` do, with the same fault
+        text (unwrapped address)."""
+        mem = DataMemory(16)
+        mem.preload(0, bytes(range(0x80, 0x90)))
+        access = mem.accessor(op)
+        if op.startswith("ld"):
+            assert [access(a) for a in range(16 - width + 1)] == \
+                [mem.load(op, a) for a in range(16 - width + 1)]
+        else:
+            access(4, 0x1_8283_8485)
+            other = DataMemory(16)
+            other.preload(0, bytes(range(0x80, 0x90)))
+            other.store(op, 4, 0x1_8283_8485)
+            assert mem.data == other.data
+        args = (-3,) if op.startswith("ld") else (-3, 0)
+        with pytest.raises(SimError, match=rf"^memory access out of range: -0x3\+{width}$"):
+            access(*args)
+        args = (17 - width,) if op.startswith("ld") else (17 - width, 0)
+        with pytest.raises(SimError, match=rf"out of range: {17 - width:#x}\+{width}$"):
+            access(*args)
 
 
 class TestNegativeAddressAcrossSimulators:
