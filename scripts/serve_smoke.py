@@ -3,8 +3,9 @@
 Starts the service exactly as a user would (``python -m repro serve``
 on an ephemeral port), drives one of every request shape through the
 bundled client — compile, compile on a second preset (must match a
-direct compile), run, repeat-run (must be a store hit),
-four-lane run, sweep, a promoted-kernel run, its repeat (a store hit
+direct compile), run, repeat-run (must be a store hit), a run with a
+field no endpoint reads (must be a 400 naming it, with nothing
+executed), sweep, a promoted-kernel run, its repeat (a store hit
 with no store miss) and its sweep (served from the store), stats — and
 shuts it down with SIGTERM, asserting a clean graceful drain.
 
@@ -27,7 +28,7 @@ from repro.backend import compile_for_machine  # noqa: E402
 from repro.frontend import compile_source  # noqa: E402
 from repro.kernels import expected_exit, load  # noqa: E402
 from repro.machine import build_machine  # noqa: E402
-from repro.serve import ServeClient  # noqa: E402
+from repro.serve import ServeClient, ServeError  # noqa: E402
 
 #: a promoted corpus kernel, whose expected exit is nonzero
 PROMOTED = "stress-2024-022"
@@ -87,13 +88,20 @@ def main() -> int:
                 print("repeat run ok: served from the artifact store, "
                       "byte-identical")
 
-                lanes = client.run("m-tta-2", kernel="mips", mode="fast",
-                                   lanes=4)
-                assert len(lanes["results"]) == 4
-                assert all(r["cycles"] == first["result"]["cycles"]
-                           for r in lanes["results"])
-                print("four-lane run ok: every lane matches the "
-                      "single-run cycle count")
+                # a field the run endpoint no longer reads is a loud 400
+                # naming it, never a silent single run
+                removed = "lanes"
+                executed = client.stats()["dedup"]["executed"]
+                try:
+                    client.run("m-tta-2", kernel="mips", **{removed: 4})
+                except ServeError as exc:
+                    assert exc.status == 400, exc
+                    assert f"'{removed}'" in str(exc), exc
+                else:
+                    raise AssertionError(f"a run with {removed!r} was accepted")
+                assert client.stats()["dedup"]["executed"] == executed
+                print(f"unknown-field run ok: 400 naming {removed!r}, "
+                      f"nothing executed")
 
                 swept = client.sweep(machines=["m-tta-2"],
                                      kernels=["mips", "motion"], wait=True)

@@ -150,9 +150,9 @@ def job_fingerprint(
     engine_version: int | None = None,
 ) -> str:
     """Hex SHA-256 key for a *service job* that is not a bare (machine,
-    kernel-source, flags) measurement — e.g. a ``/v1/run`` with
-    per-lane inputs, or a sweep request identified for in-flight
-    coalescing.
+    kernel-source, flags) measurement — e.g. a traced ``/v1/run`` or
+    one with its own cycle budget, or a sweep request identified for
+    in-flight coalescing.
 
     *fields* must be a canonical, JSON-serialisable description of
     everything that can change the job's outcome (typically including a

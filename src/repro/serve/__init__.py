@@ -1,10 +1,10 @@
 """Compile-and-simulate service.
 
 An asyncio HTTP/1.1 JSON server (standard library only) that exposes
-the repro pipeline — compile, run (all engine modes, optionally over
-several input lanes), sweep — with bounded queueing and backpressure,
-content-keyed request dedup against the artifact store, and sharded
-child-process workers with per-job timeout and cancellation.
+the repro pipeline — compile, run (all engine modes), sweep — with
+bounded queueing and backpressure, content-keyed request dedup against
+the artifact store, and sharded child-process workers with per-job
+timeout and cancellation.
 
 Start one with ``repro serve`` or in-process::
 
@@ -16,7 +16,7 @@ Start one with ``repro serve`` or in-process::
 and talk to it with :class:`~repro.serve.client.ServeClient`.
 """
 
-from repro.serve.client import ServeClient, ServeError, encode_inputs
+from repro.serve.client import ServeClient, ServeError
 from repro.serve.http import HttpError, Request, encode_response, read_request
 from repro.serve.jobs import (
     DEFAULT_MAX_CYCLES,
@@ -50,7 +50,6 @@ __all__ = [
     "ServeError",
     "ServeMetrics",
     "compute_job_key",
-    "encode_inputs",
     "encode_response",
     "execute_job",
     "normalize_params",

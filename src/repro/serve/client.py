@@ -34,18 +34,6 @@ class ServeError(Exception):
         self.headers = dict(headers or {})
 
 
-def encode_inputs(lanes) -> list:
-    """Per-lane ``[(address, bytes), ...]`` preloads → wire format.
-
-    The wire format is ``[[ [address, hex-string], ... ], ...]`` —
-    JSON-safe and decoded back with ``bytes.fromhex`` server-side.
-    """
-    return [
-        [[address, bytes(data).hex()] for address, data in lane]
-        for lane in lanes
-    ]
-
-
 class ServeClient:
     """JSON client for one server address."""
 

@@ -1,9 +1,9 @@
 """Job model, dedup/coalescing, sharded execution for the service.
 
 A **job** is one unit of pipeline work — a compile, a run (any engine
-mode, optionally over several lanes of per-lane inputs), or a sweep —
-identified by a content key from :mod:`repro.pipeline.fingerprint`.  The
-manager gives the service its three scaling properties:
+mode), or a sweep — identified by a content key from
+:mod:`repro.pipeline.fingerprint`.  The manager gives the service its
+three scaling properties:
 
 * **bounded queueing with backpressure** — at most ``queue_limit`` jobs
   wait; a submit past that raises :class:`QueueFull`, which the HTTP
@@ -30,6 +30,7 @@ fork-cheap children without that hazard.
 from __future__ import annotations
 
 import asyncio
+import math
 import multiprocessing
 import time
 import traceback
@@ -51,7 +52,14 @@ TIMEOUT = "timeout"
 
 TERMINAL_STATES = (DONE, FAILED, CANCELLED, TIMEOUT)
 
-JOB_KINDS = ("compile", "run", "sweep")
+#: the body fields each job kind reads; the server takes ``wait`` and
+#: ``schema_version`` off first, and any other field is a 400
+JOB_FIELDS = {
+    "compile": ("machine", "kernel", "source", "optimize", "trace"),
+    "run": ("machine", "kernel", "source", "optimize", "trace", "mode",
+            "max_cycles", "timeout_s"),
+    "sweep": ("machines", "kernels", "mode", "optimize"),
+}
 
 #: default simulator cycle budget (mirrors ``run_compiled``)
 DEFAULT_MAX_CYCLES = 500_000_000
@@ -93,10 +101,17 @@ def normalize_params(kind: str, body: dict) -> dict:
     resolved here so the content key can hash exactly what will be
     compiled, mirroring :class:`~repro.pipeline.types.SweepTask`).
     """
-    if kind not in JOB_KINDS:
+    if kind not in JOB_FIELDS:
         raise BadJob(f"unknown job kind {kind!r}")
     if not isinstance(body, dict):
         raise BadJob("request body must be a JSON object")
+    unknown = [name for name in body if name not in JOB_FIELDS[kind]]
+    if unknown:
+        raise BadJob(
+            f"unknown field{'s' if len(unknown) > 1 else ''} "
+            f"{', '.join(map(repr, unknown))} in a {kind} request; "
+            f"accepted: {', '.join(JOB_FIELDS[kind])}"
+        )
     if kind == "sweep":
         return _normalize_sweep(body)
 
@@ -133,10 +148,7 @@ def normalize_params(kind: str, body: dict) -> dict:
     if kind == "compile":
         return params
 
-    mode = body.get("mode", DEFAULT_MODE)
-    if mode not in MODES:
-        raise BadJob(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
-    params["mode"] = mode
+    params["mode"] = _mode(body)
 
     max_cycles = body.get("max_cycles", DEFAULT_MAX_CYCLES)
     if not isinstance(max_cycles, int) or isinstance(max_cycles, bool) or max_cycles < 1:
@@ -145,24 +157,12 @@ def normalize_params(kind: str, body: dict) -> dict:
 
     timeout_s = body.get("timeout_s")
     if timeout_s is not None:
+        # json.loads accepts NaN and Infinity; a NaN deadline never passes
         if not isinstance(timeout_s, (int, float)) or isinstance(timeout_s, bool) \
-                or timeout_s <= 0:
-            raise BadJob(f"'timeout_s' must be a positive number, got {timeout_s!r}")
+                or not math.isfinite(timeout_s) or timeout_s <= 0:
+            raise BadJob(f"'timeout_s' must be a positive finite number, "
+                         f"got {timeout_s!r}")
     params["timeout_s"] = timeout_s
-
-    lanes = body.get("lanes")
-    inputs = body.get("inputs")
-    if lanes is not None:
-        if not isinstance(lanes, int) or isinstance(lanes, bool) or lanes < 1:
-            raise BadJob(f"'lanes' must be a positive integer, got {lanes!r}")
-    if inputs is not None:
-        inputs = _normalize_inputs(inputs)
-        if lanes is not None and lanes != len(inputs):
-            raise BadJob(
-                f"'lanes' ({lanes}) disagrees with len(inputs) ({len(inputs)})"
-            )
-    params["lanes"] = lanes
-    params["inputs"] = inputs
     return params
 
 
@@ -171,9 +171,11 @@ def _normalize_sweep(body: dict) -> dict:
     from repro.pipeline import parse_subset
     from repro.pipeline.sweep import resolve_kernel_sources
 
-    mode = body.get("mode", DEFAULT_MODE)
-    if mode not in MODES:
-        raise BadJob(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
+    mode = _mode(body)
+    for name in ("machines", "kernels"):
+        if not isinstance(body.get(name, ""), (str, list)):
+            raise BadJob(f"'{name}' must be a comma-separated string or a "
+                         f"list of names, got {body[name]!r}")
     try:
         machines = parse_subset(body.get("machines"), preset_names(), "machine")
         # default: the paper's built-in matrix; explicit subsets may
@@ -190,6 +192,13 @@ def _normalize_sweep(body: dict) -> dict:
     }
 
 
+def _mode(body: dict) -> str:
+    mode = body.get("mode", DEFAULT_MODE)
+    if mode not in MODES:
+        raise BadJob(f"unknown mode {mode!r}; known: {', '.join(MODES)}")
+    return mode
+
+
 def _bool(body: dict, name: str, default: bool) -> bool:
     value = body.get(name, default)
     if not isinstance(value, bool):
@@ -197,51 +206,31 @@ def _bool(body: dict, name: str, default: bool) -> bool:
     return value
 
 
-def _normalize_inputs(inputs) -> list:
-    """Per-lane preloads as ``[[ [address, hex-data], ... ], ...]``."""
-    if not isinstance(inputs, list) or not inputs:
-        raise BadJob("'inputs' must be a non-empty list of lanes")
-    normalized = []
-    for lane_no, lane in enumerate(inputs):
-        if not isinstance(lane, list):
-            raise BadJob(f"lane {lane_no} must be a list of [address, hex] pairs")
-        entries = []
-        for entry in lane:
-            if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or not isinstance(entry[0], int) or isinstance(entry[0], bool)
-                    or entry[0] < 0 or not isinstance(entry[1], str)):
-                raise BadJob(
-                    f"lane {lane_no}: each preload must be [address>=0, hex-string]"
-                )
-            try:
-                bytes.fromhex(entry[1])
-            except ValueError as exc:
-                raise BadJob(
-                    f"lane {lane_no}: bad hex data {entry[1]!r}"
-                ) from exc
-            entries.append([entry[0], entry[1].lower()])
-        normalized.append(entries)
-    return normalized
-
-
 # ---------------------------------------------------------------------------
 # content keys
 # ---------------------------------------------------------------------------
 
 
-def compute_job_key(kind: str, params: dict) -> tuple[str, bool]:
-    """``(key, plain)`` for normalized *params*.
+def plain_run(params: dict) -> bool:
+    """Whether normalized run *params* are a bare (machine, source, mode,
+    optimize) measurement: untraced, with the default cycle budget.
 
-    *plain* run jobs — a bare (machine, source, mode, optimize)
-    measurement with default cycle budget and at most one pristine lane
-    — key exactly like sweep tasks (:func:`fingerprint`), so the service
-    and ``repro sweep`` share artifact-store entries in both directions.
-    Everything else gets a :func:`job_fingerprint` under the same
-    toolchain-digest + engine-version contract.
+    A plain run keys, and stores a passing result, exactly like a sweep
+    task, so the service and ``repro sweep`` share artifact-store
+    entries in both directions.
+    """
+    return not params["trace"] and params["max_cycles"] == DEFAULT_MAX_CYCLES
 
-    Traced requests key separately from untraced ones (and are never
-    *plain*): a store/in-flight hit on an untraced twin could not carry
-    the per-request span payload the caller asked for.
+
+def compute_job_key(kind: str, params: dict) -> str:
+    """The content key for normalized *params*.
+
+    A :func:`plain_run` keys as its sweep task (:func:`fingerprint`);
+    every other run gets a :func:`job_fingerprint` under the same
+    toolchain-digest + engine-version contract.  Traced requests key
+    separately from untraced ones: a store/in-flight hit on an untraced
+    twin could not carry the per-request span payload the caller asked
+    for.
     """
     from repro.machine import build_machine
 
@@ -252,7 +241,7 @@ def compute_job_key(kind: str, params: dict) -> tuple[str, bool]:
             "kernels": params["kernels"],
             "mode": params["mode"],
             "optimize": params["optimize"],
-        }), False
+        })
     machine = build_machine(params["machine"])
     if kind == "compile":
         fp = fingerprint(
@@ -260,28 +249,19 @@ def compute_job_key(kind: str, params: dict) -> tuple[str, bool]:
             optimize=params["optimize"],
         )
         if trace:
-            return job_fingerprint("compile", {"fingerprint": fp,
-                                               "trace": True}), False
-        return fp, False
+            return job_fingerprint("compile", {"fingerprint": fp, "trace": True})
+        return fp
     fp = fingerprint(
         machine, params["_source"], mode=params["mode"],
         optimize=params["optimize"],
     )
-    plain = (
-        not trace
-        and params["inputs"] is None
-        and params["lanes"] in (None, 1)
-        and params["max_cycles"] == DEFAULT_MAX_CYCLES
-    )
-    if plain:
-        return fp, True
+    if plain_run(params):
+        return fp
     return job_fingerprint("run", {
         "fingerprint": fp,
-        "lanes": params["lanes"],
-        "inputs": params["inputs"],
         "max_cycles": params["max_cycles"],
         "trace": trace,
-    }), False
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +275,6 @@ def execute_job(
     *,
     store: ArtifactStore | None = None,
     key: str | None = None,
-    plain: bool = False,
     request_id: str | None = None,
 ) -> dict:
     """Run one job to completion and return its response payload.
@@ -307,12 +286,12 @@ def execute_job(
     """
     if not params.get("trace"):
         with obs.span(f"serve.job.{kind}", request_id=request_id or ""):
-            return _execute(kind, params, store, key, plain, request_id)
+            return _execute(kind, params, store, key)
     ambient = obs.disable()
     tracer = obs.enable(obs.Tracer(process=f"serve-{kind}", request_id=request_id))
     try:
         with tracer.span(f"serve.job.{kind}", request_id=request_id or ""):
-            payload = _execute(kind, params, store, key, plain, request_id)
+            payload = _execute(kind, params, store, key)
     finally:
         obs.disable()
         if ambient is not None:
@@ -321,11 +300,11 @@ def execute_job(
     return payload
 
 
-def _execute(kind, params, store, key, plain, request_id) -> dict:
+def _execute(kind, params, store, key) -> dict:
     if kind == "compile":
         return _compile_job(params, store, key)
     if kind == "run":
-        return _run_job(params, store, key, plain)
+        return _run_job(params, store, key)
     if kind == "sweep":
         return _sweep_job(params, store)
     raise BadJob(f"unknown job kind {kind!r}")
@@ -364,61 +343,47 @@ def _compile_job(params, store, key) -> dict:
     return payload
 
 
-def _run_job(params, store, key, plain) -> dict:
+def _run_job(params, store, key) -> dict:
     from repro.fpga import synthesize
     from repro.kernels import expected_exit
     from repro.machine import encode_machine
     from repro.pipeline.executor import result_extras
-    from repro.sim import run_batch
+    from repro.sim import run_compiled
 
     machine, compiled = _compiled_program(params, store)
-    inputs = params["inputs"]
-    if inputs is not None:
-        inputs = [
-            [(address, bytes.fromhex(data)) for address, data in lane]
-            for lane in inputs
-        ]
-    results = run_batch(
-        compiled, lanes=params["lanes"], inputs=inputs, mode=params["mode"],
-        max_cycles=params["max_cycles"],
+    result = run_compiled(
+        compiled, max_cycles=params["max_cycles"], mode=params["mode"]
     )
-    first = results[0]
     measured = EvalResult(
         machine=params["machine"],
         kernel=params.get("kernel") or "adhoc",
-        exit_code=first.exit_code,
-        cycles=first.cycles,
+        exit_code=result.exit_code,
+        cycles=result.cycles,
         instruction_count=compiled.instruction_count,
         instruction_width=encode_machine(machine).instruction_width,
         fmax_mhz=synthesize(machine).fmax_mhz,
-        extras=result_extras(first),
+        extras=result_extras(result),
     )
-    lanes = None
-    if len(results) > 1:
-        lanes = [
-            {"exit_code": r.exit_code, "cycles": r.cycles, "stats": result_extras(r)}
-            for r in results
-        ]
     if store is not None and key is not None and not params.get("trace"):
         kernel = params.get("kernel")
-        if plain and first.exit_code == (0 if kernel is None else expected_exit(kernel)):
+        if plain_run(params) and result.exit_code == (
+                0 if kernel is None else expected_exit(kernel)):
             # the exact entry `repro sweep` writes for a run that passes
             # the kernel's self-check: warm either side, serve the other
             store.store_result(key, measured)
         else:
-            store.store_json(key, {"result": measured.to_dict(), "results": lanes})
-    return _run_payload(params, measured, lanes)
+            store.store_json(key, {"result": measured.to_dict()})
+    return _run_payload(params, measured)
 
 
-def _run_payload(params, measured: EvalResult, lanes: list | None) -> dict:
-    """The ``/v1/run`` response body for *measured*, plus the per-lane
-    stats of a several-lane run.
+def _run_payload(params, measured: EvalResult) -> dict:
+    """The ``/v1/run`` response body for *measured*.
 
     The body names the engine the request asked for: fast, turbo and
     native share one stored entry, so the engine whose run filled it is
     neither stored nor reported.
     """
-    payload = {"result": {
+    return {"result": {
         "machine": params["machine"],
         "kernel": params.get("kernel") or "adhoc",
         "mode": params["mode"],
@@ -429,9 +394,6 @@ def _run_payload(params, measured: EvalResult, lanes: list | None) -> dict:
         "fmax_mhz": measured.fmax_mhz,
         "stats": dict(measured.extras),
     }}
-    if lanes is not None:
-        payload["results"] = lanes
-    return payload
 
 
 def _sweep_job(params, store) -> dict:
@@ -450,21 +412,21 @@ def _sweep_job(params, store) -> dict:
 
 
 def load_cached_payload(
-    kind: str, params: dict, key: str, plain: bool, store: ArtifactStore | None
+    kind: str, params: dict, key: str, store: ArtifactStore | None
 ) -> dict | None:
     """Serve a finished job's payload straight from the artifact store."""
     if store is None or kind == "sweep" or params.get("trace"):
         return None
     if kind != "run":
         return store.load_json(key)
-    if plain:
+    if plain_run(params):
         res = store.load_result(key)
         if res is not None:
-            return _run_payload(params, res, None)
+            return _run_payload(params, res)
     entry = store.load_json(key)
     if entry is None:
         return None
-    return _run_payload(params, EvalResult.from_dict(entry["result"]), entry["results"])
+    return _run_payload(params, EvalResult.from_dict(entry["result"]))
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +442,7 @@ def _error_payload(exc: BaseException) -> dict:
     }
 
 
-def _child_main(conn, kind, params, store, key, plain, request_id) -> None:
+def _child_main(conn, kind, params, store, key, request_id) -> None:
     """Execute one job and ship ``(status, payload)`` through *conn*.
 
     *store* is the server's own handle, pickled across: it reopens the
@@ -497,8 +459,7 @@ def _child_main(conn, kind, params, store, key, plain, request_id) -> None:
     status, payload = "error", {}
     try:
         payload = execute_job(
-            kind, params, store=store, key=key, plain=plain,
-            request_id=request_id,
+            kind, params, store=store, key=key, request_id=request_id,
         )
         status = "ok"
     except (CompileError, SimError, BadJob, ValueError) as exc:
@@ -538,15 +499,22 @@ def _job_context():
 # ---------------------------------------------------------------------------
 
 
+def live_key(key: str, params: dict) -> tuple:
+    """The in-flight dedup key.  Fast, turbo and native share a store
+    key, but a coalesced request must still report its own engine, so
+    only requests for the same mode share a live job."""
+    return key, params.get("mode")
+
+
 class Job:
     """One queued/running/finished unit of work."""
 
-    def __init__(self, job_id, kind, params, key, plain, timeout_s, request_id):
+    def __init__(self, job_id, kind, params, key, timeout_s, request_id):
         self.id = job_id
         self.kind = kind
         self.params = params
         self.key = key
-        self.plain = plain
+        self.live_key = live_key(key, params)
         self.state = QUEUED
         self.cached = False
         self.result: dict | None = None
@@ -559,13 +527,6 @@ class Job:
         self.done_event = asyncio.Event()
         self.cancel_event = None  # threading.Event, set lazily at run time
         self.cancel_requested = False
-
-    @property
-    def live_key(self) -> tuple:
-        """The in-flight dedup key.  Fast, turbo and native share a store
-        key, but a coalesced request must still report its own engine,
-        so only requests for the same mode share a live job."""
-        return self.key, self.params.get("mode")
 
     @property
     def finished_state(self) -> bool:
@@ -716,17 +677,17 @@ class JobManager:
         """Dedup, cache-check, enqueue.  Raises :class:`QueueFull` /
         :class:`Draining`; returns the (possibly shared or already
         finished) job."""
-        key, plain = compute_job_key(kind, params)
-        live = self._inflight.get((key, params.get("mode")))
+        key = compute_job_key(kind, params)
+        live = self._inflight.get(live_key(key, params))
         if live is not None:
             live.request_ids.append(request_id)
             if self.metrics:
                 self.metrics.coalesced += 1
             obs.count("serve.coalesced")
             return live
-        cached = load_cached_payload(kind, params, key, plain, self.store)
+        cached = load_cached_payload(kind, params, key, self.store)
         if cached is not None:
-            job = self._new_job(kind, params, key, plain, request_id)
+            job = self._new_job(kind, params, key, request_id)
             self._register(job)
             self._finish_cached(job, cached)
             return job
@@ -734,7 +695,7 @@ class JobManager:
             raise Draining("server is draining")
         if self._queued >= self.queue_limit:
             raise QueueFull(self._queued, self.queue_limit)
-        job = self._new_job(kind, params, key, plain, request_id)
+        job = self._new_job(kind, params, key, request_id)
         self._register(job)
         self._inflight[job.live_key] = job
         self._queued += 1
@@ -760,12 +721,12 @@ class JobManager:
 
     # -- internals --------------------------------------------------------
 
-    def _new_job(self, kind, params, key, plain, request_id) -> Job:
+    def _new_job(self, kind, params, key, request_id) -> Job:
         self._next_id += 1
         timeout_s = params.get("timeout_s") or self.job_timeout
         timeout_s = min(timeout_s, self.job_timeout)
-        return Job(f"j{self._next_id:06d}", kind, params, key, plain,
-                   timeout_s, request_id)
+        return Job(f"j{self._next_id:06d}", kind, params, key, timeout_s,
+                   request_id)
 
     def _register(self, job: Job) -> None:
         self._jobs[job.id] = job
@@ -818,7 +779,7 @@ class JobManager:
                 continue
             # a job queued behind another of the same result key (say, fast
             # then turbo) finds the result that one stored
-            cached = load_cached_payload(job.kind, job.params, job.key, job.plain, self.store)
+            cached = load_cached_payload(job.kind, job.params, job.key, self.store)
             if cached is not None:
                 self._queued -= 1
                 self._inflight.pop(job.live_key, None)
@@ -867,7 +828,7 @@ class JobManager:
         proc = self._ctx.Process(
             target=_child_main,
             args=(child_conn, job.kind, job.params, self.store, job.key,
-                  job.plain, job.request_ids[0]),
+                  job.request_ids[0]),
             daemon=True,
         )
         proc.start()

@@ -9,8 +9,7 @@ exposes the pipeline over six JSON endpoints:
                           percentiles, artifact-store hit/miss
 ``POST /v1/compile``      compile a kernel for a machine (program summary)
 ``POST /v1/run``          compile + simulate; ``mode`` checked/fast/turbo/
-                          native, optional ``lanes`` or per-lane ``inputs``
-                          (lanes run one after another)
+                          native, optional ``max_cycles`` and ``timeout_s``
 ``POST /v1/sweep``        a full (machines × kernels) sweep; async by default
 ``GET  /v1/jobs/<id>``    poll a job; ``DELETE`` cancels it
 ========================  ====================================================
@@ -24,6 +23,8 @@ Request/response contract:
 * ``wait`` (default true for compile/run, false for sweep) controls
   whether the response blocks for the result or returns ``202`` with a
   ``job_id`` to poll;
+* a body field the endpoint does not read is a ``400`` naming it
+  (:data:`~repro.serve.jobs.JOB_FIELDS`), never silently dropped;
 * a full queue answers ``429`` with ``Retry-After`` **without executing
   anything**; a draining server answers ``503``;
 * job failures map to status codes by fault domain: bad request

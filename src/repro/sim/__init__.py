@@ -16,7 +16,7 @@ from repro.sim.memory import DataMemory
 from repro.sim.predecode import verify_tta_program, verify_vliw_program
 from repro.sim.profile import SimProfile, collect_profile, format_profile
 from repro.sim.modes import MODES, PROFILE_MODES
-from repro.sim.run import run_batch, run_compiled, run_compiled_profiled
+from repro.sim.run import run_compiled, run_compiled_profiled
 from repro.sim.scalar_sim import ScalarResult, ScalarSimulator
 from repro.sim.tta_sim import TTAResult, TTASimulator
 from repro.sim.vliw_sim import VLIWResult, VLIWSimulator
@@ -36,7 +36,6 @@ __all__ = [
     "VLIWSimulator",
     "collect_profile",
     "format_profile",
-    "run_batch",
     "run_compiled",
     "run_compiled_profiled",
     "verify_tta_program",

@@ -52,43 +52,6 @@ def run_compiled(
     return _make_simulator(compiled, max_cycles, mode).run()
 
 
-def run_batch(
-    compiled: CompiledProgram,
-    *,
-    lanes: int | None = None,
-    inputs=None,
-    mode: str = DEFAULT_MODE,
-    max_cycles: int = 500_000_000,
-) -> list:
-    """Run N independent lanes of *compiled*, one after another, and
-    return their results in lane order.
-
-    ``inputs`` is a sequence of per-lane preload lists (``(address,
-    bytes)`` pairs applied on top of ``compiled.data_init``); ``lanes``
-    gives the lane count instead when every lane runs the pristine image
-    (default 1).  Each lane gets its own simulator in *mode*; the first
-    failing lane's :class:`~repro.sim.errors.SimError` propagates.
-    """
-    check_mode(mode)
-    if inputs is None:
-        if lanes is not None and lanes < 0:
-            raise ValueError(f"lane count must be >= 0, got {lanes}")
-        lane_inputs = [()] * (1 if lanes is None else lanes)
-    else:
-        lane_inputs = list(inputs)
-        if lanes is not None and lanes != len(lane_inputs):
-            raise ValueError(
-                f"lanes={lanes} disagrees with {len(lane_inputs)} input rows"
-            )
-    results = []
-    for lane_input in lane_inputs:
-        sim = _make_simulator(compiled, max_cycles, mode)
-        for address, blob in lane_input:
-            sim.memory.preload(int(address), bytes(blob))
-        results.append(sim.run())
-    return results
-
-
 def run_compiled_profiled(
     compiled: CompiledProgram,
     max_cycles: int = 500_000_000,

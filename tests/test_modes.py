@@ -13,7 +13,7 @@ import repro.cli as cli
 import repro.corpus
 from repro import build_machine, compile_for_machine, compile_source, pipeline
 from repro.serve import normalize_params
-from repro.sim import MODES, PROFILE_MODES, TTASimulator, VLIWSimulator, run_batch
+from repro.sim import MODES, PROFILE_MODES, TTASimulator, VLIWSimulator
 from repro.sim import run_compiled
 from repro.sim import run_compiled_profiled
 
@@ -63,8 +63,6 @@ ENTRY_POINTS = {
         _compiled("m-tta-2").program, mode=mode)),
     "VLIWSimulator": (MODES, lambda mode, ctx: VLIWSimulator(
         _compiled("m-vliw-2").program, mode=mode)),
-    "run_batch": (MODES, lambda mode, ctx: run_batch(
-        _compiled("m-tta-2"), lanes=0, mode=mode)),
     # the scalar core has one engine, yet the mode name is still checked
     "run_compiled (scalar)": (MODES, lambda mode, ctx: run_compiled(
         _compiled("mblaze-3"), mode=mode)),

@@ -30,7 +30,6 @@ from repro.sim import (
     SimError,
     TTASimulator,
     VLIWSimulator,
-    run_batch,
     run_compiled,
     run_compiled_profiled,
 )
@@ -583,7 +582,7 @@ class TestSharedObjectCache:
 
 
 # ---------------------------------------------------------------------------
-# driver integration: partial coverage, batch lanes, profiling, codegen
+# driver integration: partial coverage, profiling, codegen
 # ---------------------------------------------------------------------------
 
 
@@ -602,14 +601,6 @@ class TestDriverIntegration:
             del engine.entry_len[start]
         nat = run_compiled(compiled, mode="native")
         assert asdict(nat) == asdict(checked)
-
-    def test_run_batch_native_lanes_match_checked(self):
-        compiled = _compile(FIB_SRC, "m-tta-2")
-        serial = run_compiled(compiled, mode="checked")
-        lanes = run_batch(compiled, lanes=2, mode="native")
-        assert len(lanes) == 2
-        for result in lanes:
-            assert asdict(result) == asdict(serial)
 
     @pytest.mark.parametrize("machine_name", DIFF_MACHINES)
     def test_native_profile_matches_turbo(self, machine_name):

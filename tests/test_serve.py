@@ -4,15 +4,15 @@ Contracts pinned here:
 
 * **byte-identity** -- a served ``/v1/run`` reports the same exit code,
   cycle count and every architectural stats counter as a direct
-  ``run_compiled`` / ``run_batch`` of the same program, for every engine
-  mode;
+  ``run_compiled`` of the same program, for every engine mode;
 * **dedup** -- identical in-flight requests coalesce onto one pipeline
   execution (asserted via the ``/v1/stats`` counters), finished results
   are served from the artifact store, and the store contract is shared
   with ``repro sweep`` in both directions;
 * **backpressure** -- a full queue answers 429 with ``Retry-After``
   without executing anything;
-* **fault mapping** -- malformed requests, uncompilable programs,
+* **fault mapping** -- malformed requests (a body field the endpoint
+  does not read among them), uncompilable programs,
   oversized bodies, per-job timeouts and cancellations each map to a
   distinct status code, and worker children never outlive their job;
 * **graceful drain** -- shutdown lets queued and running jobs finish,
@@ -44,10 +44,9 @@ from repro.serve import (
     Draining,
     JobManager,
     ServeError,
-    encode_inputs,
     normalize_params,
 )
-from repro.sim import MODES, run_batch, run_compiled
+from repro.sim import MODES, run_compiled
 
 #: ~1 ms in every mode; exit code 0 so the plain-run store path engages
 TINY_SRC = "int main(void){ int i=0; int s=0; while(i<100){ s=s+i; i=i+1; } return 0; }"
@@ -60,23 +59,6 @@ SPIN_SRC = "int main(void){ int i=1; while(i){ } return 0; }"
 
 #: a promoted corpus kernel (nonzero expected exit, from its golden)
 PROMOTED = "stress-2024-022"
-
-#: control flow driven by memory, for per-lane input tests
-BRANCH_SRC = """
-int g[4] = {3, 10, 7, 2};
-int main() {
-  int acc = 0;
-  int n = g[0];
-  for (int i = 0; i < n; i = i + 1) { acc = acc + g[1] * i + i; }
-  if (acc > g[2]) { return acc - g[3]; }
-  return acc + g[3];
-}
-"""
-
-
-def _word(value: int) -> bytes:
-    return value.to_bytes(4, "little", signed=True)
-
 
 def _distinct_src(tag: int) -> str:
     """A unique slow source per *tag* (defeats dedup where needed)."""
@@ -194,23 +176,38 @@ class TestRequestValidation:
             ({"machine": "m-tta-2", "source": "   "}, "non-empty"),
             ({"machine": "m-tta-2", "kernel": "mips", "mode": "warp"},
              "unknown mode"),
-            ({"machine": "m-tta-2", "kernel": "mips", "lanes": 2,
-              "inputs": [[[0, "00"]]]}, "disagrees"),
-            ({"machine": "m-tta-2", "kernel": "mips", "lanes": 0}, "'lanes'"),
+            # fields no endpoint reads any more, and a typo: a loud 400
+            # naming the field, never a silent single run
             ({"machine": "m-tta-2", "kernel": "mips",
-              "inputs": [[[0, "zz"]]]}, "bad hex"),
+              "inputs": [[[0, "00"]]]}, "'inputs'"),
+            ({"machine": "m-tta-2", "kernel": "mips", "lanes": 4}, "'lanes'"),
+            ({"machine": "m-tta-2", "kernel": "mips", "max_cycle": 1000},
+             "'max_cycle'"),
             ({"machine": "m-tta-2", "kernel": "mips", "max_cycles": 0},
              "max_cycles"),
             ({"machine": "m-tta-2", "kernel": "mips", "timeout_s": -1},
              "timeout_s"),
             ({"machine": "m-tta-2", "kernel": "mips", "wait": "yes"},
              "'wait'"),
+            # a NaN deadline would never pass: the job could not time out
+            ({"machine": "m-tta-2", "kernel": "mips", "timeout_s": float("nan")},
+             "finite"),
+            # (endpoint, body): fields the other endpoints do not read
+            (("/v1/compile", {"machine": "m-tta-2", "kernel": "mips",
+                              "mode": "warp"}), "'mode'"),
+            (("/v1/sweep", {"machines": ["m-tta-2"], "kernels": ["mips"],
+                            "timeout_s": 5}), "'timeout_s'"),
+            (("/v1/sweep", {"machines": 5}), "'machines' must be"),
         ],
     )
     def test_bad_run_request_400(self, served, body, fragment):
+        path, body = body if isinstance(body, tuple) else ("/v1/run", body)
         with served.client() as c:
+            before = c.stats()["jobs_by_state"]
             with pytest.raises(ServeError) as err:
-                c.request("POST", "/v1/run", body)
+                c.request("POST", path, body)
+            # rejected before anything is queued, executed or served
+            assert c.stats()["jobs_by_state"] == before
         assert err.value.status == 400
         assert fragment in str(err.value)
 
@@ -261,31 +258,6 @@ class TestByteIdentity:
         assert got["result"]["cycles"] == want.cycles
         assert got["result"]["stats"] == result_extras(want)
 
-    def test_batch_inputs_match_run_batch(self, served):
-        compiled = compile_for_machine(
-            compile_source(BRANCH_SRC), build_machine("m-tta-2")
-        )
-        g = compiled.symbols["g"]
-        lanes = [
-            ((g, _word(3)),),
-            ((g, _word(1)),),
-            ((g + 4, _word(100)),),
-            ((g, _word(0)),),
-        ]
-        want = run_batch(compiled, inputs=lanes, mode="turbo")
-        with served.client() as c:
-            got = c.run(
-                "m-tta-2", source=BRANCH_SRC, mode="turbo",
-                inputs=encode_inputs(lanes),
-            )
-        assert len(got["results"]) == len(lanes)
-        for lane, ref in zip(got["results"], want):
-            assert lane["exit_code"] == ref.exit_code
-            assert lane["cycles"] == ref.cycles
-            assert lane["stats"] == result_extras(ref)
-        # the summary row is lane 0
-        assert got["result"]["cycles"] == want[0].cycles
-
     def test_scalar_machine_served(self, served):
         compiled = compile_for_machine(
             compile_source(TINY_SRC), build_machine("mblaze-3")
@@ -314,8 +286,9 @@ class TestDedupAndCache:
     @pytest.mark.parametrize("request_body", [
         # a nonzero exit is stored as a job entry, not a sweep result
         {"source": "int main(void){ return 7; }"},
-        {"source": TINY_SRC.replace("i<100", "i<102"), "lanes": 2},
-    ], ids=["nonzero-exit", "lanes"])
+        # so is any run with its own cycle budget
+        {"source": TINY_SRC.replace("i<100", "i<102"), "max_cycles": 1_000_000},
+    ], ids=["nonzero-exit", "max-cycles"])
     def test_turbo_run_served_from_fast_entry(self, served, request_body):
         """fast and turbo share one result key; the hit still reports the
         engine the request asked for."""
@@ -326,7 +299,6 @@ class TestDedupAndCache:
         assert turbo["cached"] is True
         assert turbo["result"]["mode"] == "turbo"
         assert {**turbo["result"], "mode": "fast"} == fast["result"]
-        assert turbo.get("results") == fast.get("results")
 
     def test_checked_run_not_served_from_fast_entry(self, served):
         src = TINY_SRC.replace("i<100", "i<103")
@@ -663,7 +635,7 @@ class TestModuleEntry:
         for machine in ("m-tta-2", "mblaze-3"):
             optimized_module.cache_clear()  # each job child is a fresh process
             params = normalize_params("compile", {"machine": machine, "kernel": "mips"})
-            key, _ = compute_job_key("compile", params)
+            key = compute_job_key("compile", params)
             payload = execute_job("compile", params, store=store, key=key)
             direct = compile_for_machine(
                 original(params["_source"], module_name="mips"), build_machine(machine)
