@@ -3,11 +3,13 @@
 Starts the service exactly as a user would (``python -m repro serve``
 on an ephemeral port), drives one of every request shape through the
 bundled client — compile, compile on a second preset (must match a
-direct compile), run, repeat-run (must be a store hit), a run with a
-field no endpoint reads (must be a 400 naming it, with nothing
-executed), sweep, a promoted-kernel run, its repeat (a store hit
-with no store miss) and its sweep (served from the store), stats — and
-shuts it down with SIGTERM, asserting a clean graceful drain.
+direct compile, without parsing the kernel again), run, repeat-run
+(must be a store hit), a run with a field no endpoint reads (must be a
+400 naming it, with nothing executed), sweep, a promoted-kernel run,
+its repeat (a store hit with no store miss) and its sweep (served from
+the store), stats (no more worker processes started than there are
+shards) — and shuts it down with SIGTERM, asserting a clean graceful
+drain.
 
 Run:  PYTHONPATH=src python scripts/serve_smoke.py
 """
@@ -60,11 +62,16 @@ def main() -> int:
                 print(f"compile ok: {compiled['result']['instruction_count']} "
                       f"instructions")
 
-                # the second preset's job loads the optimised IR module the
-                # first one stored instead of parsing the kernel again
+                # the second preset's job does not parse the kernel again:
+                # it takes the optimised IR module from its worker's memo
+                # (the first compile ran in the same worker) or from the
+                # store entry the first compile wrote (it ran in the other)
                 other = client.compile("m-vliw-2", kernel="mips", trace=True)
                 counters = other["trace"]["counters"]
-                assert counters.get("frontend.module_store_hit") == 1, counters
+                assert "frontend.module_store_miss" not in counters, counters
+                assert sorted(counters.get(name, 0) for name in (
+                    "frontend.module_reuse", "frontend.module_store_hit",
+                )) == [0, 1], counters
                 direct = compile_for_machine(
                     compile_source(load("mips"), module_name="mips"),
                     build_machine("m-vliw-2"),
@@ -73,7 +80,7 @@ def main() -> int:
                     direct.instruction_count, (other, direct.instruction_count)
                 print(f"second-preset compile ok: "
                       f"{direct.instruction_count} instructions, as a direct "
-                      f"compile, from the stored IR module")
+                      f"compile, from the first compile's IR module")
 
                 first = client.run("m-tta-2", kernel="mips", mode="fast")
                 assert first["result"]["exit_code"] == 0
@@ -135,7 +142,11 @@ def main() -> int:
                 assert dedup["executed"] >= 3, dedup
                 assert stats["store"]["corrupt_dropped"] == 0
                 assert stats["queue"]["depth"] == 0
-                print(f"stats ok: {dedup}")
+                # each shard's worker served all of that shard's misses
+                started = stats["queue"]["workers_started"]
+                assert 1 <= started <= stats["queue"]["shards"], stats["queue"]
+                print(f"stats ok: {dedup}, {started} worker(s) for "
+                      f"{dedup['executed']} executed jobs")
 
             proc.send_signal(signal.SIGTERM)
             _, stderr = proc.communicate(timeout=120)

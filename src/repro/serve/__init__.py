@@ -3,8 +3,8 @@
 An asyncio HTTP/1.1 JSON server (standard library only) that exposes
 the repro pipeline — compile, run (all engine modes), sweep — with
 bounded queueing and backpressure, content-keyed request dedup against
-the artifact store, and sharded child-process workers with per-job
-timeout and cancellation.
+the artifact store, and one long-lived worker process per shard with
+per-job timeout and cancellation.
 
 Start one with ``repro serve`` or in-process::
 

@@ -16,15 +16,24 @@ three scaling properties:
   ``task_fingerprint`` key contract);
 * **sharded workers** — jobs hash onto ``shards`` asyncio workers by
   content key (key-affine: a hot key never occupies two shards), and
-  each worker executes its job in a **dedicated child process** so
-  CPU-bound compile/simulate work never blocks the event loop and both
-  timeout and cancellation are a clean ``terminate()`` with no orphaned
-  state.
+  each shard executes its jobs, one at a time, in **its own long-lived
+  worker process**, so CPU-bound compile/simulate work never blocks the
+  event loop.  A timeout or a cancellation is a clean ``terminate()`` of
+  that worker, with no orphaned state; the shard's next job starts a
+  new one, as it does after a worker dies mid-job (``WorkerDied``) or
+  is found dead while idle (the job then simply runs in the new one).
 
-Child processes are started via the ``forkserver`` method when
-available (``spawn`` otherwise): the server's event loop runs threads,
-and forking a multi-threaded process is unsound; the fork server gives
-fork-cheap children without that hazard.
+Because a worker outlives its jobs, what a job leaves in process memory
+serves the next one on that shard: the optimised-module memo
+(``pipeline.executor._MODULES``, the 64 most recent modules) and the
+``lru_cache`` memos (ABI register sets, machine digests).  Native
+engine ``.so`` handles loaded by ``native`` runs also stay open for the
+worker's lifetime.
+
+Workers are started via the ``forkserver`` method when available
+(``spawn`` otherwise): the server's event loop runs threads, and
+forking a multi-threaded process is unsound; the fork server gives
+fork-cheap workers without that hazard.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ from __future__ import annotations
 import asyncio
 import math
 import multiprocessing
+import signal
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -67,8 +77,12 @@ DEFAULT_MAX_CYCLES = 500_000_000
 #: finished jobs retained for ``GET /v1/jobs/<id>`` after completion
 MAX_FINISHED_JOBS = 512
 
-#: child poll interval while waiting for completion/cancel/timeout (s)
+#: worker poll interval while waiting for completion/cancel/timeout (s)
 _POLL_S = 0.05
+
+#: how long a stopped or terminated worker may take to exit before it is
+#: killed (s)
+_STOP_S = 5.0
 
 
 class BadJob(ValueError):
@@ -265,7 +279,7 @@ def compute_job_key(kind: str, params: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# job execution (child-process side; also callable in-process by tests)
+# job execution (worker-process side; also callable in-process by tests)
 # ---------------------------------------------------------------------------
 
 
@@ -430,7 +444,7 @@ def load_cached_payload(
 
 
 # ---------------------------------------------------------------------------
-# the child process entry point
+# the shard worker process
 # ---------------------------------------------------------------------------
 
 
@@ -442,46 +456,57 @@ def _error_payload(exc: BaseException) -> dict:
     }
 
 
-def _child_main(conn, kind, params, store, key, request_id) -> None:
-    """Execute one job and ship ``(status, payload)`` through *conn*.
+def _worker_main(conn, store) -> None:
+    """One shard's job process: answer each ``(kind, params, key,
+    request_id)`` message on *conn* with a ``(status, payload)`` verdict,
+    until a ``None`` stop message or the server's end closes.
 
-    *store* is the server's own handle, pickled across: it reopens the
-    same root without a second stale-tmp GC (see
+    *store* is the server's own handle, pickled across once at start: it
+    reopens the same root without a second stale-tmp GC (see
     :class:`~repro.pipeline.store.ArtifactStore`).
 
-    Never raises: every failure becomes a structured verdict so the
-    parent can map it to a 4xx/5xx JSON body instead of hanging on a
-    silent child death.
+    A job's exception becomes a structured verdict, so the server maps it
+    to a 4xx/5xx JSON body; an exit or interrupt ends the worker, which
+    the server reports as ``WorkerDied``.  ``SIGINT`` is ignored: a
+    terminal's Ctrl-C reaches the whole process group, and the server,
+    which drains on it, decides when a worker stops.
     """
     from repro.frontend import CompileError
     from repro.sim.errors import SimError
 
-    status, payload = "error", {}
-    try:
-        payload = execute_job(
-            kind, params, store=store, key=key, request_id=request_id,
-        )
-        status = "ok"
-    except (CompileError, SimError, BadJob, ValueError) as exc:
-        # the request's fault (bad program, bad parameters): 4xx
-        status, payload = "client_error", _error_payload(exc)
-    except BaseException as exc:  # noqa: BLE001 - isolation is the point
-        status, payload = "error", _error_payload(exc)
-    try:
-        conn.send((status, payload))
-    except Exception:  # parent gone (cancelled/timed out): nothing to do
-        pass
-    finally:
-        conn.close()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    while True:
+        try:
+            message = conn.recv()
+        except EOFError:
+            return
+        if message is None:
+            return
+        kind, params, key, request_id = message
+        try:
+            verdict = ("ok", execute_job(
+                kind, params, store=store, key=key, request_id=request_id,
+            ))
+        except (CompileError, SimError, BadJob, ValueError) as exc:
+            # the request's fault (bad program, bad parameters): 4xx
+            verdict = ("client_error", _error_payload(exc))
+        except Exception as exc:  # noqa: BLE001 - isolation is the point
+            verdict = ("error", _error_payload(exc))
+        try:
+            conn.send(verdict)
+        except OSError:  # the server is gone
+            return
 
 
 def _job_context():
-    """Start-method context for job children.
+    """Start-method context for the shard workers.
 
-    ``forkserver`` (preloading :mod:`repro.serve.forkserver`, so children
-    inherit a warm toolchain import and toolchain digest) when the
-    platform has it; ``spawn`` otherwise.  Plain ``fork`` is not safe
-    here: the server process runs an event loop plus worker threads.
+    ``forkserver`` (preloading :mod:`repro.serve.forkserver`, so each
+    worker starts with the toolchain imported and its digest computed)
+    when the platform has it; ``spawn`` otherwise.  Plain ``fork`` is not
+    safe here: the server process runs an event loop plus worker threads.
+    A worker is started when its shard's first job arrives, not with the
+    server, and again only after a timeout, a cancel or its death.
     """
     methods = multiprocessing.get_all_start_methods()
     if "forkserver" in methods:
@@ -561,7 +586,7 @@ class Job:
 
 
 class JobManager:
-    """Bounded queue + dedup map + sharded child-process execution.
+    """Bounded queue + dedup map + one worker process per shard.
 
     All public methods except :meth:`drain` are synchronous and must be
     called from the event-loop thread; submit/cancel are therefore
@@ -594,10 +619,14 @@ class JobManager:
             max_workers=shards, thread_name_prefix="serve-job"
         )
         self._ctx = _job_context()
+        #: each shard's worker as ``(process, connection)``, or ``None``
+        #: until its next job starts one
+        self._shard_procs: list[tuple | None] = [None] * shards
+        #: worker processes started so far (``/v1/stats`` ``queue``)
+        self.workers_started = 0
         self._jobs: dict[str, Job] = {}
         self._finished_order: list[str] = []
         self._inflight: dict[tuple, Job] = {}
-        self._active_procs: set = set()
         self._queued = 0
         self._running = 0
         self._next_id = 0
@@ -626,8 +655,13 @@ class JobManager:
     def get(self, job_id: str) -> Job | None:
         return self._jobs.get(job_id)
 
+    def shard_of(self, key: str) -> int:
+        """The shard, and so the worker process, that runs *key*'s jobs."""
+        return int(key[:8], 16) % self.shard_count
+
     def active_process_count(self) -> int:
-        return sum(1 for proc in tuple(self._active_procs) if proc.is_alive())
+        return sum(1 for worker in tuple(self._shard_procs)
+                   if worker is not None and worker[0].is_alive())
 
     # -- lifecycle --------------------------------------------------------
 
@@ -653,7 +687,7 @@ class JobManager:
         terminated = 0
         if pending:
             # past the grace window: request cancellation of whatever is
-            # still running; the poll loops terminate the children
+            # still running; the poll loops terminate those workers
             for job in tuple(self._inflight.values()):
                 if job.state == RUNNING:
                     self._request_cancel(job)
@@ -662,11 +696,13 @@ class JobManager:
             for task in pending:
                 task.cancel()
         self._threads.shutdown(wait=True)
-        for proc in tuple(self._active_procs):
-            if proc.is_alive():  # pragma: no cover - belt and braces
-                proc.kill()
-                proc.join(timeout=5)
-            self._active_procs.discard(proc)
+        for shard, worker in enumerate(self._shard_procs):
+            if worker is not None:
+                try:
+                    worker[1].send(None)
+                except OSError:  # already dead
+                    pass
+                self._reap(shard)
         completed = ((self.metrics.jobs_completed + self.metrics.jobs_failed
                       if self.metrics else 0) - before_completed)
         return {"completed": completed, "terminated": terminated}
@@ -699,14 +735,13 @@ class JobManager:
         self._register(job)
         self._inflight[job.live_key] = job
         self._queued += 1
-        shard = int(key[:8], 16) % self.shard_count
-        self._queues[shard].put_nowait(job)
+        self._queues[self.shard_of(key)].put_nowait(job)
         obs.count("serve.submitted")
         return job
 
     def cancel(self, job_id: str) -> Job | None:
         """Cancel a queued job immediately; flag a running one (its poll
-        loop terminates the child within ~``_POLL_S``)."""
+        loop terminates the shard's worker within ~``_POLL_S``)."""
         job = self._jobs.get(job_id)
         if job is None:
             return None
@@ -796,13 +831,16 @@ class JobManager:
                 self.metrics.executed += 1
             obs.count("serve.executed")
             try:
-                status, payload = await loop.run_in_executor(
-                    self._threads, self._run_in_child, job
+                status, payload, started = await loop.run_in_executor(
+                    self._threads, self._run_in_worker, index, job
                 )
             except Exception as exc:  # pragma: no cover - defensive
-                status, payload = "error", _error_payload(exc)
+                status, payload, started = "error", _error_payload(exc), 0
             finally:
                 self._running -= 1
+            if started:
+                self.workers_started += started
+                obs.count("serve.workers_started", started)
             self._inflight.pop(job.live_key, None)
             if status == "ok":
                 self._finish(job, DONE, payload, None)
@@ -820,54 +858,88 @@ class JobManager:
                 payload["client_error"] = status == "client_error"
                 self._finish(job, FAILED, None, payload)
 
-    def _run_in_child(self, job: Job) -> tuple[str, dict]:
-        """Thread-side: run *job* in a dedicated child process, policing
-        its timeout and cancellation by polling; the child is terminated
-        (then killed) the moment either trips."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
+    # -- shard workers (thread side) --------------------------------------
+
+    def _run_in_worker(self, shard: int, job: Job) -> tuple[str, dict, int]:
+        """Run *job* in *shard*'s worker process, policing its timeout and
+        cancellation by polling.  A timeout or a cancel terminates (then
+        kills) the worker; the next job on the shard starts a new one, as
+        it does after a worker death.  Returns the verdict and how many
+        workers were started for the job."""
+        message = (job.kind, job.params, job.key, job.request_ids[0])
+        started = int(self._send(shard, message))
+        proc, conn = self._shard_procs[shard]
+        deadline = time.monotonic() + job.timeout_s
+        verdict: tuple[str, dict] | None = None
+        while verdict is None:
+            if conn.poll(_POLL_S):
+                try:
+                    verdict = conn.recv()
+                except ConnectionResetError:
+                    # the worker died with the job unread, so the job never
+                    # ran: hand it to a new worker
+                    self._reap(shard)
+                    started += self._send(shard, message)
+                    proc, conn = self._shard_procs[shard]
+                except (EOFError, OSError):
+                    verdict = ("died", {})
+            elif not proc.is_alive():
+                # one last poll: the worker may have sent and exited
+                # between our poll() and is_alive() checks
+                if conn.poll(0):
+                    continue
+                verdict = ("died", {})
+            elif job.cancel_event.is_set():
+                verdict = ("cancelled", {})
+            elif time.monotonic() > deadline:
+                verdict = ("timeout", {})
+        status, payload = verdict
+        if status in ("cancelled", "timeout"):
+            self._reap(shard, terminate=True)
+        elif status == "died":
+            self._reap(shard)
+            status, payload = "error", {
+                "type": "WorkerDied",
+                "message": f"worker exited with code {proc.exitcode}",
+                "traceback": "",
+            }
+        return status, payload, started
+
+    def _send(self, shard: int, message: tuple) -> bool:
+        """Hand *message* to *shard*'s worker, starting one if the shard
+        has none; returns whether it started one.  An idle worker found
+        dead never ran the job: it is replaced, and the job goes to the
+        new one."""
+        worker = self._shard_procs[shard]
+        if worker is not None:
+            if worker[0].is_alive():
+                try:
+                    worker[1].send(message)
+                    return False
+                except OSError:  # died between the check and the send
+                    pass
+            self._reap(shard)
+        parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
-            target=_child_main,
-            args=(child_conn, job.kind, job.params, self.store, job.key,
-                  job.request_ids[0]),
-            daemon=True,
+            target=_worker_main, args=(child_conn, self.store),
+            name=f"serve-shard-{shard}", daemon=True,
         )
         proc.start()
         child_conn.close()
-        self._active_procs.add(proc)
-        deadline = time.monotonic() + job.timeout_s
-        verdict: tuple[str, dict] | None = None
-        try:
-            while verdict is None:
-                if parent_conn.poll(_POLL_S):
-                    try:
-                        verdict = parent_conn.recv()
-                    except EOFError:
-                        verdict = ("error", {
-                            "type": "WorkerDied",
-                            "message": f"worker exited with code {proc.exitcode}",
-                            "traceback": "",
-                        })
-                elif not proc.is_alive():
-                    # one last poll: the child may have sent and exited
-                    # between our poll() and is_alive() checks
-                    if parent_conn.poll(0):
-                        continue
-                    verdict = ("error", {
-                        "type": "WorkerDied",
-                        "message": f"worker exited with code {proc.exitcode}",
-                        "traceback": "",
-                    })
-                elif job.cancel_event.is_set():
-                    verdict = ("cancelled", {})
-                elif time.monotonic() > deadline:
-                    verdict = ("timeout", {})
-            if verdict[0] in ("cancelled", "timeout"):
-                proc.terminate()
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - SIGTERM ignored
-                proc.kill()
-                proc.join(timeout=5.0)
-        finally:
-            parent_conn.close()
-            self._active_procs.discard(proc)
-        return verdict
+        self._shard_procs[shard] = (proc, parent_conn)
+        parent_conn.send(message)
+        return True
+
+    def _reap(self, shard: int, *, terminate: bool = False) -> None:
+        """Wait for *shard*'s worker to exit (terminating it first if
+        asked, killing it if it does not go) and free the shard's slot."""
+        proc, conn = self._shard_procs[shard]
+        self._shard_procs[shard] = None
+        if terminate:
+            proc.terminate()
+        proc.join(timeout=_STOP_S)
+        if proc.is_alive():  # pragma: no cover - SIGTERM ignored
+            proc.kill()
+            proc.join(timeout=_STOP_S)
+        conn.close()
+

@@ -293,7 +293,9 @@ class ReproServer:
     ) -> tuple[int, dict, dict]:
         body = self._parse_body(request)
         declared = body.pop("schema_version", SERVE_SCHEMA)
-        if declared != SERVE_SCHEMA:
+        # `True == 1` and `1.0 == 1`: only the integer itself is version 1
+        if not isinstance(declared, int) or isinstance(declared, bool) \
+                or declared != SERVE_SCHEMA:
             raise BadJob(
                 f"schema_version {declared!r} not supported "
                 f"(this server speaks {SERVE_SCHEMA})"
@@ -350,6 +352,7 @@ class ReproServer:
             "limit": self.manager.queue_limit,
             "in_flight": self.manager.running,
             "shards": self.manager.shard_count,
+            "workers_started": self.manager.workers_started,
             "draining": self._draining,
         }
         snapshot["jobs_by_state"] = self.manager.job_states()

@@ -14,7 +14,10 @@ Contracts pinned here:
 * **fault mapping** -- malformed requests (a body field the endpoint
   does not read among them), uncompilable programs,
   oversized bodies, per-job timeouts and cancellations each map to a
-  distinct status code, and worker children never outlive their job;
+  distinct status code;
+* **worker reuse** -- each shard runs its jobs in one long-lived worker
+  process, replaced after a timeout, a cancel or its death, and a job
+  never fails because an idle worker died;
 * **graceful drain** -- shutdown lets queued and running jobs finish,
   terminates stragglers past the grace window, and leaves no orphaned
   worker processes.
@@ -198,6 +201,13 @@ class TestRequestValidation:
             (("/v1/sweep", {"machines": ["m-tta-2"], "kernels": ["mips"],
                             "timeout_s": 5}), "'timeout_s'"),
             (("/v1/sweep", {"machines": 5}), "'machines' must be"),
+            # only the integer 1 is version 1, although `True == 1.0 == 1`
+            ({"machine": "m-tta-2", "source": TINY_SRC, "schema_version": True},
+             "schema_version True"),
+            ({"machine": "m-tta-2", "source": TINY_SRC, "schema_version": 1.0},
+             "schema_version 1.0"),
+            ({"machine": "m-tta-2", "source": TINY_SRC, "schema_version": "1"},
+             "schema_version '1'"),
         ],
     )
     def test_bad_run_request_400(self, served, body, fragment):
@@ -528,6 +538,152 @@ class TestTimeoutAndCancellation:
             assert status == 404
 
 
+def _worker_pid(bg) -> int | None:
+    """The pid of the one shard worker of a ``jobs=1`` server, if any."""
+    worker = bg.server.manager._shard_procs[0]
+    return None if worker is None else worker[0].pid
+
+
+def _gone(pid: int, timeout: float = 10.0) -> bool:
+    """Whether process *pid* has exited and been reaped (within *timeout*)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return True
+        time.sleep(0.01)
+    return False
+
+
+class TestShardWorkers:
+    """One long-lived worker process per shard."""
+
+    def test_distinct_misses_share_one_worker(self, tmp_path):
+        with BackgroundServer(store=ArtifactStore(tmp_path), jobs=1) as bg:
+            with bg.client() as c:
+                first = c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                pid = _worker_pid(bg)
+                second = c.compile("m-vliw-2", source=TINY_SRC.replace("i<100", "i<99"))
+                assert _worker_pid(bg) == pid
+                stats = c.stats()
+        assert first["cached"] is False and second["cached"] is False
+        assert stats["dedup"]["executed"] == 2
+        assert stats["queue"]["workers_started"] == 1
+        # the drain stopped it
+        assert bg.server.manager.active_process_count() == 0
+        assert _gone(pid)
+
+    def test_timeout_replaces_the_worker(self):
+        with BackgroundServer(store=None, jobs=1) as bg:
+            with bg.client() as c:
+                c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                pid = _worker_pid(bg)
+                with pytest.raises(ServeError) as err:
+                    c.run("m-tta-2", source=SPIN_SRC, timeout_s=0.5)
+                assert err.value.status == 504
+                assert bg.server.manager.active_process_count() == 0
+                assert _gone(pid)
+                got = c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                assert got["result"]["exit_code"] == 0
+                assert _worker_pid(bg) not in (None, pid)
+                assert c.stats()["queue"]["workers_started"] == 2
+
+    def test_idle_worker_killed_from_outside_is_replaced(self):
+        with BackgroundServer(store=None, jobs=1) as bg:
+            with bg.client() as c:
+                c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                pid = _worker_pid(bg)
+                os.kill(pid, signal.SIGKILL)
+                assert _gone(pid)
+                got = c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                assert got["result"]["exit_code"] == 0
+                assert _worker_pid(bg) not in (None, pid)
+                stats = c.stats()
+        assert stats["jobs"]["failed"] == 0
+        assert stats["queue"]["workers_started"] == 2
+
+    def test_worker_ignores_sigint(self):
+        """Ctrl-C reaches the whole process group; the server, which
+        drains on it, is the one that stops its workers."""
+        with BackgroundServer(store=None, jobs=1) as bg:
+            with bg.client() as c:
+                c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                pid = _worker_pid(bg)
+                os.kill(pid, signal.SIGINT)
+                assert not _gone(pid, timeout=0.5)
+                c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                assert _worker_pid(bg) == pid
+        assert _gone(pid)
+
+    def test_worker_killed_before_reading_its_job_is_replaced(self):
+        """A worker that dies with the job it was sent still unread never
+        ran it: the job goes to a new worker instead of failing."""
+        with BackgroundServer(store=None, jobs=1) as bg:
+            with bg.client() as c:
+                c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                pid = _worker_pid(bg)
+                os.kill(pid, signal.SIGSTOP)  # alive, but reads nothing
+                job = c.request("POST", "/v1/run", {
+                    "machine": "m-tta-2", "source": TINY_SRC, "mode": "fast",
+                    "wait": False,
+                })
+                _wait_state(c, job["job_id"], "running")
+                time.sleep(0.2)  # let the job reach the stopped worker
+                os.kill(pid, signal.SIGKILL)
+                done = c.wait_job(job["job_id"])
+                assert _worker_pid(bg) not in (None, pid)
+                stats = c.stats()
+        assert done["result"]["exit_code"] == 0
+        assert stats["jobs"]["failed"] == 0
+        assert stats["queue"]["workers_started"] == 2
+
+    def test_worker_killed_mid_job_is_worker_died(self):
+        with BackgroundServer(store=None, jobs=1) as bg:
+            with bg.client() as c:
+                c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                pid = _worker_pid(bg)
+                job = c.request("POST", "/v1/run", {
+                    "machine": "m-tta-2", "source": SPIN_SRC, "wait": False,
+                    "timeout_s": 60,
+                })
+                _wait_state(c, job["job_id"], "running")
+                time.sleep(0.5)  # let the idle worker take the job
+                os.kill(pid, signal.SIGKILL)
+                with pytest.raises(ServeError) as err:
+                    c.wait_job(job["job_id"])
+                assert err.value.status == 500
+                assert err.value.payload["error"]["type"] == "WorkerDied"
+                assert bg.server.manager.active_process_count() == 0
+                got = c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                assert got["result"]["exit_code"] == 0
+                assert _worker_pid(bg) not in (None, pid)
+
+    def test_failed_and_traced_jobs_leave_no_state_behind(self):
+        """A job after a compile error and a traced job, in the same
+        worker, answers exactly as a fresh in-process run."""
+        compiled = compile_for_machine(
+            compile_source(TINY_SRC), build_machine("m-tta-2")
+        )
+        want = run_compiled(compiled, mode="turbo")
+        with BackgroundServer(store=None, jobs=1) as bg:
+            with bg.client() as c:
+                with pytest.raises(ServeError) as err:
+                    c.run("m-tta-2", source="int main(void){ return undeclared; }")
+                assert err.value.payload["error"]["type"] == "CompileError"
+                pid = _worker_pid(bg)
+                traced = c.run("m-tta-2", source=TINY_SRC, mode="turbo", trace=True)
+                assert traced["trace"]["spans"]
+                got = c.run("m-tta-2", source=TINY_SRC, mode="turbo")
+                assert _worker_pid(bg) == pid
+        assert "trace" not in got
+        assert got["result"] == traced["result"]
+        assert got["result"]["exit_code"] == want.exit_code
+        assert got["result"]["cycles"] == want.cycles
+        assert got["result"]["stats"] == result_extras(want)
+        assert got["result"]["instruction_count"] == compiled.instruction_count
+
+
 class TestGracefulDrain:
     def test_drain_completes_in_flight_jobs(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -633,7 +789,7 @@ class TestModuleEntry:
         store = ArtifactStore(tmp_path)
         counts = []
         for machine in ("m-tta-2", "mblaze-3"):
-            optimized_module.cache_clear()  # each job child is a fresh process
+            optimized_module.cache_clear()  # as in another shard's worker
             params = normalize_params("compile", {"machine": machine, "kernel": "mips"})
             key = compute_job_key("compile", params)
             payload = execute_job("compile", params, store=store, key=key)
@@ -647,7 +803,9 @@ class TestModuleEntry:
         assert store.entry_count()["modules"] == 1
 
     def test_traced_compile_shows_the_skipped_front_half(self, served):
-        src = TINY_SRC.replace("i<100", "i<104")
+        # the two compiles run in different workers: the second one can
+        # only find the module in the store
+        src = _compile_pair_source(served.server.manager, same_worker=False)
         with served.client() as c:
             c.compile("m-tta-2", source=src)
             got = c.request("POST", "/v1/compile",
@@ -658,6 +816,39 @@ class TestModuleEntry:
         names = {rec["name"] for rec in trace["spans"]}
         assert "serve.job.compile" in names
         assert not any(n.startswith(("frontend.", "ir.")) for n in names), names
+
+    def test_second_preset_in_the_same_worker_reuses_its_module(self, served):
+        """A worker outlives its jobs, so a compile that runs where the
+        first one ran takes the module from that worker's memo."""
+        src = _compile_pair_source(served.server.manager, same_worker=True)
+        with served.client() as c:
+            c.compile("m-tta-2", source=src)
+            got = c.request("POST", "/v1/compile",
+                            {"machine": "m-vliw-2", "source": src, "trace": True})
+        counters = got["trace"]["counters"]
+        assert counters.get("frontend.module_reuse") == 1, counters
+        assert "frontend.module_store_hit" not in counters
+        assert "frontend.module_store_miss" not in counters
+        names = {rec["name"] for rec in got["trace"]["spans"]}
+        assert not any(n.startswith(("frontend.", "ir.")) for n in names), names
+
+
+def _compile_pair_source(manager, *, same_worker: bool) -> str:
+    """A source no other test submits whose plain ``m-tta-2`` compile and
+    traced ``m-vliw-2`` compile land on the same shard (or on different
+    ones), and so run in the same worker process (or not)."""
+    from repro.serve.jobs import compute_job_key
+
+    for bound in range(1000, 1100):
+        src = TINY_SRC.replace("i<100", f"i<{bound}")
+        shards = {
+            manager.shard_of(compute_job_key("compile", normalize_params(
+                "compile", {"machine": machine, "source": src, "trace": trace})))
+            for machine, trace in (("m-tta-2", False), ("m-vliw-2", True))
+        }
+        if (len(shards) == 1) == same_worker:
+            return src
+    raise AssertionError("no source found for the shard layout")
 
 
 class TestSweepEndpoint:
