@@ -10,8 +10,8 @@ what a JSON API needs and nothing the standard library's ``http.client``
 * bodies larger than the server's limit are rejected with **413**
   *before* they are read (the connection is then closed, since the
   unread body would desynchronise the stream);
-* chunked transfer encoding and multiline headers are rejected rather
-  than misparsed.
+* chunked transfer encoding, multiline headers and control characters
+  in header values are rejected rather than misparsed.
 
 Parsing failures raise :class:`HttpError` subtypes carrying the status
 code to respond with; the connection loop in
@@ -21,6 +21,7 @@ code to respond with; the connection loop in
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from http import HTTPStatus
 
@@ -28,6 +29,9 @@ from http import HTTPStatus
 MAX_HEADER_BYTES = 16384
 #: maximum number of header lines per request
 MAX_HEADER_COUNT = 100
+
+#: characters a header value may not hold (HTAB is allowed, RFC 9110)
+_CONTROL = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
 
 #: stream limit for ``asyncio.start_server`` — must exceed the longest
 #: single line we are willing to parse
@@ -111,6 +115,9 @@ async def read_request(reader, *, max_body: int) -> Request | None:
         name, sep, value = decoded.partition(":")
         if not sep or not name or name != name.strip() or name.startswith(("\t", " ")):
             raise HttpError(400, f"malformed header line {decoded!r}")
+        if _CONTROL.search(value):
+            # a bare CR or LF would split an echoed header in two
+            raise HttpError(400, f"control character in header line {decoded!r}")
         headers[name.strip().lower()] = value.strip()
 
     if "chunked" in headers.get("transfer-encoding", "").lower():

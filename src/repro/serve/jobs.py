@@ -18,10 +18,12 @@ three scaling properties:
   content key (key-affine: a hot key never occupies two shards), and
   each shard executes its jobs, one at a time, in **its own long-lived
   worker process**, so CPU-bound compile/simulate work never blocks the
-  event loop.  A timeout or a cancellation is a clean ``terminate()`` of
-  that worker, with no orphaned state; the shard's next job starts a
-  new one, as it does after a worker dies mid-job (``WorkerDied``) or
-  is found dead while idle (the job then simply runs in the new one).
+  event loop.  The shard's coroutine sends a job over the worker's pipe
+  and waits, on the loop itself, for the reply, a cancel or the job's
+  deadline; a timeout or a cancellation is a ``kill()`` of that worker,
+  with no orphaned state.  The shard's next job starts a new one, as it
+  does after a worker dies mid-job (``WorkerDied``) or is found dead
+  while idle (the job then simply runs in the new one).
 
 Because a worker outlives its jobs, what a job leaves in process memory
 serves the next one on that shard: the optimised-module memo
@@ -31,9 +33,7 @@ engine ``.so`` handles loaded by ``native`` runs also stay open for the
 worker's lifetime.
 
 Workers are started via the ``forkserver`` method when available
-(``spawn`` otherwise): the server's event loop runs threads, and
-forking a multi-threaded process is unsound; the fork server gives
-fork-cheap workers without that hazard.
+(``spawn`` otherwise); see :func:`_job_context`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ import multiprocessing
 import signal
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 from repro import obs
 from repro.pipeline.fingerprint import fingerprint, job_fingerprint
@@ -77,11 +76,8 @@ DEFAULT_MAX_CYCLES = 500_000_000
 #: finished jobs retained for ``GET /v1/jobs/<id>`` after completion
 MAX_FINISHED_JOBS = 512
 
-#: worker poll interval while waiting for completion/cancel/timeout (s)
-_POLL_S = 0.05
-
-#: how long a stopped or terminated worker may take to exit before it is
-#: killed (s)
+#: how long a worker sent the stop message, or seen to die, may take to
+#: exit before it is killed (s)
 _STOP_S = 5.0
 
 
@@ -504,7 +500,8 @@ def _job_context():
     ``forkserver`` (preloading :mod:`repro.serve.forkserver`, so each
     worker starts with the toolchain imported and its digest computed)
     when the platform has it; ``spawn`` otherwise.  Plain ``fork`` is not
-    safe here: the server process runs an event loop plus worker threads.
+    safe where the loop runs off the main thread (``BackgroundServer``,
+    embedders), and the fork server keeps a worker start at about 1 ms.
     A worker is started when its shard's first job arrives, not with the
     server, and again only after a timeout, a cancel or its death.
     """
@@ -550,8 +547,8 @@ class Job:
         self.started: float | None = None
         self.finished: float | None = None
         self.done_event = asyncio.Event()
-        self.cancel_event = None  # threading.Event, set lazily at run time
-        self.cancel_requested = False
+        #: set by a cancel of the running job; its shard then kills the worker
+        self.cancel_event = asyncio.Event()
 
     @property
     def finished_state(self) -> bool:
@@ -572,7 +569,7 @@ class Job:
             "cached": self.cached,
             "coalesced_requests": len(self.request_ids) - 1,
             "request_ids": list(self.request_ids),
-            "cancel_requested": self.cancel_requested,
+            "cancel_requested": self.cancel_event.is_set(),
         }
         if self.started is not None:
             out["queued_ms"] = round((self.started - self.created) * 1e3, 3)
@@ -588,9 +585,9 @@ class Job:
 class JobManager:
     """Bounded queue + dedup map + one worker process per shard.
 
-    All public methods except :meth:`drain` are synchronous and must be
-    called from the event-loop thread; submit/cancel are therefore
-    atomic with respect to the shard workers (no awaits inside).
+    Everything runs on the event-loop thread.  All public methods except
+    :meth:`drain` are synchronous, so submit/cancel are atomic with
+    respect to the shard coroutines (no awaits inside).
     """
 
     def __init__(
@@ -615,9 +612,6 @@ class JobManager:
         self.metrics = metrics
         self._queues: list[asyncio.Queue] = []
         self._workers: list[asyncio.Task] = []
-        self._threads = ThreadPoolExecutor(
-            max_workers=shards, thread_name_prefix="serve-job"
-        )
         self._ctx = _job_context()
         #: each shard's worker as ``(process, connection)``, or ``None``
         #: until its next job starts one
@@ -660,7 +654,7 @@ class JobManager:
         return int(key[:8], 16) % self.shard_count
 
     def active_process_count(self) -> int:
-        return sum(1 for worker in tuple(self._shard_procs)
+        return sum(1 for worker in self._shard_procs
                    if worker is not None and worker[0].is_alive())
 
     # -- lifecycle --------------------------------------------------------
@@ -686,16 +680,16 @@ class JobManager:
         ) if self._workers else (set(), set())
         terminated = 0
         if pending:
-            # past the grace window: request cancellation of whatever is
-            # still running; the poll loops terminate those workers
+            # past the grace window: cancel whatever is still running;
+            # the shard coroutines kill those workers
             for job in tuple(self._inflight.values()):
                 if job.state == RUNNING:
-                    self._request_cancel(job)
+                    job.cancel_event.set()
                     terminated += 1
             await asyncio.wait(pending, timeout=10.0)
             for task in pending:
                 task.cancel()
-        self._threads.shutdown(wait=True)
+            await asyncio.wait(pending)
         for shard, worker in enumerate(self._shard_procs):
             if worker is not None:
                 try:
@@ -740,8 +734,8 @@ class JobManager:
         return job
 
     def cancel(self, job_id: str) -> Job | None:
-        """Cancel a queued job immediately; flag a running one (its poll
-        loop terminates the shard's worker within ~``_POLL_S``)."""
+        """Cancel a queued job immediately; flag a running one (its shard
+        kills the worker at once)."""
         job = self._jobs.get(job_id)
         if job is None:
             return None
@@ -751,7 +745,7 @@ class JobManager:
             self._finish(job, CANCELLED, None, {"type": "Cancelled",
                                                 "message": "cancelled while queued"})
         elif job.state == RUNNING:
-            self._request_cancel(job)
+            job.cancel_event.set()
         return job
 
     # -- internals --------------------------------------------------------
@@ -771,11 +765,6 @@ class JobManager:
 
     def _retire(self, job: Job) -> None:
         self._finished_order.append(job.id)
-
-    def _request_cancel(self, job: Job) -> None:
-        job.cancel_requested = True
-        if job.cancel_event is not None:
-            job.cancel_event.set()
 
     def _finish_cached(self, job: Job, payload: dict) -> None:
         """Finish *job* as a store hit, without running anything."""
@@ -802,9 +791,6 @@ class JobManager:
         obs.count(f"serve.jobs.{state}")
 
     async def _shard_worker(self, index: int) -> None:
-        import threading
-
-        loop = asyncio.get_running_loop()
         queue = self._queues[index]
         while True:
             job = await queue.get()
@@ -822,124 +808,116 @@ class JobManager:
                 continue
             job.state = RUNNING
             job.started = time.monotonic()
-            job.cancel_event = threading.Event()
-            if job.cancel_requested:  # raced with cancel()
-                job.cancel_event.set()
             self._queued -= 1
             self._running += 1
             if self.metrics:
                 self.metrics.executed += 1
             obs.count("serve.executed")
             try:
-                status, payload, started = await loop.run_in_executor(
-                    self._threads, self._run_in_worker, index, job
-                )
-            except Exception as exc:  # pragma: no cover - defensive
-                status, payload, started = "error", _error_payload(exc), 0
+                status, payload = await self._run_in_worker(index, job)
+            except Exception as exc:  # noqa: BLE001 - the shard keeps serving
+                if self._shard_procs[index] is not None:  # it may hold the job
+                    self._reap(index, grace=0)
+                status, payload = "error", _error_payload(exc)
             finally:
                 self._running -= 1
-            if started:
-                self.workers_started += started
-                obs.count("serve.workers_started", started)
             self._inflight.pop(job.live_key, None)
             if status == "ok":
                 self._finish(job, DONE, payload, None)
-            elif status == "cancelled":
-                self._finish(job, CANCELLED, None,
-                             {"type": "Cancelled",
-                              "message": "cancelled while running"})
-            elif status == "timeout":
-                self._finish(job, TIMEOUT, None,
-                             {"type": "JobTimeout",
-                              "message": f"job exceeded its "
-                                         f"{job.timeout_s:g}s timeout"})
+            elif status in (CANCELLED, TIMEOUT):
+                self._finish(job, status, None, payload)
             else:  # "error" / "client_error"
                 payload = dict(payload)
                 payload["client_error"] = status == "client_error"
                 self._finish(job, FAILED, None, payload)
 
-    # -- shard workers (thread side) --------------------------------------
+    async def _run_in_worker(self, shard: int, job: Job) -> tuple[str, dict]:
+        """Run *job* in *shard*'s worker process and return its verdict.
 
-    def _run_in_worker(self, shard: int, job: Job) -> tuple[str, dict, int]:
-        """Run *job* in *shard*'s worker process, policing its timeout and
-        cancellation by polling.  A timeout or a cancel terminates (then
-        kills) the worker; the next job on the shard starts a new one, as
-        it does after a worker death.  Returns the verdict and how many
-        workers were started for the job."""
+        A cancel or a timeout kills the worker; the shard's next job starts
+        a new one, as it does after a worker death.
+        """
+        loop = asyncio.get_running_loop()
         message = (job.kind, job.params, job.key, job.request_ids[0])
-        started = int(self._send(shard, message))
-        proc, conn = self._shard_procs[shard]
-        deadline = time.monotonic() + job.timeout_s
-        verdict: tuple[str, dict] | None = None
-        while verdict is None:
-            if conn.poll(_POLL_S):
-                try:
-                    verdict = conn.recv()
-                except ConnectionResetError:
-                    # the worker died with the job unread, so the job never
-                    # ran: hand it to a new worker
-                    self._reap(shard)
-                    started += self._send(shard, message)
-                    proc, conn = self._shard_procs[shard]
-                except (EOFError, OSError):
-                    verdict = ("died", {})
-            elif not proc.is_alive():
-                # one last poll: the worker may have sent and exited
-                # between our poll() and is_alive() checks
-                if conn.poll(0):
-                    continue
-                verdict = ("died", {})
-            elif job.cancel_event.is_set():
-                verdict = ("cancelled", {})
-            elif time.monotonic() > deadline:
-                verdict = ("timeout", {})
-        status, payload = verdict
-        if status in ("cancelled", "timeout"):
-            self._reap(shard, terminate=True)
-        elif status == "died":
-            self._reap(shard)
-            status, payload = "error", {
-                "type": "WorkerDied",
-                "message": f"worker exited with code {proc.exitcode}",
-                "traceback": "",
-            }
-        return status, payload, started
+        await self._send(shard, message)
+        deadline = loop.time() + job.timeout_s
+        while True:
+            proc, conn = self._shard_procs[shard]
+            stop = await _wait_reply(conn, job.cancel_event, deadline)
+            if stop is not None:
+                self._reap(shard, grace=0)
+                if stop == CANCELLED:
+                    return stop, {"type": "Cancelled",
+                                  "message": "cancelled while running"}
+                return stop, {"type": "JobTimeout", "message":
+                              f"job exceeded its {job.timeout_s:g}s timeout"}
+            try:
+                return conn.recv()
+            except ConnectionResetError:
+                # the worker died with the job unread, so the job never
+                # ran: hand it to a new worker, under the same deadline
+                self._reap(shard)
+                await self._send(shard, message)
+            except (EOFError, OSError):
+                self._reap(shard)
+                return "error", {
+                    "type": "WorkerDied",
+                    "message": f"worker exited with code {proc.exitcode}",
+                    "traceback": "",
+                }
 
-    def _send(self, shard: int, message: tuple) -> bool:
+    async def _send(self, shard: int, message: tuple) -> None:
         """Hand *message* to *shard*'s worker, starting one if the shard
-        has none; returns whether it started one.  An idle worker found
-        dead never ran the job: it is replaced, and the job goes to the
-        new one."""
-        worker = self._shard_procs[shard]
-        if worker is not None:
-            if worker[0].is_alive():
-                try:
-                    worker[1].send(message)
-                    return False
-                except OSError:  # died between the check and the send
-                    pass
-            self._reap(shard)
+        has none.  An idle worker found dead never ran the job: it is
+        replaced, and the job goes to the new one."""
+        if self._shard_procs[shard] is not None:
+            try:
+                self._shard_procs[shard][1].send(message)
+                return
+            except OSError:  # died while idle
+                self._reap(shard)
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=_worker_main, args=(child_conn, self.store),
             name=f"serve-shard-{shard}", daemon=True,
         )
-        proc.start()
+        # off the loop: the fork server's first start takes ~0.1-0.3 s
+        await asyncio.to_thread(proc.start)
         child_conn.close()
         self._shard_procs[shard] = (proc, parent_conn)
+        self.workers_started += 1
+        obs.count("serve.workers_started")
         parent_conn.send(message)
-        return True
 
-    def _reap(self, shard: int, *, terminate: bool = False) -> None:
-        """Wait for *shard*'s worker to exit (terminating it first if
-        asked, killing it if it does not go) and free the shard's slot."""
+    def _reap(self, shard: int, grace: float = _STOP_S) -> None:
+        """Free *shard*'s slot, giving its worker *grace* seconds to exit
+        before it is killed."""
         proc, conn = self._shard_procs[shard]
         self._shard_procs[shard] = None
-        if terminate:
-            proc.terminate()
-        proc.join(timeout=_STOP_S)
-        if proc.is_alive():  # pragma: no cover - SIGTERM ignored
+        proc.join(grace)
+        if proc.is_alive():
             proc.kill()
-            proc.join(timeout=_STOP_S)
+            proc.join(_STOP_S)
         conn.close()
 
+
+async def _wait_reply(conn, cancel: asyncio.Event, deadline: float) -> str | None:
+    """Wait on the loop until *conn* is readable (``None``), *cancel* is
+    set (:data:`CANCELLED`) or the loop clock passes *deadline*
+    (:data:`TIMEOUT`)."""
+    loop = asyncio.get_running_loop()
+    readable = asyncio.Event()
+    fd = conn.fileno()
+    loop.add_reader(fd, readable.set)
+    waits = [asyncio.ensure_future(readable.wait()),
+             asyncio.ensure_future(cancel.wait())]
+    try:
+        await asyncio.wait(waits, timeout=deadline - loop.time(),
+                           return_when=asyncio.FIRST_COMPLETED)
+    finally:
+        loop.remove_reader(fd)
+        for waiter in waits:
+            waiter.cancel()
+    if readable.is_set():
+        return None
+    return CANCELLED if cancel.is_set() else TIMEOUT

@@ -152,6 +152,17 @@ def dst_endpoint(move) -> str:
 # ---------------------------------------------------------------------------
 
 
+def check_register(machine, rf: str, idx: int, pc: int) -> None:
+    """Raise :class:`SimError` unless *rf* is one of *machine*'s register
+    files and *idx* one of its registers; every engine, the per-cycle
+    ``checked`` one included, raises this text."""
+    spec = machine.rf_by_name.get(rf)
+    if spec is None:
+        raise SimError(f"unknown register file {rf!r} at pc={pc}")
+    if not 0 <= idx < spec.size:
+        raise SimError(f"register index {rf}[{idx}] out of range at pc={pc}")
+
+
 def _check_tta_src(move, pc: int, machine) -> tuple:
     """Validate and normalise one move source into a static descriptor."""
     kind = move.src[0]
@@ -162,11 +173,7 @@ def _check_tta_src(move, pc: int, machine) -> tuple:
         return ("imm", value & MASK32)
     if kind == "rf":
         _, rf, idx = move.src
-        spec = machine.rf_by_name.get(rf)
-        if spec is None:
-            raise SimError(f"unknown register file {rf!r} at pc={pc}")
-        if not 0 <= idx < spec.size:
-            raise SimError(f"register index {rf}[{idx}] out of range at pc={pc}")
+        check_register(machine, rf, idx, pc)
         return ("rf", rf, idx)
     if kind == "fu":
         fu = move.src[1]
@@ -217,13 +224,7 @@ def static_decode_tta(program: Program) -> list:
                 raise SimError(f"move {move!r} not routable on bus {move.bus}")
             if move.dst[0] == "rf":
                 _, rf, idx = move.dst
-                spec = machine.rf_by_name.get(rf)
-                if spec is None:
-                    raise SimError(f"unknown register file {rf!r} at pc={pc}")
-                if not 0 <= idx < spec.size:
-                    raise SimError(
-                        f"register index {rf}[{idx}] out of range at pc={pc}"
-                    )
+                check_register(machine, rf, idx, pc)
                 writes[rf] = writes.get(rf, 0) + 1
                 rf_moves.append((src, rf, idx))
             elif move.dst[0] == "op":
@@ -396,17 +397,15 @@ def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
 _LOADS = frozenset({"ldw", "ldh", "ldq", "ldqu", "ldhu"})
 _STORES = frozenset({"stw", "sth", "stq"})
 _VLIW_PSEUDO = frozenset({"copy", "getra", "setra", "halt"})
+#: the VLIW operations that write no destination register
+VLIW_NO_DEST = _CONTROL_OPS | _STORES | {"halt", "setra"}
 
 
 def _check_vliw_src(src, pc: int, machine) -> tuple:
     if isinstance(src, Imm):
         return ("imm", src.value & MASK32)
     if isinstance(src, PhysReg):
-        spec = machine.rf_by_name.get(src.rf)
-        if spec is None:
-            raise SimError(f"unknown register file {src.rf!r} at pc={pc}")
-        if not 0 <= src.idx < spec.size:
-            raise SimError(f"register index {src!r} out of range at pc={pc}")
+        check_register(machine, src.rf, src.idx, pc)
         return ("reg", src.rf, src.idx)
     raise SimError(f"unresolved operand {src!r} at pc={pc}")
 
@@ -438,11 +437,7 @@ def static_decode_vliw(program: Program) -> list:
             if name not in OPS and name not in _VLIW_PSEUDO:
                 raise SimError(f"unknown operation {name!r} at pc={pc}")
             srcs = tuple(_check_vliw_src(s, pc, machine) for s in op.srcs)
-            needs_dest = (
-                name not in _CONTROL_OPS
-                and name not in _STORES
-                and name not in ("halt", "setra")
-            )
+            needs_dest = name not in VLIW_NO_DEST
             dest = None
             if needs_dest:
                 if not isinstance(op.dest, PhysReg):

@@ -58,6 +58,7 @@ from repro.sim.memory import DataMemory
 from repro.sim.modes import DEFAULT_MODE, check_mode
 from repro.sim.predecode import (
     block_source_for,
+    check_register,
     check_tta_slots,
     dst_endpoint,
     run_tta,
@@ -226,16 +227,18 @@ class TTASimulator:
             check_tta_slots(instr, pc, bus_count)
             reads: dict[str, int] = {}
             writes: dict[str, int] = {}
-            for move in instr.moves:
-                if move.src[0] == "rf":
-                    reads[move.src[1]] = reads.get(move.src[1], 0) + 1
-                if move.dst[0] == "rf":
-                    writes[move.dst[1]] = writes.get(move.dst[1], 0) + 1
+            for move in instr.moves:  # in static_decode_tta's order
                 bus = self.buses.get(move.bus)
                 if bus is None:
                     raise SimError(f"unknown bus {move.bus} at pc={pc}")
+                if move.src[0] == "rf":
+                    check_register(machine, move.src[1], move.src[2], pc)
+                    reads[move.src[1]] = reads.get(move.src[1], 0) + 1
                 if not bus.connects(src_endpoint(move), dst_endpoint(move)):
                     raise SimError(f"move {move!r} not routable on bus {move.bus}")
+                if move.dst[0] == "rf":
+                    check_register(machine, move.dst[1], move.dst[2], pc)
+                    writes[move.dst[1]] = writes.get(move.dst[1], 0) + 1
             for rf, count in reads.items():
                 if count > read_limits[rf]:
                     raise SimError(f"{rf} read ports oversubscribed at pc={pc}")

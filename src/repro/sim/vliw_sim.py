@@ -36,7 +36,7 @@ from repro.isa.semantics import MASK32, evaluate
 from repro.sim.errors import SimError
 from repro.sim.memory import DataMemory
 from repro.sim.modes import DEFAULT_MODE, check_mode
-from repro.sim.predecode import block_source_for, run_vliw
+from repro.sim.predecode import VLIW_NO_DEST, block_source_for, check_register, run_vliw
 
 
 @dataclass
@@ -137,6 +137,11 @@ class VLIWSimulator:
             if pc < 0 or pc >= len(instrs):
                 raise SimError(f"PC out of range: {pc}")
             bundle: VLIWInstr = instrs[pc]
+            for op in bundle.ops:  # in static_decode_vliw's order
+                dest = () if op.op in VLIW_NO_DEST else (op.dest,)
+                for reg in (*op.srcs, *dest):
+                    if isinstance(reg, PhysReg):
+                        check_register(machine, reg.rf, reg.idx, pc)
             halted = False
             # Sample all reads before applying any effect of this bundle.
             sampled = [

@@ -21,6 +21,7 @@ from repro.isa.operations import OPS
 from repro.isa.semantics import MASK32, evaluate
 from repro.kernels import KERNELS, compile_kernel
 from repro.sim import (
+    MODES,
     SimError,
     TTASimulator,
     VLIWSimulator,
@@ -197,6 +198,48 @@ class TestVLIWLoadTimeVerifier:
         prog = self._prog([VLIWInstr([MOp("halt", None, [Imm(0)])])])
         first = static_decode_vliw(prog)
         assert static_decode_vliw(prog) is first
+
+
+def _bad_register_sim(style, mode, rf, idx, access):
+    """A simulator whose first instruction reads or writes ``rf[idx]``."""
+    if style == "tta":
+        move = (Move(("rf", rf, idx), ("rf", "RF0", 1), 0) if access == "read"
+                else Move(("imm", 0), ("rf", rf, idx), 0))
+        halt = Move(("imm", 0), ("op", "CU", "t", "halt"), 0)
+        return TTASimulator(_tta_prog([[move], [halt]]), mode=mode)
+    op = (MOp("add", PhysReg("RF0", 1), [PhysReg(rf, idx), Imm(0)]) if access == "read"
+          else MOp("add", PhysReg(rf, idx), [Imm(1), Imm(2)]))
+    prog = Program(build_machine("m-vliw-2"), "vliw",
+                   [VLIWInstr([op]), VLIWInstr([MOp("halt", None, [Imm(0)])])])
+    return VLIWSimulator(prog, mode=mode)
+
+
+@pytest.mark.parametrize("access", ["read", "write"])
+@pytest.mark.parametrize("idx", [99, -1])
+@pytest.mark.parametrize("style", ["tta", "vliw"])
+@pytest.mark.parametrize("mode", MODES)
+def test_register_index_out_of_range_same_error_in_every_engine(mode, style, idx, access):
+    sim = _bad_register_sim(style, mode, "RF0", idx, access)
+    with pytest.raises(SimError) as err:
+        sim.run()
+    assert str(err.value) == f"register index RF0[{idx}] out of range at pc=0"
+
+
+@pytest.mark.parametrize("access", ["read", "write"])
+@pytest.mark.parametrize("style", ["tta", "vliw"])
+@pytest.mark.parametrize("mode", MODES)
+def test_unknown_register_file_same_error_in_every_engine(mode, style, access):
+    """Every engine raises the load-time verifier's first error (a TTA
+    write to an unknown file is unroutable before its file is looked up)."""
+    sim = _bad_register_sim(style, mode, "RF9", 0, access)
+    verify = verify_tta_program if style == "tta" else verify_vliw_program
+    with pytest.raises(SimError) as want:
+        verify(sim.program)
+    with pytest.raises(SimError) as err:
+        sim.run()
+    assert str(err.value) == str(want.value)
+    if (style, access) != ("tta", "write"):
+        assert str(err.value) == "unknown register file 'RF9' at pc=0"
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,23 @@ class TestHttpBasics:
         assert status == 200
         assert headers["X-Request-Id"] == "req-abc-123"
 
+    @pytest.mark.parametrize("value", [
+        b"abc\rSet-Cookie: evil=1", b"abc\x00Set-Cookie: evil=1",
+    ], ids=["bare-cr", "nul"])
+    def test_control_character_in_header_value_400(self, served, value):
+        import socket
+
+        with socket.create_connection((served.host, served.port)) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\nX-Request-Id: "
+                         + value + b"\r\n\r\n")
+            sock.settimeout(10)
+            reply = b""
+            while b"\r\n\r\n" not in reply and (chunk := sock.recv(4096)):
+                reply += chunk
+        head = reply.decode("latin-1").partition("\r\n\r\n")[0]
+        assert head.startswith("HTTP/1.1 400 ")
+        assert "Set-Cookie" not in head
+
     def test_oversized_body_413_then_connection_survives(self, tmp_path):
         with BackgroundServer(store=None, jobs=1, max_body=512) as bg:
             with bg.client() as c:
@@ -588,6 +605,26 @@ class TestShardWorkers:
                 assert got["result"]["exit_code"] == 0
                 assert _worker_pid(bg) not in (None, pid)
                 assert c.stats()["queue"]["workers_started"] == 2
+
+    def test_timeout_on_a_stopped_worker_meets_its_deadline(self):
+        """A worker that never reads its job (here, stopped) is killed at
+        the deadline, with no grace period for a signal it cannot act on."""
+        with BackgroundServer(store=None, jobs=1) as bg:
+            with bg.client() as c:
+                c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                pid = _worker_pid(bg)
+                os.kill(pid, signal.SIGSTOP)
+                started = time.monotonic()
+                with pytest.raises(ServeError) as err:
+                    c.run("m-tta-2", source=TINY_SRC, mode="turbo", timeout_s=1)
+                elapsed = time.monotonic() - started
+                assert err.value.status == 504
+                assert elapsed < 3, elapsed
+                assert _gone(pid)
+                assert bg.server.manager.active_process_count() == 0
+                got = c.run("m-tta-2", source=TINY_SRC, mode="fast")
+                assert got["result"]["exit_code"] == 0
+                assert _worker_pid(bg) not in (None, pid)
 
     def test_idle_worker_killed_from_outside_is_replaced(self):
         with BackgroundServer(store=None, jobs=1) as bg:
