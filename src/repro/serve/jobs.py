@@ -18,12 +18,14 @@ three scaling properties:
   content key (key-affine: a hot key never occupies two shards), and
   each shard executes its jobs, one at a time, in **its own long-lived
   worker process**, so CPU-bound compile/simulate work never blocks the
-  event loop.  The shard's coroutine sends a job over the worker's pipe
-  and waits, on the loop itself, for the reply, a cancel or the job's
-  deadline; a timeout or a cancellation is a ``kill()`` of that worker,
-  with no orphaned state.  The shard's next job starts a new one, as it
-  does after a worker dies mid-job (``WorkerDied``) or is found dead
-  while idle (the job then simply runs in the new one).
+  event loop.  The shard's coroutine writes a job to the worker's pipe
+  from a thread (a large job would block the loop until the worker read
+  it) and waits, on the loop itself, for the write and then the reply,
+  racing a cancel and the job's deadline; a timeout or a cancellation
+  is a ``kill()`` of that worker, with no orphaned state.  The shard's
+  next job starts a new one, as it does after a worker dies mid-job
+  (``WorkerDied``) or is found dead while idle (the job then simply runs
+  in the new one).
 
 Because a worker outlives its jobs, what a job leaves in process memory
 serves the next one on that shard: the optimised-module memo
@@ -585,7 +587,8 @@ class Job:
 class JobManager:
     """Bounded queue + dedup map + one worker process per shard.
 
-    Everything runs on the event-loop thread.  All public methods except
+    Everything but a worker's start and the pipe writes to it runs on
+    the event-loop thread.  All public methods except
     :meth:`drain` are synchronous, so submit/cancel are atomic with
     respect to the shard coroutines (no awaits inside).
     """
@@ -839,11 +842,12 @@ class JobManager:
         """
         loop = asyncio.get_running_loop()
         message = (job.kind, job.params, job.key, job.request_ids[0])
-        await self._send(shard, message)
         deadline = loop.time() + job.timeout_s
         while True:
-            proc, conn = self._shard_procs[shard]
-            stop = await _wait_reply(conn, job.cancel_event, deadline)
+            stop = await self._send(shard, message, job.cancel_event, deadline)
+            if stop is None:
+                proc, conn = self._shard_procs[shard]
+                stop = await _wait_reply(conn, job.cancel_event, deadline)
             if stop is not None:
                 self._reap(shard, grace=0)
                 if stop == CANCELLED:
@@ -857,7 +861,6 @@ class JobManager:
                 # the worker died with the job unread, so the job never
                 # ran: hand it to a new worker, under the same deadline
                 self._reap(shard)
-                await self._send(shard, message)
             except (EOFError, OSError):
                 self._reap(shard)
                 return "error", {
@@ -866,14 +869,16 @@ class JobManager:
                     "traceback": "",
                 }
 
-    async def _send(self, shard: int, message: tuple) -> None:
+    async def _send(self, shard: int, message: tuple, cancel: asyncio.Event,
+                    deadline: float) -> str | None:
         """Hand *message* to *shard*'s worker, starting one if the shard
-        has none.  An idle worker found dead never ran the job: it is
-        replaced, and the job goes to the new one."""
+        has none; ``None`` once sent, or the stop (see :func:`_send_to`)
+        that came first.  An idle worker found dead never ran the job: it
+        is replaced, and the job goes to the new one."""
         if self._shard_procs[shard] is not None:
             try:
-                self._shard_procs[shard][1].send(message)
-                return
+                return await _send_to(self._shard_procs[shard], message,
+                                      cancel, deadline)
             except OSError:  # died while idle
                 self._reap(shard)
         parent_conn, child_conn = self._ctx.Pipe()
@@ -887,7 +892,7 @@ class JobManager:
         self._shard_procs[shard] = (proc, parent_conn)
         self.workers_started += 1
         obs.count("serve.workers_started")
-        parent_conn.send(message)
+        return await _send_to(self._shard_procs[shard], message, cancel, deadline)
 
     def _reap(self, shard: int, grace: float = _STOP_S) -> None:
         """Free *shard*'s slot, giving its worker *grace* seconds to exit
@@ -901,23 +906,59 @@ class JobManager:
         conn.close()
 
 
+async def _race(waiter, cancel: asyncio.Event, deadline: float) -> str | None:
+    """Wait on the loop until the future *waiter* is done (``None``),
+    *cancel* is set (:data:`CANCELLED`) or the loop clock passes
+    *deadline* (:data:`TIMEOUT`)."""
+    loop = asyncio.get_running_loop()
+    cancelled = asyncio.ensure_future(cancel.wait())
+    try:
+        await asyncio.wait([waiter, cancelled], timeout=deadline - loop.time(),
+                           return_when=asyncio.FIRST_COMPLETED)
+    finally:
+        cancelled.cancel()
+    if waiter.done():
+        return None
+    return CANCELLED if cancel.is_set() else TIMEOUT
+
+
+async def _send_to(worker: tuple, message: tuple, cancel: asyncio.Event,
+                   deadline: float) -> str | None:
+    """Write *message* to the ``(process, connection)`` *worker* from a
+    thread, racing *cancel* and *deadline* (see :func:`_race`): a message
+    larger than the pipe's buffer blocks its writer until the worker
+    reads, and a stopped worker never does.  On a stop the worker is
+    killed, which fails the blocked write, and the thread is joined
+    before the stop is returned.  Raises ``OSError`` if the worker is
+    dead."""
+    proc, conn = worker
+    sending = asyncio.ensure_future(asyncio.to_thread(conn.send, message))
+    stop = await _race(sending, cancel, deadline)
+    if stop is not None:
+        proc.kill()
+        await asyncio.wait([sending])
+    exc = sending.exception()
+    if exc is not None:
+        # the failed write's frames hold the pickled message's buffer,
+        # which a reference cycle through this frame would otherwise
+        # keep until the collector frees it in an arbitrary order
+        traceback.clear_frames(exc.__traceback__)
+        if stop is None:
+            raise exc
+    return stop
+
+
 async def _wait_reply(conn, cancel: asyncio.Event, deadline: float) -> str | None:
-    """Wait on the loop until *conn* is readable (``None``), *cancel* is
-    set (:data:`CANCELLED`) or the loop clock passes *deadline*
-    (:data:`TIMEOUT`)."""
+    """Wait on the loop until *conn* is readable (``None``), or the
+    stop that came first (see :func:`_race`)."""
     loop = asyncio.get_running_loop()
     readable = asyncio.Event()
     fd = conn.fileno()
     loop.add_reader(fd, readable.set)
-    waits = [asyncio.ensure_future(readable.wait()),
-             asyncio.ensure_future(cancel.wait())]
+    waiter = asyncio.ensure_future(readable.wait())
     try:
-        await asyncio.wait(waits, timeout=deadline - loop.time(),
-                           return_when=asyncio.FIRST_COMPLETED)
+        stop = await _race(waiter, cancel, deadline)
     finally:
         loop.remove_reader(fd)
-        for waiter in waits:
-            waiter.cancel()
-    if readable.is_set():
-        return None
-    return CANCELLED if cancel.is_set() else TIMEOUT
+        waiter.cancel()
+    return None if readable.is_set() else stop

@@ -10,7 +10,8 @@ cycle.  This module holds the turbo engine, ``mode="turbo"``, which
 2. generates **specialized Python source per block**: register-file and
    bus traffic become local list indexing, ALU semantics from
    :data:`~repro.sim.predecode.ALU_FUNCS` are inlined as expressions,
-   function-unit result latching/pushing is open-coded, and all
+   a function-unit result read inside the block that pushed it is
+   forwarded statically (see :func:`_walk_tta`), and all
    loop-invariant lookups (register files, function units, memory
    load/store, helpers) are hoisted into default arguments bound once;
 3. compiles each block once with :func:`compile`/``exec`` (code objects
@@ -227,6 +228,21 @@ def _vliw_max_latency(decoded) -> int:
     )
 
 
+def _tta_pcap(decoded) -> int:
+    """Per-FU pending-ring capacity: a power of two above the longest
+    result latency plus two (the due-window bound)."""
+    maxlat = 1  # getra pushes at cycle + 1
+    for _rf_moves, _o1_moves, trig_moves, _counts in decoded:
+        for _src, _fu, opcode in trig_moves:
+            spec = OPS.get(opcode)
+            if spec is not None and spec.latency > maxlat:
+                maxlat = spec.latency
+    pcap = 8
+    while pcap < maxlat + 2:
+        pcap *= 2
+    return pcap
+
+
 # ---------------------------------------------------------------------------
 # block walkers: what a block does, once per core style.  A walker visits
 # every move or op of the block once and emits through a printer -- the
@@ -236,13 +252,67 @@ def _vliw_max_latency(decoded) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _walk_tta(out, decoded, start, jl, has_halt, has_ctl):
-    """One TTA block in the four-phase move order of one cycle."""
+def _walk_tta(out, decoded, start, jl, has_halt, has_ctl, pcap):
+    """One TTA block in the four-phase move order of one cycle.
+
+    Static FU-result forwarding: the scheduler bypasses results in
+    software, so a result is read a fixed latency after its trigger,
+    inside the same block.  Until a unit's first forwarded read its
+    pending list may hold carried-in entries the block cannot see, so its
+    pushes are dynamic (``out.fu_push``).  A read with an in-block push
+    due by then is forwarded to the latest such temp (``out.fu_forward``;
+    pushes are monotonic, so every carried-in entry commits too), and from
+    then on the unit's list is known: a read commits its due entries
+    (``out.fu_commit``), a push appends (``out.fu_append``) or, statically
+    non-monotonic, raises (``out.fu_push_error``), and a list of *pcap*
+    entries (the C ring's capacity) drains its due ones first.  Only a
+    read with no in-block push due by then is dynamic (``out.fu_read``).
+    The printers keep each unit's state in memory exact at every step.
+    """
     n, halts, _any_ctl = _partition(start, len(decoded), jl, has_halt, has_ctl)
     if n == 0:
         return None
     jl1 = jl + 1
     redirects = False
+    #: per FU: in-block pushes until its first forwarded read, then its
+    #: exact pending list and the temp in its result register
+    pushes: dict[str, list] = {}
+    rings: dict[str, list] = {}
+    results: dict[str, str] = {}
+
+    def commit(fu, ring, k):
+        n_due = sum(d <= k for d, _ in ring)  # dues increase along the list
+        if n_due:
+            results[fu] = ring[n_due - 1][1]
+            del ring[:n_due]
+            out.fu_commit(fu, n_due, ring, results[fu])
+
+    def fu_read(fu, k):
+        if fu in rings:
+            commit(fu, rings[fu], k)
+            return results[fu]
+        due = [t for d, t in pushes.get(fu, ()) if d <= k]
+        if not due:
+            return out.fu_read(fu, k)
+        ring = rings[fu] = [(d, t) for d, t in pushes.pop(fu) if d > k]
+        results[fu] = due[-1]
+        out.fu_forward(fu, ring, due[-1])
+        return due[-1]
+
+    def fu_push(fu, k, due_rel, t):
+        ring = rings.get(fu)
+        if ring is None:
+            out.fu_push(fu, k, due_rel, t)
+            pushes.setdefault(fu, []).append((due_rel, t))
+        elif ring and due_rel <= ring[-1][0]:
+            out.fu_push_error(fu, due_rel, ring[-1][0])
+        else:
+            if len(ring) == pcap:
+                commit(fu, ring, k)
+                if len(ring) == pcap:  # unreachable by the due-window bound
+                    raise _Unsupported(fu)
+            ring.append((due_rel, t))
+            out.fu_append(fu, ring)
 
     def value(src, k):
         kind = src[0]
@@ -250,12 +320,12 @@ def _walk_tta(out, decoded, start, jl, has_halt, has_ctl):
             return out.imm(src[1])
         if kind == "rf":
             return out.rf(src[1], src[2])
-        return out.fu_read(src[1], k)
+        return fu_read(src[1], k)
 
     def sample(src, k):
         # value sampled for side effects/errors only
         if src[0] == "fu":
-            out.fu_read(src[1], k)
+            fu_read(src[1], k)
 
     def redirect(k, target):
         nonlocal redirects
@@ -288,7 +358,7 @@ def _walk_tta(out, decoded, start, jl, has_halt, has_ctl):
                     sample(src, k)
                 elif opcode == "getra":
                     sample(src, k)
-                    out.fu_push(fu, k, k + 1, out.ra())
+                    fu_push(fu, k, k + 1, out.temp(out.ra()))
                 elif opcode == "setra":
                     out.assign(out.ra(), value(src, k))
                 elif opcode == "jump":
@@ -314,13 +384,13 @@ def _walk_tta(out, decoded, start, jl, has_halt, has_ctl):
                             out.store(opcode, addr, o1)
                         else:
                             t = out.load(opcode, addr)
-                            out.fu_push(fu, k, k + spec.latency, t)
+                            fu_push(fu, k, k + spec.latency, t)
                         continue
                     if opcode not in ALU_FUNCS or spec.latency < 1:
                         raise _Unsupported(opcode)
                     b = o1 if spec.operands == 2 else None
-                    expr = out.alu(opcode, value(src, k), b)
-                    out.fu_push(fu, k, k + spec.latency, expr)
+                    t = out.temp(out.alu(opcode, value(src, k), b))
+                    fu_push(fu, k, k + spec.latency, t)
             # phase 4: RF write commit
             for dest, e in commits:
                 out.assign(dest, e)
@@ -523,9 +593,11 @@ class _PyBlock:
 
     Register files, FUs and helpers are referenced by short local names
     and recorded in ``used``, which binds each once as a default
-    argument.  FU result reads and pushes open-code ``_FU.commit`` /
-    ``_FU.push`` on the unit's ``pending`` list, raising exactly what
-    the reference engine raises.
+    argument.  The walker decides every FU result read and push (see
+    :func:`_walk_tta`); a dynamic one open-codes ``_FU.commit`` /
+    ``_FU.push`` on the unit's ``pending`` list, raising exactly what the
+    reference engine raises, and a forwarded one writes the unit's
+    ``pending``, ``result`` and ``has_result`` as they change.
     """
 
     __slots__ = ("style", "rf_param", "fu_param", "lines", "used", "ind", "ntemp")
@@ -575,8 +647,8 @@ class _PyBlock:
         self._emit(f"{lhs} = {rhs}")
 
     def fu_read(self, fu, k):
-        """Commit due results, then read or raise exactly like
-        ``_FU.commit`` + ``fu_unavailable_error``."""
+        """A dynamic read: ``_FU.commit``, then read or raise exactly
+        like ``fu_unavailable_error``."""
         f = self._fu(fu)
         self.used.add("_ua")
         C = _cexpr(k)
@@ -591,7 +663,7 @@ class _PyBlock:
         return t
 
     def fu_push(self, fu, k, due_rel, val):
-        """``_FU.push`` with the reference error message."""
+        """A dynamic push: ``_FU.push`` with the reference error message."""
         f = self._fu(fu)
         due = f"c + {due_rel}"
         self._emit(f"_p = {f}.pending")
@@ -601,6 +673,28 @@ class _PyBlock:
             f" % ({f}.name, {due}, _p[-1][0]))"
         )
         self._emit(f"_p.append(({due}, {val}))")
+
+    def fu_forward(self, fu, ring, result):
+        f = self._fu(fu)
+        pending = ", ".join(f"({_cexpr(d)}, {t})" for d, t in ring)
+        self._emit(f"{f}.pending = [{pending}]")
+        self._emit(f"{f}.result = {result}")
+        self._emit(f"{f}.has_result = True")
+
+    def fu_commit(self, fu, n_due, ring, result):
+        f = self._fu(fu)
+        self._emit(f"del {f}.pending[:{n_due}]")
+        self._emit(f"{f}.result = {result}")
+
+    def fu_append(self, fu, ring):
+        d, t = ring[-1]
+        self._emit(f"{self._fu(fu)}.pending.append(({_cexpr(d)}, {t}))")
+
+    def fu_push_error(self, fu, due_rel, last_rel):
+        self._emit(
+            "raise ValueError('%s: result due %s not after pending %s'"
+            f" % ({self._fu(fu)}.name, {_cexpr(due_rel)}, {_cexpr(last_rel)}))"
+        )
 
     def load(self, op, addr):
         self.used.add(f"_{op}")
@@ -671,12 +765,12 @@ class _PyBlock:
 
 
 def _compile_tta_block(
-    program: Program, start: int, decoded, preds, rf_param, fu_param
+    program: Program, start: int, decoded, preds, rf_param, fu_param, pcap
 ):
     """Generate + compile one TTA basic block; ``None`` if unsupported."""
     out = _PyBlock("tta", rf_param, fu_param)
     jl = program.machine.jump_latency
-    return _walk_tta(out, decoded, start, jl, *preds)
+    return _walk_tta(out, decoded, start, jl, *preds, pcap)
 
 
 def _compile_vliw_block(program: Program, start: int, decoded, preds, rf_param, maxlat):
@@ -707,7 +801,8 @@ def _block_compiler(program: Program):
     if program.style == "tta":
         decoded = static_decode_tta(program)
         preds = _op_predicates("tta", decoded)[:2]
-        return _compile_tta_block, _TTA_TURBO_KEY, (decoded, preds, rf_param, fu_param)
+        args = (decoded, preds, rf_param, fu_param, _tta_pcap(decoded))
+        return _compile_tta_block, _TTA_TURBO_KEY, args
     decoded = static_decode_vliw(program)
     preds = _op_predicates("vliw", decoded)[:2]
     maxlat = _vliw_max_latency(decoded)
@@ -755,9 +850,11 @@ def _namespace(sim, rfs, rf_param) -> dict:
 
 def _bind_blocks(program: Program, ns: dict, counter, tag: str):
     """``(blocks, materialize, bound)`` over *program*'s cached block code:
-    each entry pc's block is compiled once per program, on first entry,
-    and bound to *ns* with a fresh execution counter ``counter()``;
-    ``bound`` lists ``(start, cache entry, counter)`` per bound block."""
+    each entry pc's block is compiled once per program, on first entry
+    (in a ``sim.<tag>.codegen`` span, its source counted in
+    ``sim.<tag>.source_bytes``), and bound to *ns* with a fresh execution
+    counter ``counter()``; ``bound`` lists ``(start, cache entry,
+    counter)`` per bound block."""
     compile_block, key, args = _block_compiler(program)
     code_cache = _block_cache(program, key)
     blocks: dict[int, tuple | None] = {}
@@ -768,8 +865,11 @@ def _bind_blocks(program: Program, ns: dict, counter, tag: str):
             entry = code_cache[pc]
             obs.count(f"sim.{tag}.block_cache_hits")
         else:
-            entry = code_cache[pc] = compile_block(program, pc, *args)
+            with obs.span(f"sim.{tag}.codegen"):
+                entry = code_cache[pc] = compile_block(program, pc, *args)
             obs.count(f"sim.{tag}.blocks_compiled")
+            if entry is not None:
+                obs.count(f"sim.{tag}.source_bytes", len(entry[-2]))
         if entry is None:
             blocks[pc] = None
             obs.count(f"sim.{tag}.fallback_blocks")

@@ -44,18 +44,10 @@ linear in the volume of emitted code, so codegen keeps that volume small:
   lands) and at the fall-through successors of those blocks.  A pc
   without a block is still correct: the shared Python driver steps it
   one precise cycle at a time until it reaches an entry.
-* **Static FU-result forwarding (TTA).**  The scheduler bypasses results
-  in software: a result is read a fixed latency after its trigger,
-  inside the same block.  Codegen models each FU's pending ring per block
-  (:class:`_FUState`).  In-block pushes keep their values in C temps; a
-  read with an in-block push already due takes the latest such temp
-  (pushes are monotonic, so every carried-in entry pops too), and from
-  then on the unit's ring is known exactly: reads and pushes become
-  constant-index stores to ``pd``/``pv``/``fum``/``fu32`` with no loop
-  and no call.  Memory stays in sync at every point, so error exits need
-  nothing extra.  Only a unit's pushes before its first forwarded read
-  and reads with no due in-block push use the ``FUPUSH``/``FUREAD``
-  macros (the push body out of line).
+* **Static FU-result forwarding (TTA)**, decided by the walker (see
+  :func:`~repro.sim.blockcompile._walk_tta`): a known ring's reads and
+  pushes are constant-index stores to ``pd``/``pv``/``fum``/``fu32``;
+  only dynamic ones use the ``FUREAD``/``FUPUSH`` macros.
 * **Out-of-line VLIW drains.**  The write-back queue only holds writes
   carried into a block; each drain point is one inline emptiness test in
   front of a shared ``wb_drain`` call.
@@ -78,15 +70,14 @@ Semantics notes pinned by ``tests/test_native.py``:
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.backend.program import Program
-from repro.isa.operations import OPS
 from repro.sim.blockcompile import (
     _cexpr,
     _op_predicates,
     _partition,
+    _tta_pcap,
     _vliw_max_latency,
     _walk_tta,
     _walk_vliw,
@@ -382,40 +373,16 @@ done:""")
 # ---------------------------------------------------------------------------
 
 
-class _FUState:
-    """Codegen-time model of one FU's pending ring within one block.
-
-    Until the unit's first *forwarded* read the ring may hold carried-in
-    entries the block cannot see, so pushes go through ``FUPUSH`` and are
-    remembered in ``pushes`` as ``(due_rel, temp)``.  A read at relative
-    cycle ``k`` with an in-block push due by ``k`` is forwarded: pushes
-    are monotonic, so every carried-in entry is due earlier and pops as
-    well, and the result is the latest in-block push due by ``k``.  From
-    then on ``ring`` is the exact ring content (physical slots ``head``,
-    ``head + 1``, ...) and ``result`` the temp in the result register.
-    """
-
-    __slots__ = ("pushes", "ring", "head", "result")
-
-    def __init__(self):
-        self.pushes = []
-        self.ring = None  # None until the ring is statically known
-        self.head = 0
-        self.result = None
-
-
 class _CBlock:
     """Prints one block as a ``case`` of the dispatch ``switch``.
 
     Register files and FU ports are flat-array slots; every value a block
-    computes lives in a ``uint32_t`` temp.  FU result reads and pushes
-    forward statically through a per-unit :class:`_FUState` and fall back
-    to the ``FUREAD``/``FUPUSH`` macros where the ring is not known.
+    computes lives in a ``uint32_t`` temp.  A unit's ring, once the
+    walker knows it, is laid out from slot 0 at the forwarded read, and
+    ``heads`` tracks its physical head slot from there.
     """
 
-    __slots__ = (
-        "rf_off", "fu_idx", "pcap", "bi", "lines", "ind", "ntemp", "temps", "fu_states"
-    )
+    __slots__ = ("rf_off", "fu_idx", "pcap", "bi", "lines", "ind", "ntemp", "heads")
 
     def __init__(self, rf_off, fu_idx, pcap, bi):
         self.rf_off = rf_off
@@ -425,17 +392,14 @@ class _CBlock:
         self.lines: list[str] = []
         self.ind = ""
         self.ntemp = 0
-        self.temps: set[str] = set()
-        self.fu_states: dict[str, _FUState] = defaultdict(_FUState)
+        self.heads: dict[str, int] = {}
 
     def _emit(self, s):
         self.lines.append(self.ind + s)
 
     def _newtemp(self):
         self.ntemp += 1
-        t = f"t{self.ntemp}"
-        self.temps.add(t)
-        return t
+        return f"t{self.ntemp}"
 
     def imm(self, v):
         return f"{v}u"
@@ -457,74 +421,43 @@ class _CBlock:
     def assign(self, lhs, rhs):
         self._emit(f"{lhs} = {rhs};")
 
-    def _pop_due(self, f, state, k):
-        """Statically commit the known ring's entries due by cycle ``k``
-        (the reference's lazy ``commit``), keeping memory in sync."""
-        ring = state.ring
-        n_due = 0
-        while n_due < len(ring) and ring[n_due][0] <= k:
-            n_due += 1
-        if n_due:
-            state.result = ring[n_due - 1][1]
-            state.head = (state.head + n_due) % self.pcap
-            del ring[:n_due]
-            self._emit(
-                f"fu32[{2 * f + 1}] = {state.result}; "
-                f"fum[{3 * f}] = {len(ring)}; fum[{3 * f + 1}] = {state.head};"
-            )
-
     def fu_read(self, fu, k):
-        f = self.fu_idx[fu]
-        state = self.fu_states[fu]
-        if state.ring is not None:
-            self._pop_due(f, state, k)
-            return state.result
-        due = [t for d, t in state.pushes if d <= k]
-        if not due:
-            t = self._newtemp()
-            self._emit(f"uint32_t {t}; FUREAD({t}, {f}, {_cexpr(k)});")
-            return t
-        # forwarded read: the ring now holds exactly the in-block pushes
-        # not yet due; lay them out from slot 0
-        pcap = self.pcap
-        state.result = due[-1]
-        state.ring = [(d, t) for d, t in state.pushes if d > k]
-        state.pushes = None
-        for j, (d, t) in enumerate(state.ring):
-            self._emit(f"pd[{f * pcap + j}] = {_cexpr(d)}; pv[{f * pcap + j}] = {t};")
-        self._emit(
-            f"fu32[{2 * f + 1}] = {state.result}; fum[{3 * f}] = {len(state.ring)}; "
-            f"fum[{3 * f + 1}] = 0; fum[{3 * f + 2}] = 1;"
-        )
-        return state.result
+        t = self._newtemp()
+        self._emit(f"uint32_t {t}; FUREAD({t}, {self.fu_idx[fu]}, {_cexpr(k)});")
+        return t
 
     def fu_push(self, fu, k, due_rel, val):
-        # every pushed value is held in a temp, which a forwarded read
-        # returns; the walker may pass an expression (ALU result, ``ra``)
-        if val not in self.temps:
-            val = self.temp(val)
+        self._emit(f"FUPUSH({self.fu_idx[fu]}, {_cexpr(due_rel)}, {val}, {_cexpr(k)});")
+
+    def fu_forward(self, fu, ring, result):
         f = self.fu_idx[fu]
-        state = self.fu_states[fu]
-        ring = state.ring
-        if ring is None:
-            self._emit(f"FUPUSH({f}, {_cexpr(due_rel)}, {val}, {_cexpr(k)});")
-            state.pushes.append((due_rel, val))
-            return
-        if ring and due_rel <= ring[-1][0]:
-            # statically non-monotonic: the reference raises every time
-            self._emit(f"ERR(-2, {f}, {_cexpr(due_rel)});")
-            return
-        if len(ring) == self.pcap:
-            self._pop_due(f, state, k)
-            if len(ring) == self.pcap:
-                self._emit(f"ERR(-9, {f}, 0);")
-                return
-        slot = f * self.pcap + (state.head + len(ring)) % self.pcap
-        ring.append((due_rel, val))
+        base = f * self.pcap
+        self.heads[fu] = 0
+        for j, (d, t) in enumerate(ring):
+            self._emit(f"pd[{base + j}] = {_cexpr(d)}; pv[{base + j}] = {t};")
         self._emit(
-            f"pd[{slot}] = {_cexpr(due_rel)}; pv[{slot}] = {val}; "
-            f"fum[{3 * f}] = {len(ring)};"
+            f"fu32[{2 * f + 1}] = {result}; fum[{3 * f}] = {len(ring)}; "
+            f"fum[{3 * f + 1}] = 0; fum[{3 * f + 2}] = 1;"
         )
+
+    def fu_commit(self, fu, n_due, ring, result):
+        f = self.fu_idx[fu]
+        head = self.heads[fu] = (self.heads[fu] + n_due) % self.pcap
+        self._emit(
+            f"fu32[{2 * f + 1}] = {result}; "
+            f"fum[{3 * f}] = {len(ring)}; fum[{3 * f + 1}] = {head};"
+        )
+
+    def fu_append(self, fu, ring):
+        f = self.fu_idx[fu]
+        slot = f * self.pcap + (self.heads[fu] + len(ring) - 1) % self.pcap
+        d, t = ring[-1]
+        self._emit(
+            f"pd[{slot}] = {_cexpr(d)}; pv[{slot}] = {t}; fum[{3 * f}] = {len(ring)};"
+        )
+
+    def fu_push_error(self, fu, due_rel, last_rel):
+        self._emit(f"ERR(-2, {self.fu_idx[fu]}, {_cexpr(due_rel)});")
 
     def load(self, op, addr):
         t = self._newtemp()
@@ -614,21 +547,6 @@ def _collect_entries(program, decoded):
     return sorted(seen)
 
 
-def _tta_pcap(decoded) -> int:
-    """Per-FU pending-ring capacity: a power of two above the longest
-    result latency plus two (the due-window bound)."""
-    maxlat = 1  # getra pushes at cycle + 1
-    for _rf_moves, _o1_moves, trig_moves, _counts in decoded:
-        for _src, _fu, opcode in trig_moves:
-            spec = OPS.get(opcode)
-            if spec is not None and spec.latency > maxlat:
-                maxlat = spec.latency
-    pcap = 8
-    while pcap < maxlat + 2:
-        pcap *= 2
-    return pcap
-
-
 def build_native_program(program: Program) -> NativeProgram | None:
     """Generate the C translation unit for *program*; ``None`` when the
     style is not supported or no block could be compiled."""
@@ -652,7 +570,7 @@ def build_native_program(program: Program) -> NativeProgram | None:
         pcap, wcap = _tta_pcap(decoded), 16
 
         def walk(out, start):
-            return _walk_tta(out, decoded, start, jl, has_halt, has_ctl)
+            return _walk_tta(out, decoded, start, jl, has_halt, has_ctl, pcap)
 
     else:
         fu_names = []

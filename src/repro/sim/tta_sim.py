@@ -161,12 +161,12 @@ class TTASimulator:
 
     # ------------------------------------------------------------------
 
-    def _sample(self, move: Move, cycle: int, stats: TTAResult) -> int:
+    def _sample(self, move: Move, cycle: int, pc: int, stats: TTAResult) -> int:
         kind = move.src[0]
         if kind == "imm":
             value = move.src[1]
             if not isinstance(value, int):
-                raise SimError(f"unlinked immediate {value!r}")
+                raise SimError(f"unlinked immediate {value!r} at pc={pc}")
             return value & MASK32
         if kind == "rf":
             _, rf, idx = move.src
@@ -247,7 +247,9 @@ class TTASimulator:
                     raise SimError(f"{rf} write ports oversubscribed at pc={pc}")
 
             # --- phase 1: sample all sources ----------------------------
-            sampled = [(move, self._sample(move, cycle, stats)) for move in instr.moves]
+            sampled = [
+                (move, self._sample(move, cycle, pc, stats)) for move in instr.moves
+            ]
             stats.moves += len(sampled)
 
             # --- phase 2: operand-port writes ---------------------------

@@ -71,12 +71,12 @@ class VLIWSimulator:
         for address, blob in data_init:
             self.memory.preload(address, blob)
 
-    def _read(self, src) -> int:
+    def _read(self, src, pc: int) -> int:
         if isinstance(src, Imm):
             return src.value & MASK32
         if isinstance(src, PhysReg):
             return self.regs.get(src, 0)
-        raise SimError(f"unresolved operand {src!r}")
+        raise SimError(f"unresolved operand {src!r} at pc={pc}")
 
     def _write_later(self, cycle: int, reg: PhysReg, value: int) -> None:
         self._seq += 1
@@ -145,7 +145,7 @@ class VLIWSimulator:
             halted = False
             # Sample all reads before applying any effect of this bundle.
             sampled = [
-                (op, [self._read(s) for s in op.srcs]) for op in bundle.ops
+                (op, [self._read(s, pc) for s in op.srcs]) for op in bundle.ops
             ]
             for op, values in sampled:
                 ops_executed += 1

@@ -34,6 +34,7 @@ from repro.sim import (
     run_compiled_profiled,
 )
 from repro.sim import native
+from repro.sim.blockcompile import tta_block_source
 from repro.sim.cgen import ENTRY_SYMBOL, build_native_program
 
 #: one TTA and one VLIW design point; native/checked agreement is
@@ -48,6 +49,10 @@ int main(void){ return fib(12) - 144; }
 requires_cc = pytest.mark.skipif(
     native.find_compiler() is None, reason="no C compiler on PATH"
 )
+
+#: the two block engines, which share the TTA walker's static FU-result
+#: forwarding; only native needs a C compiler
+BLOCK_ENGINES = ("turbo", pytest.param("native", marks=requires_cc))
 
 
 def _compile(src, machine_name):
@@ -121,6 +126,18 @@ def _case_source(nat, start):
     return body.split("\n        }\n", 1)[0]
 
 
+def _block_source(program, start, mode):
+    """The generated code of the block entered at *start*: *mode*'s
+    Python function or C ``case``."""
+    if mode == "turbo":
+        return tta_block_source(program, start)
+    return _case_source(build_native_program(program), start)
+
+
+#: what a dynamic FU read (a runtime commit of the pending list) prints
+DYNAMIC_READ = {"turbo": ".pop(0)", "native": "FUREAD("}
+
+
 def _fu_state(sim):
     return [
         (name, fu.o1, fu.result, fu.has_result, fu.pending)
@@ -136,13 +153,13 @@ def _outcome(sim):
         return (type(exc).__name__, str(exc))
 
 
-@requires_cc
 class TestNativeDynamics:
     """Each scenario runs once on the checked reference and once on the
     native engine (fresh ``Program`` objects — the engine caches on the
     program) and the outcomes, including the exact error text, must be
-    identical.  A degradation warning during the native run would mask a
-    missing compiler, so warnings escalate to errors here."""
+    identical; the FU-result forwarding scenarios run on turbo too.  A
+    degradation warning during the native run would mask a missing
+    compiler, so warnings escalate to errors here."""
 
     def _diff(self, make_prog, sim_cls=TTASimulator, expect=None):
         checked = _outcome(sim_cls(make_prog(), mode="checked", max_cycles=10_000))
@@ -154,6 +171,7 @@ class TestNativeDynamics:
             assert expect in checked[1]
         return checked
 
+    @requires_cc
     def test_early_result_read(self):
         self._diff(
             lambda: _tta_prog(
@@ -168,12 +186,14 @@ class TestNativeDynamics:
             expect="before the first result is due",
         )
 
+    @requires_cc
     def test_never_triggered_read(self):
         self._diff(
             lambda: _tta_prog([[Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)]]),
             expect="never triggered",
         )
 
+    @requires_cc
     def test_non_monotonic_result_push(self):
         # mul (latency 3) then add (latency 1): the second result would
         # be due before the first — the reference raises ValueError from
@@ -191,7 +211,8 @@ class TestNativeDynamics:
             expect="not after pending",
         )
 
-    def test_non_monotonic_push_after_forwarded_read(self):
+    @pytest.mark.parametrize("mode", BLOCK_ENGINES)
+    def test_non_monotonic_push_after_forwarded_read(self, mode):
         # the same violation once ALU0's ring is statically known: the
         # add (due 3) lands before the pending mul (due 4)
         outcome = self._diff_state(
@@ -205,10 +226,12 @@ class TestNativeDynamics:
                     [_imm(1, ("op", "ALU0", "t", "add"), 0)],
                     [_imm(0, ("op", "CU", "t", "halt"), 0)],
                 ]
-            )
+            ),
+            mode,
         )
         assert outcome == ("ValueError", "ALU0: result due 3 not after pending 4")
 
+    @requires_cc
     def test_pc_out_of_range(self):
         self._diff(
             lambda: _tta_prog(
@@ -217,6 +240,7 @@ class TestNativeDynamics:
             expect="PC out of range: 100",
         )
 
+    @requires_cc
     def test_overlapping_control_transfers(self):
         self._diff(
             lambda: _tta_prog(
@@ -231,6 +255,7 @@ class TestNativeDynamics:
             expect="overlapping control transfers",
         )
 
+    @requires_cc
     def test_vliw_overlapping_control_transfers(self):
         def make():
             machine = build_machine("m-vliw-2")
@@ -244,6 +269,7 @@ class TestNativeDynamics:
 
         self._diff(make, sim_cls=VLIWSimulator, expect="overlapping")
 
+    @requires_cc
     def test_memory_access_out_of_range(self):
         self._diff(
             lambda: _tta_prog(
@@ -261,6 +287,7 @@ class TestNativeDynamics:
             expect="memory access out of range: 0x7fffffff+4",
         )
 
+    @requires_cc
     def test_vliw_delayed_writeback_visible_late(self):
         machine = build_machine("m-vliw-2")
         r1 = PhysReg("RF0", 1)
@@ -276,11 +303,12 @@ class TestNativeDynamics:
         sim.run()
         assert sim.regs[r2] == 42
 
-    def _diff_state(self, make_prog):
-        """Like :meth:`_diff`, and the final registers and FU state
-        (operand latch, result register, pending list) must match too."""
+    def _diff_state(self, make_prog, engine="native"):
+        """Like :meth:`_diff` on *engine*, and the final registers and FU
+        state (operand latch, result register, pending list) must match
+        too."""
         sims = []
-        for mode in ("checked", "native"):
+        for mode in ("checked", engine):
             sim = TTASimulator(make_prog(), mode=mode, max_cycles=10_000)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -289,6 +317,7 @@ class TestNativeDynamics:
         assert sims[1] == sims[0]
         return sims[0][0]
 
+    @requires_cc
     def test_result_read_in_taken_branch_target(self):
         # ALU0's result is pushed before a taken cjump and read in the
         # target block, which cannot forward it (the push is in another
@@ -323,7 +352,8 @@ class TestNativeDynamics:
         # the target block's own push is forwarded
         assert _case_source(nat, 6).count("FUREAD(") == 2
 
-    def test_memory_fault_after_forwarded_reads(self):
+    @pytest.mark.parametrize("mode", BLOCK_ENGINES)
+    def test_memory_fault_after_forwarded_reads(self, mode):
         # forwarded reads and pushes keep the FU state in memory exact, so
         # the error text and every unit's synced pending list match
         def make():
@@ -351,14 +381,15 @@ class TestNativeDynamics:
                 ]
             )
 
-        outcome = self._diff_state(make)
+        outcome = self._diff_state(make, mode)
         assert "memory access out of range: 0x7fffffff+4" in outcome[1]
-        assert "FUREAD(" not in _case_source(build_native_program(make()), 0)
+        assert DYNAMIC_READ[mode] not in _block_source(make(), 0, mode)
         checked = TTASimulator(make(), mode="checked")
         _outcome(checked)
         assert checked.fus["ALU0"].pending == [(4, 8), (6, 36)]
 
-    def test_push_into_full_ring(self):
+    @pytest.mark.parametrize("mode", BLOCK_ENGINES)
+    def test_push_into_full_ring(self, mode):
         # more in-flight results than the PCAP-entry ring holds, both on a
         # unit whose ring is statically known (ALU0, after a forwarded
         # read) and on one that is not (LSU0): the ring drains due entries
@@ -389,13 +420,14 @@ class TestNativeDynamics:
             return _tta_prog(instrs)
 
         checked = TTASimulator(make(), mode="checked")
-        native_sim = TTASimulator(make(), mode="native")
+        block_sim = TTASimulator(make(), mode=mode)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outcome = _outcome(native_sim)
+            outcome = _outcome(block_sim)
         assert outcome == _outcome(checked) == ("ok", pcap + 2, pcap + 9)
-        assert native_sim.rfs == checked.rfs
+        assert block_sim.rfs == checked.rfs
 
+    @requires_cc
     @pytest.mark.parametrize("machine_name", DIFF_MACHINES)
     def test_cycle_budget_exact_at_boundary(self, machine_name):
         compiled = _compile(FIB_SRC, machine_name)
@@ -721,8 +753,16 @@ class TestCodegenShape:
         assert "FUREAD(" not in body
         assert "pv[" in body  # forwarded pushes store the ring directly
 
-    @requires_cc
-    def test_forwarded_read_takes_latest_due_push(self):
+    def test_turbo_in_block_reads_are_forwarded(self):
+        # the same blocks in Python: no pending-list commit loop
+        compiled = compile_for_machine(compile_kernel("mips"), build_machine("m-tta-2"))
+        program = compiled.program
+        for start, _length in build_native_program(program).entries:
+            source = tta_block_source(program, start)
+            assert DYNAMIC_READ["turbo"] not in source, start
+
+    @pytest.mark.parametrize("mode", BLOCK_ENGINES)
+    def test_forwarded_read_takes_latest_due_push(self, mode):
         # add (due 1) and mul (due 4) are both due when cycle 4 reads
         def make():
             return _tta_prog(
@@ -739,11 +779,11 @@ class TestCodegenShape:
                 ]
             )
 
-        case = _case_source(build_native_program(make()), 0)
-        assert "FUREAD(" not in case
-        assert "rf[1] = t2;" in case
+        source = _block_source(make(), 0, mode)
+        assert DYNAMIC_READ[mode] not in source
+        assert ("r0[1] = t2" if mode == "turbo" else "rf[1] = t2;") in source
         checked = TTASimulator(make(), mode="checked")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            outcome = _outcome(TTASimulator(make(), mode="native"))
+            outcome = _outcome(TTASimulator(make(), mode=mode))
         assert outcome == _outcome(checked) == ("ok", 6, 6)

@@ -304,9 +304,13 @@ class TestStackInstrumentation:
         with obs.tracing() as cold:
             run_compiled(compiled, mode="turbo")
         assert cold.counters["sim.turbo.blocks_compiled"] > 0
+        codegen = [sp for sp in cold.spans if sp["name"] == "sim.turbo.codegen"]
+        assert len(codegen) == cold.counters["sim.turbo.blocks_compiled"]
+        assert cold.counters["sim.turbo.source_bytes"] > 0
         with obs.tracing() as warm:
             run_compiled(compiled, mode="turbo")
         assert warm.counters.get("sim.turbo.blocks_compiled", 0) == 0
+        assert "sim.turbo.source_bytes" not in warm.counters
         assert warm.counters["sim.turbo.block_cache_hits"] > 0
         assert warm.counters["sim.predecode.cache_hits"] >= 1
 

@@ -26,6 +26,7 @@ Contracts pinned here:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import signal
@@ -608,8 +609,11 @@ class TestShardWorkers:
 
     def test_timeout_on_a_stopped_worker_meets_its_deadline(self):
         """A worker that never reads its job (here, stopped) is killed at
-        the deadline, with no grace period for a signal it cannot act on."""
-        with BackgroundServer(store=None, jobs=1) as bg:
+        the deadline, with no grace period for a signal it cannot act on.
+        A job larger than the pipe's buffer blocks only its own write:
+        the server keeps answering while it waits."""
+        big_src = "/*" + "x" * 600_000 + "*/\n" + TINY_SRC
+        with BackgroundServer(store=None, jobs=1, max_body=2_000_000) as bg:
             with bg.client() as c:
                 c.run("m-tta-2", source=TINY_SRC, mode="fast")
                 pid = _worker_pid(bg)
@@ -624,7 +628,30 @@ class TestShardWorkers:
                 assert bg.server.manager.active_process_count() == 0
                 got = c.run("m-tta-2", source=TINY_SRC, mode="fast")
                 assert got["result"]["exit_code"] == 0
-                assert _worker_pid(bg) not in (None, pid)
+                pid2 = _worker_pid(bg)
+                assert pid2 not in (None, pid)
+                os.kill(pid2, signal.SIGSTOP)
+                try:
+                    started = time.monotonic()
+                    job = c.request("POST", "/v1/run", {
+                        "machine": "m-tta-2", "source": big_src, "mode": "turbo",
+                        "timeout_s": 1, "wait": False,
+                    })
+                    time.sleep(0.2)  # let the shard start writing the job
+                    with bg.client(timeout=1.0) as probe:
+                        asked = time.monotonic()
+                        assert probe.healthz()["status"] == "ok"
+                        assert time.monotonic() - asked < 1
+                    with pytest.raises(ServeError) as err:
+                        c.wait_job(job["job_id"])
+                    elapsed = time.monotonic() - started
+                    assert err.value.status == 504
+                    assert 1 <= elapsed < 3, elapsed
+                    assert _gone(pid2)
+                    assert bg.server.manager.active_process_count() == 0
+                finally:  # never leave a stopped worker behind
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid2, signal.SIGKILL)
 
     def test_idle_worker_killed_from_outside_is_replaced(self):
         with BackgroundServer(store=None, jobs=1) as bg:

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import pytest
 
 from repro import build_machine, compile_for_machine, compile_source
-from repro.backend.mop import Imm, MOp, PhysReg
+from repro.backend.mop import Imm, LabelRef, MOp, PhysReg
 from repro.backend.program import Move, Program, TTAInstr, VLIWInstr
 from repro.sim import DataMemory, SimError, TTASimulator, VLIWSimulator, run_compiled
 from repro.sim import MODES
@@ -279,6 +279,26 @@ class TestTTAVerifier:
         with pytest.raises(SimError) as excinfo:
             TTASimulator(prog, mode=mode).run()
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_unresolved_operand_names_its_pc_in_every_engine(self, mode):
+        # checked meets the operand when it executes it; the others reject
+        # the program at load time -- with the same message
+        tta = self._machine_prog([
+            [Move(("imm", LabelRef("x")), ("rf", "RF0", 1), 0)],
+            [Move(("imm", 0), ("op", "CU", "t", "halt"), 0)],
+        ])
+        vliw = Program(build_machine("m-vliw-2"), "vliw", [
+            VLIWInstr([MOp("add", PhysReg("RF0", 1), [PhysReg("RF0", 2), LabelRef("x")])]),
+            VLIWInstr([MOp("halt", None, [Imm(0)])]),
+        ])
+        for sim, message in (
+            (TTASimulator(tta, mode=mode), "unlinked immediate &x at pc=0"),
+            (VLIWSimulator(vliw, mode=mode), "unresolved operand &x at pc=0"),
+        ):
+            with pytest.raises(SimError) as excinfo:
+                sim.run()
+            assert str(excinfo.value) == message
 
     def test_semi_virtual_latching_multiple_inflight(self):
         # mul at cycle 0 (due 3), shl at cycle 2 (due 4): a read at cycle 3
