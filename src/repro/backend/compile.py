@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro import obs
@@ -105,32 +107,96 @@ def _record_schedule_counters(machine: Machine, program: Program) -> None:
     obs.count("sched.nop_slots", nops)
 
 
+class _SharedHalf:
+    """The machine-independent half of compiling one module for one
+    register-file layout: the ``_start`` stub and every function lowered,
+    register-allocated and frame-finalised.
+
+    All of it depends on the machine only through :mod:`abi`, that is on
+    the ``(name, size)`` of each register file, so every design point
+    with that layout schedules from the same half.  Its operations are
+    shared by those design points and must never be modified (the linker
+    patches copies).
+    """
+
+    def __init__(self, module: Module, machine: Machine) -> None:
+        module.verify()
+        self.symbols = module.layout_globals()
+        self.mfuncs: dict[str, MFunction] = {
+            "_start": _build_start(machine, module.entry)
+        }
+        for name, function in module.functions.items():
+            with obs.span("backend.lower", function=name):
+                mfunc = lower_function(function, machine, self.symbols)
+            with obs.span("backend.regalloc", function=name):
+                allocate_registers(mfunc, machine)
+            with obs.span("backend.finalize", function=name):
+                finalize_function(mfunc, machine)
+            self.mfuncs[name] = mfunc
+        finalize_function(self.mfuncs["_start"], machine, synthetic=True)
+        self.data_init = [
+            (self.symbols[gname], gvar.init)
+            for gname, gvar in module.globals.items()
+            if gvar.init
+        ]
+
+
+#: the module whose shared halves are memoised (held, so no later
+#: module can be allocated in its place) and its most recently used
+#: halves, keyed by register-file layout; the lock keeps one thread's
+#: module from being paired with another's halves
+_shared_module: Module | None = None
+_shared_halves: OrderedDict[tuple, _SharedHalf] = OrderedDict()
+_shared_lock = threading.Lock()
+#: halves kept: in preset order a kernel's design points alternate
+#: between at most two layouts (m-vliw-2, p-vliw-2, m-tta-2, p-tta-2),
+#: so two serve every reuse a sweep can make
+_HALVES_MAX = 2
+
+
+def _shared_half(module: Module, machine: Machine) -> _SharedHalf:
+    """The shared half of *module* for *machine*'s register-file layout.
+
+    Only the last module compiled and its two most recently used layouts
+    are remembered, which bounds the memory the halves hold.
+    """
+    global _shared_module
+    layout = tuple((rf.name, rf.size) for rf in machine.register_files)
+    with _shared_lock:
+        if module is not _shared_module:
+            _shared_halves.clear()
+            _shared_module = module
+        half = _shared_halves.get(layout)
+        if half is None:
+            half = _shared_halves[layout] = _SharedHalf(module, machine)
+            if len(_shared_halves) > _HALVES_MAX:
+                _shared_halves.popitem(last=False)
+        else:
+            _shared_halves.move_to_end(layout)
+            obs.count("backend.layout_reuse")
+    return half
+
+
 def compile_for_machine(module: Module, machine: Machine) -> CompiledProgram:
     """Compile an (optimised, verified) IR module for *machine*.
 
-    The module is not modified: lowering, register allocation and
-    scheduling work on their own copies, so one optimised module can be
-    retargeted to every machine of a sweep and each compile yields the
-    program a compile from a fresh module would.
+    The module is not modified, so one optimised module can be
+    retargeted to every machine of a sweep.  The machine-independent
+    half of the work (the ``_start`` stub, lowering, register
+    allocation and frame finalisation) depends only on the register
+    files' names and sizes.  It is remembered for the module compiled
+    last, for its two most recently used register-file layouts: a
+    compile that finds it counts ``backend.layout_reuse`` and only
+    schedules and links.  Interleaving modules or layouts recomputes
+    it, which costs time but never changes a program: each compile
+    yields the program a compile from a fresh module would.  (The serial
+    sweep runs each kernel's pairs back to back for this reason.)
     """
-    module.verify()
-    symbols = module.layout_globals()
-
-    mfuncs: dict[str, MFunction] = {"_start": _build_start(machine, module.entry)}
-    for name, function in module.functions.items():
-        with obs.span("backend.lower", function=name):
-            mfunc = lower_function(function, machine, symbols)
-        with obs.span("backend.regalloc", function=name):
-            allocate_registers(mfunc, machine)
-        with obs.span("backend.finalize", function=name):
-            finalize_function(mfunc, machine)
-        mfuncs[name] = mfunc
-    finalize_function(mfuncs["_start"], machine, synthetic=True)
-
+    half = _shared_half(module, machine)
     blocks: list[ScheduledBlock] = []
     aliases: dict[str, str] = {}
     extra_imm_words = 0
-    for name, mfunc in mfuncs.items():
+    for name, mfunc in half.mfuncs.items():
         if machine.style is MachineStyle.TTA:
             with obs.span("backend.schedule_tta", function=name):
                 scheduled = schedule_tta_function(mfunc, machine)
@@ -150,10 +216,4 @@ def compile_for_machine(module: Module, machine: Machine) -> CompiledProgram:
     program.extra_imm_words = extra_imm_words
     if obs.enabled():
         _record_schedule_counters(machine, program)
-
-    data_init = [
-        (symbols[gname], gvar.init)
-        for gname, gvar in module.globals.items()
-        if gvar.init
-    ]
-    return CompiledProgram(program, machine, symbols, data_init)
+    return CompiledProgram(program, machine, dict(half.symbols), list(half.data_init))

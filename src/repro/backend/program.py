@@ -118,6 +118,12 @@ def link_blocks(
     """Concatenate scheduled blocks and resolve label references.
 
     *aliases* maps extra label names (function names) to block labels.
+    Instruction words are patched in place (a TTA move's source, a VLIW
+    bundle's operation list), but an operation is never modified: a VLIW
+    or scalar operation holding a ``LabelRef`` is replaced by a patched
+    copy, because design points that share a register-file layout
+    schedule the same operations (see
+    :func:`repro.backend.compile.compile_for_machine`).
     """
     labels: dict[str, int] = {}
     address = 0
@@ -130,10 +136,11 @@ def link_blocks(
     for block in blocks:
         instrs.extend(block.instrs)
 
-    def patch_value(value):
-        if isinstance(value, LabelRef):
-            return labels[value.name]
-        return value
+    def patched(op: MOp) -> MOp:
+        if not any(isinstance(s, LabelRef) for s in op.srcs):
+            return op
+        srcs = [Imm(labels[s.name]) if isinstance(s, LabelRef) else s for s in op.srcs]
+        return MOp(op.op, op.dest, srcs, op.uid)
 
     if style == "tta":
         for instr in instrs:
@@ -141,10 +148,9 @@ def link_blocks(
                 if move.src[0] == "imm" and isinstance(move.src[1], LabelRef):
                     move.src = ("imm", labels[move.src[1].name])
     else:
-        for instr in instrs:
-            ops = instr.ops if isinstance(instr, VLIWInstr) else [instr]
-            for op in ops:
-                op.srcs = [
-                    Imm(patch_value(s)) if isinstance(s, LabelRef) else s for s in op.srcs
-                ]
+        for index, instr in enumerate(instrs):
+            if isinstance(instr, VLIWInstr):
+                instr.ops = [patched(op) for op in instr.ops]
+            else:
+                instrs[index] = patched(instr)
     return Program(machine, style, instrs, labels)

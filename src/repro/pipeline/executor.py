@@ -320,10 +320,19 @@ def _iter_round(
     worker: WorkerFn,
     trace: bool = False,
 ):
-    """Yield ``(index, outcome)`` as each pending task completes."""
+    """Yield ``(index, outcome)`` as each pending task completes.
+
+    Serially, a kernel's tasks run back to back (in order of each
+    kernel's first task), so every compile of one module finds that
+    module's shared backend half (see ``compile_for_machine``) still
+    memoised; the caller restores task order from the index.
+    """
     attempt = functools.partial(_attempt, worker, trace)
     if jobs <= 1 or len(pending) <= 1:
-        for item in pending:
+        first: dict[str, int] = {}
+        for _index, task in pending:
+            first.setdefault(task.kernel, len(first))
+        for item in sorted(pending, key=lambda item: first[item[1].kernel]):
             yield attempt(item)
         return
     ctx = _pool_context()

@@ -543,7 +543,6 @@ def _vliw_queues(nat, ffi, sim, rfs, ctl):
         # numbers reproduce the reference heap exactly
         for j in range(ctl[CTL_WB_LEN]):
             regs, idx = slot_of[fum[j]]
-            sim._seq += 1
-            _heappush(heap, (pd[j], sim._seq, regs, idx, pv[j]))
+            _heappush(heap, (pd[j], next(sim._seq), regs, idx, pv[j]))
 
     return (), (fu32, pd, pv, fum), push, pull

@@ -14,8 +14,8 @@ verifying ``ttasim`` and its compiled simulation engine, this module
    reservations*, RF read/write port limits, full connectivity routing,
    resolved immediates, known opcodes and in-range register indices; and
 
-2. **pre-decodes** every instruction into flat tuples of source
-   samplers, port writers and trigger thunks that a lean inner loop
+2. **pre-decodes** every instruction into flat tuples of register
+   slots, FU-result samplers and trigger thunks that a lean inner loop
    consumes with no per-cycle string comparison, no dictionary lookups
    on hot state and no re-verification; and
 
@@ -41,6 +41,7 @@ instance's mutable state (register files, function units, data memory).
 from __future__ import annotations
 
 from heapq import heappop as _heappop
+from heapq import heappush as _heappush
 
 from repro import obs
 from repro.backend.abi import return_value_reg
@@ -199,6 +200,13 @@ def static_decode_tta(program: Program) -> list:
         obs.count("sim.predecode.cache_hits")
         return cached
     obs.count("sim.predecode.cache_misses")
+    with obs.span("sim.predecode", style="tta"):
+        decoded = _decode_tta(program)
+    program.predecode_cache[_TTA_KEY] = decoded
+    return decoded
+
+
+def _decode_tta(program: Program) -> list:
     machine = program.machine
     buses = {bus.index: bus for bus in machine.buses}
     read_limits = {rf.name: rf.read_ports for rf in machine.register_files}
@@ -263,7 +271,6 @@ def static_decode_tta(program: Program) -> list:
             sum(writes.values()),
         )
         decoded.append((tuple(rf_moves), tuple(o1_moves), tuple(trig_moves), counts))
-    program.predecode_cache[_TTA_KEY] = decoded
     return decoded
 
 
@@ -277,28 +284,16 @@ def verify_tta_program(program: Program) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bind_tta_sampler(src, sim):
-    kind = src[0]
-    if kind == "imm":
-        value = src[1]
-
-        def sample(cycle, _v=value):
-            return _v
-
-        return sample
-    if kind == "rf":
-        regs = sim.rfs[src[1]]
-        idx = src[2]
-
-        def sample(cycle, _r=regs, _i=idx):
-            return _r[_i]
-
-        return sample
-    fu = sim.fus[src[1]]
+def _bind_fu_sampler(fu):
+    """``sample(cycle)``: *fu*'s result register, after committing the
+    results due by *cycle* (``_FU.read`` inline)."""
 
     def sample(cycle, _fu=fu):
-        if _fu.pending and _fu.pending[0][0] <= cycle:
-            _fu.commit(cycle)
+        pending = _fu.pending
+        if pending and pending[0][0] <= cycle:
+            while pending and pending[0][0] <= cycle:
+                _fu.result = pending.pop(0)[1]
+            _fu.has_result = True
         if not _fu.has_result:
             from repro.sim.tta_sim import fu_unavailable_error
 
@@ -308,12 +303,75 @@ def _bind_tta_sampler(src, sim):
     return sample
 
 
+def _operand_slot(src, rfs) -> tuple:
+    """``(regs, idx)`` reading a decoded immediate or register operand
+    (TTA or VLIW) inline as ``regs[idx]``; an immediate reads from a
+    one-element tuple."""
+    if src[0] == "imm":
+        return (src[1],), 0
+    return rfs[src[1]], src[2]
+
+
+def _bind_tta_source(src, sim) -> tuple:
+    """``(sample, regs, idx)`` for one decoded move source: an immediate
+    or a register is read inline (:func:`_operand_slot`) and ``sample``
+    is ``None``; an FU result is read by calling ``sample(cycle)``."""
+    if src[0] == "fu":
+        return _bind_fu_sampler(sim.fus[src[1]]), None, 0
+    return (None, *_operand_slot(src, sim.rfs))
+
+
+def _bind_tta_step(decoded_instr, sim, jl: int) -> tuple:
+    """The precise step of one decoded instruction: ``()`` when it has no
+    moves, else ``(latches, o1_moves, trig_moves, writes)``.
+
+    The reference samples every RF-move source before any operand latch
+    or trigger and commits the RF writes last.  A register or immediate
+    source cannot fail, and nothing before the commit writes a register,
+    so most RF moves are read at commit time, as ``dregs[didx] =
+    regs[idx]`` in move order.  The others are *latched* first, in move
+    order, into a one-element cell that their write then reads: a move
+    from an FU result (its sample may raise, and commits the unit's due
+    results) and a move from a register an earlier move of the same
+    instruction writes.
+    """
+    rf_moves, o1_moves, trig_moves, _counts = decoded_instr
+    if not (rf_moves or o1_moves or trig_moves):
+        return ()
+    latches = []
+    writes = []
+    written: set = set()
+    for src, rf, idx in rf_moves:
+        sample, regs, sidx = _bind_tta_source(src, sim)
+        if sample is not None or (src[0] == "rf" and src[1:] in written):
+            cell = [0]
+            if sample is None:
+                sample = lambda cycle, _r=regs, _i=sidx: _r[_i]  # noqa: E731
+            latches.append((sample, cell))
+            regs, sidx = cell, 0
+        writes.append((regs, sidx, sim.rfs[rf], idx))
+        written.add((rf, idx))
+    return (
+        tuple(latches),
+        tuple((*_bind_tta_source(src, sim), sim.fus[fu]) for src, fu in o1_moves),
+        tuple(
+            (*_bind_tta_source(src, sim), _bind_tta_thunk(fu, opcode, sim, jl))
+            for src, fu, opcode in trig_moves
+        ),
+        tuple(writes),
+    )
+
+
 def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
     """Build ``thunk(value, cycle, pc)`` for one trigger.
 
     Returns ``None`` (no control effect), ``True`` (halt) or a
-    ``(redirect_cycle, target)`` tuple.
+    ``(redirect_cycle, target)`` tuple.  ALU and load triggers append
+    their result to the unit's pending list themselves (``_FU.push``
+    inline, same check and error).
     """
+    from repro.sim.tta_sim import push_order_error
+
     fu = sim.fus[fu_name]
     jl1 = jl + 1
     if opcode == "halt":
@@ -356,6 +414,7 @@ def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
 
         return thunk
     spec = OPS[opcode]
+    latency = spec.latency
     if spec.kind is OpKind.LSU:
         access = sim.memory.accessor(opcode)
         if spec.writes_mem:
@@ -365,26 +424,36 @@ def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
                 return None
 
             return thunk
-        latency = spec.latency
 
-        def thunk(value, cycle, pc, _ld=access, _fu=fu, _lat=latency):
-            _fu.push(cycle + _lat, _ld(value))
-            return None
+        def thunk(value, cycle, pc, _ld=access, _fu=fu, _lat=latency, _e=push_order_error):
+            result = _ld(value)
+            pending = _fu.pending
+            due = cycle + _lat
+            if pending and due <= pending[-1][0]:
+                raise _e(_fu, due)
+            pending.append((due, result))
 
         return thunk
     fn = ALU_FUNCS[opcode]
-    latency = spec.latency
     if spec.operands == 2:
 
-        def thunk(value, cycle, pc, _fu=fu, _fn=fn, _lat=latency):
-            _fu.push(cycle + _lat, _fn(value, _fu.o1))
-            return None
+        def thunk(value, cycle, pc, _fu=fu, _fn=fn, _lat=latency, _e=push_order_error):
+            result = _fn(value, _fu.o1)
+            pending = _fu.pending
+            due = cycle + _lat
+            if pending and due <= pending[-1][0]:
+                raise _e(_fu, due)
+            pending.append((due, result))
 
         return thunk
 
-    def thunk(value, cycle, pc, _fu=fu, _fn=fn, _lat=latency):
-        _fu.push(cycle + _lat, _fn(value))
-        return None
+    def thunk(value, cycle, pc, _fu=fu, _fn=fn, _lat=latency, _e=push_order_error):
+        result = _fn(value)
+        pending = _fu.pending
+        due = cycle + _lat
+        if pending and due <= pending[-1][0]:
+            raise _e(_fu, due)
+        pending.append((due, result))
 
     return thunk
 
@@ -422,6 +491,13 @@ def static_decode_vliw(program: Program) -> list:
         obs.count("sim.predecode.cache_hits")
         return cached
     obs.count("sim.predecode.cache_misses")
+    with obs.span("sim.predecode", style="vliw"):
+        decoded = _decode_vliw(program)
+    program.predecode_cache[_VLIW_KEY] = decoded
+    return decoded
+
+
+def _decode_vliw(program: Program) -> list:
     machine = program.machine
     issue_width = machine.issue_width
     decoded = []
@@ -452,7 +528,6 @@ def static_decode_vliw(program: Program) -> list:
                 raise SimError(f"not a pure ALU operation: {name!r} at pc={pc}")
             ops.append((name, srcs, dest, op.latency))
         decoded.append(tuple(ops))
-    program.predecode_cache[_VLIW_KEY] = decoded
     return decoded
 
 
@@ -466,145 +541,111 @@ def verify_vliw_program(program: Program) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bind_vliw_reader(src, rfs):
-    if src[0] == "imm":
-        value = src[1]
-        return lambda _v=value: _v
-    regs = rfs[src[1]]
-    idx = src[2]
-    return lambda _r=regs, _i=idx: _r[_i]
-
-
 def _bind_vliw_op(op, sim, rfs, jl1: int):
     """Build ``f(cycle, pc)`` executing one decoded VLIW operation.
 
     Returns ``None``, ``True`` (halt) or ``(redirect_cycle, target)``.
-    The caller schedules register write-back through ``sim`` state, so
-    interleaving sampling with execution is safe: no operation writes a
-    register within its own issue cycle (minimum write-back is
-    ``cycle + 1``) and memory/``ra`` side effects are observed in op
-    order exactly as in the reference engine.
+    Operands are read inline, and a register write-back is pushed
+    straight onto ``sim``'s write heap as ``(due, seq, regs, idx,
+    value)`` with the next ``sim._seq``.  Interleaving sampling with
+    execution is safe: no operation writes a register within its own
+    issue cycle (minimum write-back is ``cycle + 1``) and memory/``ra``
+    side effects are observed in op order exactly as in the reference
+    engine.
     """
     name, srcs, dest, latency = op
     if name == "halt":
         return lambda cycle, pc: True
-    if name in ("jump", "call"):
-        read = _bind_vliw_reader(srcs[0], rfs)
-        if name == "jump":
-            return lambda cycle, pc, _r=read, _j=jl1: (cycle + _j, _r())
-
-        def run_call(cycle, pc, _r=read, _j=jl1, _sim=sim):
-            _sim.ra = pc + _j
-            return (cycle + _j, _r())
-
-        return run_call
     if name == "ret":
         return lambda cycle, pc, _sim=sim, _j=jl1: (cycle + _j, _sim.ra)
-    if name in ("cjump", "cjumpz"):
-        read_pred = _bind_vliw_reader(srcs[0], rfs)
-        read_target = _bind_vliw_reader(srcs[1], rfs)
-        if name == "cjump":
+    # every operation but halt, ret and getra reads operand 0; getra,
+    # copy, loads and ALU operations write *dest* back ``latency``
+    # cycles later
+    hp = sim._pending_slot_writes
+    seq = sim._seq.__next__
+    regs = rfs[dest[0]] if dest is not None else None
+    if name == "getra":
 
-            def run_cjump(cycle, pc, _p=read_pred, _t=read_target, _j=jl1):
-                return (cycle + _j, _t()) if _p() else None
-
-            return run_cjump
-
-        def run_cjumpz(cycle, pc, _p=read_pred, _t=read_target, _j=jl1):
-            return None if _p() else (cycle + _j, _t())
-
-        return run_cjumpz
-    if name in _LOADS:
-        read_addr = _bind_vliw_reader(srcs[0], rfs)
-        regs = rfs[dest[0]]
-
-        def run_load(
-            cycle,
-            pc,
-            _r=read_addr,
-            _ld=sim.memory.accessor(name),
-            _lat=latency,
-            _w=sim._write_later_slot,
-            _regs=regs,
-            _i=dest[1],
+        def run_getra(
+            cycle, pc, _sim=sim,
+            _lat=latency, _hp=hp, _seq=seq, _regs=regs, _d=dest[1],
         ):
-            _w(cycle + _lat, _regs, _i, _ld(_r()))
-            return None
+            _heappush(_hp, (cycle + _lat, _seq(), _regs, _d, _sim.ra))
 
-        return run_load
-    if name in _STORES:
-        read_addr = _bind_vliw_reader(srcs[0], rfs)
-        read_value = _bind_vliw_reader(srcs[1], rfs)
+        return run_getra
+    ra, ia = _operand_slot(srcs[0], rfs)
+    if name == "jump":
+        return lambda cycle, pc, _r=ra, _i=ia, _j=jl1: (cycle + _j, _r[_i])
+    if name == "call":
 
-        def run_store(cycle, pc, _a=read_addr, _v=read_value, _st=sim.memory.accessor(name)):
-            _st(_a(), _v())
-            return None
+        def run_call(cycle, pc, _r=ra, _i=ia, _j=jl1, _sim=sim):
+            _sim.ra = pc + _j
+            return (cycle + _j, _r[_i])
 
-        return run_store
+        return run_call
     if name == "setra":
-        read = _bind_vliw_reader(srcs[0], rfs)
 
-        def run_setra(cycle, pc, _r=read, _sim=sim):
-            _sim.ra = _r()
+        def run_setra(cycle, pc, _r=ra, _i=ia, _sim=sim):
+            _sim.ra = _r[_i]
             return None
 
         return run_setra
-    if name == "getra":
-        regs = rfs[dest[0]]
+    if name in ("cjump", "cjumpz"):
+        rt, it = _operand_slot(srcs[1], rfs)
+        if name == "cjump":
 
-        def run_getra(
-            cycle, pc, _sim=sim, _lat=latency, _w=sim._write_later_slot, _regs=regs, _i=dest[1]
-        ):
-            _w(cycle + _lat, _regs, _i, _sim.ra)
+            def run_cjump(cycle, pc, _p=ra, _ip=ia, _t=rt, _it=it, _j=jl1):
+                return (cycle + _j, _t[_it]) if _p[_ip] else None
+
+            return run_cjump
+
+        def run_cjumpz(cycle, pc, _p=ra, _ip=ia, _t=rt, _it=it, _j=jl1):
+            return None if _p[_ip] else (cycle + _j, _t[_it])
+
+        return run_cjumpz
+    if name in _STORES:
+        rv, iv = _operand_slot(srcs[1], rfs)
+
+        def run_store(cycle, pc, _a=ra, _ia=ia, _v=rv, _iv=iv, _st=sim.memory.accessor(name)):
+            _st(_a[_ia], _v[_iv])
             return None
 
-        return run_getra
+        return run_store
+    if name in _LOADS:
+
+        def run_load(
+            cycle, pc, _a=ra, _ia=ia, _ld=sim.memory.accessor(name),
+            _lat=latency, _hp=hp, _seq=seq, _regs=regs, _d=dest[1],
+        ):
+            _heappush(_hp, (cycle + _lat, _seq(), _regs, _d, _ld(_a[_ia])))
+
+        return run_load
     if name == "copy":
-        read = _bind_vliw_reader(srcs[0], rfs)
-        regs = rfs[dest[0]]
 
         def run_copy(
-            cycle, pc, _r=read, _lat=latency, _w=sim._write_later_slot, _regs=regs, _i=dest[1]
+            cycle, pc, _a=ra, _ia=ia,
+            _lat=latency, _hp=hp, _seq=seq, _regs=regs, _d=dest[1],
         ):
-            _w(cycle + _lat, _regs, _i, _r())
-            return None
+            _heappush(_hp, (cycle + _lat, _seq(), _regs, _d, _a[_ia]))
 
         return run_copy
     fn = ALU_FUNCS[name]
-    regs = rfs[dest[0]]
     if len(srcs) == 2:
-        read_a = _bind_vliw_reader(srcs[0], rfs)
-        read_b = _bind_vliw_reader(srcs[1], rfs)
+        rb, ib = _operand_slot(srcs[1], rfs)
 
         def run_alu2(
-            cycle,
-            pc,
-            _a=read_a,
-            _b=read_b,
-            _fn=fn,
-            _lat=latency,
-            _w=sim._write_later_slot,
-            _regs=regs,
-            _i=dest[1],
+            cycle, pc, _a=ra, _ia=ia, _b=rb, _ib=ib, _fn=fn,
+            _lat=latency, _hp=hp, _seq=seq, _regs=regs, _d=dest[1],
         ):
-            _w(cycle + _lat, _regs, _i, _fn(_a(), _b()))
-            return None
+            _heappush(_hp, (cycle + _lat, _seq(), _regs, _d, _fn(_a[_ia], _b[_ib])))
 
         return run_alu2
-    read_a = _bind_vliw_reader(srcs[0], rfs)
 
     def run_alu1(
-        cycle,
-        pc,
-        _a=read_a,
-        _fn=fn,
-        _lat=latency,
-        _w=sim._write_later_slot,
-        _regs=regs,
-        _i=dest[1],
+        cycle, pc, _a=ra, _ia=ia, _fn=fn,
+        _lat=latency, _hp=hp, _seq=seq, _regs=regs, _d=dest[1],
     ):
-        _w(cycle + _lat, _regs, _i, _fn(_a()))
-        return None
+        _heappush(_hp, (cycle + _lat, _seq(), _regs, _d, _fn(_a[_ia])))
 
     return run_alu1
 
@@ -675,18 +716,7 @@ def run_tta(sim, engine: str, source):
     steps = [None] * n_instrs
 
     def bind(pc):
-        rf_moves, o1_moves, trig_moves, _counts = decoded[pc]
-        steps[pc] = step = (
-            tuple(
-                (_bind_tta_sampler(src, sim), sim.rfs[rf], idx)
-                for src, rf, idx in rf_moves
-            ),
-            tuple((_bind_tta_sampler(src, sim), sim.fus[fu]) for src, fu in o1_moves),
-            tuple(
-                (_bind_tta_sampler(src, sim), _bind_tta_thunk(fu, opcode, sim, jl))
-                for src, fu, opcode in trig_moves
-            ),
-        )
+        steps[pc] = step = _bind_tta_step(decoded[pc], sim, jl)
         return step
 
     get_block = materialize = finish = None
@@ -719,35 +749,31 @@ def run_tta(sim, engine: str, source):
         step = steps[pc]
         if step is None:
             step = bind(pc)
-        rf_moves, o1_moves, trig_moves = step
         hits[pc] += 1
-        # phase 1+2: sample sources, latch operand ports.  Interleaving the
-        # groups is safe: samplers read only immediates, RF state and
-        # committed FU results, none of which an operand-port latch or a
-        # trigger can change within the same cycle (minimum result latency
-        # is 1, RF writes commit in phase 4).
-        if rf_moves:
-            pending = [(regs, idx, sample(cycle)) for sample, regs, idx in rf_moves]
-        else:
-            pending = ()
-        for sample, fu in o1_moves:
-            fu.o1 = sample(cycle)
-        # phase 3: triggers, in move order
-        halted = False
-        for sample, thunk in trig_moves:
-            effect = thunk(sample(cycle), cycle, pc)
-            if effect is not None:
-                if effect is True:
-                    halted = True
-                elif rc >= 0:
-                    raise SimError("overlapping control transfers")
-                else:
-                    rc, rt = effect
-        # phase 4: RF write commit
-        for regs, idx, value in pending:
-            regs[idx] = value
-        if halted:
-            break
+        if step:
+            latches, o1_moves, trig_moves, writes = step
+            # the phases of the reference, in its order (see
+            # _bind_tta_step): sample the latched RF-move sources, latch
+            # the operand ports, run the triggers in move order, commit
+            # the RF writes
+            for sample, cell in latches:
+                cell[0] = sample(cycle)
+            for sample, regs, idx, fu in o1_moves:
+                fu.o1 = regs[idx] if sample is None else sample(cycle)
+            halted = False
+            for sample, regs, idx, thunk in trig_moves:
+                effect = thunk(regs[idx] if sample is None else sample(cycle), cycle, pc)
+                if effect is not None:
+                    if effect is True:
+                        halted = True
+                    elif rc >= 0:
+                        raise SimError("overlapping control transfers")
+                    else:
+                        rc, rt = effect
+            for regs, idx, dregs, didx in writes:
+                dregs[didx] = regs[idx]
+            if halted:
+                break
         cycle += 1
         pc += 1
         if cycle > max_cycles:

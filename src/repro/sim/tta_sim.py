@@ -98,10 +98,14 @@ class _FU:
 
     def push(self, due: int, value: int) -> None:
         if self.pending and due <= self.pending[-1][0]:
-            raise ValueError(
-                f"{self.name}: result due {due} not after pending {self.pending[-1][0]}"
-            )
+            raise push_order_error(self, due)
         self.pending.append((due, value))
+
+
+def push_order_error(fu: _FU, due: int) -> ValueError:
+    """The error of a result pushed due no later than *fu*'s last pending
+    one (results must complete in trigger order on each unit)."""
+    return ValueError(f"{fu.name}: result due {due} not after pending {fu.pending[-1][0]}")
 
 
 def fu_unavailable_error(fu: _FU, cycle: int) -> SimError:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import heapq
+import itertools
 
 from repro.backend.abi import MEMORY_SIZE, return_value_reg
 from repro.backend.mop import Imm, MOp, PhysReg
@@ -65,7 +66,9 @@ class VLIWSimulator:
         self.pending_writes: list[tuple[int, int, PhysReg, int]] = []
         #: the shared driver's delayed writes: (due_cycle, seq, rf_list, idx, value)
         self._pending_slot_writes: list = []
-        self._seq = 0
+        #: the ``seq`` of both write queues: a write pushed later pops
+        #: later among writes due the same cycle
+        self._seq = itertools.count(1)
 
     def preload(self, data_init: list[tuple[int, bytes]]) -> None:
         for address, blob in data_init:
@@ -79,14 +82,13 @@ class VLIWSimulator:
         raise SimError(f"unresolved operand {src!r} at pc={pc}")
 
     def _write_later(self, cycle: int, reg: PhysReg, value: int) -> None:
-        self._seq += 1
-        heapq.heappush(self.pending_writes, (cycle, self._seq, reg, value))
+        heapq.heappush(self.pending_writes, (cycle, next(self._seq), reg, value))
 
     def _write_later_slot(self, cycle: int, regs: list, idx: int, value: int) -> None:
-        """Fast-engine variant of :meth:`_write_later` writing straight into
-        a pre-resolved register-file slot."""
-        self._seq += 1
-        heapq.heappush(self._pending_slot_writes, (cycle, self._seq, regs, idx, value))
+        """Variant of :meth:`_write_later` writing straight into a
+        pre-resolved register-file slot (turbo's blocks call it; the
+        shared driver's own steps push inline)."""
+        heapq.heappush(self._pending_slot_writes, (cycle, next(self._seq), regs, idx, value))
 
     def _sync_regs_from_fast(self, rfs: dict[str, list[int]]) -> None:
         """Mirror the shared driver's final register state into ``self.regs``

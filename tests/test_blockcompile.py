@@ -6,7 +6,8 @@ every CHStone-style workload, on both machine styles, including when
 codegen bails out and the per-block fallback interprets through the fast
 path.  Dynamic schedule violations (early FU reads, overlapping control
 transfers, cycle-budget exhaustion) must raise the same errors at the
-same cycle as the reference engines.
+same cycle as the reference engines (``test_predecode.TestEngineDynamics``
+checks them in every engine).
 """
 
 from __future__ import annotations
@@ -16,13 +17,10 @@ from dataclasses import asdict
 import pytest
 
 from repro import build_machine, compile_for_machine, compile_source
-from repro.backend.mop import Imm, MOp, PhysReg
-from repro.backend.program import Move, Program, TTAInstr, VLIWInstr
 from repro.kernels import KERNELS, compile_kernel
 from repro.sim import (
     SimError,
     TTASimulator,
-    VLIWSimulator,
     collect_profile,
     format_profile,
     run_compiled,
@@ -89,80 +87,13 @@ class TestTurboDifferentialSmoke:
 
 
 # ---------------------------------------------------------------------------
-# turbo dynamic semantics: same errors, same values as the fast engine
+# turbo dynamic semantics: the cycle budget in lockstep with fast
 # ---------------------------------------------------------------------------
 
 
-def _tta_prog(moves_lists, machine_name="m-tta-2"):
-    machine = build_machine(machine_name)
-    return Program(machine, "tta", [TTAInstr(moves) for moves in moves_lists])
-
-
 class TestTurboDynamics:
-    def test_early_result_read_still_raises(self):
-        prog = _tta_prog(
-            [
-                [
-                    Move(("imm", 3), ("op", "ALU0", "o1", None), 0),
-                    Move(("imm", 4), ("op", "ALU0", "t", "mul"), 1),
-                ],
-                [Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)],
-            ]
-        )
-        with pytest.raises(SimError, match="before the first result is due"):
-            TTASimulator(prog, mode="turbo").run()
-
-    def test_never_triggered_read_diagnosed(self):
-        prog = _tta_prog([[Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)]])
-        with pytest.raises(SimError, match="never triggered"):
-            TTASimulator(prog, mode="turbo").run()
-
-    def test_semi_virtual_latching_multiple_inflight(self):
-        moves = [
-            [
-                Move(("imm", 6), ("op", "ALU0", "o1", None), 0),
-                Move(("imm", 7), ("op", "ALU0", "t", "mul"), 1),
-            ],
-            [],
-            [
-                Move(("imm", 2), ("op", "ALU0", "o1", None), 0),
-                Move(("imm", 1), ("op", "ALU0", "t", "shl"), 1),
-            ],
-            [Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)],
-            [Move(("fu", "ALU0"), ("rf", "RF0", 2), 0)],
-            [Move(("imm", 0), ("op", "CU", "t", "halt"), 0)],
-        ]
-        sim = TTASimulator(_tta_prog(moves), mode="turbo")
-        sim.run()
-        assert sim.rfs["RF0"][1] == 42
-        assert sim.rfs["RF0"][2] == 4
-
-    def test_vliw_delayed_writeback_visible_late(self):
-        machine = build_machine("m-vliw-2")
-        r1 = PhysReg("RF0", 1)
-        r2 = PhysReg("RF0", 2)
-        instrs = [
-            VLIWInstr([MOp("add", r1, [Imm(40), Imm(2)])]),
-            VLIWInstr([MOp("add", r2, [r1, Imm(0)])]),  # reads OLD r1 (0)
-            VLIWInstr([MOp("add", r2, [r1, Imm(0)])]),  # now reads 42
-            VLIWInstr([MOp("halt", None, [Imm(0)])]),
-        ]
-        prog = Program(machine, "vliw", instrs)
-        sim = VLIWSimulator(prog, mode="turbo")
-        sim.run()
-        assert sim.regs[r2] == 42
-
-    def test_vliw_overlapping_control_rejected(self):
-        machine = build_machine("m-vliw-2")
-        instrs = [
-            VLIWInstr([MOp("jump", None, [Imm(0)])]),
-            VLIWInstr([MOp("jump", None, [Imm(0)])]),
-            VLIWInstr([]),
-            VLIWInstr([]),
-        ]
-        prog = Program(machine, "vliw", instrs)
-        with pytest.raises(SimError, match="overlapping"):
-            VLIWSimulator(prog, mode="turbo").run()
+    """The cycle budget at a block boundary.  The other dynamic errors
+    are checked in every engine by ``test_predecode.TestEngineDynamics``."""
 
     @pytest.mark.parametrize("mode", ("checked", "fast", "turbo"))
     @pytest.mark.parametrize("machine_name", DIFF_MACHINES)

@@ -314,6 +314,18 @@ class TestStackInstrumentation:
         assert warm.counters["sim.turbo.block_cache_hits"] > 0
         assert warm.counters["sim.predecode.cache_hits"] >= 1
 
+    @pytest.mark.parametrize("machine_name", ["m-tta-2", "m-vliw-2"])
+    def test_predecode_span_only_on_a_cache_miss(self, machine_name):
+        compiled = compile_for_machine(compile_source(SRC), build_machine(machine_name))
+        style = compiled.machine.style.value
+        for expected in (1, 0):
+            with obs.tracing() as tracer:
+                run_compiled(compiled, mode="fast")
+            spans = [sp for sp in tracer.spans if sp["name"] == "sim.predecode"]
+            assert len(spans) == expected
+            assert all(sp["args"]["style"] == style for sp in spans)
+            assert tracer.counters.get("sim.predecode.cache_misses", 0) == expected
+
     def test_record_run_folds_only_present_fields(self):
         class FakeResult:
             cycles = 10

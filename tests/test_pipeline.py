@@ -404,6 +404,10 @@ class TestArtifactStore:
         assert copy.load_result("ab" * 32) == RESULT
 
 
+def _echo_task(task):
+    return (task.machine, task.kernel)
+
+
 def _traced_compiler(store):
     """``compile_on(machine, source, name)``: a traced ``compile_cached``
     through *store*, returning the program and its (module-store hit,
@@ -609,6 +613,26 @@ class TestExecutor:
         outcomes = run_tasks(tasks, jobs=2)
         assert [o.kernel for o in outcomes] == ["k0", "k1", "k2"]
         assert all(isinstance(o, EvalResult) for o in outcomes)
+
+    def test_serial_run_groups_kernels_and_keeps_task_order(self):
+        tasks = [
+            SweepTask(machine=machine, kernel=kernel, source="")
+            for machine in ("m-tta-1", "m-vliw-2")
+            for kernel in ("b", "a")
+        ]
+        calls = []
+        outcomes = run_tasks(
+            tasks,
+            progress=lambda _done, _total, task, _outcome: calls.append(
+                (task.machine, task.kernel)
+            ),
+            worker=_echo_task,
+        )
+        # each kernel's tasks back to back, kernels in first-seen order
+        assert calls == [
+            ("m-tta-1", "b"), ("m-vliw-2", "b"), ("m-tta-1", "a"), ("m-vliw-2", "a")
+        ]
+        assert outcomes == [(t.machine, t.kernel) for t in tasks]
 
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError):

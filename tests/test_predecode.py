@@ -10,6 +10,7 @@ ones the per-cycle checker historically missed, like long-immediate
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import asdict
 
 import pytest
@@ -29,7 +30,10 @@ from repro.sim import (
     verify_tta_program,
     verify_vliw_program,
 )
+from repro.sim.native import find_compiler
 from repro.sim.predecode import ALU_FUNCS, static_decode_tta, static_decode_vliw
+
+requires_cc = pytest.mark.skipif(find_compiler() is None, reason="no C compiler on PATH")
 
 #: one TTA and one VLIW design point; the checked/fast agreement is
 #: style-level, not design-point-level, and this keeps runtime sane
@@ -243,82 +247,226 @@ def test_unknown_register_file_same_error_in_every_engine(mode, style, access):
 
 
 # ---------------------------------------------------------------------------
-# fast-engine dynamic semantics
+# dynamic semantics: every engine against the checked reference
 # ---------------------------------------------------------------------------
 
+#: every engine; native needs a C compiler (without one it would only
+#: degrade to turbo)
+ENGINES = tuple(
+    pytest.param(mode, marks=requires_cc) if mode == "native" else mode for mode in MODES
+)
 
-class TestFastEngineDynamics:
-    def test_early_result_read_still_raises(self):
-        prog = _tta_prog(
-            [
+
+def _imm(value, dst, bus):
+    return Move(("imm", value), dst, bus)
+
+
+def _run(make_prog, mode):
+    """``(outcome, state)`` of one run of a fresh ``make_prog()`` (the
+    engines cache on the program): the exit code and cycles or the exact
+    error text, then the register files and, on a TTA core, each unit's
+    operand latch, result register and pending results."""
+    prog = make_prog()
+    if prog.style == "tta":
+        sim = TTASimulator(prog, mode=mode, max_cycles=10_000)
+    else:
+        sim = VLIWSimulator(prog, mode=mode, max_cycles=10_000)
+    with warnings.catch_warnings():
+        # a native run that degraded to turbo would hide a missing cc
+        warnings.simplefilter("error")
+        try:
+            result = sim.run()
+            outcome = ("ok", result.exit_code, result.cycles)
+        except (SimError, ValueError) as exc:
+            outcome = (type(exc).__name__, str(exc))
+    if prog.style == "tta":
+        fus = [
+            (name, fu.o1, fu.result, fu.has_result, fu.pending)
+            for name, fu in sorted(sim.fus.items())
+        ]
+        return outcome, (sim.rfs, fus)
+    return outcome, {
+        rf.name: [sim.regs.get(PhysReg(rf.name, i), 0) for i in range(rf.size)]
+        for rf in prog.machine.register_files
+    }
+
+
+@pytest.mark.parametrize("mode", ENGINES)
+class TestEngineDynamics:
+    """Data-dependent behaviour no load-time check can rule out: each
+    scenario must give the checked reference's outcome, exact error text
+    included, and leave the same registers and FU state."""
+
+    def _diff(self, make_prog, mode):
+        checked = _run(make_prog, "checked")
+        assert _run(make_prog, mode) == checked
+        return checked
+
+    def test_early_result_read(self, mode):
+        (kind, text), _ = self._diff(
+            lambda: _tta_prog(
                 [
-                    Move(("imm", 3), ("op", "ALU0", "o1", None), 0),
-                    Move(("imm", 4), ("op", "ALU0", "t", "mul"), 1),
-                ],
-                [Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)],
-            ]
+                    [
+                        _imm(3, ("op", "ALU0", "o1", None), 0),
+                        _imm(4, ("op", "ALU0", "t", "mul"), 1),
+                    ],
+                    [Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)],
+                ]
+            ),
+            mode,
         )
-        with pytest.raises(SimError, match="before the first result is due"):
-            TTASimulator(prog, mode="fast").run()
+        assert kind == "SimError" and "before the first result is due" in text
 
-    def test_never_triggered_read_diagnosed(self):
-        prog = _tta_prog([[Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)]])
-        with pytest.raises(SimError, match="never triggered"):
-            TTASimulator(prog, mode="fast").run()
+    def test_never_triggered_read(self, mode):
+        (kind, text), _ = self._diff(
+            lambda: _tta_prog([[Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)]]), mode
+        )
+        assert kind == "SimError" and "never triggered" in text
 
-    def test_semi_virtual_latching_multiple_inflight(self):
-        moves = [
-            [
-                Move(("imm", 6), ("op", "ALU0", "o1", None), 0),
-                Move(("imm", 7), ("op", "ALU0", "t", "mul"), 1),
-            ],
-            [],
-            [
-                Move(("imm", 2), ("op", "ALU0", "o1", None), 0),
-                Move(("imm", 1), ("op", "ALU0", "t", "shl"), 1),
-            ],
-            [Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)],
-            [Move(("fu", "ALU0"), ("rf", "RF0", 2), 0)],
-            [Move(("imm", 0), ("op", "CU", "t", "halt"), 0)],
-        ]
-        sim = TTASimulator(_tta_prog(moves), mode="fast")
-        sim.run()
-        assert sim.rfs["RF0"][1] == 42
-        assert sim.rfs["RF0"][2] == 4
+    def test_non_monotonic_result_push(self, mode):
+        # mul (latency 3) then add (latency 1): the second result would
+        # be due before the first, which the reference's FU rejects
+        (kind, text), _ = self._diff(
+            lambda: _tta_prog(
+                [
+                    [
+                        _imm(3, ("op", "ALU0", "o1", None), 0),
+                        _imm(4, ("op", "ALU0", "t", "mul"), 1),
+                    ],
+                    [_imm(1, ("op", "ALU0", "t", "add"), 0)],
+                ]
+            ),
+            mode,
+        )
+        assert (kind, text) == ("ValueError", "ALU0: result due 2 not after pending 3")
 
-    def test_vliw_delayed_writeback_visible_late(self):
-        machine = build_machine("m-vliw-2")
-        r1 = PhysReg("RF0", 1)
-        r2 = PhysReg("RF0", 2)
-        instrs = [
-            VLIWInstr([MOp("add", r1, [Imm(40), Imm(2)])]),
-            VLIWInstr([MOp("add", r2, [r1, Imm(0)])]),  # reads OLD r1 (0)
-            VLIWInstr([MOp("add", r2, [r1, Imm(0)])]),  # now reads 42
-            VLIWInstr([MOp("halt", None, [Imm(0)])]),
-        ]
-        prog = Program(machine, "vliw", instrs)
-        sim = VLIWSimulator(prog, mode="fast")
-        sim.run()
-        assert sim.regs[r2] == 42
+    def test_semi_virtual_latching_multiple_inflight(self, mode):
+        outcome, (rfs, _fus) = self._diff(
+            lambda: _tta_prog(
+                [
+                    [
+                        _imm(6, ("op", "ALU0", "o1", None), 0),
+                        _imm(7, ("op", "ALU0", "t", "mul"), 1),
+                    ],
+                    [],
+                    [
+                        _imm(2, ("op", "ALU0", "o1", None), 0),
+                        _imm(1, ("op", "ALU0", "t", "shl"), 1),
+                    ],
+                    [Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)],
+                    [Move(("fu", "ALU0"), ("rf", "RF0", 2), 0)],
+                    [_imm(0, ("op", "CU", "t", "halt"), 0)],
+                ]
+            ),
+            mode,
+        )
+        assert outcome[0] == "ok"
+        assert (rfs["RF0"][1], rfs["RF0"][2]) == (42, 4)
 
-    def test_vliw_overlapping_control_rejected(self):
-        machine = build_machine("m-vliw-2")
-        instrs = [
-            VLIWInstr([MOp("jump", None, [Imm(0)])]),
-            VLIWInstr([MOp("jump", None, [Imm(0)])]),
-            VLIWInstr([]),
-            VLIWInstr([]),
-        ]
-        prog = Program(machine, "vliw", instrs)
-        with pytest.raises(SimError, match="overlapping"):
-            VLIWSimulator(prog, mode="fast").run()
+    def test_register_swap_in_one_instruction(self, mode):
+        # both RF moves read the registers as they were before the cycle
+        outcome, (rfs, _fus) = self._diff(
+            lambda: _tta_prog(
+                [
+                    [_imm(5, ("rf", "RF0", 1), 0), _imm(9, ("rf", "RF1", 1), 1)],
+                    [
+                        Move(("rf", "RF0", 1), ("rf", "RF1", 1), 0),
+                        Move(("rf", "RF1", 1), ("rf", "RF0", 1), 1),
+                    ],
+                    [_imm(0, ("op", "CU", "t", "halt"), 0)],
+                ],
+                "p-tta-2",
+            ),
+            mode,
+        )
+        assert outcome[0] == "ok"
+        assert (rfs["RF0"][1], rfs["RF1"][1]) == (9, 5)
 
-    def test_unknown_mode_rejected(self):
-        prog = _tta_prog([[Move(("imm", 0), ("op", "CU", "t", "halt"), 0)]])
-        with pytest.raises(ValueError, match="unknown simulation mode"):
-            TTASimulator(prog, mode="blazing")
-        with pytest.raises(ValueError, match="unknown simulation mode"):
-            VLIWSimulator(Program(build_machine("m-vliw-2"), "vliw", []), mode="blazing")
+    def test_memory_fault_discards_the_cycles_register_writes(self, mode):
+        # the fault in cycle 2's trigger comes before its RF commit: the
+        # FU read commits ALU0's result, but RF0[1] keeps its old value
+        outcome, (rfs, fus) = self._diff(
+            lambda: _tta_prog(
+                [
+                    [
+                        _imm(3, ("op", "ALU0", "o1", None), 0),
+                        _imm(4, ("op", "ALU0", "t", "add"), 1),
+                        _imm(99, ("rf", "RF0", 1), 2),
+                    ],
+                    [],
+                    [
+                        Move(("fu", "ALU0"), ("rf", "RF0", 1), 0),
+                        _imm(0x7FFFFFFF, ("op", "LSU0", "t", "ldw"), 1),
+                    ],
+                    [_imm(0, ("op", "CU", "t", "halt"), 0)],
+                ]
+            ),
+            mode,
+        )
+        assert "memory access out of range: 0x7fffffff+4" in outcome[1]
+        assert rfs["RF0"][1] == 99
+        assert ("ALU0", 3, 7, True, []) in fus
+
+    def test_overlapping_control_transfers(self, mode):
+        (kind, text), _ = self._diff(
+            lambda: _tta_prog(
+                [
+                    [_imm(0, ("op", "CU", "t", "jump"), 0)],
+                    [_imm(0, ("op", "CU", "t", "jump"), 0)],
+                    [],
+                    [],
+                ]
+            ),
+            mode,
+        )
+        assert (kind, text) == ("SimError", "overlapping control transfers")
+
+    def test_vliw_overlapping_control_transfers(self, mode):
+        (kind, text), _ = self._diff(
+            lambda: Program(
+                build_machine("m-vliw-2"),
+                "vliw",
+                [
+                    VLIWInstr([MOp("jump", None, [Imm(0)])]),
+                    VLIWInstr([MOp("jump", None, [Imm(0)])]),
+                    VLIWInstr([]),
+                    VLIWInstr([]),
+                ],
+            ),
+            mode,
+        )
+        assert (kind, text) == ("SimError", "overlapping control transfers")
+
+    def test_vliw_delayed_writeback(self, mode):
+        r1, r2, r3 = (PhysReg("RF0", i) for i in (1, 2, 3))
+        outcome, regs = self._diff(
+            lambda: Program(
+                build_machine("m-vliw-2"),
+                "vliw",
+                [
+                    VLIWInstr([MOp("add", r1, [Imm(40), Imm(2)])]),
+                    VLIWInstr([MOp("add", r2, [r1, Imm(0)])]),  # reads OLD r1 (0)
+                    # a mul due at cycle 5 and an add pushed later but due
+                    # the same cycle: the later push wins
+                    VLIWInstr([MOp("mul", r3, [r1, Imm(2)]), MOp("add", r2, [r1, Imm(0)])]),
+                    VLIWInstr([]),
+                    VLIWInstr([MOp("add", r3, [Imm(1), Imm(0)])]),
+                    VLIWInstr([]),
+                    VLIWInstr([MOp("halt", None, [Imm(0)])]),
+                ],
+            ),
+            mode,
+        )
+        assert outcome[0] == "ok"
+        assert (regs["RF0"][2], regs["RF0"][3]) == (42, 1)
+
+
+def test_unknown_mode_rejected():
+    prog = _tta_prog([[Move(("imm", 0), ("op", "CU", "t", "halt"), 0)]])
+    with pytest.raises(ValueError, match="unknown simulation mode"):
+        TTASimulator(prog, mode="blazing")
+    with pytest.raises(ValueError, match="unknown simulation mode"):
+        VLIWSimulator(Program(build_machine("m-vliw-2"), "vliw", []), mode="blazing")
 
 
 # ---------------------------------------------------------------------------

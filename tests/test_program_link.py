@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
-from repro import build_machine, compile_for_machine, compile_source
+from repro import build_machine, compile_for_machine, compile_source, obs
+from repro.backend.asmprint import format_program
+from repro.kernels import load
+from repro.machine import preset_names
+from repro.machine.components import RegisterFile
 from repro.backend.mop import Imm, LabelRef, MOp
 from repro.backend.program import Program, ScheduledBlock, VLIWInstr, link_blocks
 from repro.machine.machine import MachineStyle
@@ -29,7 +36,10 @@ class TestLinker:
             ScheduledBlock("b", 1, [VLIWInstr()]),
         ]
         program = link_blocks(machine, "vliw", blocks)
-        assert jump.srcs[0] == Imm(1)
+        assert program.instrs[0].ops[0].srcs[0] == Imm(1)
+        # the scheduled operation is shared by every design point with
+        # this register-file layout, so the linker patches a copy
+        assert jump.srcs[0] == LabelRef("b")
 
     def test_aliases(self):
         machine = build_machine("m-vliw-2")
@@ -61,6 +71,66 @@ class TestWholeProgramLayout:
         compiled = compile_for_machine(compile_source(src), build_machine("mblaze-3"))
         assert compiled.program.extra_imm_words >= 1
         assert compiled.instruction_count > len(compiled.program.instrs)
+
+
+def _listing(compiled) -> tuple:
+    return (
+        format_program(compiled.program),
+        compiled.data_init,
+        compiled.symbols,
+    )
+
+
+class TestSharedBackendHalf:
+    """Design points with one register-file layout schedule from one
+    lowered, register-allocated module (``compile_for_machine``); that
+    sharing must never show in a program."""
+
+    KERNELS = ("mips", "adpcm", "sha")
+
+    @staticmethod
+    def _machines():
+        machines = [build_machine(name) for name in preset_names()]
+        # m-vliw-2's register file with two read ports and one write port:
+        # longer blocks, so every label address differs from m-vliw-2's
+        # and a linker that patched the shared operations in place would
+        # hand one machine the other's addresses
+        narrow = replace(
+            build_machine("m-vliw-2"),
+            name="m-vliw-2-2r1w",
+            register_files=(RegisterFile("RF0", 64, 2, 1),),
+        )
+        machines.insert(machines.index(build_machine("m-vliw-2")) + 1, narrow)
+        return machines
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_programs_do_not_depend_on_compile_order(self, kernel):
+        source = load(kernel)
+        module = compile_source(source, module_name=kernel)
+        pickled = pickle.dumps(module)
+        machines = self._machines()
+        forward = {m.name: _listing(compile_for_machine(module, m)) for m in machines}
+        backward = {
+            m.name: _listing(compile_for_machine(module, m)) for m in reversed(machines)
+        }
+        fresh = {
+            m.name: _listing(
+                compile_for_machine(compile_source(source, module_name=kernel), m)
+            )
+            for m in machines
+        }
+        for name in forward:
+            assert forward[name] == fresh[name], name
+            assert backward[name] == fresh[name], name
+        assert fresh["m-vliw-2"][0] != fresh["m-vliw-2-2r1w"][0]
+        assert pickle.dumps(module) == pickled
+
+    def test_layout_reuse_is_counted(self):
+        module = compile_source(load("mips"), module_name="mips")
+        with obs.tracing() as tracer:
+            for name in ("m-tta-2", "m-vliw-2", "mblaze-3", "mblaze-5"):
+                compile_for_machine(module, build_machine(name))
+        assert tracer.counters["backend.layout_reuse"] == 2
 
 
 class TestDeepCalls:
