@@ -17,12 +17,15 @@ Two entry points:
   floors (fast >= 3x over checked; turbo >= 3x over fast and native
   >= 3x over turbo on at least one TTA and one VLIW design point; the
   scalar block engine >= 3x over the scalar interpreter).
+  Every engine of a row is timed best-of-``REPEATS``, the engines
+  interleaved, so the rows of two runs on a shared host are comparable.
   Native is timed with a warm compiled-object cache — the warm-up run
   pays the one-time C compile (or pulls the shared object from the
   artifact store) before the clock starts, matching the sweep/service
   steady state.  Next to it, the ``cold`` column is what a program's
   first native run pays from an empty store: C generation plus the C
-  compile, timed directly (no store, no process cache).  Without a C
+  compile, timed once and directly (no store, no process cache); the
+  JSON also gives the compiler's own CPU time (``cc_cpu_s``).  Without a C
   compiler on PATH the native column degrades to turbo, the cold column
   is empty and the native floor is skipped.  The ``turbo_cold`` column
   is a program's first turbo run, timed before any other engine fills
@@ -42,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import asdict
@@ -80,6 +84,9 @@ SCALAR_FLOOR = TURBO_FLOOR
 #: handful of post-run counter folds regardless of cycle count.
 TRACE_OVERHEAD_CEILING = 1.02  # < 2%
 
+#: timed runs of each engine per row; the row keeps the fastest
+REPEATS = 5
+
 #: kernels used when --smoke / REPRO_BENCH_SMOKE trims the matrix
 SMOKE_KERNELS = ("mips",)
 
@@ -101,9 +108,15 @@ def _time_mode(compiled, mode: str):
     return result, elapsed
 
 
+def _children_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def _time_native_cold(compiled):
-    """Seconds of C generation and of the C compile for *compiled*'s
-    shared object, built from scratch; ``None`` without a C compiler."""
+    """Seconds of C generation and of the C compile (wall, and the
+    compiler's CPU) for *compiled*'s shared object, built from scratch;
+    ``None`` without a C compiler."""
     from repro.sim import native
     from repro.sim.cgen import build_native_program
 
@@ -114,12 +127,14 @@ def _time_native_cold(compiled):
     nat = build_native_program(compiled.program)
     if nat is None:  # the scalar core has no C engine
         return None
+    cpu = _children_cpu_s()
     generated = time.perf_counter()
     native._compile_so(cc, nat.source)
     end = time.perf_counter()
     return {
         "cgen_s": generated - start,
         "cc_s": end - generated,
+        "cc_cpu_s": _children_cpu_s() - cpu,
         "total_s": end - start,
         "c_kib": len(nat.source) / 1024,
     }
@@ -164,9 +179,11 @@ def measure(machines, kernels):
             native_cold = _time_native_cold(compiled)
             run_compiled(compiled, mode="turbo")
             run_compiled(compiled, mode="native")
-            results, seconds = {}, {}
-            for mode in MODES:
-                results[mode], seconds[mode] = _time_mode(compiled, mode)
+            results, seconds = {}, dict.fromkeys(MODES, float("inf"))
+            for _ in range(REPEATS):
+                for mode in MODES:
+                    results[mode], elapsed = _time_mode(compiled, mode)
+                    seconds[mode] = min(seconds[mode], elapsed)
             reference = asdict(results["checked"])
             for mode in MODES[1:]:
                 assert asdict(results[mode]) == reference, (

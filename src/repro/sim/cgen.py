@@ -51,6 +51,10 @@ linear in the volume of emitted code, so codegen keeps that volume small:
 * **Out-of-line VLIW drains.**  The write-back queue only holds writes
   carried into a block; each drain point is one inline emptiness test in
   front of a shared ``wb_drain`` call.
+* **Single-access memory macros.**  A 2- or 4-byte load or store is one
+  bounds check and one ``memcpy``, which the compiler emits as a single
+  access even unoptimised (:mod:`repro.sim.native` builds at ``-O0``),
+  byte-swapped only on a big-endian host.
 
 Semantics notes pinned by ``tests/test_native.py``:
 
@@ -176,6 +180,7 @@ def _rf_layout(machine):
 _PRELUDE = """\
 /* generated by repro.sim.cgen -- do not edit */
 #include <stdint.h>
+#include <string.h>
 
 #define N_INSTRS {n_instrs}
 #define PCAP {pcap}
@@ -227,12 +232,21 @@ static int fu_push(int32_t *m, int64_t *fpd, uint32_t *fpv, uint32_t *res,
 #define CHK(a, sz) if ((uint64_t)(a) + (sz) > memsz) \\
     {{ ERR(-5, (int64_t)(a), (sz)); }}
 
-#define LDW(t, a) do {{ uint32_t _a = (a); CHK(_a, 4) \\
-    (t) = (uint32_t)mem[_a] | ((uint32_t)mem[_a + 1] << 8) | \\
-          ((uint32_t)mem[_a + 2] << 16) | ((uint32_t)mem[_a + 3] << 24); \\
-    }} while (0)
-#define LDHU(t, a) do {{ uint32_t _a = (a); CHK(_a, 2) \\
-    (t) = (uint32_t)mem[_a] | ((uint32_t)mem[_a + 1] << 8); }} while (0)
+/* the simulated memory is little-endian: a multi-byte access is one
+ * memcpy of 2 or 4 bytes, which cc turns into a single load or store even
+ * at -O0, byte-swapped on a big-endian host */
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+#define LE16(x) __builtin_bswap16(x)
+#define LE32(x) __builtin_bswap32(x)
+#else
+#define LE16(x) (x)
+#define LE32(x) (x)
+#endif
+
+#define LDW(t, a) do {{ uint32_t _a = (a), _w; CHK(_a, 4) \\
+    memcpy(&_w, mem + _a, 4); (t) = LE32(_w); }} while (0)
+#define LDHU(t, a) do {{ uint32_t _a = (a); uint16_t _h; CHK(_a, 2) \\
+    memcpy(&_h, mem + _a, 2); (t) = (uint32_t)LE16(_h); }} while (0)
 #define LDH(t, a) do {{ LDHU(t, a); \\
     (t) = (uint32_t)(int32_t)(int16_t)(uint16_t)(t); }} while (0)
 #define LDQU(t, a) do {{ uint32_t _a = (a); CHK(_a, 1) \\
@@ -240,12 +254,9 @@ static int fu_push(int32_t *m, int64_t *fpd, uint32_t *fpv, uint32_t *res,
 #define LDQ(t, a) do {{ LDQU(t, a); \\
     (t) = (uint32_t)(int32_t)(int8_t)(uint8_t)(t); }} while (0)
 #define STW(a, v) do {{ uint32_t _a = (a); CHK(_a, 4) \\
-    {{ uint32_t _v = (v); mem[_a] = (uint8_t)_v; \\
-       mem[_a + 1] = (uint8_t)(_v >> 8); mem[_a + 2] = (uint8_t)(_v >> 16); \\
-       mem[_a + 3] = (uint8_t)(_v >> 24); }} }} while (0)
+    {{ uint32_t _w = LE32((uint32_t)(v)); memcpy(mem + _a, &_w, 4); }} }} while (0)
 #define STH(a, v) do {{ uint32_t _a = (a); CHK(_a, 2) \\
-    {{ uint32_t _v = (v); mem[_a] = (uint8_t)_v; \\
-       mem[_a + 1] = (uint8_t)(_v >> 8); }} }} while (0)
+    {{ uint16_t _h = LE16((uint16_t)(v)); memcpy(mem + _a, &_h, 2); }} }} while (0)
 #define STQ(a, v) do {{ uint32_t _a = (a); CHK(_a, 1) \\
     mem[_a] = (uint8_t)(v); }} while (0)
 

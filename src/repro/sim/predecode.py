@@ -189,11 +189,14 @@ def static_decode_tta(program: Program) -> list:
     tuples; cached on ``program.predecode_cache``.
 
     Each decoded instruction is
-    ``(rf_moves, o1_moves, trig_moves, counts)`` where the three move
-    groups keep the original intra-group move order (which is the only
-    order the reference simulator's four execution phases observe) and
-    ``counts`` is the static move/trigger/port statistics vector
-    ``(moves, triggers, rf_reads, bypass_reads, rf_writes)``.
+    ``(rf_moves, o1_moves, trig_moves, counts, fu_reads)`` where the
+    three move groups keep the original intra-group move order (the
+    reference simulator's latch, trigger and commit phases observe no
+    other), ``counts`` is the static move/trigger/port statistics vector
+    ``(moves, triggers, rf_reads, bypass_reads, rf_writes)`` and
+    ``fu_reads`` names each unit whose result a move reads, once, in
+    move order: the order of the reference's source samples that can
+    fail or commit results.
     """
     cached = program.predecode_cache.get(_TTA_KEY)
     if cached is not None:
@@ -220,6 +223,7 @@ def _decode_tta(program: Program) -> list:
         o1_moves = []
         trig_moves = []
         n_bypass = 0
+        fu_reads = []
         for move in instr.moves:
             if move.bus not in buses:
                 raise SimError(f"unknown bus {move.bus} at pc={pc}")
@@ -228,6 +232,8 @@ def _decode_tta(program: Program) -> list:
                 reads[src[1]] = reads.get(src[1], 0) + 1
             elif src[0] == "fu":
                 n_bypass += 1
+                if src[1] not in fu_reads:
+                    fu_reads.append(src[1])
             if not buses[move.bus].connects(src_endpoint(move), dst_endpoint(move)):
                 raise SimError(f"move {move!r} not routable on bus {move.bus}")
             if move.dst[0] == "rf":
@@ -270,7 +276,9 @@ def _decode_tta(program: Program) -> list:
             n_bypass,
             sum(writes.values()),
         )
-        decoded.append((tuple(rf_moves), tuple(o1_moves), tuple(trig_moves), counts))
+        decoded.append(
+            (tuple(rf_moves), tuple(o1_moves), tuple(trig_moves), counts, tuple(fu_reads))
+        )
     return decoded
 
 
@@ -312,50 +320,47 @@ def _operand_slot(src, rfs) -> tuple:
     return rfs[src[1]], src[2]
 
 
-def _bind_tta_source(src, sim) -> tuple:
-    """``(sample, regs, idx)`` for one decoded move source: an immediate
-    or a register is read inline (:func:`_operand_slot`) and ``sample``
-    is ``None``; an FU result is read by calling ``sample(cycle)``."""
-    if src[0] == "fu":
-        return _bind_fu_sampler(sim.fus[src[1]]), None, 0
-    return (None, *_operand_slot(src, sim.rfs))
-
-
 def _bind_tta_step(decoded_instr, sim, jl: int) -> tuple:
     """The precise step of one decoded instruction: ``()`` when it has no
     moves, else ``(latches, o1_moves, trig_moves, writes)``.
 
-    The reference samples every RF-move source before any operand latch
-    or trigger and commits the RF writes last.  A register or immediate
+    The reference samples every move source before any operand latch or
+    trigger and commits the RF writes last.  A register or immediate
     source cannot fail, and nothing before the commit writes a register,
-    so most RF moves are read at commit time, as ``dregs[didx] =
-    regs[idx]`` in move order.  The others are *latched* first, in move
-    order, into a one-element cell that their write then reads: a move
-    from an FU result (its sample may raise, and commits the unit's due
-    results) and a move from a register an earlier move of the same
+    so most sources are read where they are used, as ``regs[idx]``.  The
+    others are *latched* first into a one-element cell that their moves
+    then read: each unit whose result the instruction reads, in move
+    order (its sample may raise, and commits the unit's due results, so
+    it must come before any latch or trigger, as in the reference), and
+    the source of an RF move from a register an earlier move of the same
     instruction writes.
     """
-    rf_moves, o1_moves, trig_moves, _counts = decoded_instr
+    rf_moves, o1_moves, trig_moves, _counts, fu_reads = decoded_instr
     if not (rf_moves or o1_moves or trig_moves):
         return ()
-    latches = []
+    cells = {fu: [0] for fu in fu_reads}
+    latches = [(_bind_fu_sampler(sim.fus[fu]), cells[fu]) for fu in fu_reads]
+
+    def slot(src):
+        if src[0] == "fu":
+            return cells[src[1]], 0
+        return _operand_slot(src, sim.rfs)
+
     writes = []
     written: set = set()
     for src, rf, idx in rf_moves:
-        sample, regs, sidx = _bind_tta_source(src, sim)
-        if sample is not None or (src[0] == "rf" and src[1:] in written):
+        regs, sidx = slot(src)
+        if src[0] == "rf" and src[1:] in written:
             cell = [0]
-            if sample is None:
-                sample = lambda cycle, _r=regs, _i=sidx: _r[_i]  # noqa: E731
-            latches.append((sample, cell))
+            latches.append((lambda cycle, _r=regs, _i=sidx: _r[_i], cell))
             regs, sidx = cell, 0
         writes.append((regs, sidx, sim.rfs[rf], idx))
         written.add((rf, idx))
     return (
         tuple(latches),
-        tuple((*_bind_tta_source(src, sim), sim.fus[fu]) for src, fu in o1_moves),
+        tuple((*slot(src), sim.fus[fu]) for src, fu in o1_moves),
         tuple(
-            (*_bind_tta_source(src, sim), _bind_tta_thunk(fu, opcode, sim, jl))
+            (*slot(src), _bind_tta_thunk(fu, opcode, sim, jl))
             for src, fu, opcode in trig_moves
         ),
         tuple(writes),
@@ -753,16 +758,16 @@ def run_tta(sim, engine: str, source):
         if step:
             latches, o1_moves, trig_moves, writes = step
             # the phases of the reference, in its order (see
-            # _bind_tta_step): sample the latched RF-move sources, latch
-            # the operand ports, run the triggers in move order, commit
-            # the RF writes
+            # _bind_tta_step): sample the FU results and the latched
+            # registers, latch the operand ports, run the triggers in move
+            # order, commit the RF writes
             for sample, cell in latches:
                 cell[0] = sample(cycle)
-            for sample, regs, idx, fu in o1_moves:
-                fu.o1 = regs[idx] if sample is None else sample(cycle)
+            for regs, idx, fu in o1_moves:
+                fu.o1 = regs[idx]
             halted = False
-            for sample, regs, idx, thunk in trig_moves:
-                effect = thunk(regs[idx] if sample is None else sample(cycle), cycle, pc)
+            for regs, idx, thunk in trig_moves:
+                effect = thunk(regs[idx], cycle, pc)
                 if effect is not None:
                     if effect is True:
                         halted = True
@@ -784,7 +789,7 @@ def run_tta(sim, engine: str, source):
         _expand_hits(hits, block_runs)
     rv = return_value_reg(program.machine)
     stats = TTAResult(sim.rfs[rv.rf][rv.idx], cycle + 1)
-    for count, (_, _, _, counts) in zip(hits, decoded):
+    for count, (_, _, _, counts, _) in zip(hits, decoded):
         if count:
             stats.moves += count * counts[0]
             stats.triggers += count * counts[1]
@@ -831,52 +836,56 @@ def run_vliw(sim, engine: str, source):
     cycle = 0
     rc = -1  # pending redirect fire cycle (-1 = none)
     rt = 0  # its target
-    while True:
-        if get_block is not None and rc < 0 and 0 <= pc < n_instrs:
-            blk = get_block(pc, _ABSENT)
-            if blk is _ABSENT:
-                blk = materialize(pc)
-            if blk is not None and cycle + blk[0] <= max_cycles + 1:
-                status, pc, cycle, rc, rt = blk[1](cycle)
-                if status == 3:
-                    break
-                if cycle > max_cycles:
-                    raise SimError(_BUDGET_MSG)
-                continue
-        # precise single-cycle step; first commit the register writes
-        # whose write-back cycle has passed
-        while heap and heap[0][0] < cycle:
-            _, _, regs, idx, value = _heappop(heap)
-            regs[idx] = value
-        if cycle == rc:
-            pc = rt
-            rc = -1
-        if pc < 0 or pc >= n_instrs:
-            raise SimError(f"PC out of range: {pc}")
-        step = steps[pc]
-        if step is None:
-            step = bind(pc)
-        hits[pc] += 1
-        halted = False
-        for op_fn in step:
-            effect = op_fn(cycle, pc)
-            if effect is not None:
-                if effect is True:
-                    halted = True
-                elif rc >= 0:
-                    raise SimError("overlapping control transfers")
-                else:
-                    rc, rt = effect
-        if halted:
-            # flush in-flight writes so the exit code is final
-            while heap:
+    try:
+        while True:
+            if get_block is not None and rc < 0 and 0 <= pc < n_instrs:
+                blk = get_block(pc, _ABSENT)
+                if blk is _ABSENT:
+                    blk = materialize(pc)
+                if blk is not None and cycle + blk[0] <= max_cycles + 1:
+                    status, pc, cycle, rc, rt = blk[1](cycle)
+                    if status == 3:
+                        break
+                    if cycle > max_cycles:
+                        raise SimError(_BUDGET_MSG)
+                    continue
+            # precise single-cycle step; first commit the register writes
+            # whose write-back cycle has passed
+            while heap and heap[0][0] < cycle:
                 _, _, regs, idx, value = _heappop(heap)
                 regs[idx] = value
-            break
-        cycle += 1
-        pc += 1
-        if cycle > max_cycles:
-            raise SimError(_BUDGET_MSG)
+            if cycle == rc:
+                pc = rt
+                rc = -1
+            if pc < 0 or pc >= n_instrs:
+                raise SimError(f"PC out of range: {pc}")
+            step = steps[pc]
+            if step is None:
+                step = bind(pc)
+            hits[pc] += 1
+            halted = False
+            for op_fn in step:
+                effect = op_fn(cycle, pc)
+                if effect is not None:
+                    if effect is True:
+                        halted = True
+                    elif rc >= 0:
+                        raise SimError("overlapping control transfers")
+                    else:
+                        rc, rt = effect
+            if halted:
+                # flush in-flight writes so the exit code is final
+                while heap:
+                    _, _, regs, idx, value = _heappop(heap)
+                    regs[idx] = value
+                break
+            cycle += 1
+            pc += 1
+            if cycle > max_cycles:
+                raise SimError(_BUDGET_MSG)
+    finally:
+        # callers see the registers in every mode, after an error too
+        sim._sync_regs_from_fast(rfs)
 
     block_runs = None if finish is None else finish()
     if block_runs:
@@ -884,7 +893,6 @@ def run_vliw(sim, engine: str, source):
     rv = return_value_reg(machine)
     result = VLIWResult(rfs[rv.rf][rv.idx], cycle + 1, cycle + 1)
     result.ops = sum(count * len(bundle) for count, bundle in zip(hits, decoded))
-    sim._sync_regs_from_fast(rfs)
     sim._last_hits = hits
     sim._last_blocks = block_runs
     sim._last_engine = engine

@@ -80,7 +80,7 @@ def _collect(sim, result, hits, engine) -> SimProfile:
     if style is MachineStyle.TTA:
         from repro.sim.predecode import static_decode_tta
 
-        for count, (_, _, trig_moves, _) in zip(hits, static_decode_tta(program)):
+        for count, (_, _, trig_moves, _, _) in zip(hits, static_decode_tta(program)):
             if count:
                 for _src, _fu, opcode in trig_moves:
                     opcode_counts[opcode] = opcode_counts.get(opcode, 0) + count

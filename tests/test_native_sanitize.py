@@ -6,9 +6,11 @@ These tests rebuild the shared objects with UndefinedBehaviorSanitizer
 (in process: the instrumented object pulls in ``libubsan`` itself) and
 with AddressSanitizer (in a subprocess, because ``libasan`` must be
 preloaded into the interpreter), run a small kernel x machine matrix
-covering both core styles, and require every result to stay
-byte-identical to the turbo engine.  Any sanitizer report aborts the
-run (``-fno-sanitize-recover=all``), so a finding fails loudly.
+covering both core styles plus the in-range part of the memory-width
+programs of ``tests/test_predecode.py`` (every load and store width,
+misaligned and up to the last byte of memory), and require every result
+to stay byte-identical to the turbo engine.  Any sanitizer report aborts
+the run (``-fno-sanitize-recover=all``), so a finding fails loudly.
 
 Sanitized objects never mix with normal ones: the compiler flags are
 part of the shared-object key, and each test uses a throwaway store.
@@ -29,9 +31,13 @@ from repro import build_machine, compile_for_machine
 from repro.kernels import compile_kernel
 from repro.pipeline.store import CACHE_DIR_ENV, NO_CACHE_ENV
 from repro.sim import native, run_compiled
+from tests.test_predecode import run_width_program, width_program
 
 MACHINES = ("m-tta-2", "bm-tta-3", "m-vliw-2")
 KERNELS = ("fft", "mips", "aes")
+#: shared objects one matrix run builds: every pair plus one width
+#: program per core style
+N_OBJECTS = len(MACHINES) * len(KERNELS) + 2
 
 UBSAN_FLAGS = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
 ASAN_FLAGS = ("-fsanitize=address", "-fno-omit-frame-pointer")
@@ -58,6 +64,10 @@ def check_matrix() -> int:
                 result = run_compiled(compiled, mode="native")
             assert asdict(result) == asdict(reference), (machine_name, kernel)
             compiled_objects += 1
+    for style in ("tta", "vliw"):
+        want = run_width_program(width_program(style), "turbo")
+        assert run_width_program(width_program(style), "native") == want, style
+        compiled_objects += 1
     return compiled_objects
 
 
@@ -79,12 +89,12 @@ def throwaway_store(monkeypatch, tmp_path):
 
 
 @requires_cc
-@pytest.mark.slow  # compiles 9 instrumented shared objects
+@pytest.mark.slow  # compiles 11 instrumented shared objects
 def test_generated_c_is_ubsan_clean(monkeypatch, throwaway_store):
     monkeypatch.setattr(native, "_CC_FLAGS", native._CC_FLAGS + UBSAN_FLAGS)
     if not _flags_link():
         pytest.skip("compiler cannot build UBSan shared objects")
-    assert check_matrix() == len(MACHINES) * len(KERNELS)
+    assert check_matrix() == N_OBJECTS
 
 
 def _libasan() -> str | None:
@@ -101,17 +111,16 @@ def _libasan() -> str | None:
 
 
 @requires_cc
-@pytest.mark.slow  # compiles 9 instrumented shared objects in a subprocess
+@pytest.mark.slow  # compiles 11 instrumented shared objects in a subprocess
 def test_generated_c_is_asan_clean(throwaway_store):
     libasan = _libasan()
     if libasan is None:
         pytest.skip("libasan not available for the C compiler")
-    tests_dir = Path(__file__).resolve().parent
-    src_dir = tests_dir.parent / "src"
+    root = Path(__file__).resolve().parent.parent
     script = (
         "import sys\n"
-        f"sys.path[:0] = [{str(src_dir)!r}, {str(tests_dir)!r}]\n"
-        "from test_native_sanitize import ASAN_FLAGS, check_matrix, native\n"
+        f"sys.path[:0] = [{str(root / 'src')!r}, {str(root)!r}]\n"
+        "from tests.test_native_sanitize import ASAN_FLAGS, check_matrix, native\n"
         "native._CC_FLAGS += ASAN_FLAGS\n"
         "print('compiled', check_matrix())\n"
     )
@@ -130,4 +139,4 @@ def test_generated_c_is_asan_clean(throwaway_store):
         timeout=1200,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]
-    assert f"compiled {len(MACHINES) * len(KERNELS)}" in proc.stdout
+    assert f"compiled {N_OBJECTS}" in proc.stdout
