@@ -348,9 +348,10 @@ class TestNativeDynamics:
 
         assert self._diff_state(make) == ("ok", 17, 8)
         nat = build_native_program(make())
-        # the two reads of the carried-in result stay dynamic, the read of
-        # the target block's own push is forwarded
-        assert _case_source(nat, 6).count("FUREAD(") == 2
+        # the carried-in result is read dynamically, once for both moves
+        # of its instruction; the read of the target block's own push is
+        # forwarded
+        assert _case_source(nat, 6).count("FUREAD(") == 1
 
     @pytest.mark.parametrize("mode", BLOCK_ENGINES)
     def test_memory_fault_after_forwarded_reads(self, mode):
