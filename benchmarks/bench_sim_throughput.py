@@ -190,13 +190,14 @@ def measure(machines, kernels):
                     machine_name, kernel, mode,
                 )
             assert results["checked"].exit_code == 0, (machine_name, kernel)
-            # Traced-vs-untraced on the fast engine: best-of-3 each side
-            # (single runs are noise-dominated at these durations).  The
-            # traced run must stay byte-identical on every statistic —
-            # the observability layer derives its counters from the
-            # statistics the engine already computed, after the run.
-            untraced_best = seconds["fast"]
-            traced_best = float("inf")
+            # Traced-vs-untraced on the fast engine: best-of-3 each side,
+            # the two sides interleaved and neither reusing the runs
+            # above, so both see the same host (single runs are
+            # noise-dominated at these durations).  The traced run must
+            # stay byte-identical on every statistic — the observability
+            # layer derives its counters from the statistics the engine
+            # already computed, after the run.
+            untraced_best = traced_best = float("inf")
             for _ in range(3):
                 _, elapsed = _time_mode(compiled, "fast")
                 untraced_best = min(untraced_best, elapsed)

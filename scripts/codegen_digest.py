@@ -31,21 +31,38 @@ Run from the repository root (point ``PYTHONPATH`` at another checkout's
 Defaults: every catalogue kernel (built-ins and promoted) x every preset.
 A tree without scalar blocks digests only the TTA/VLIW presets; compare
 the two with ``--machines`` naming those.
+
+``--pin`` instead rewrites ``tests/asm_pins.json``, the ``asm`` digest of
+every (paper kernel, preset) pair that ``tests/test_asm_pins.py`` checks,
+and names each pair whose digest it changed.  Re-pin only for a change
+that is meant to change programs, and record it in CHANGES.md::
+
+    PYTHONPATH=src python scripts/codegen_digest.py --pin
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
+from pathlib import Path
 
 from repro.backend.asmprint import format_program
 from repro.backend.compile import compile_for_machine
 from repro.frontend import compile_source
-from repro.kernels import catalog, load
+from repro.kernels import KERNELS, catalog, load
 from repro.machine import build_machine, preset_names
 from repro.sim.blockcompile import tta_block_source
 from repro.sim.cgen import build_native_program
+
+
+def asm_digest(compiled) -> str:
+    """SHA-256 over a compiled program's listing, data image and symbol
+    table: equal digests mean the backend produced the same program."""
+    digest = hashlib.sha256(format_program(compiled.program).encode())
+    digest.update(f"\0{compiled.data_init!r}\0{compiled.symbols!r}".encode())
+    return digest.hexdigest()
 
 
 def pair_digest(module, machine) -> tuple[str, str, str, int, int]:
@@ -53,9 +70,7 @@ def pair_digest(module, machine) -> tuple[str, str, str, int, int]:
     Python source bytes) of one compiled pair."""
     compiled = compile_for_machine(module, machine)
     program = compiled.program
-    asm, py, c = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    asm.update(format_program(program).encode())
-    asm.update(f"\0{compiled.data_init!r}\0{compiled.symbols!r}".encode())
+    py, c = hashlib.sha256(), hashlib.sha256()
     n_instrs = len(program.instrs)
     py_bytes = 0
     for pc in range(n_instrs):
@@ -68,7 +83,7 @@ def pair_digest(module, machine) -> tuple[str, str, str, int, int]:
     else:
         c.update(nat.source.encode())
         c.update(f"\0{nat.entries!r}\0{nat.pcap}\0{nat.wcap}\0".encode())
-    return asm.hexdigest(), py.hexdigest(), c.hexdigest(), n_instrs, py_bytes
+    return asm_digest(compiled), py.hexdigest(), c.hexdigest(), n_instrs, py_bytes
 
 
 def _names(spec: str | None, known: tuple[str, ...], what: str) -> list[str]:
@@ -81,11 +96,36 @@ def _names(spec: str | None, known: tuple[str, ...], what: str) -> list[str]:
     return names
 
 
+#: the pinned ``asm`` digests of the paper kernels on every preset
+PINS = Path(__file__).resolve().parents[1] / "tests" / "asm_pins.json"
+
+
+def pin_asm() -> int:
+    """Rewrite :data:`PINS` and name every pair whose digest changed."""
+    old = json.loads(PINS.read_text()) if PINS.exists() else {}
+    pins = {}
+    for kernel in KERNELS:
+        module = compile_source(load(kernel), module_name=kernel)
+        for name in preset_names():
+            key = f"{kernel} {name}"
+            pins[key] = asm_digest(compile_for_machine(module, build_machine(name)))
+            if old.get(key) != pins[key]:
+                print(f"re-pinned {key}: {old.get(key)} -> {pins[key]}")
+    PINS.write_text(json.dumps(pins, indent=1) + "\n")
+    print(f"{len(pins)} pairs pinned in {PINS.name}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--kernels", help="comma-separated kernel names")
     parser.add_argument("--machines", help="comma-separated presets")
+    parser.add_argument(
+        "--pin", action="store_true", help="re-pin the paper kernels' asm digests and exit"
+    )
     args = parser.parse_args(argv)
+    if args.pin:
+        return pin_asm()
     kernels = _names(args.kernels, catalog(), "kernel")
     machines = _names(args.machines, preset_names(), "machine")
     total_asm, total_py, total_c = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()

@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.backend.abi import STACK_TOP, stack_pointer
+from repro.backend.ddg import DDG, build_ddg
 from repro.backend.finalize import finalize_function
 from repro.backend.lower import lower_function
 from repro.backend.mop import Imm, LabelRef, MBlock, MFunction, MOp
@@ -110,13 +111,16 @@ def _record_schedule_counters(machine: Machine, program: Program) -> None:
 class _SharedHalf:
     """The machine-independent half of compiling one module for one
     register-file layout: the ``_start`` stub and every function lowered,
-    register-allocated and frame-finalised.
+    register-allocated and frame-finalised, and the dependence graph of
+    each of its blocks.
 
     All of it depends on the machine only through :mod:`abi`, that is on
     the ``(name, size)`` of each register file, so every design point
-    with that layout schedules from the same half.  Its operations are
-    shared by those design points and must never be modified (the linker
-    patches copies).
+    with that layout schedules from the same half.  A block's DDG also
+    depends on ``jump_latency``, so the half builds one per block and
+    jump latency, on first use (:meth:`ddg`).  Its operations and graphs
+    are shared by those design points and must never be modified (the
+    linker patches copies).
     """
 
     def __init__(self, module: Module, machine: Machine) -> None:
@@ -139,6 +143,20 @@ class _SharedHalf:
             for gname, gvar in module.globals.items()
             if gvar.init
         ]
+        #: DDGs keyed on (block identity, jump latency); the half holds
+        #: every block, so no identity is reused while it lives
+        self.ddgs: dict[tuple[int, int], DDG] = {}
+
+    def ddg(self, block: MBlock, machine: Machine) -> DDG:
+        """*block*'s dependence graph for *machine*, built once per jump
+        latency; a graph found here counts ``backend.ddg_reuse``."""
+        key = (id(block), machine.jump_latency)
+        ddg = self.ddgs.get(key)
+        if ddg is None:
+            ddg = self.ddgs[key] = build_ddg(block, machine)
+        else:
+            obs.count("backend.ddg_reuse")
+        return ddg
 
 
 #: the module whose shared halves are memoised (held, so no later
@@ -187,7 +205,10 @@ def compile_for_machine(module: Module, machine: Machine) -> CompiledProgram:
     files' names and sizes.  It is remembered for the module compiled
     last, for its two most recently used register-file layouts: a
     compile that finds it counts ``backend.layout_reuse`` and only
-    schedules and links.  Interleaving modules or layouts recomputes
+    schedules and links.  The half also keeps each block's dependence
+    graph per jump latency, so the design points of one layout and jump
+    latency build each DDG once (a graph found there counts
+    ``backend.ddg_reuse``).  Interleaving modules or layouts recomputes
     it, which costs time but never changes a program: each compile
     yields the program a compile from a fresh module would.  (The serial
     sweep runs each kernel's pairs back to back for this reason.)
@@ -199,10 +220,10 @@ def compile_for_machine(module: Module, machine: Machine) -> CompiledProgram:
     for name, mfunc in half.mfuncs.items():
         if machine.style is MachineStyle.TTA:
             with obs.span("backend.schedule_tta", function=name):
-                scheduled = schedule_tta_function(mfunc, machine)
+                scheduled = schedule_tta_function(mfunc, machine, half.ddg)
         elif machine.style is MachineStyle.VLIW:
             with obs.span("backend.schedule_vliw", function=name):
-                scheduled = schedule_vliw_function(mfunc, machine)
+                scheduled = schedule_vliw_function(mfunc, machine, half.ddg)
         else:
             scheduled = _schedule_scalar(mfunc)
             extra_imm_words += sum(

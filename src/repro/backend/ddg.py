@@ -19,15 +19,15 @@ them into timing constraints:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.backend.abi import caller_saved, ret_preserved_regs, scratch_regs, stack_pointer
-from repro.backend.mop import MBlock, MOp, PhysReg, op_is_memory
+from repro.backend.mop import CONTROL_OPS, MBlock, MOp, PhysReg
 from repro.isa.operations import OPS
 from repro.machine.machine import Machine
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     pred: int  # op uid
     succ: int
     kind: str
@@ -39,34 +39,39 @@ class Edge:
 
 @dataclass
 class DDG:
-    """Dependence graph for one block."""
+    """Dependence graph for one block.
+
+    A graph depends on its block and on the machine only through the
+    register-file layout and ``jump_latency``, so ``compile_for_machine``
+    shares one between the design points that agree on both; it must
+    never be modified after :func:`build_ddg` returns.
+    """
 
     block: MBlock
-    edges: list[Edge] = field(default_factory=list)
-    preds: dict[int, list[Edge]] = field(default_factory=dict)
-    succs: dict[int, list[Edge]] = field(default_factory=dict)
+    preds: dict[int, tuple[Edge, ...]] = field(default_factory=dict)
+    succs: dict[int, tuple[Edge, ...]] = field(default_factory=dict)
     #: critical-path height per op uid (priority for list scheduling)
     height: dict[int, int] = field(default_factory=dict)
 
-    def add(self, edge: Edge) -> None:
-        self.edges.append(edge)
-        self.preds.setdefault(edge.succ, []).append(edge)
-        self.succs.setdefault(edge.pred, []).append(edge)
 
-
-def _reads_ra(op: MOp) -> bool:
-    return op.op in ("ret", "getra")
-
-
-def _writes_ra(op: MOp) -> bool:
-    return op.op in ("call", "setra")
+#: whether each memory operation writes memory
+_MEMORY_WRITES = {
+    name: spec.writes_mem for name, spec in OPS.items() if spec.reads_mem or spec.writes_mem
+}
+#: operations that read or write the control unit's return address
+_RA_OPS = frozenset({"ret", "getra", "call", "setra"})
+_RA_WRITERS = frozenset({"call", "setra"})
 
 
 def build_ddg(block: MBlock, machine: Machine) -> DDG:
     """Build the dependence graph of *block* for *machine*."""
     ddg = DDG(block)
+    preds = ddg.preds
+    succs = ddg.succs
     jl = machine.jump_latency
     clobber_set = sorted(caller_saved(machine) | set(scratch_regs(machine)), key=str)
+    sp = stack_pointer(machine)
+    ret_uses = ret_preserved_regs(machine)
 
     last_def: dict[PhysReg, MOp] = {}
     reads_since_def: dict[PhysReg, list[MOp]] = {}
@@ -78,27 +83,35 @@ def build_ddg(block: MBlock, machine: Machine) -> DDG:
     seen: set[tuple[int, int, str]] = set()
 
     def add(pred: MOp, succ: MOp, kind: str, min_gap: int | None, reg: PhysReg | None = None):
-        if pred.uid == succ.uid:
+        p, s = pred.uid, succ.uid
+        if p == s:
             return
-        key = (pred.uid, succ.uid, kind)
+        key = (p, s, kind)
         if key in seen:
             return
         seen.add(key)
-        ddg.add(Edge(pred.uid, succ.uid, kind, min_gap, reg))
+        edge = Edge(p, s, kind, min_gap, reg)
+        if s in preds:
+            preds[s].append(edge)
+        else:
+            preds[s] = [edge]
+        if p in succs:
+            succs[p].append(edge)
+        else:
+            succs[p] = [edge]
 
-    ret_uses = ret_preserved_regs(machine)
     for op in block.ops:
-        uses = [r for r in op.reg_srcs() if isinstance(r, PhysReg)]
-        defs = [op.dest] if isinstance(op.dest, PhysReg) else []
-        is_call = op.op == "call"
+        name = op.op
+        uses = [r for r in op.srcs if r.__class__ is PhysReg]
+        defs = [op.dest] if op.dest.__class__ is PhysReg else []
+        is_call = name == "call"
         if is_call:
             defs = defs + [r for r in clobber_set if r not in defs]
             # The callee addresses its frame (and any incoming stack
             # arguments) through the caller's stack pointer.
-            sp = stack_pointer(machine)
             if sp not in uses:
                 uses = uses + [sp]
-        if op.op in ("ret", "halt"):
+        if name in ("ret", "halt"):
             uses = uses + [r for r in ret_uses if r not in uses]
 
         # RAW: value producers -> this op.
@@ -109,62 +122,67 @@ def build_ddg(block: MBlock, machine: Machine) -> DDG:
                     add(producer, op, "callout", jl + 1, reg)
                 else:
                     add(producer, op, "raw", producer.latency + 1, reg)
-            reads_since_def.setdefault(reg, []).append(op)
+            if reg in reads_since_def:
+                reads_since_def[reg].append(op)
+            else:
+                reads_since_def[reg] = [op]
 
         # WAR: readers of the previous value -> this def.
         # WAW: previous def -> this def.
-        for reg in defs:
-            for reader in reads_since_def.get(reg, []):
-                gap = jl + 1 if reader.op == "call" else 1 - op.latency
-                add(reader, op, "war", gap)
-            prev = last_def.get(reg)
-            if prev is not None:
-                gap = prev.latency - op.latency + 1
-                if prev.op == "call":
-                    gap = jl + 1
-                add(prev, op, "waw", gap)
-            last_def[reg] = op
-            reads_since_def[reg] = []
+        if defs:
+            latency = op.latency
+            for reg in defs:
+                for reader in reads_since_def.get(reg, ()):
+                    gap = jl + 1 if reader.op == "call" else 1 - latency
+                    add(reader, op, "war", gap)
+                prev = last_def.get(reg)
+                if prev is not None:
+                    gap = jl + 1 if prev.op == "call" else prev.latency - latency + 1
+                    add(prev, op, "waw", gap)
+                last_def[reg] = op
+                reads_since_def[reg] = []
 
         # Memory ordering.
-        if op_is_memory(op.op) or is_call:
-            writes = is_call or OPS[op.op].writes_mem
-            if writes:
-                if last_store is not None:
-                    gap = jl + 1 if last_store.op == "call" else 1
-                    add(last_store, op, "mem", gap)
+        mem_writes = _MEMORY_WRITES.get(name)
+        if mem_writes is not None or is_call:
+            if last_store is not None:
+                gap = jl + 1 if last_store.op == "call" else 1
+                add(last_store, op, "mem", gap)
+            if is_call or mem_writes:
                 for load in loads_since_store:
                     add(load, op, "mem", 1)
                 last_store = op
                 loads_since_store = []
             else:
-                if last_store is not None:
-                    gap = jl + 1 if last_store.op == "call" else 1
-                    add(last_store, op, "mem", gap)
                 loads_since_store.append(op)
 
         # Return-address state.
-        if _reads_ra(op) or _writes_ra(op):
-            if _writes_ra(op):
+        if name in _RA_OPS:
+            if last_ra_write is not None:
+                gap = jl + 1 if last_ra_write.op == "call" else 1
+            if name in _RA_WRITERS:
                 for reader in ra_reads_since:
                     add(reader, op, "ra", 1)
                 if last_ra_write is not None:
-                    gap = jl + 1 if last_ra_write.op == "call" else 1
                     add(last_ra_write, op, "ra", gap)
                 last_ra_write = op
                 ra_reads_since = []
             else:
                 if last_ra_write is not None:
-                    gap = jl + 1 if last_ra_write.op == "call" else 1
                     add(last_ra_write, op, "ra", gap)
                 ra_reads_since.append(op)
 
         # Control-transfer ordering.
-        if op.is_control:
+        if name in CONTROL_OPS:
             if last_ctrl is not None:
                 add(last_ctrl, op, "ctrl", jl + 1)
             last_ctrl = op
 
+    # tuples hold the same edges in less memory, and a graph outlives
+    # its build while ``compile_for_machine`` shares it
+    for table in (preds, succs):
+        for uid, edges in table.items():
+            table[uid] = tuple(edges)
     _compute_heights(ddg, block)
     return ddg
 

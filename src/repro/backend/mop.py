@@ -69,14 +69,26 @@ PSEUDO_OPS = frozenset({"copy", "getra", "setra", "halt"})
 _PSEUDO_LATENCY = {"copy": 1, "getra": 1, "setra": 0, "halt": 0}
 
 
+#: every control-transfer operation, ``halt`` included
+CONTROL_OPS = frozenset({"jump", "cjump", "cjumpz", "call", "ret", "halt"})
+
+#: result latency per operation name, filled on first use
+_latency_memo: dict[str, int] = {}
+
+
 def op_latency(op: str) -> int:
-    if op in _PSEUDO_LATENCY:
-        return _PSEUDO_LATENCY[op]
-    return OPS[op].latency
+    latency = _latency_memo.get(op)
+    if latency is None:
+        if op in _PSEUDO_LATENCY:
+            latency = _PSEUDO_LATENCY[op]
+        else:
+            latency = OPS[op].latency
+        _latency_memo[op] = latency
+    return latency
 
 
 def op_is_control(op: str) -> bool:
-    return op in ("jump", "cjump", "cjumpz", "call", "ret", "halt")
+    return op in CONTROL_OPS
 
 
 def op_is_memory(op: str) -> bool:
@@ -118,7 +130,8 @@ class MOp:
 
     @property
     def latency(self) -> int:
-        return op_latency(self.op)
+        latency = _latency_memo.get(self.op)
+        return op_latency(self.op) if latency is None else latency
 
     def __repr__(self) -> str:
         dest = f"{self.dest} = " if self.dest is not None else ""

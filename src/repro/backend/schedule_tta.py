@@ -72,11 +72,12 @@ class _BlockScheduler:
         block: MBlock,
         machine: Machine,
         live_out_regs: set[PhysReg],
+        ddg: DDG,
     ) -> None:
         self.block = block
         self.machine = machine
         self.jl = machine.jump_latency
-        self.ddg: DDG = build_ddg(block, machine)
+        self.ddg = ddg
         self.live_out_regs = live_out_regs
         # last static def per register decides live-out attribution
         self.last_def_uid: dict[PhysReg, int] = {}
@@ -88,9 +89,12 @@ class _BlockScheduler:
                 self.last_def_uid[op.dest] = op.uid
         # raw-consumer counts per producing op
         self.consumers: dict[int, int] = {}
-        for edge in self.ddg.edges:
-            if edge.kind in ("raw", "callout") and edge.reg is not None:
-                self.consumers[edge.pred] = self.consumers.get(edge.pred, 0) + 1
+        for pred, out in ddg.succs.items():
+            count = sum(
+                1 for edge in out if edge.kind in ("raw", "callout") and edge.reg is not None
+            )
+            if count:
+                self.consumers[pred] = count
 
         # ---- dynamic state ----
         self.fu_state: dict[str, _FUState] = {
@@ -123,16 +127,23 @@ class _BlockScheduler:
         #: before an already-committed read.
         self.fu_protect: dict[str, int] = {}
         self.op_by_uid: dict[int, MOp] = {op.uid: op for op in block.ops}
+        self.routes = machine.bus_routes
+        self.read_ports = {rf.name: rf.read_ports for rf in machine.register_files}
+        self.write_ports = {rf.name: rf.write_ports for rf in machine.register_files}
 
     # ------------------------------------------------------------------
     # resource primitives
     # ------------------------------------------------------------------
 
-    def _free_bus(self, cycle: int, src_ep: str, dst_ep: str) -> int | None:
-        busy = self.bus_used.get(cycle, set())
-        for bus in self.machine.buses:
-            if bus.index not in busy and bus.connects(src_ep, dst_ep):
-                return bus.index
+    def _free_bus(
+        self, cycle: int, src_ep: str, dst_ep: str, taken: set[int] = frozenset()
+    ) -> int | None:
+        """The first bus connecting *src_ep* to *dst_ep* that is free at
+        *cycle* and not in *taken*."""
+        busy = self.bus_used.get(cycle, ())
+        for index in self.routes[src_ep, dst_ep]:
+            if index not in busy and index not in taken:
+                return index
         return None
 
     def _free_extra_buses(self, cycle: int, count: int, excluding: set[int]) -> list[int] | None:
@@ -143,12 +154,10 @@ class _BlockScheduler:
         return free[:count]
 
     def _rf_read_ok(self, cycle: int, rf: str, count: int = 1) -> bool:
-        limit = self.machine.rf_by_name[rf].read_ports
-        return self.read_used.get((cycle, rf), 0) + count <= limit
+        return self.read_used.get((cycle, rf), 0) + count <= self.read_ports[rf]
 
     def _rf_write_ok(self, cycle: int, rf: str) -> bool:
-        limit = self.machine.rf_by_name[rf].write_ports
-        return self.write_used.get((cycle, rf), 0) + 1 <= limit
+        return self.write_used.get((cycle, rf), 0) < self.write_ports[rf]
 
     def _imm_extra(self, value) -> int:
         if isinstance(value, LabelRef):
@@ -159,11 +168,15 @@ class _BlockScheduler:
         """True when a callee executes between cycles *early* and *late*
         (the callee clobbers all FU ports, pipelines and result registers,
         so no FU-resident state may cross such a boundary)."""
+        if not self.call_cycles:
+            return False
         return any(early <= tc + self.jl < late for tc in self.call_cycles)
 
     def _window_deadline(self, trigger: int) -> int | None:
         """Latest cycle by which an op triggered at *trigger* must be
         fully transported, imposed by already-placed calls."""
+        if not self.call_cycles:
+            return None
         deadline = None
         for tc in self.call_cycles:
             if trigger <= tc + self.jl:
@@ -257,12 +270,7 @@ class _BlockScheduler:
         if isinstance(src, (Imm, LabelRef)):
             value = src.value if isinstance(src, Imm) else src
             extra = self._imm_extra(src.value if isinstance(src, Imm) else src)
-            bus = None
-            busy = self.bus_used.get(cycle, set()) | taken_buses
-            for candidate in self.machine.buses:
-                if candidate.index not in busy and candidate.connects("IMM", dst_ep):
-                    bus = candidate.index
-                    break
+            bus = self._free_bus(cycle, "IMM", dst_ep, taken_buses)
             if bus is None:
                 return None
             extra_buses = []
@@ -287,13 +295,10 @@ class _BlockScheduler:
                 and not self._spans_call(value.trigger, cycle)
             ):
                 fu = self.machine.fu_by_name[value.fu]
-                busy = self.bus_used.get(cycle, set()) | taken_buses
-                for candidate in self.machine.buses:
-                    if candidate.index not in busy and candidate.connects(
-                        fu.result_port, dst_ep
-                    ):
-                        move = Move(("fu", value.fu), self._dst_tuple(dst_ep), candidate.index)
-                        return move, [], descriptor
+                bus = self._free_bus(cycle, fu.result_port, dst_ep, taken_buses)
+                if bus is not None:
+                    move = Move(("fu", value.fu), self._dst_tuple(dst_ep), bus)
+                    return move, [], descriptor
         # 2) read from the register file
         if value is not None and not value.in_rf_only and value.wb is None:
             wb = self._place_wb(value, by=cycle - 1, commit=False)
@@ -305,12 +310,11 @@ class _BlockScheduler:
         pending = (taken_reads or {}).get(src.rf, 0)
         if not self._rf_read_ok(cycle, src.rf, 1 + pending):
             return None
-        busy = self.bus_used.get(cycle, set()) | taken_buses
-        for candidate in self.machine.buses:
-            if candidate.index not in busy and candidate.connects(f"{src.rf}.read", dst_ep):
-                move = Move(("rf", src.rf, src.idx), self._dst_tuple(dst_ep), candidate.index)
-                return move, [], descriptor
-        return None
+        bus = self._free_bus(cycle, f"{src.rf}.read", dst_ep, taken_buses)
+        if bus is None:
+            return None
+        move = Move(("rf", src.rf, src.idx), self._dst_tuple(dst_ep), bus)
+        return move, [], descriptor
 
     @staticmethod
     def _dst_tuple(dst_ep: str):
@@ -542,9 +546,7 @@ class _BlockScheduler:
                         continue
                     # Our write must not clobber a held operand, and no
                     # existing write may clobber ours before the trigger.
-                    if any(w < o1_cycle <= h for (w, h) in windows):
-                        continue
-                    if any(o1_cycle < w <= cycle for (w, _h) in windows):
+                    if any(w < o1_cycle <= h or o1_cycle < w <= cycle for w, h in windows):
                         continue
                     same = o1_cycle == cycle
                     o1_taken: set[int] = set(taken) if same else set()
@@ -764,12 +766,16 @@ class _BlockScheduler:
         return ScheduledBlock(self.block.name, length, instrs)
 
 
-def schedule_tta_function(mfunc: MFunction, machine: Machine) -> list[ScheduledBlock]:
-    """Schedule every block of *mfunc* as TTA move code."""
+def schedule_tta_function(
+    mfunc: MFunction, machine: Machine, ddg_of=build_ddg
+) -> list[ScheduledBlock]:
+    """Schedule every block of *mfunc* as TTA move code;
+    ``ddg_of(block, machine)`` gives each block's dependence graph."""
     clobbers = caller_saved(machine) | set(scratch_regs(machine))
     _live_in, live_out = machine_liveness(mfunc, clobbers, ret_preserved_regs(machine))
     blocks = []
     for block in mfunc.blocks:
-        out_regs = {r for r in live_out[block.name] if isinstance(r, PhysReg)}
-        blocks.append(_BlockScheduler(block, machine, out_regs).run())
+        # the scheduler only asks whether a PhysReg is live out
+        out_regs = live_out[block.name]
+        blocks.append(_BlockScheduler(block, machine, out_regs, ddg_of(block, machine)).run())
     return blocks

@@ -28,14 +28,22 @@ class ScheduleError(RuntimeError):
     """Raised when a block cannot be scheduled (resource model too tight)."""
 
 
+#: resource pool per operation name, filled on first use
+_pool_memo: dict[str, str] = {}
+
+
 def _fu_pool(machine: Machine, op: str) -> str:
     """Resource pool key for an operation."""
-    if op in ("copy",):
-        return "alu"
-    if op in ("getra", "setra", "halt", "jump", "cjump", "cjumpz", "call", "ret"):
-        return "cu"
-    kind = OPS[op].kind
-    return {OpKind.ALU: "alu", OpKind.LSU: "lsu", OpKind.CU: "cu"}[kind]
+    pool = _pool_memo.get(op)
+    if pool is None:
+        if op in ("copy",):
+            pool = "alu"
+        elif op in ("getra", "setra", "halt", "jump", "cjump", "cjumpz", "call", "ret"):
+            pool = "cu"
+        else:
+            pool = {OpKind.ALU: "alu", OpKind.LSU: "lsu", OpKind.CU: "cu"}[OPS[op].kind]
+        _pool_memo[op] = pool
+    return pool
 
 
 def _imm_extra(machine: Machine, op: MOp) -> int:
@@ -51,11 +59,11 @@ def _imm_extra(machine: Machine, op: MOp) -> int:
 
 
 class _BlockScheduler:
-    def __init__(self, block: MBlock, machine: Machine) -> None:
+    def __init__(self, block: MBlock, machine: Machine, ddg: DDG) -> None:
         self.block = block
         self.machine = machine
         self.jl = machine.jump_latency
-        self.ddg: DDG = build_ddg(block, machine)
+        self.ddg = ddg
         self.pools = {
             "alu": sum(1 for fu in machine.function_units if fu.kind is OpKind.ALU),
             "lsu": sum(1 for fu in machine.function_units if fu.kind is OpKind.LSU),
@@ -71,11 +79,19 @@ class _BlockScheduler:
         self.placement: dict[int, int] = {}  # uid -> cycle
         self.completion: dict[int, int] = {}  # uid -> cycle after last effect
         self.call_cycles: list[int] = []
+        self.widths: dict[int, int] = {}  # uid -> issue slots
 
     # ---- resource checks --------------------------------------------------
 
+    def _width(self, op: MOp) -> int:
+        """Issue slots *op* takes: one plus its immediate extensions."""
+        width = self.widths.get(op.uid)
+        if width is None:
+            width = self.widths[op.uid] = 1 + _imm_extra(self.machine, op)
+        return width
+
     def _fits(self, op: MOp, t: int) -> bool:
-        width = 1 + _imm_extra(self.machine, op)
+        width = self._width(op)
         if self.issue_used.get(t, 0) + width > self.machine.issue_width:
             return False
         pool = _fu_pool(self.machine, op.op)
@@ -123,7 +139,7 @@ class _BlockScheduler:
         return True
 
     def _commit(self, op: MOp, t: int) -> None:
-        width = 1 + _imm_extra(self.machine, op)
+        width = self._width(op)
         self.issue_used[t] = self.issue_used.get(t, 0) + width
         pool = _fu_pool(self.machine, op.op)
         self.pool_used[(t, pool)] = self.pool_used.get((t, pool), 0) + 1
@@ -217,6 +233,12 @@ class _BlockScheduler:
         return ScheduledBlock(self.block.name, length, instrs)
 
 
-def schedule_vliw_function(mfunc: MFunction, machine: Machine) -> list[ScheduledBlock]:
-    """Schedule every block of *mfunc* for a VLIW design point."""
-    return [_BlockScheduler(block, machine).run() for block in mfunc.blocks]
+def schedule_vliw_function(
+    mfunc: MFunction, machine: Machine, ddg_of=build_ddg
+) -> list[ScheduledBlock]:
+    """Schedule every block of *mfunc* for a VLIW design point;
+    ``ddg_of(block, machine)`` gives each block's dependence graph."""
+    return [
+        _BlockScheduler(block, machine, ddg_of(block, machine)).run()
+        for block in mfunc.blocks
+    ]

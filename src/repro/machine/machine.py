@@ -45,6 +45,25 @@ class ScalarTiming:
     pipeline_stages: int = 3
 
 
+class _BusRoutes(dict):
+    """Lazy ``(source, destination) -> bus indices`` table of one machine."""
+
+    def __init__(self, buses: tuple[Bus, ...]) -> None:
+        super().__init__()
+        self.buses = buses
+
+    def __missing__(self, key: tuple[str, str]) -> tuple[int, ...]:
+        source, destination = key
+        found = self[key] = tuple(
+            bus.index for bus in self.buses if bus.connects(source, destination)
+        )
+        return found
+
+    def __reduce__(self):
+        # a cache: a pickled machine carries it empty
+        return (_BusRoutes, (self.buses,))
+
+
 @dataclass(frozen=True)
 class Machine:
     """A complete description of one soft-core design point.
@@ -101,6 +120,13 @@ class Machine:
             for op in fu.ops:
                 table.setdefault(op, []).append(fu)
         return {op: tuple(fus) for op, fus in table.items()}
+
+    @cached_property
+    def bus_routes(self) -> dict[tuple[str, str], tuple[int, ...]]:
+        """``bus_routes[source, destination]``: the indices of the buses
+        that connect the two endpoints, in bus order (filled per pair on
+        first lookup)."""
+        return _BusRoutes(self.buses)
 
     def unit_kind_of_endpoint(self, endpoint: str) -> str:
         """Classify an endpoint string: 'fu', 'rf' or 'imm'."""

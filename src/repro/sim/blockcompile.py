@@ -8,9 +8,9 @@ cycle.  This module holds the turbo engine, ``mode="turbo"``, which
    (control-transfer boundaries *including their exposed delay-slot
    windows*, ``halt`` instructions, program end);
 2. generates **specialized Python source per block**: register-file and
-   bus traffic become local list indexing, ALU semantics from
-   :data:`~repro.sim.predecode.ALU_FUNCS` are inlined as expressions,
-   a function-unit result read inside the block that pushed it is
+   bus traffic become local list indexing, the Python ALU expressions
+   of :mod:`~repro.sim.predecode` (``_ALU_EXPR``) are inlined, a
+   function-unit result read inside the block that pushed it is
    forwarded statically (see :func:`_walk_tta`), and all
    loop-invariant lookups (register files, function units, memory
    load/store, helpers) are hoisted into default arguments bound once;
@@ -67,6 +67,7 @@ from repro.isa.operations import OPS, OpKind
 from repro.isa.semantics import MASK32, sext8, sext16
 from repro.sim.errors import SimError
 from repro.sim.predecode import (
+    _ALU_EXPR,
     _CONTROL_OPS,
     _LOADS,
     _STORES,
@@ -91,26 +92,6 @@ _SCALAR_KEY = "scalar-blocks"
 
 #: soft cap on block length before any control transfer is seen
 _MAX_BLOCK = 256
-
-#: ALU opcodes inlined as Python expressions.  Each template must agree
-#: bit-exactly with ``predecode.ALU_FUNCS`` (differential tests enforce
-#: it); ``{a}`` is the trigger/first operand, ``{b}`` the second.
-_ALU_EXPR = {
-    "add": "({a} + {b}) & 4294967295",
-    "sub": "({a} - {b}) & 4294967295",
-    "mul": "({a} * {b}) & 4294967295",
-    "and": "{a} & {b}",
-    "ior": "{a} | {b}",
-    "xor": "{a} ^ {b}",
-    "eq": "1 if {a} == {b} else 0",
-    "gt": "1 if {a} ^ 2147483648 > {b} ^ 2147483648 else 0",
-    "gtu": "1 if {a} > {b} else 0",
-    "shl": "({a} << ({b} & 31)) & 4294967295",
-    "shru": "{a} >> ({b} & 31)",
-    "shr": "(({a} ^ 2147483648) - 2147483648 >> ({b} & 31)) & 4294967295",
-    "sxhw": "_sx16({a})",
-    "sxqw": "_sx8({a})",
-}
 
 #: helper names each ALU template needs in the generated namespace
 _ALU_HELPERS = {

@@ -118,7 +118,7 @@ ST_INTERNAL = -9  # capacity invariant broken (unreachable by design)
 _MAX_TOTAL_CYCLES = 65536
 
 
-#: C twins of ``blockcompile._ALU_EXPR`` / ``predecode.ALU_FUNCS``.  All
+#: C twins of ``predecode._ALU_EXPR`` (and so of ``predecode.ALU_FUNCS``).  All
 #: operands are ``uint32_t``, so +,-,*,<< wrap mod 2**32 by the language;
 #: signed compare/shift go through ``int32_t`` two's-complement views.
 _C_ALU = {

@@ -14,10 +14,19 @@ verifying ``ttasim`` and its compiled simulation engine, this module
    reservations*, RF read/write port limits, full connectivity routing,
    resolved immediates, known opcodes and in-range register indices; and
 
-2. **pre-decodes** every instruction into flat tuples of register
-   slots, FU-result samplers and trigger thunks that a lean inner loop
-   consumes with no per-cycle string comparison, no dictionary lookups
-   on hot state and no re-verification; and
+2. **pre-decodes** every instruction into flat tuples of moves, then
+   binds each TTA instruction, on its first precise step, to **one
+   closure** built from a template per instruction shape (the numbers
+   of FU reads, register latches, operand moves, triggers and RF
+   writes; each template is compiled once per process).  The closure
+   samples, latches, triggers and commits inline in the reference's
+   order, so the driver makes one call per instruction with no
+   per-cycle string comparison, no dictionary lookups on hot state and
+   no re-verification; an ALU trigger is one call too, its thunk
+   generated from the Python ALU table (``_ALU_EXPR``) that turbo's
+   printer inlines.  Without a block source, a run of instructions
+   without moves (37% of the cycles of the eight paper kernels on
+   ``m-tta-2``, 40% on ``bm-tta-3``) is one step; and
 
 3. holds the one stepping driver per core style (:func:`run_tta` /
    :func:`run_vliw`) that the fast, turbo and native engines share.
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 from heapq import heappop as _heappop
 from heapq import heappush as _heappush
+from types import FunctionType
 
 from repro import obs
 from repro.backend.abi import return_value_reg
@@ -52,48 +62,54 @@ from repro.isa.semantics import MASK32, sext8, sext16
 from repro.sim.errors import SimError
 
 # ---------------------------------------------------------------------------
-# pre-bound ALU semantics
+# the Python ALU table
 # ---------------------------------------------------------------------------
 #
 # ``isa.semantics.evaluate`` re-resolves the opcode through an if-chain on
 # every call.  The fast engines bind one small function per opcode at decode
-# time instead.  ``tests/test_predecode.py`` asserts bit-exact agreement
-# with ``evaluate`` for every operation, so the two cannot drift silently.
-# All simulator-resident values are already wrapped to [0, 2**32); these
-# functions preserve that invariant.
+# time instead, and turbo's block printer inlines the same expressions.
+# ``tests/test_predecode.py`` asserts bit-exact agreement with ``evaluate``
+# for every operation, so the two cannot drift silently.  All
+# simulator-resident values are already wrapped to [0, 2**32); these
+# expressions preserve that invariant.
 
-
-def _gt(a: int, b: int) -> int:
-    # flipping the sign bit orders two's-complement words as unsigned ones
-    return 1 if a ^ 0x80000000 > b ^ 0x80000000 else 0
-
-
-def _shr(a: int, b: int) -> int:
-    return ((a ^ 0x80000000) - 0x80000000 >> (b & 31)) & MASK32
-
-
-ALU_FUNCS: dict[str, object] = {
-    "add": lambda a, b: (a + b) & MASK32,
-    "sub": lambda a, b: (a - b) & MASK32,
-    "mul": lambda a, b: (a * b) & MASK32,
-    "and": lambda a, b: a & b,
-    "ior": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "eq": lambda a, b: 1 if a == b else 0,
-    "gt": _gt,
-    "gtu": lambda a, b: 1 if a > b else 0,
-    "shl": lambda a, b: (a << (b & 31)) & MASK32,
-    "shru": lambda a, b: a >> (b & 31),
-    "shr": _shr,
-    "sxhw": sext16,
-    "sxqw": sext8,
+#: ALU opcodes as Python expressions over ``{a}`` (the trigger/first
+#: operand) and ``{b}`` (the second), run in ``_ALU_NS``
+_ALU_EXPR = {
+    "add": "({a} + {b}) & 4294967295",
+    "sub": "({a} - {b}) & 4294967295",
+    "mul": "({a} * {b}) & 4294967295",
+    "and": "{a} & {b}",
+    "ior": "{a} | {b}",
+    "xor": "{a} ^ {b}",
+    "eq": "1 if {a} == {b} else 0",
+    "gt": "1 if {a} ^ 2147483648 > {b} ^ 2147483648 else 0",
+    "gtu": "1 if {a} > {b} else 0",
+    "shl": "({a} << ({b} & 31)) & 4294967295",
+    "shru": "{a} >> ({b} & 31)",
+    "shr": "(({a} ^ 2147483648) - 2147483648 >> ({b} & 31)) & 4294967295",
+    "sxhw": "_sx16({a})",
+    "sxqw": "_sx8({a})",
 }
+
+#: the namespace the generated ALU code runs in
+_ALU_NS = {"_sx16": sext16, "_sx8": sext8}
+
+
+def _alu_func(op: str):
+    params = "a, b" if OPS[op].operands == 2 else "a"
+    return eval(f"lambda {params}: {_ALU_EXPR[op].format(a='a', b='b')}", dict(_ALU_NS))
+
+
+#: ``f(a[, b])`` per ALU opcode, by operand count
+ALU_FUNCS: dict[str, object] = {op: _alu_func(op) for op in _ALU_EXPR}
 
 #: control-transfer operations of both core styles (``halt`` is not one)
 _CONTROL_OPS = frozenset({"jump", "call", "ret", "cjump", "cjumpz"})
 
 #: cache keys on ``Program.predecode_cache``
 _TTA_KEY = "tta-static"
+_TTA_EMPTY_KEY = "tta-empty-runs"
 _VLIW_KEY = "vliw-static"
 
 
@@ -292,25 +308,6 @@ def verify_tta_program(program: Program) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _bind_fu_sampler(fu):
-    """``sample(cycle)``: *fu*'s result register, after committing the
-    results due by *cycle* (``_FU.read`` inline)."""
-
-    def sample(cycle, _fu=fu):
-        pending = _fu.pending
-        if pending and pending[0][0] <= cycle:
-            while pending and pending[0][0] <= cycle:
-                _fu.result = pending.pop(0)[1]
-            _fu.has_result = True
-        if not _fu.has_result:
-            from repro.sim.tta_sim import fu_unavailable_error
-
-            raise fu_unavailable_error(_fu, cycle)
-        return _fu.result
-
-    return sample
-
-
 def _operand_slot(src, rfs) -> tuple:
     """``(regs, idx)`` reading a decoded immediate or register operand
     (TTA or VLIW) inline as ``regs[idx]``; an immediate reads from a
@@ -320,51 +317,181 @@ def _operand_slot(src, rfs) -> tuple:
     return rfs[src[1]], src[2]
 
 
-def _bind_tta_step(decoded_instr, sim, jl: int) -> tuple:
-    """The precise step of one decoded instruction: ``()`` when it has no
-    moves, else ``(latches, o1_moves, trig_moves, writes)``.
+#: the step of an instruction without moves; the driver advances whole
+#: runs of them (see :func:`run_tta`)
+_EMPTY = object()
 
-    The reference samples every move source before any operand latch or
-    trigger and commits the RF writes last.  A register or immediate
-    source cannot fail, and nothing before the commit writes a register,
-    so most sources are read where they are used, as ``regs[idx]``.  The
-    others are *latched* first into a one-element cell that their moves
-    then read: each unit whose result the instruction reads, in move
-    order (its sample may raise, and commits the unit's due results, so
-    it must come before any latch or trigger, as in the reference), and
-    the source of an RF move from a register an earlier move of the same
+#: step templates by instruction shape, compiled once per process
+_step_templates: dict[tuple[int, int, int, int, int], FunctionType] = {}
+
+
+def _bound(template: FunctionType, args) -> FunctionType:
+    """*template* with *args* bound as the defaults of its trailing
+    parameters: a closure that holds one tuple, not a cell per value."""
+    return FunctionType(template.__code__, template.__globals__, template.__name__, tuple(args))
+
+
+def _step_template(shape: tuple[int, int, int, int, int]) -> FunctionType:
+    """The step template of one instruction shape: ``(FU reads, RF
+    latches, o1 moves, triggers, RF writes)``.
+
+    It is ``step(cycle, pc, rc, *bound)``, where *bound* is, per FU
+    read, the unit and its cell; per latch, the source ``regs, idx``
+    and the cell; per o1 move, the source and the unit; per trigger,
+    the source and the thunk; per RF write, the source and the
+    destination ``regs, idx``; then ``fu_unavailable_error`` and
+    :class:`SimError`.
+    """
+    template = _step_templates.get(shape)
+    if template is not None:
+        return template
+    n_reads, n_latches, n_o1, n_trigs, n_writes = shape
+    params: list[str] = []
+    body: list[str] = []
+    for i in range(n_reads):
+        # ``_FU.read`` inline: commit the results due, then sample
+        params += [f"F{i}", f"C{i}"]
+        body += [
+            f"p = F{i}.pending",
+            "if p and p[0][0] <= cycle:",
+            "    while p and p[0][0] <= cycle:",
+            f"        F{i}.result = p.pop(0)[1]",
+            f"    F{i}.has_result = True",
+            f"if not F{i}.has_result:",
+            f"    raise _unavailable(F{i}, cycle)",
+            f"C{i}[0] = F{i}.result",
+        ]
+    for i in range(n_latches):
+        params += [f"LR{i}", f"LI{i}", f"LC{i}"]
+        body.append(f"LC{i}[0] = LR{i}[LI{i}]")
+    for i in range(n_o1):
+        params += [f"OR{i}", f"OI{i}", f"OF{i}"]
+        body.append(f"OF{i}.o1 = OR{i}[OI{i}]")
+    if n_trigs > 1:
+        body += ["r = None", "h = False"]
+    for i in range(n_trigs):
+        params += [f"TR{i}", f"TI{i}", f"TT{i}"]
+        body.append(f"e = TT{i}(TR{i}[TI{i}], cycle, pc)")
+        if n_trigs == 1:
+            body += [
+                "if e is not None and e is not True and rc >= 0:",
+                "    raise _SimError('overlapping control transfers')",
+            ]
+        else:
+            body += [
+                "if e is not None:",
+                "    if e is True:",
+                "        h = True",
+                "    elif rc >= 0:",
+                "        raise _SimError('overlapping control transfers')",
+                "    else:",
+                "        rc = e[0]",
+                "        r = e",
+            ]
+    for i in range(n_writes):
+        params += [f"WR{i}", f"WI{i}", f"WD{i}", f"WX{i}"]
+        body.append(f"WD{i}[WX{i}] = WR{i}[WI{i}]")
+    if n_trigs == 1:
+        body.append("return e")
+    elif n_trigs > 1:
+        body.append("return True if h else r")
+    params += ["_unavailable", "_SimError"]
+    source = "\n".join(
+        [f"def step(cycle, pc, rc, {', '.join(params)}):"]
+        + [f"    {line}" for line in body]
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<tta step {shape}>", "exec"), namespace)
+    template = _step_templates[shape] = namespace["step"]
+    return template
+
+
+def _bind_tta_step(decoded_instr, sim, jl: int):
+    """The precise step of one decoded instruction: :data:`_EMPTY` when
+    it has no moves, else ``step(cycle, pc, rc)`` (``rc`` is the fire
+    cycle of the pending redirect, -1 for none).  A step returns
+    ``None``, ``True`` (halted, its RF writes committed) or the
+    ``(fire_cycle, target)`` of the redirect it triggered.
+
+    The step is one closure of its shape's template
+    (:func:`_step_template`), which follows the reference's phases: it
+    samples every move source before any operand latch or trigger, runs
+    the triggers in move order with the overlap check after each, and
+    commits the RF writes last.  A register or immediate source cannot
+    fail, and nothing before the commit writes a register, so most
+    sources are read where they are used, as ``regs[idx]``.  The others
+    are *latched* first into a one-element cell that their moves then
+    read: each unit whose result the instruction reads, in move order
+    (its sample may raise, and commits the unit's due results, so it
+    must come before any latch or trigger, as in the reference), and the
+    source of an RF move from a register an earlier move of the same
     instruction writes.
     """
+    from repro.sim.tta_sim import fu_unavailable_error
+
     rf_moves, o1_moves, trig_moves, _counts, fu_reads = decoded_instr
     if not (rf_moves or o1_moves or trig_moves):
-        return ()
-    cells = {fu: [0] for fu in fu_reads}
-    latches = [(_bind_fu_sampler(sim.fus[fu]), cells[fu]) for fu in fu_reads]
+        return _EMPTY
+    rfs = sim.rfs
+    args: list = []
+    cells = {}
+    for fu in fu_reads:
+        cells[fu] = [0]
+        args += (sim.fus[fu], cells[fu])
 
     def slot(src):
         if src[0] == "fu":
             return cells[src[1]], 0
-        return _operand_slot(src, sim.rfs)
+        return _operand_slot(src, rfs)
 
-    writes = []
+    latches: list = []
+    writes: list = []
     written: set = set()
     for src, rf, idx in rf_moves:
         regs, sidx = slot(src)
         if src[0] == "rf" and src[1:] in written:
             cell = [0]
-            latches.append((lambda cycle, _r=regs, _i=sidx: _r[_i], cell))
+            latches += (regs, sidx, cell)
             regs, sidx = cell, 0
-        writes.append((regs, sidx, sim.rfs[rf], idx))
+        writes += (regs, sidx, rfs[rf], idx)
         written.add((rf, idx))
-    return (
-        tuple(latches),
-        tuple((*slot(src), sim.fus[fu]) for src, fu in o1_moves),
-        tuple(
-            (*slot(src), _bind_tta_thunk(fu, opcode, sim, jl))
-            for src, fu, opcode in trig_moves
-        ),
-        tuple(writes),
-    )
+    args += latches
+    for src, fu in o1_moves:
+        args += (*slot(src), sim.fus[fu])
+    for src, fu, opcode in trig_moves:
+        args += (*slot(src), _bind_tta_thunk(fu, opcode, sim, jl))
+    args += writes
+    args += (fu_unavailable_error, SimError)
+    shape = (len(fu_reads), len(latches) // 3, len(o1_moves), len(trig_moves), len(rf_moves))
+    return _bound(_step_template(shape), args)
+
+
+#: ALU trigger thunk templates by opcode, compiled once per process
+_alu_thunks: dict[str, FunctionType] = {}
+
+
+def _alu_thunk(opcode: str) -> FunctionType:
+    """The trigger thunk template of ALU *opcode*,
+    ``thunk(value, cycle, pc, _fu, _lat, _e)``: its ``_ALU_EXPR`` inline,
+    then ``_FU.push`` inline (same check and error ``_e``)."""
+    template = _alu_thunks.get(opcode)
+    if template is None:
+        expr = _ALU_EXPR[opcode].format(a="value", b="_fu.o1")
+        source = "\n".join(
+            [
+                "def thunk(value, cycle, pc, _fu, _lat, _e):",
+                f"    result = {expr}",
+                "    pending = _fu.pending",
+                "    due = cycle + _lat",
+                "    if pending and due <= pending[-1][0]:",
+                "        raise _e(_fu, due)",
+                "    pending.append((due, result))",
+            ]
+        )
+        namespace = dict(_ALU_NS)
+        exec(compile(source, f"<alu thunk {opcode}>", "exec"), namespace)
+        template = _alu_thunks[opcode] = namespace["thunk"]
+    return template
 
 
 def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
@@ -419,7 +546,6 @@ def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
 
         return thunk
     spec = OPS[opcode]
-    latency = spec.latency
     if spec.kind is OpKind.LSU:
         access = sim.memory.accessor(opcode)
         if spec.writes_mem:
@@ -430,7 +556,9 @@ def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
 
             return thunk
 
-        def thunk(value, cycle, pc, _ld=access, _fu=fu, _lat=latency, _e=push_order_error):
+        def thunk(
+            value, cycle, pc, _ld=access, _fu=fu, _lat=spec.latency, _e=push_order_error
+        ):
             result = _ld(value)
             pending = _fu.pending
             due = cycle + _lat
@@ -439,28 +567,7 @@ def _bind_tta_thunk(fu_name: str, opcode: str, sim, jl: int):
             pending.append((due, result))
 
         return thunk
-    fn = ALU_FUNCS[opcode]
-    if spec.operands == 2:
-
-        def thunk(value, cycle, pc, _fu=fu, _fn=fn, _lat=latency, _e=push_order_error):
-            result = _fn(value, _fu.o1)
-            pending = _fu.pending
-            due = cycle + _lat
-            if pending and due <= pending[-1][0]:
-                raise _e(_fu, due)
-            pending.append((due, result))
-
-        return thunk
-
-    def thunk(value, cycle, pc, _fu=fu, _fn=fn, _lat=latency, _e=push_order_error):
-        result = _fn(value)
-        pending = _fu.pending
-        due = cycle + _lat
-        if pending and due <= pending[-1][0]:
-            raise _e(_fu, due)
-        pending.append((due, result))
-
-    return thunk
+    return _bound(_alu_thunk(opcode), (fu, spec.latency, push_order_error))
 
 
 # ---------------------------------------------------------------------------
@@ -700,13 +807,31 @@ def _expand_hits(hits, blocks) -> None:
                 hits[i] += count
 
 
+def _empty_runs(program: Program, decoded: list) -> list[int]:
+    """Per pc, how many instructions without moves start there (0 for
+    one with moves); cached on ``program.predecode_cache``."""
+    runs = program.predecode_cache.get(_TTA_EMPTY_KEY)
+    if runs is None:
+        runs = [0] * (len(decoded) + 1)
+        for pc in range(len(decoded) - 1, -1, -1):
+            rf_moves, o1_moves, trig_moves = decoded[pc][:3]
+            if not (rf_moves or o1_moves or trig_moves):
+                runs[pc] = runs[pc + 1] + 1
+        program.predecode_cache[_TTA_EMPTY_KEY] = runs
+    return runs
+
+
 def run_tta(sim, engine: str, source):
     """Execute *sim*'s program; the TTA driver of every engine but checked.
 
     Whenever no redirect is pending, the pc is in range and a block of
     *source* starts there and fits the cycle budget, the block runs;
-    every other cycle is one precise step through closures bound lazily
-    per pc.  Bit- and cycle-exact with ``TTASimulator`` in checked mode,
+    every other cycle is one precise step through the closure bound
+    lazily for its pc (:func:`_bind_tta_step`).  Without a block source
+    a run of instructions without moves is one step, clipped so that a
+    pending redirect still fires on its cycle; with one, every pc can be
+    a block entry, so each such instruction is its own step.
+    Bit- and cycle-exact with ``TTASimulator`` in checked mode,
     including every statistics counter and error text (enforced by the
     differential tests).
     """
@@ -718,16 +843,20 @@ def run_tta(sim, engine: str, source):
     max_cycles = sim.max_cycles
     n_instrs = len(decoded)
     hits = [0] * n_instrs
+    #: executions of instructions without moves, as a difference array
+    empty_hits = [0] * (n_instrs + 1)
     steps = [None] * n_instrs
 
     def bind(pc):
         steps[pc] = step = _bind_tta_step(decoded[pc], sim, jl)
         return step
 
-    get_block = materialize = finish = None
+    get_block = materialize = finish = runs = None
     if source is not None:
         blocks, materialize, finish = source(sim, sim.rfs)
         get_block = blocks.get
+    else:
+        runs = _empty_runs(program, decoded)
     pc = 0
     cycle = 0
     rc = -1  # pending redirect fire cycle (-1 = none)
@@ -744,8 +873,8 @@ def run_tta(sim, engine: str, source):
                 if cycle > max_cycles:
                     raise SimError(_BUDGET_MSG)
                 continue
-        # precise single-cycle step: carried redirects, out-of-range pcs,
-        # budget-edge cycles and pcs without a block all land here
+        # precise step: carried redirects, out-of-range pcs, budget-edge
+        # cycles and pcs without a block all land here
         if cycle == rc:
             pc = rt
             rc = -1
@@ -754,36 +883,31 @@ def run_tta(sim, engine: str, source):
         step = steps[pc]
         if step is None:
             step = bind(pc)
-        hits[pc] += 1
-        if step:
-            latches, o1_moves, trig_moves, writes = step
-            # the phases of the reference, in its order (see
-            # _bind_tta_step): sample the FU results and the latched
-            # registers, latch the operand ports, run the triggers in move
-            # order, commit the RF writes
-            for sample, cell in latches:
-                cell[0] = sample(cycle)
-            for regs, idx, fu in o1_moves:
-                fu.o1 = regs[idx]
-            halted = False
-            for regs, idx, thunk in trig_moves:
-                effect = thunk(regs[idx], cycle, pc)
-                if effect is not None:
-                    if effect is True:
-                        halted = True
-                    elif rc >= 0:
-                        raise SimError("overlapping control transfers")
-                    else:
-                        rc, rt = effect
-            for regs, idx, dregs, didx in writes:
-                dregs[didx] = regs[idx]
-            if halted:
-                break
-        cycle += 1
-        pc += 1
+        if step is _EMPTY:
+            run = 1 if runs is None else runs[pc]
+            if 0 <= rc < cycle + run:
+                run = rc - cycle
+            empty_hits[pc] += 1
+            empty_hits[pc + run] -= 1
+            cycle += run
+            pc += run
+        else:
+            hits[pc] += 1
+            effect = step(cycle, pc, rc)
+            if effect is not None:
+                if effect is True:
+                    break
+                rc, rt = effect
+            cycle += 1
+            pc += 1
         if cycle > max_cycles:
             raise SimError(_BUDGET_MSG)
 
+    running = 0
+    for pc in range(n_instrs):
+        running += empty_hits[pc]
+        if running:
+            hits[pc] += running
     block_runs = None if finish is None else finish()
     if block_runs:
         _expand_hits(hits, block_runs)

@@ -252,6 +252,10 @@ class TestRegisterAllocation:
         )
 
 
+def _edges(ddg):
+    return [edge for out in ddg.succs.values() for edge in out]
+
+
 class TestDDG:
     def test_raw_edge_latency(self):
         src = "int main(void){ int a = 6; int b = a * 7; return b; }"
@@ -260,7 +264,7 @@ class TestDDG:
         mfunc = lower_function(module.functions["main"], machine, module.layout_globals())
         allocate_registers(mfunc, machine)
         ddg = build_ddg(mfunc.blocks[0], machine)
-        raw = [e for e in ddg.edges if e.kind == "raw"]
+        raw = [e for e in _edges(ddg) if e.kind == "raw"]
         assert raw, "dependent ops must produce raw edges"
 
     def test_store_load_ordering(self):
@@ -275,7 +279,7 @@ class TestDDG:
         for block in mfunc.blocks:
             ddg = build_ddg(block, machine)
             ops = {op.uid: op for op in block.ops}
-            for edge in ddg.edges:
+            for edge in _edges(ddg):
                 if edge.kind == "mem":
                     assert ops[edge.pred].op.startswith("st") or ops[edge.pred].op == "call"
 
@@ -286,7 +290,7 @@ class TestDDG:
         mfunc = lower_function(module.functions["main"], machine, module.layout_globals())
         allocate_registers(mfunc, machine)
         ddg = build_ddg(mfunc.blocks[0], machine)
-        for edge in ddg.edges:
+        for edge in _edges(ddg):
             if edge.min_gap is not None and edge.min_gap > 0:
                 assert ddg.height[edge.pred] >= ddg.height[edge.succ]
 

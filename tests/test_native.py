@@ -733,9 +733,8 @@ class TestCodegenShape:
             assert turbo_len == native_len.get(pc), f"{kernel}/{machine_name} pc={pc}"
 
     def test_printers_share_the_alu_op_set(self):
-        from repro.sim.blockcompile import _ALU_EXPR
         from repro.sim.cgen import _C_ALU
-        from repro.sim.predecode import ALU_FUNCS
+        from repro.sim.predecode import _ALU_EXPR, ALU_FUNCS
 
         assert set(_ALU_EXPR) == set(_C_ALU) == set(ALU_FUNCS)
 

@@ -9,6 +9,7 @@ ones the per-cycle checker historically missed, like long-immediate
 
 from __future__ import annotations
 
+import functools
 import random
 import warnings
 from dataclasses import asdict
@@ -291,6 +292,20 @@ def _run(make_prog, mode):
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_program(kernel, machine_name):
+    return compile_for_machine(compile_kernel(kernel), build_machine(machine_name))
+
+
+@functools.lru_cache(maxsize=None)
+def _fast_kernel_run(kernel, machine_name):
+    """``(statistics, hit vector)`` of the fast engine on one pair."""
+    compiled = _kernel_program(kernel, machine_name)
+    sim = TTASimulator(compiled.program, mode="fast")
+    sim.preload(compiled.data_init)
+    return asdict(sim.run()), sim._last_hits
+
+
 @pytest.mark.parametrize("mode", ENGINES)
 class TestEngineDynamics:
     """Data-dependent behaviour no load-time check can rule out: each
@@ -502,6 +517,88 @@ class TestEngineDynamics:
             mode,
         )
         assert (kind, text) == ("SimError", "overlapping control transfers")
+
+    def test_second_jump_in_flight_skips_a_later_store(self, mode):
+        # a jump is in flight when pc=1 triggers a second one and then a
+        # store in a later move: the overlap raises at the second jump,
+        # so the store never writes
+        def make_prog():
+            return _tta_prog(
+                [
+                    [_imm(0, ("op", "CU", "t", "jump"), 0)],
+                    [
+                        _imm(0x55, ("op", "LSU0", "o1", None), 0),
+                        _imm(0, ("op", "CU", "t", "jump"), 1),
+                        _imm(0x100, ("op", "LSU0", "t", "stw"), 2),
+                    ],
+                    [],
+                    [],
+                ]
+            )
+
+        (kind, text), _ = self._diff(make_prog, mode)
+        assert (kind, text) == ("SimError", "overlapping control transfers")
+        sim = TTASimulator(make_prog(), mode=mode, max_cycles=10_000)
+        with pytest.raises(SimError):
+            sim.run()
+        assert sim.fus["LSU0"].o1 == 0x55
+        assert bytes(sim.memory.data[0x100:0x104]) == bytes(4)
+
+    def test_redirect_lands_inside_an_empty_run(self, mode):
+        # the jump (jump latency 3) fires at cycle 4, inside the run of
+        # empty pcs 1-6, and lands on pc 3 of that run, so pc 3 runs twice
+        def make_prog():
+            return _tta_prog(
+                [[_imm(3, ("op", "CU", "t", "jump"), 0)]]
+                + [[] for _ in range(6)]
+                + [[_imm(7, ("rf", "RF0", 1), 0)], [_imm(0, ("op", "CU", "t", "halt"), 0)]]
+            )
+
+        outcome, _ = self._diff(make_prog, mode)
+        assert outcome == ("ok", 7, 10)
+        if mode != "checked":
+            sim = TTASimulator(make_prog(), mode=mode)
+            sim.run()
+            assert sim._last_hits == [1, 1, 1, 2, 1, 1, 1, 1, 1]
+
+    def test_budget_runs_out_inside_an_empty_run(self, mode):
+        # the 10-cycle budget runs out inside the run of empty pcs 1-20
+        def make_prog():
+            return _tta_prog(
+                [[_imm(7, ("rf", "RF0", 1), 0)]]
+                + [[] for _ in range(20)]
+                + [[_imm(0, ("op", "CU", "t", "halt"), 0)]]
+            )
+
+        outcomes = []
+        for engine in ("checked", mode):
+            sim = TTASimulator(make_prog(), mode=engine, max_cycles=10)
+            with pytest.raises(SimError) as err:
+                sim.run()
+            outcomes.append((str(err.value), sim.rfs))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == "cycle budget exceeded (runaway program?)"
+
+    @pytest.mark.parametrize("machine_name", ["m-tta-2", "bm-tta-3"])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_paper_kernel_hits_agree(self, mode, kernel, machine_name):
+        """fast, turbo and native count every pc's executions alike (the
+        fast engine advances runs of empty instructions at once); the
+        checked engine keeps no hit vector, so there the counters fast
+        derives from its hits must equal the reference's."""
+        fast_stats, fast_hits = _fast_kernel_run(kernel, machine_name)
+        assert sum(fast_hits) == fast_stats["cycles"]
+        if mode == "fast":
+            return
+        compiled = _kernel_program(kernel, machine_name)
+        sim = TTASimulator(compiled.program, mode=mode)
+        sim.preload(compiled.data_init)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stats = asdict(sim.run())
+        assert stats == fast_stats
+        if mode != "checked":
+            assert sim._last_hits == fast_hits
 
     def test_vliw_overlapping_control_transfers(self, mode):
         (kind, text), _ = self._diff(

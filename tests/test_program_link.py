@@ -9,6 +9,7 @@ import pytest
 
 from repro import build_machine, compile_for_machine, compile_source, obs
 from repro.backend.asmprint import format_program
+from repro.backend.compile import _shared_half
 from repro.kernels import load
 from repro.machine import preset_names
 from repro.machine.components import RegisterFile
@@ -101,6 +102,11 @@ class TestSharedBackendHalf:
             register_files=(RegisterFile("RF0", 64, 2, 1),),
         )
         machines.insert(machines.index(build_machine("m-vliw-2")) + 1, narrow)
+        # m-tta-2 with a shorter jump latency: the same register-file
+        # layout, so the same shared half, but different dependence
+        # graphs (a DDG keyed on the layout alone would be reused here)
+        short_jumps = replace(build_machine("m-tta-2"), name="m-tta-2-jl1", jump_latency=1)
+        machines.insert(machines.index(build_machine("m-tta-2")) + 1, short_jumps)
         return machines
 
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -131,6 +137,11 @@ class TestSharedBackendHalf:
             for name in ("m-tta-2", "m-vliw-2", "mblaze-3", "mblaze-5"):
                 compile_for_machine(module, build_machine(name))
         assert tracer.counters["backend.layout_reuse"] == 2
+        # m-vliw-2 has m-tta-2's layout and jump latency: it reuses the
+        # DDG of every block of the module; the scalar cores build none
+        half = _shared_half(module, build_machine("m-tta-2"))
+        n_blocks = sum(len(mfunc.blocks) for mfunc in half.mfuncs.values())
+        assert tracer.counters["backend.ddg_reuse"] == n_blocks
 
 
 class TestDeepCalls:
