@@ -19,13 +19,16 @@ Two entry points:
   scalar block engine >= 3x over the scalar interpreter).
   Every engine of a row is timed best-of-``REPEATS``, the engines
   interleaved, so the rows of two runs on a shared host are comparable.
-  Native is timed with a warm compiled-object cache — the warm-up run
-  pays the one-time C compile (or pulls the shared object from the
-  artifact store) before the clock starts, matching the sweep/service
-  steady state.  Next to it, the ``cold`` column is what a program's
-  first native run pays from an empty store: C generation plus the C
-  compile, timed once and directly (no store, no process cache); the
-  JSON also gives the compiler's own CPU time (``cc_cpu_s``).  Without a C
+  Native is timed with a warm engine — the warm-up run pays the
+  process's one engine build (or pulls its shared object from the
+  artifact store) and encodes the program's tables before the clock
+  starts, matching the sweep/service steady state.  Next to it, the
+  ``cold`` column is what a process's first native run pays from an
+  empty store: the program's table encoding (``cgen_s``) plus the one
+  C compile of the engine (``cc_s``), timed once and directly (no
+  store, no process cache); the JSON also gives the compiler's own CPU
+  time (``cc_cpu_s``) and the engine source's size (``c_kib``).  A
+  later program of the same process pays only its encoding.  Without a C
   compiler on PATH the native column degrades to turbo, the cold column
   is empty and the native floor is skipped.  The ``turbo_cold`` column
   is a program's first turbo run, timed before any other engine fills
@@ -114,9 +117,9 @@ def _children_cpu_s() -> float:
 
 
 def _time_native_cold(compiled):
-    """Seconds of C generation and of the C compile (wall, and the
-    compiler's CPU) for *compiled*'s shared object, built from scratch;
-    ``None`` without a C compiler."""
+    """Seconds of *compiled*'s table encoding and of the one engine
+    build (wall, and the compiler's CPU), both from scratch; ``None``
+    without a C compiler or for the scalar core."""
     from repro.sim import native
     from repro.sim.cgen import build_native_program
 
@@ -169,12 +172,13 @@ def measure(machines, kernels):
                 compile_source(kernel_source(kernel)), machine
             )
             # Warm the per-program caches (structural verification, static
-            # decode, compiled block code, the native shared object — the
-            # one-time C compile or store fetch happens here) before
+            # decode, compiled block code, the native tables and engine —
+            # the one-time engine build or store fetch happens here) before
             # timing: the sweep use case simulates each program many
             # times, so steady-state throughput is the relevant number.
             # Checked has no caches.  The cold turbo run and the cold
-            # native build are timed first, each on its own.
+            # native encoding and engine build are timed first, each on
+            # its own.
             _, turbo_cold = _time_mode(compiled, "turbo")
             native_cold = _time_native_cold(compiled)
             run_compiled(compiled, mode="turbo")

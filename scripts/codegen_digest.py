@@ -1,25 +1,26 @@
-"""Digest the compiled programs and the generated block code of the
-turbo, native and scalar engines.
+"""Digest the compiled programs, the generated block code of the turbo
+and scalar engines, and the native engine's encoded tables.
 
 For every (kernel, machine) pair this prints three SHA-256 digests:
 ``asm`` over the compiled program itself (its ``format_program``
 listing, data image and symbol table), ``py`` over the generated Python
 block source at every start pc (``None`` where the block falls back to
 precise stepping) -- turbo's on a TTA/VLIW preset, the scalar block
-engine's on a scalar one -- and ``c`` over native's C translation unit
-together with its block entries, ``pcap`` and ``wcap`` (``native:
-none`` on a scalar preset, which has no C engine), plus the Python
-source's size in bytes.  The last lines digest all the pairs' ``asm``,
-``py`` and ``c`` digests and sum the Python bytes (cold turbo cost
-grows with them).
+engine's on a scalar one -- and ``tables`` over the program as the
+native engine reads it (``repro.sim.cgen.build_native_program``: its
+``prog[]`` table, register layout, immediate pool, FU order, ``pcap``
+and ``wcap``; ``native: none`` on a scalar preset, which has no C
+engine), plus the Python source's size in bytes.  The last lines digest
+all the pairs' ``asm``, ``py`` and ``tables`` digests and sum the Python
+bytes (cold turbo cost grows with them).
 
 A backend change that is meant to leave every program alone must print
-the same ``asm`` digests as its parent.  A refactor of the code
-generators (``repro.sim.blockcompile`` / ``repro.sim.cgen``) that is
-meant to leave their output alone must print the same ``py`` and ``c``
-digests as its parent, and a change to one printer the same digest of
-the other: the generated C is what the cached shared objects are keyed
-on, so any byte of difference there re-keys them.
+the same ``asm`` digests as its parent.  A refactor of turbo's code
+generator (``repro.sim.blockcompile``) or of the table encoder
+(``repro.sim.cgen``) that is meant to leave its output alone must print
+the same ``py`` or ``tables`` digests as its parent.  The native engine
+itself is one fixed C source (``repro/sim/engine.c``), which the cached
+shared object is keyed on; no program's tables are.
 
 Run from the repository root (point ``PYTHONPATH`` at another checkout's
 ``src`` to digest that tree instead)::
@@ -66,11 +67,11 @@ def asm_digest(compiled) -> str:
 
 
 def pair_digest(module, machine) -> tuple[str, str, str, int, int]:
-    """(program digest, Python digest, C digest, number of start pcs,
-    Python source bytes) of one compiled pair."""
+    """(program digest, Python digest, tables digest, number of start
+    pcs, Python source bytes) of one compiled pair."""
     compiled = compile_for_machine(module, machine)
     program = compiled.program
-    py, c = hashlib.sha256(), hashlib.sha256()
+    py, tables = hashlib.sha256(), hashlib.sha256()
     n_instrs = len(program.instrs)
     py_bytes = 0
     for pc in range(n_instrs):
@@ -79,11 +80,12 @@ def pair_digest(module, machine) -> tuple[str, str, str, int, int]:
         py_bytes += len(source or "")
     nat = build_native_program(program)
     if nat is None:
-        c.update(b"native: none\0")
+        tables.update(b"native: none\0")
     else:
-        c.update(nat.source.encode())
-        c.update(f"\0{nat.entries!r}\0{nat.pcap}\0{nat.wcap}\0".encode())
-    return asm_digest(compiled), py.hexdigest(), c.hexdigest(), n_instrs, py_bytes
+        tables.update(nat.prog.tobytes())
+        layout = (nat.rf_layout, nat.n_values, nat.consts, nat.fu_names, nat.pcap, nat.wcap)
+        tables.update(f"\0{layout!r}\0".encode())
+    return asm_digest(compiled), py.hexdigest(), tables.hexdigest(), n_instrs, py_bytes
 
 
 def _names(spec: str | None, known: tuple[str, ...], what: str) -> list[str]:
@@ -128,22 +130,25 @@ def main(argv=None) -> int:
         return pin_asm()
     kernels = _names(args.kernels, catalog(), "kernel")
     machines = _names(args.machines, preset_names(), "machine")
-    total_asm, total_py, total_c = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    total_asm, total_py, total_tables = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     n_blocks = total_bytes = 0
     for kernel in kernels:
         module = compile_source(load(kernel), module_name=kernel)
         for name in machines:
-            asm, py, c, n_pcs, py_bytes = pair_digest(module, build_machine(name))
+            asm, py, tables, n_pcs, py_bytes = pair_digest(module, build_machine(name))
             n_blocks += n_pcs
             total_bytes += py_bytes
             total_asm.update(f"{kernel} {name} {asm}\n".encode())
             total_py.update(f"{kernel} {name} {py}\n".encode())
-            total_c.update(f"{kernel} {name} {c}\n".encode())
-            print(f"{kernel} {name} asm={asm} py={py} c={c} py_bytes={py_bytes}", flush=True)
+            total_tables.update(f"{kernel} {name} {tables}\n".encode())
+            print(
+                f"{kernel} {name} asm={asm} py={py} tables={tables} py_bytes={py_bytes}",
+                flush=True,
+            )
     pairs = f"({len(kernels) * len(machines)} pairs, {n_blocks} start pcs)"
     print(f"total asm {total_asm.hexdigest()} {pairs}")
     print(f"total py {total_py.hexdigest()} {pairs}")
-    print(f"total c {total_c.hexdigest()} {pairs}")
+    print(f"total tables {total_tables.hexdigest()} {pairs}")
     print(f"total py_bytes {total_bytes}")
     return 0
 

@@ -73,17 +73,20 @@ class _BlockScheduler:
         machine: Machine,
         live_out_regs: set[PhysReg],
         ddg: DDG,
+        clobbers: set[PhysReg],
     ) -> None:
         self.block = block
         self.machine = machine
         self.jl = machine.jump_latency
         self.ddg = ddg
         self.live_out_regs = live_out_regs
+        #: the registers a call clobbers
+        self.clobbers = clobbers
         # last static def per register decides live-out attribution
         self.last_def_uid: dict[PhysReg, int] = {}
         for op in block.ops:
             if op.op == "call":
-                for reg in caller_saved(machine) | set(scratch_regs(machine)):
+                for reg in clobbers:
                     self.last_def_uid[reg] = op.uid
             if isinstance(op.dest, PhysReg):
                 self.last_def_uid[op.dest] = op.uid
@@ -672,8 +675,7 @@ class _BlockScheduler:
             state.o1_holds = None
         # Caller-saved registers now hold callee-defined values; the
         # return value lands in the RF before the callee returns.
-        clobbered = caller_saved(self.machine) | set(scratch_regs(self.machine))
-        for reg in clobbered:
+        for reg in self.clobbers:
             value = _Value(
                 op.uid if reg == op.dest else -op.uid,
                 reg,
@@ -777,5 +779,6 @@ def schedule_tta_function(
     for block in mfunc.blocks:
         # the scheduler only asks whether a PhysReg is live out
         out_regs = live_out[block.name]
-        blocks.append(_BlockScheduler(block, machine, out_regs, ddg_of(block, machine)).run())
+        ddg = ddg_of(block, machine)
+        blocks.append(_BlockScheduler(block, machine, out_regs, ddg, clobbers).run())
     return blocks

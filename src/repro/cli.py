@@ -819,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add(p_sweep, "kernels", "machines", "jobs", "mode", mode={
         "help": f"simulation engine for computed pairs (default {DEFAULT_MODE}; "
-        "'native' runs generated C with store-cached shared objects)",
+        "'native' runs one prebuilt C engine, its shared object store-cached)",
     })
     p_sweep.add_argument(
         "--retries", type=int, default=1,

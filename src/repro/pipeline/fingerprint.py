@@ -59,7 +59,8 @@ def _canonical_json(payload) -> bytes:
 
 @lru_cache(maxsize=1)
 def toolchain_fingerprint() -> str:
-    """Digest of the toolchain: package version + all ``repro`` sources.
+    """Digest of the toolchain: package version + all ``repro`` sources
+    (the Python modules and the native engine's C).
 
     Hashing the source tree (path-relative names and contents, sorted)
     means any code change — a scheduler tweak, a simulator fix, a new
@@ -74,7 +75,7 @@ def toolchain_fingerprint() -> str:
     # .mc kernel sources are deliberately excluded: each task hashes the
     # exact source text it compiles, so editing one kernel invalidates
     # only that kernel's entries, not the whole store.
-    for path in sorted(root.rglob("*.py")):
+    for path in sorted([*root.rglob("*.py"), *root.rglob("*.c")]):
         rel = path.relative_to(root).as_posix()
         digest.update(f"{rel}\n".encode())
         digest.update(path.read_bytes())

@@ -229,8 +229,8 @@ class ArtifactStore:
     def store_blob(self, key: str, payload: bytes) -> Path:
         """Store opaque binary data (same atomicity and self-verification
         guarantees as the typed entry kinds).  Used by the native engine
-        to memoise compiled shared objects keyed by their generated-C
-        fingerprint."""
+        to memoise its compiled shared object, keyed by the engine source,
+        compiler and flags."""
         path = self.blob_path(key)
         self._write_entry(path, bytes(payload))
         self.stats.blob_writes += 1

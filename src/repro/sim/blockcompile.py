@@ -32,9 +32,9 @@ with the reference engine's exact messages at the exact cycle.  All
 ``static_decode_vliw``, which turbo runs first.
 
 What a block does is decided once per core style, by the block walkers
-:func:`_walk_tta` and :func:`_walk_vliw`.  They print through a printer
-that supplies only syntax: :class:`_PyBlock` here, and the C printer of
-:mod:`repro.sim.cgen`, so the native engine compiles the same blocks.
+:func:`_walk_tta` and :func:`_walk_vliw` (and :func:`_walk_scalar` for
+the scalar core).  They print through :class:`_PyBlock`, which supplies
+only syntax.
 
 Anything the code generator cannot prove static has no block, and the
 driver steps it one precise cycle at a time exactly as the fast engine
@@ -81,7 +81,7 @@ from repro.sim.scalar_sim import ENDS_BLOCK, static_cost
 #: the pipeline artifact fingerprint (:mod:`repro.pipeline.fingerprint`)
 #: so a cached sweep result can never mask a codegen semantics change:
 #: bump this whenever the semantics of any engine (checked / fast /
-#: turbo / native) or of the generated block or C code could
+#: turbo / native), of the generated block code or of the C engine could
 #: change.  It also keys the native engine's stored shared objects.
 SIM_ENGINE_VERSION = 5
 
@@ -105,7 +105,8 @@ class _Unsupported(Exception):
     block is then not compiled and the driver steps it precisely."""
 
 
-def _cexpr(k: int) -> str:
+def _at(k: int) -> str:
+    """The block's entry cycle ``c`` plus *k*, as an expression."""
     return "c" if k == 0 else f"c + {k}"
 
 
@@ -172,8 +173,8 @@ def _partition(start, n_instrs, jl, has_halt, has_ctl):
 
 
 def _op_predicates(style, decoded):
-    """``(has_halt, has_ctl, has_call)`` over a style's static decode,
-    each a pc predicate closed over the decoded tuples."""
+    """``(has_halt, has_ctl)`` over a style's static decode, each a pc
+    predicate closed over the decoded tuples."""
     if style == "tta":
 
         def has_halt(p):
@@ -181,9 +182,6 @@ def _op_predicates(style, decoded):
 
         def has_ctl(p):
             return any(op in _CONTROL_OPS for _, _, op in decoded[p][2])
-
-        def has_call(p):
-            return any(op == "call" for _, _, op in decoded[p][2])
 
     else:
 
@@ -193,10 +191,7 @@ def _op_predicates(style, decoded):
         def has_ctl(p):
             return any(op[0] in _CONTROL_OPS for op in decoded[p])
 
-        def has_call(p):
-            return any(op[0] == "call" for op in decoded[p])
-
-    return has_halt, has_ctl, has_call
+    return has_halt, has_ctl
 
 
 def _vliw_max_latency(decoded) -> int:
@@ -209,31 +204,16 @@ def _vliw_max_latency(decoded) -> int:
     )
 
 
-def _tta_pcap(decoded) -> int:
-    """Per-FU pending-ring capacity: a power of two above the longest
-    result latency plus two (the due-window bound)."""
-    maxlat = 1  # getra pushes at cycle + 1
-    for _rf_moves, _o1_moves, trig_moves, _counts, _fu_reads in decoded:
-        for _src, _fu, opcode in trig_moves:
-            spec = OPS.get(opcode)
-            if spec is not None and spec.latency > maxlat:
-                maxlat = spec.latency
-    pcap = 8
-    while pcap < maxlat + 2:
-        pcap *= 2
-    return pcap
-
-
 # ---------------------------------------------------------------------------
 # block walkers: what a block does, once per core style.  A walker visits
-# every move or op of the block once and emits through a printer -- the
-# Python one below (turbo) or the C one in repro.sim.cgen (native) -- which
-# supplies only syntax.  A walker returns the printer's ``finish`` result,
-# or ``None`` when the block cannot be compiled.
+# every move or op of the block once and emits through the printer
+# (:class:`_PyBlock`), which supplies only syntax.  A walker returns the
+# printer's ``finish`` result, or ``None`` when the block cannot be
+# compiled.
 # ---------------------------------------------------------------------------
 
 
-def _walk_tta(out, decoded, start, jl, has_halt, has_ctl, pcap):
+def _walk_tta(out, decoded, start, jl, has_halt, has_ctl):
     """One TTA block in the four-phase move order of one cycle.
 
     Static FU-result forwarding: the scheduler bypasses results in
@@ -244,11 +224,10 @@ def _walk_tta(out, decoded, start, jl, has_halt, has_ctl, pcap):
     due by then is forwarded to the latest such temp (``out.fu_forward``;
     pushes are monotonic, so every carried-in entry commits too), and from
     then on the unit's list is known: a read commits its due entries
-    (``out.fu_commit``), a push appends (``out.fu_append``) or, statically
-    non-monotonic, raises (``out.fu_push_error``), and a list of *pcap*
-    entries (the C ring's capacity) drains its due ones first.  Only a
+    (``out.fu_commit``), and a push appends (``out.fu_append``) or,
+    statically non-monotonic, raises (``out.fu_push_error``).  Only a
     read with no in-block push due by then is dynamic (``out.fu_read``).
-    The printers keep each unit's state in memory exact at every step.
+    The printer keeps each unit's state in memory exact at every step.
 
     The reference samples every source of an instruction before it
     latches or triggers anything, so each instruction first reads every
@@ -272,7 +251,7 @@ def _walk_tta(out, decoded, start, jl, has_halt, has_ctl, pcap):
         if n_due:
             results[fu] = ring[n_due - 1][1]
             del ring[:n_due]
-            out.fu_commit(fu, n_due, ring, results[fu])
+            out.fu_commit(fu, n_due, results[fu])
 
     def fu_read(fu, k):
         if fu in sampled:
@@ -296,10 +275,6 @@ def _walk_tta(out, decoded, start, jl, has_halt, has_ctl, pcap):
         elif ring and due_rel <= ring[-1][0]:
             out.fu_push_error(fu, due_rel, ring[-1][0])
         else:
-            if len(ring) == pcap:
-                commit(fu, ring, k)
-                if len(ring) == pcap:  # unreachable by the due-window bound
-                    raise _Unsupported(fu)
             ring.append((due_rel, t))
             out.fu_append(fu, ring)
 
@@ -643,7 +618,7 @@ class _PyBlock:
         like ``fu_unavailable_error``."""
         f = self._fu(fu)
         self.used.add("_ua")
-        C = _cexpr(k)
+        C = _at(k)
         t = self._newtemp()
         self._emit(f"_p = {f}.pending")
         self._emit(f"while _p and _p[0][0] <= {C}:")
@@ -668,24 +643,24 @@ class _PyBlock:
 
     def fu_forward(self, fu, ring, result):
         f = self._fu(fu)
-        pending = ", ".join(f"({_cexpr(d)}, {t})" for d, t in ring)
+        pending = ", ".join(f"({_at(d)}, {t})" for d, t in ring)
         self._emit(f"{f}.pending = [{pending}]")
         self._emit(f"{f}.result = {result}")
         self._emit(f"{f}.has_result = True")
 
-    def fu_commit(self, fu, n_due, ring, result):
+    def fu_commit(self, fu, n_due, result):
         f = self._fu(fu)
         self._emit(f"del {f}.pending[:{n_due}]")
         self._emit(f"{f}.result = {result}")
 
     def fu_append(self, fu, ring):
         d, t = ring[-1]
-        self._emit(f"{self._fu(fu)}.pending.append(({_cexpr(d)}, {t}))")
+        self._emit(f"{self._fu(fu)}.pending.append(({_at(d)}, {t}))")
 
     def fu_push_error(self, fu, due_rel, last_rel):
         self._emit(
             "raise ValueError('%s: result due %s not after pending %s'"
-            f" % ({self._fu(fu)}.name, {_cexpr(due_rel)}, {_cexpr(last_rel)}))"
+            f" % ({self._fu(fu)}.name, {_at(due_rel)}, {_at(last_rel)}))"
         )
 
     def load(self, op, addr):
@@ -719,13 +694,13 @@ class _PyBlock:
         self._emit("    _w[2][_w[3]] = _w[4]")
 
     def drain(self, k):
-        self._drain_while(f"_hp and _hp[0][0] < {_cexpr(k)}")
+        self._drain_while(f"_hp and _hp[0][0] < {_at(k)}")
 
     def exit_write(self, due_rel, rf, idx, t):
         self.used.add("_wl")
         rp = self.rf_param[rf]
         self.used.add(rp)
-        self._emit(f"_wl({_cexpr(due_rel)}, {rp}, {idx}, {t})")
+        self._emit(f"_wl({_at(due_rel)}, {rp}, {idx}, {t})")
 
     def finish(self, start, n, halts, redirects, flush=False):
         """``(length, halts, source, code)`` of the finished block."""
@@ -733,7 +708,7 @@ class _PyBlock:
         if halts:
             if flush:
                 self._drain_while("_hp")
-            self._emit(f"return (3, 0, {_cexpr(n - 1)}, -1, 0)")
+            self._emit(f"return (3, 0, {_at(n - 1)}, -1, 0)")
         elif redirects:
             self._emit(f"if rc == c + {n}:")
             self._emit(f"    return (1, rt, c + {n}, -1, 0)")
@@ -749,20 +724,18 @@ class _PyBlock:
 
     def leave(self, pc, k):
         """A scalar block exit: continue at *pc* with ``c + k`` cycles."""
-        self._emit(f"return ({pc}, {_cexpr(k)})")
+        self._emit(f"return ({pc}, {_at(k)})")
 
     def compiled(self, start, prologue=()):
         """``(source, code)`` of the printed block."""
         return _assemble(self.lines, list(prologue), self.used, f"{self.style}:{start}")
 
 
-def _compile_tta_block(
-    program: Program, start: int, decoded, preds, rf_param, fu_param, pcap
-):
+def _compile_tta_block(program: Program, start: int, decoded, preds, rf_param, fu_param):
     """Generate + compile one TTA basic block; ``None`` if unsupported."""
     out = _PyBlock("tta", rf_param, fu_param)
     jl = program.machine.jump_latency
-    return _walk_tta(out, decoded, start, jl, *preds, pcap)
+    return _walk_tta(out, decoded, start, jl, *preds)
 
 
 def _compile_vliw_block(program: Program, start: int, decoded, preds, rf_param, maxlat):
@@ -792,11 +765,11 @@ def _block_compiler(program: Program):
         return _compile_scalar_block, _SCALAR_KEY, (rf_param,)
     if program.style == "tta":
         decoded = static_decode_tta(program)
-        preds = _op_predicates("tta", decoded)[:2]
-        args = (decoded, preds, rf_param, fu_param, _tta_pcap(decoded))
+        preds = _op_predicates("tta", decoded)
+        args = (decoded, preds, rf_param, fu_param)
         return _compile_tta_block, _TTA_TURBO_KEY, args
     decoded = static_decode_vliw(program)
-    preds = _op_predicates("vliw", decoded)[:2]
+    preds = _op_predicates("vliw", decoded)
     maxlat = _vliw_max_latency(decoded)
     return _compile_vliw_block, _VLIW_TURBO_KEY, (decoded, preds, rf_param, maxlat)
 

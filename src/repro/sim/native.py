@@ -1,17 +1,18 @@
-"""Native (generated-C) simulation engine, ``mode="native"``.
+"""Native (C) simulation engine, ``mode="native"``.
 
 This is the fourth rung of the single-run engine ladder (checked →
-fast → turbo → native): :mod:`repro.sim.cgen` emits the turbo engine's
-basic blocks as one C translation unit, this module compiles it to a
-shared object and hands its entries to the stepping driver the fast and
-turbo engines share (:func:`~repro.sim.predecode.run_tta` /
+fast → turbo → native).  One fixed C interpreter, ``engine.c``, runs
+every TTA and VLIW program: :mod:`repro.sim.cgen` encodes a program into
+flat integer tables (:func:`build_native_program`), and this module
+builds the engine's shared object and hands it to the stepping driver
+the fast and turbo engines share (:func:`~repro.sim.predecode.run_tta` /
 :func:`~repro.sim.predecode.run_vliw`) as the block source
-(:func:`native_blocks`).  Control only returns to Python for block
-boundaries the C dispatcher cannot chain (carried redirects, uncompiled
-entries, budget-edge blocks) — those the driver steps one precise
-cycle at a time — and for dynamic errors, whose reference
-``SimError``/``ValueError`` messages are reconstructed byte-identically
-from the synced-back machine state.
+(:func:`native_blocks`).  The source has a block at every pc, so the
+driver enters C once, at pc 0, and the engine runs the program to its
+halt or its first error, counting executions per pc.  Dynamic errors
+come back as a status, and the reference engine's ``SimError`` /
+``ValueError`` is rebuilt byte-identically from the synced-back
+machine state.
 
 Compilation and caching:
 
@@ -24,17 +25,19 @@ Compilation and caching:
   timeout), every failed compile counts ``sim.native.cc_failed``, and
   every run that fell back, for any reason, counts
   ``sim.native.degraded_runs``;
-  C generation and the C compile run in their own ``sim.native.cgen``
+  table encoding and the C compile run in their own ``sim.native.cgen``
   and ``sim.native.cc`` spans, so a trace shows the compile apart from
   the simulation;
-* built shared objects are cached at three levels: per-``Program``
-  (``predecode_cache``), per-process (dlopened library by source key)
-  and persistently in the artifact store's binary-blob kind, keyed by
-  SHA-256 of (``SIM_ENGINE_VERSION``, compiler id, generated C source)
-  so warm sweeps and service workers never invoke the C compiler;
+* the engine is built lazily, on a process's first native run, and
+  once per (compiler, flags): its shared object is cached per process
+  (one dlopened library, :data:`_LIB_CACHE`) and persistently in the
+  artifact store's binary-blob kind, keyed by SHA-256 of
+  (``SIM_ENGINE_VERSION``, compiler id, flags, engine source), so warm
+  sweeps and service workers never invoke the C compiler; a program's
+  tables are cached on its ``predecode_cache``;
 * the shared object is called through ctypes (the standard library;
-  C is entered once per block chain, so the binding's per-call cost
-  does not matter).
+  C is entered once per run, so the binding's per-call cost does not
+  matter).
 
 Byte-identity with ``mode="checked"`` across exit code, cycles, every
 statistics counter and error text is asserted by ``tests/test_native.py``
@@ -50,6 +53,7 @@ import shutil
 import subprocess
 import tempfile
 import warnings
+from array import array
 from functools import partial
 from heapq import heappush as _heappush
 
@@ -74,6 +78,7 @@ from repro.sim.cgen import (
     ST_HALT,
     ST_MEM_RANGE,
     ST_OVERLAP,
+    ST_PC_RANGE,
     build_native_program,
 )
 from repro.sim.errors import SimError
@@ -90,23 +95,19 @@ _REASON_KEY = "native-unavailable"
 
 _ABSENT = object()
 
-#: process-wide dlopened bindings keyed by shared-object key (a str
-#: records a permanent build failure's reason so it is not retried)
+#: the process's dlopened engine bindings keyed by shared-object key, one
+#: per (compiler, flags) (a str records a permanent build failure's
+#: reason so it is not retried)
 _LIB_CACHE: dict[str, object] = {}
 
-#: flags for every generated translation unit.  The compile dominates a
-#: program's first native run and its cost is linear in the volume of
-#: emitted code, which cgen keeps small (see its module docstring).  Every
-#: result is stored, so most programs run natively once and that compile
-#: is what they pay.  -O0, not -O1: over the 16 TTA/VLIW rows of
-#: ``BENCH_sim.json`` (gcc 12, one 2-core x86 host, two regenerations),
-#: -O1 took 20-25 s of compiler CPU against 6.7-7.7 s for 1.2-1.3x faster
-#: warm runs (16-20 against 20-26 ms summed), which repays the extra
-#: compile after 530 or more runs of one program, if at all (on 5 rows
-#: -O0 ran as fast).  A module
-#: constant rather than an environment knob; the sanitizer tests
-#: monkeypatch it (the flags are part of the shared-object key, so such
-#: builds never mix with these).
+#: flags of the engine build, which a process pays on its first native
+#: run (nothing on a warm store).  -O0: with gcc 12 on one 2-core x86 host
+#: the engine builds in 0.05 s at -O0, 0.10 s at -O1 and 0.16 s at -O2;
+#: -O1 runs 1.5-2x faster warm (mips on m-tta-2: 0.9 against 1.3 ms), which
+#: a process repays only after some hundred runs of that length, more
+#: than ``explore`` makes.  A module constant rather than an environment
+#: knob; the sanitizer tests monkeypatch it (the flags are part of the
+#: shared-object key, so such builds never mix with these).
 _CC_FLAGS = ("-O0", "-fPIC", "-shared", "-fno-strict-aliasing", "-w")
 _CC_TIMEOUT_S = 120
 
@@ -154,9 +155,9 @@ _CC_IDS: dict[str, str] = {}
 
 
 def _so_key(source: str, cc_id: str) -> str:
-    """Artifact-store key of the shared object for *source*: any change
-    to the engine version, the compiler, its flags, or the generated C
-    re-keys it."""
+    """Artifact-store key of the shared object built from *source*: any
+    change to the engine version, the compiler, its flags, or the engine
+    source re-keys it."""
     flags = " ".join(_CC_FLAGS)
     blob = f"native-v{SIM_ENGINE_VERSION}\0{cc_id}\0{flags}\0".encode()
     return hashlib.sha256(blob + source.encode()).hexdigest()
@@ -173,8 +174,8 @@ def _compile_so(cc: str, source: str) -> bytes:
     with obs.span("sim.native.cc"), tempfile.TemporaryDirectory(
         prefix="repro-native-cc-"
     ) as tmp:
-        c_path = os.path.join(tmp, "program.c")
-        so_path = os.path.join(tmp, "program.so")
+        c_path = os.path.join(tmp, "engine.c")
+        so_path = os.path.join(tmp, "engine.so")
         with open(c_path, "w") as handle:
             handle.write(source)
         cmd = [cc, *_CC_FLAGS, "-o", so_path, c_path]
@@ -216,7 +217,7 @@ def _write_so(path: str, blob: bytes) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the ctypes binding of the generated entry point
+# the ctypes binding of the engine's entry point
 # ---------------------------------------------------------------------------
 
 
@@ -229,6 +230,7 @@ class _CtypesBinding:
         fn = getattr(lib, ENTRY_SYMBOL)
         fn.restype = ctypes.c_int
         fn.argtypes = [
+            ctypes.POINTER(ctypes.c_int32),
             ctypes.POINTER(ctypes.c_uint32),
             ctypes.POINTER(ctypes.c_uint32),
             ctypes.POINTER(ctypes.c_int64),
@@ -250,11 +252,17 @@ class _CtypesBinding:
     def alloc_i64(self, n: int):
         return (self._ct.c_int64 * max(1, n))()
 
+    def i32_view(self, data: array):
+        return (self._ct.c_int32 * len(data)).from_buffer(data)
+
+    def u32_copy(self, blob: bytes):
+        return (self._ct.c_uint32 * (len(blob) // 4)).from_buffer_copy(blob)
+
     def mem_view(self, data: bytearray):
         return (self._ct.c_uint8 * len(data)).from_buffer(data)
 
-    def call(self, rf, fu32, pd, pv, fum, mem, ctl, execs) -> int:
-        return self._fn(rf, fu32, pd, pv, fum, mem, ctl, execs)
+    def call(self, prog, v, fu32, pd, pv, fum, mem, ctl, execs) -> int:
+        return self._fn(prog, v, fu32, pd, pv, fum, mem, ctl, execs)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +271,20 @@ class _CtypesBinding:
 
 
 class NativeEngine:
-    """One program's compiled shared object plus its dispatch metadata."""
+    """One program's encoded tables bound to the engine's shared object."""
 
-    __slots__ = ("nat", "binding", "entry_len")
+    __slots__ = ("nat", "binding", "prog", "values")
 
     def __init__(self, nat, binding):
         self.nat = nat
         self.binding = binding
-        #: entry pc -> block length, mirroring the C dispatch gate
-        self.entry_len = {start: length for start, length in nat.entries}
+        #: ``prog[]`` as the engine reads it
+        self.prog = binding.i32_view(nat.prog)
+        #: the initial ``v[]``: zeros and the immediate pool
+        values = array("I", bytes(4 * max(1, nat.n_values)))
+        for at, value in nat.consts:
+            values[at] = value
+        self.values = values.tobytes()
 
 
 def _load_or_compile(cc: str, key: str, source: str):
@@ -324,8 +337,7 @@ def _build_engine(program):
     key = _so_key(nat.source, _compiler_id(cc))
     binding = _LIB_CACHE.get(key, _ABSENT)
     if binding is _ABSENT:
-        binding = _load_or_compile(cc, key, nat.source)
-        _LIB_CACHE[key] = binding
+        binding = _LIB_CACHE[key] = _load_or_compile(cc, key, nat.source)
     elif not isinstance(binding, str):
         obs.count("sim.native.so_memory_hits")
     if isinstance(binding, str):
@@ -376,15 +388,19 @@ def _unavailable_reason(program) -> str:
 
 
 def _raise_native_error(status: int, err_a: int, err_b: int, fus):
-    """Raise the reference engine's exact error for a negative C status.
+    """Raise the reference engine's exact error for a negative status.
 
-    The machine state was synced back *before* this is called, so the
-    FU ``pending`` lists seen here are byte-identical to the reference
-    engine's at the failing cycle (see the cgen module docstring for why
-    the lazy ring drain cannot perturb them).
+    The machine state was synced back *before* this is called, so an
+    error built from an FU's ``pending`` list reads it as the reference
+    engine would at the failing cycle (see the cgen module docstring for
+    why the full-ring commit cannot change such a text).
     """
     from repro.sim.tta_sim import fu_unavailable_error
 
+    if status == ST_BUDGET:
+        raise SimError("cycle budget exceeded (runaway program?)")
+    if status == ST_PC_RANGE:
+        raise SimError(f"PC out of range: {err_a}")
     if status == ST_FU_READ:
         raise fu_unavailable_error(fus[err_a], err_b)
     if status == ST_FU_PUSH:
@@ -416,14 +432,14 @@ def native_blocks(program):
 
 
 def _native_source(engine, sim, rfs):
-    """The entry table of *engine*'s shared object, bound to *sim*: each
-    entry pushes the machine state, calls the C dispatcher (which chains
-    blocks until one it cannot enter) and pulls the state back."""
+    """*engine* bound to *sim*: a block at every pc, whose entry pushes
+    the machine state, runs the engine to the halt or the first error
+    and pulls the state back."""
     nat = engine.nat
     ffi = engine.binding
-    rf_arr = ffi.alloc_u32(nat.rf_total)
+    v = ffi.u32_copy(engine.values)
     ctl = ffi.alloc_i64(CTL_WORDS)
-    execs = ffi.alloc_i64(nat.n_blocks)
+    execs = ffi.alloc_i64(nat.n_instrs)
     mem = ffi.mem_view(sim.memory.data)
     ctl[CTL_MAX_CYCLES] = sim.max_cycles
     ctl[CTL_MEM_SIZE] = len(sim.memory.data)
@@ -433,8 +449,8 @@ def _native_source(engine, sim, rfs):
 
     def enter(pc, cycle):
         for regs, base, size in rf_lists:
-            rf_arr[base : base + size] = regs
-        push_queues(cycle)
+            v[base : base + size] = regs
+        push_queues()
         # the driver enters only with no redirect pending
         ctl[CTL_CYCLE] = cycle
         ctl[CTL_PC] = pc
@@ -442,33 +458,25 @@ def _native_source(engine, sim, rfs):
         ctl[CTL_RT] = 0
         ctl[CTL_RA] = sim.ra
         obs.count("sim.native.calls")
-        status = ffi.call(rf_arr, *buffers, mem, ctl, execs)
+        status = ffi.call(engine.prog, v, *buffers, mem, ctl, execs)
         for regs, base, size in rf_lists:
-            regs[:] = rf_arr[base : base + size]
+            regs[:] = v[base : base + size]
         pull_queues()
         sim.ra = ctl[CTL_RA]
-        if status == ST_BUDGET:
-            raise SimError("cycle budget exceeded (runaway program?)")
-        if status < 0:
+        if status != ST_HALT:
             _raise_native_error(status, ctl[CTL_ERR_A], ctl[CTL_ERR_B], fus)
-        # otherwise halted, or the C gate rejected the next entry (carried
-        # redirect, uncovered pc, budget edge) and the driver's gate, which
-        # mirrors it, steps precisely
-        done = 3 if status == ST_HALT else 0
-        return done, ctl[CTL_PC], ctl[CTL_CYCLE], ctl[CTL_RC], ctl[CTL_RT]
+        return 3, ctl[CTL_PC], ctl[CTL_CYCLE], -1, 0
 
-    blocks = {
-        start: (length, partial(enter, start))
-        for start, length in engine.entry_len.items()
-    }
+    blocks: dict[int, tuple] = {}
+
+    def materialize(pc):
+        blk = blocks[pc] = (1, partial(enter, pc))
+        return blk
 
     def finish():
-        return [
-            (start, length, execs[i]) for i, (start, length) in enumerate(nat.entries)
-        ]
+        return [(pc, 1, count) for pc, count in enumerate(execs) if count]
 
-    # setdefault(pc) records a pc outside the table as having no block
-    return blocks, blocks.setdefault, finish
+    return blocks, materialize, finish
 
 
 def _tta_queues(nat, ffi, sim, rfs, ctl):
@@ -483,11 +491,10 @@ def _tta_queues(nat, ffi, sim, rfs, ctl):
     fum = ffi.alloc_i32(3 * n_fus)
     fus = [sim.fus[name] for name in nat.fu_names]
 
-    def push(cycle):
+    def push():
         for i, fu in enumerate(fus):
-            # committing due results here is observationally neutral (any
-            # read would commit first) and bounds the pending ring
-            fu.commit(cycle)
+            if len(fu.pending) > pcap:
+                raise SimError("native engine internal error (pending ring overflow)")
             fu32[2 * i] = fu.o1
             fu32[2 * i + 1] = fu.result
             fum[3 * i] = len(fu.pending)
@@ -521,7 +528,7 @@ def _vliw_queues(nat, ffi, sim, rfs, ctl):
     """The delayed-write-back queue: ``((), (fu32, pd, pv, fum), push,
     pull)`` for the VLIW side of the shared ABI."""
     wcap = nat.wcap
-    fu32 = ffi.alloc_u32(2)  # unused by VLIW code, the ABI is shared
+    fu32 = ffi.alloc_u32(2)  # unused by the VLIW engine, the ABI is shared
     pd = ffi.alloc_i64(wcap)
     pv = ffi.alloc_u32(wcap)
     fum = ffi.alloc_i32(wcap)
@@ -532,7 +539,7 @@ def _vliw_queues(nat, ffi, sim, rfs, ctl):
         regs = rfs[name]
         slot_of.extend((regs, idx) for idx in range(size))
 
-    def push(cycle):
+    def push():
         # sorted() on the heap list is exactly its (due, seq) pop order
         entries = sorted(heap)
         if len(entries) > wcap:

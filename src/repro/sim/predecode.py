@@ -32,8 +32,9 @@ verifying ``ttasim`` and its compiled simulation engine, this module
    :func:`run_vliw`) that the fast, turbo and native engines share.
    They differ only in their *block source*
    (:func:`block_source_for`): fast has none and steps every cycle,
-   turbo and native run compiled basic blocks where the driver's gate
-   allows and step precisely everywhere else.
+   turbo runs compiled basic blocks where the driver's gate allows and
+   steps precisely everywhere else, and native enters its C engine once
+   and runs the whole program there.
 
 Dynamic properties remain checked in these engines because they are
 data-dependent: reading an FU result before it is due, non-monotonic
@@ -775,13 +776,14 @@ def block_source_for(sim):
     """``(engine label, block source)`` for *sim*'s mode.
 
     A block source is what tells the engines apart: fast has none, turbo
-    compiles blocks to Python on first entry, native runs the blocks of
-    one generated-C shared object and degrades to turbo's source (with
-    its warning) when there is none.  It is called once per run as
-    ``source(sim, rfs)`` and returns ``(blocks, materialize, finish)``:
-    ``blocks`` maps an entry pc to ``(length, enter)`` or ``None``,
-    ``materialize(pc)`` fills and returns a missing entry, and
-    ``finish()`` lists ``(start, length, executions)`` after the run.
+    compiles blocks to Python on first entry, native has a one-instruction
+    block at every pc whose entry runs the whole program on the C engine,
+    and degrades to turbo's source (with its warning) when there is none.
+    It is called once per run as ``source(sim, rfs)`` and returns
+    ``(blocks, materialize, finish)``: ``blocks`` maps an entry pc to
+    ``(length, enter)`` or ``None``, ``materialize(pc)`` fills and
+    returns a missing entry, and ``finish()`` lists ``(start, length,
+    executions)`` after the run.
     ``enter(cycle)`` runs the block and returns ``(status, pc, cycle,
     redirect_cycle, redirect_target)``; status 3 means halted at
     ``cycle``, any other status continues at ``pc``.

@@ -35,17 +35,18 @@ def run_compiled(
     program; ``mode="turbo"`` additionally compiles basic blocks to
     specialized Python code chained through a dispatch table (falling
     back per block to the fast engine where codegen cannot prove the
-    block static); ``mode="native"`` compiles the same blocks to C,
-    called via ctypes, with the shared object cached in the artifact
-    store (degrading to turbo with a one-time warning when no C compiler
-    is available); ``mode="checked"`` runs the per-cycle reference
-    engine, which re-verifies every structural property, bus routing
-    included, on every executed cycle.  On the scalar core ``checked``
-    is the reference interpreter, and ``fast``, ``turbo`` and ``native``
-    all run its block engine: straight-line blocks compiled to Python
-    (there is no C engine for the scalar core), stepped through the
-    interpreter wherever a block cannot be proven static.  All modes are
-    bit- and cycle-exact with each other.  *mode* defaults to
+    block static); ``mode="native"`` runs the program, encoded into
+    flat tables, on one prebuilt C engine called via ctypes, its shared
+    object cached in the artifact store (degrading to turbo with a
+    one-time warning when no C compiler is available); ``mode="checked"``
+    runs the per-cycle reference engine, which re-verifies every
+    structural property, bus routing included, on every executed cycle.
+    On the scalar core ``checked`` is the reference interpreter, and
+    ``fast``, ``turbo`` and ``native`` all run its block engine:
+    straight-line blocks compiled to Python (there is no C engine for
+    the scalar core), stepped through the interpreter wherever a block
+    cannot be proven static.  All modes are bit- and cycle-exact with
+    each other.  *mode* defaults to
     :data:`~repro.sim.modes.DEFAULT_MODE`.
     """
     check_mode(mode)

@@ -21,19 +21,19 @@ Four execution modes are offered (the default is
   basic blocks of the pre-decoded program into specialized Python code
   chained through a per-pc dispatch table; anything it cannot prove
   static is stepped exactly as in fast mode.
-* ``"native"`` -- :mod:`repro.sim.native` compiles the same basic
-  blocks to C (one shared object per program, persistently cached in
-  the artifact store) and drives them through the same dispatch;
-  degrades to turbo with a one-time warning when no C compiler is
-  available.
+* ``"native"`` -- :mod:`repro.sim.native` runs the program, encoded
+  into flat tables, on one prebuilt C engine (one shared object per
+  compiler and flags, persistently cached in the artifact store),
+  entered once per run through the same driver; degrades to turbo with
+  a one-time warning when no C compiler is available.
 * ``"checked"`` -- the reference implementation: every check, bus
   routing included, is re-run on every executed cycle.  The
   differential tests assert all modes agree bit- and cycle-exactly on
   every workload.
 
 Fast, turbo and native run one stepping driver
-(:func:`repro.sim.predecode.run_tta`) and differ only in where its
-compiled blocks come from.
+(:func:`repro.sim.predecode.run_tta`) and differ only in its block
+source.
 
 In every mode the simulator doubles as a schedule verifier:
 

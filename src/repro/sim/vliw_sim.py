@@ -15,12 +15,12 @@ Four execution modes are offered (the default is
 ``"fast"`` validates every bundle once at load time and runs the
 pre-decoded engine of :mod:`repro.sim.predecode`; ``"turbo"``
 additionally compiles basic blocks into specialized Python code
-(:mod:`repro.sim.blockcompile`); ``"native"`` compiles the same blocks
-to C through :mod:`repro.sim.native` (degrading to turbo when no C
-compiler is available); ``"checked"`` is the per-cycle reference
+(:mod:`repro.sim.blockcompile`); ``"native"`` runs the program on the
+prebuilt C engine of :mod:`repro.sim.native` (degrading to turbo when
+no C compiler is available); ``"checked"`` is the per-cycle reference
 implementation.  Fast, turbo and native run one stepping driver
-(:func:`repro.sim.predecode.run_vliw`) and differ only in where its
-compiled blocks come from.  Differential tests assert all modes agree
+(:func:`repro.sim.predecode.run_vliw`) and differ only in its block
+source.  Differential tests assert all modes agree
 bit- and cycle-exactly.
 """
 

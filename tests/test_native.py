@@ -1,4 +1,4 @@
-"""Native (generated-C) engine tests.
+"""Native (C engine) tests.
 
 The native engine must be bit- and cycle-exact with the checked
 reference engine — exit code, cycle count and **every** statistics
@@ -8,10 +8,11 @@ pushes, overlapping control transfers, out-of-range PCs and memory
 accesses, cycle-budget exhaustion) must raise the same exception type
 with byte-identical message text.
 
-The tier also has an availability contract: no C compiler (or a codegen
-bailout) degrades to the turbo engine with exactly one RuntimeWarning
-and unchanged results, and compiled shared objects round-trip through
-the artifact store's blob kind so warm runs never invoke the compiler.
+The tier also has an availability contract: no C compiler (or a
+program the encoder refuses) degrades to the turbo engine with exactly
+one RuntimeWarning and unchanged results, and the engine's one shared
+object round-trips through the artifact store's blob kind so warm runs
+never invoke the compiler.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.sim import (
 )
 from repro.sim import native
 from repro.sim.blockcompile import tta_block_source
-from repro.sim.cgen import ENTRY_SYMBOL, build_native_program
+from repro.sim.cgen import ENTRY_SYMBOL, OPCODES, build_native_program, engine_source
 
 #: one TTA and one VLIW design point; native/checked agreement is
 #: style-level, not design-point-level (same policy as test_blockcompile)
@@ -119,23 +120,9 @@ def _imm(value, dst, bus):
     return Move(("imm", value), dst, bus)
 
 
-def _case_source(nat, start):
-    """The generated C of the block entered at *start*."""
-    bi = [s for s, _ in nat.entries].index(start)
-    body = nat.source.split(f"case {bi}: {{\n", 1)[1]
-    return body.split("\n        }\n", 1)[0]
-
-
-def _block_source(program, start, mode):
-    """The generated code of the block entered at *start*: *mode*'s
-    Python function or C ``case``."""
-    if mode == "turbo":
-        return tta_block_source(program, start)
-    return _case_source(build_native_program(program), start)
-
-
 #: what a dynamic FU read (a runtime commit of the pending list) prints
-DYNAMIC_READ = {"turbo": ".pop(0)", "native": "FUREAD("}
+#: in a turbo block
+DYNAMIC_READ = ".pop(0)"
 
 
 def _fu_state(sim):
@@ -347,78 +334,33 @@ class TestNativeDynamics:
             )
 
         assert self._diff_state(make) == ("ok", 17, 8)
-        nat = build_native_program(make())
-        # the carried-in result is read dynamically, once for both moves
-        # of its instruction; the read of the target block's own push is
-        # forwarded
-        assert _case_source(nat, 6).count("FUREAD(") == 1
+        # turbo reads the carried-in result dynamically, once for both
+        # moves of its instruction, and forwards the read of the target
+        # block's own push
+        assert tta_block_source(make(), 6).count(DYNAMIC_READ) == 1
 
     @pytest.mark.parametrize("mode", BLOCK_ENGINES)
     def test_memory_fault_after_forwarded_reads(self, mode):
         # forwarded reads and pushes keep the FU state in memory exact, so
         # the error text and every unit's synced pending list match
-        def make():
-            # mul (due 3) and shl (due 4) are in flight when cycle 3 reads
-            # ALU0: the read forwards the mul and leaves the shl pending,
-            # then a mul due 6 joins it; LSU0's load is never read
-            return _tta_prog(
-                [
-                    [
-                        _imm(3, ("op", "ALU0", "o1", None), 0),
-                        _imm(4, ("op", "ALU0", "t", "mul"), 1),
-                        _imm(0, ("op", "LSU0", "t", "ldw"), 2),
-                    ],
-                    [],
-                    [_imm(1, ("op", "ALU0", "t", "shl"), 0)],
-                    [
-                        Move(("fu", "ALU0"), ("rf", "RF0", 1), 0),
-                        Move(("fu", "ALU0"), ("op", "ALU0", "t", "mul"), 1),
-                    ],
-                    [
-                        _imm(42, ("op", "LSU0", "o1", None), 0),
-                        _imm(0x7FFFFFFF, ("op", "LSU0", "t", "stw"), 1),
-                    ],
-                    [_imm(0, ("op", "CU", "t", "halt"), 0)],
-                ]
-            )
-
+        make = _memory_fault_prog
         outcome = self._diff_state(make, mode)
         assert "memory access out of range: 0x7fffffff+4" in outcome[1]
-        assert DYNAMIC_READ[mode] not in _block_source(make(), 0, mode)
+        if mode == "turbo":
+            assert DYNAMIC_READ not in tta_block_source(make(), 0)
         checked = TTASimulator(make(), mode="checked")
         _outcome(checked)
         assert checked.fus["ALU0"].pending == [(4, 8), (6, 36)]
 
     @pytest.mark.parametrize("mode", BLOCK_ENGINES)
     def test_push_into_full_ring(self, mode):
-        # more in-flight results than the PCAP-entry ring holds, both on a
-        # unit whose ring is statically known (ALU0, after a forwarded
-        # read) and on one that is not (LSU0): the ring drains due entries
+        # more in-flight results than the engine's PCAP-entry ring holds,
+        # on a unit that was read (ALU0) and on one that is not (LSU0):
+        # the ring commits its due entries
         pcap = build_native_program(_tta_prog([[]])).pcap
 
         def make():
-            instrs = [
-                [
-                    _imm(1, ("op", "ALU0", "o1", None), 0),
-                    _imm(1, ("op", "ALU0", "t", "add"), 1),
-                ],
-                [Move(("fu", "ALU0"), ("op", "ALU0", "t", "add"), 0)],
-            ]
-            for i in range(pcap + 2):
-                instrs.append(
-                    [
-                        _imm(i, ("op", "ALU0", "t", "add"), 0),
-                        _imm(4 * i, ("op", "LSU0", "t", "ldw"), 1),
-                    ]
-                )
-            instrs += [
-                [],
-                [],
-                [Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)],
-                [Move(("fu", "LSU0"), ("rf", "RF0", 2), 0)],
-                [_imm(0, ("op", "CU", "t", "halt"), 0)],
-            ]
-            return _tta_prog(instrs)
+            return _full_ring_prog(pcap)
 
         checked = TTASimulator(make(), mode="checked")
         block_sim = TTASimulator(make(), mode=mode)
@@ -569,6 +511,43 @@ class TestSharedObjectCache:
         warm = run_compiled(_compile(FIB_SRC, "m-tta-2"), mode="native")
         assert asdict(first) == asdict(warm) == asdict(checked)
 
+    def test_many_programs_share_one_engine(self, monkeypatch, tmp_path):
+        # distinct programs of both styles in one process: one loaded
+        # engine and one cc call, and no cc call at all on a warm store
+        from repro.pipeline.store import CACHE_DIR_ENV, NO_CACHE_ENV
+
+        monkeypatch.delenv(NO_CACHE_ENV, raising=False)
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(native, "_LIB_CACHE", {})
+        builds = []
+        compile_so = native._compile_so
+
+        def counting_compile(cc, source):
+            builds.append(cc)
+            return compile_so(cc, source)
+
+        monkeypatch.setattr(native, "_compile_so", counting_compile)
+
+        def programs():
+            fib = [_compile(FIB_SRC, name) for name in ("m-tta-2", "bm-tta-3", "m-vliw-2")]
+            mips = [
+                compile_for_machine(compile_kernel("mips"), build_machine(name))
+                for name in ("m-tta-2", "m-vliw-2", "m-vliw-3")
+            ]
+            return fib + mips
+
+        want = [asdict(run_compiled(c, mode="checked")) for c in programs()]
+        cold = programs()
+        assert {c.program.style for c in cold} == {"tta", "vliw"}
+        assert [asdict(run_compiled(c, mode="native")) for c in cold] == want
+        assert len(builds) == 1
+        assert len(native._LIB_CACHE) == 1
+        # a fresh process cache over the warm store
+        monkeypatch.setattr(native, "_LIB_CACHE", {})
+        assert [asdict(run_compiled(c, mode="native")) for c in programs()] == want
+        assert len(builds) == 1
+        assert len(native._LIB_CACHE) == 1
+
     def test_corrupt_stored_blob_recompiles(self, monkeypatch, tmp_path):
         from repro.pipeline.store import CACHE_DIR_ENV, NO_CACHE_ENV, default_store
 
@@ -615,25 +594,40 @@ class TestSharedObjectCache:
 
 
 # ---------------------------------------------------------------------------
-# driver integration: partial coverage, profiling, codegen
+# driver integration: one engine call per run, profiling, table encoding
 # ---------------------------------------------------------------------------
+
+
+def _engine_only(monkeypatch, sim):
+    """``(outcome, native calls)`` of one run of *sim* with the driver's
+    precise steps disabled, so everything the run does or raises comes
+    from inside the engine."""
+    from repro import obs
+    from repro.sim import predecode
+
+    def no_step(*_args):
+        raise AssertionError("the driver stepped a pc in Python")
+
+    monkeypatch.setattr(predecode, "_bind_tta_step", no_step)
+    monkeypatch.setattr(predecode, "_bind_vliw_op", no_step)
+    with obs.tracing() as tracer, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcome = _outcome(sim)
+    return outcome, tracer.counters["sim.native.calls"]
 
 
 @requires_cc
 class TestDriverIntegration:
-    def test_partial_native_coverage_interleaves_python_fallback(self):
-        """Dropping dispatchable entries forces the driver to interleave
-        C-executed blocks with the precise single-cycle Python fallback;
-        results must not change."""
-        compiled = _compile(FIB_SRC, "m-tta-2")
-        checked = run_compiled(compiled, mode="checked")
-        run_compiled(compiled, mode="native")  # builds + caches the engine
-        engine = compiled.program.predecode_cache["tta-native"]
-        assert engine is not None
-        for start in list(engine.entry_len)[::2]:
-            del engine.entry_len[start]
-        nat = run_compiled(compiled, mode="native")
-        assert asdict(nat) == asdict(checked)
+    def test_halting_run_is_one_engine_call(self, monkeypatch):
+        for machine_name in DIFF_MACHINES:
+            compiled = _compile(FIB_SRC, machine_name)
+            checked = run_compiled(compiled, mode="checked")
+            sim_cls = TTASimulator if compiled.program.style == "tta" else VLIWSimulator
+            sim = sim_cls(compiled.program, mode="native")
+            sim.preload(compiled.data_init)
+            outcome, calls = _engine_only(monkeypatch, sim)
+            assert outcome == ("ok", checked.exit_code, checked.cycles), machine_name
+            assert calls == 1, machine_name
 
     @pytest.mark.parametrize("machine_name", DIFF_MACHINES)
     def test_native_profile_matches_turbo(self, machine_name):
@@ -653,23 +647,164 @@ class TestDriverIntegration:
         compiled = _compile(FIB_SRC, "m-tta-2")
         nat = build_native_program(compiled.program)
         assert nat is not None
-        assert ENTRY_SYMBOL in nat.source
+        # every program runs on the one engine
+        assert nat.source == engine_source() and ENTRY_SYMBOL in nat.source
         assert nat.style == "tta"
-        assert nat.entries and nat.n_blocks == len(nat.entries)
         assert nat.n_instrs == len(compiled.program.instrs)
-        # every dispatchable entry lies inside the program
-        for start, length in nat.entries:
-            assert 0 <= start and start + length <= nat.n_instrs
+        header = list(nat.prog[:HEADER_WORDS])
+        assert header[:3] == [0, nat.n_instrs, compiled.machine.jump_latency + 1]
+        # every pc has a record inside the table, every constant a slot
+        offsets = nat.prog[HEADER_WORDS : HEADER_WORDS + nat.n_instrs]
+        assert all(HEADER_WORDS + nat.n_instrs <= at < len(nat.prog) for at in offsets)
+        assert all(nat.rf_total <= at < nat.n_values for at, _value in nat.consts)
 
 
 # ---------------------------------------------------------------------------
-# codegen shape: exact block entries, static FU-result forwarding
+# errors raised inside the engine
 # ---------------------------------------------------------------------------
+
+
+def _memory_fault_prog():
+    # mul (due 3) and shl (due 4) are in flight when cycle 3 reads ALU0:
+    # the read commits the mul and leaves the shl pending, then a mul due 6
+    # joins it; LSU0's load is never read
+    return _tta_prog(
+        [
+            [
+                _imm(3, ("op", "ALU0", "o1", None), 0),
+                _imm(4, ("op", "ALU0", "t", "mul"), 1),
+                _imm(0, ("op", "LSU0", "t", "ldw"), 2),
+            ],
+            [],
+            [_imm(1, ("op", "ALU0", "t", "shl"), 0)],
+            [
+                Move(("fu", "ALU0"), ("rf", "RF0", 1), 0),
+                Move(("fu", "ALU0"), ("op", "ALU0", "t", "mul"), 1),
+            ],
+            [
+                _imm(42, ("op", "LSU0", "o1", None), 0),
+                _imm(0x7FFFFFFF, ("op", "LSU0", "t", "stw"), 1),
+            ],
+            [_imm(0, ("op", "CU", "t", "halt"), 0)],
+        ]
+    )
+
+
+def _full_ring_prog(pcap):
+    # more in-flight results than the PCAP-entry ring holds: ALU0 after a
+    # read, and LSU0, whose loads are not read until the end
+    instrs = [
+        [
+            _imm(1, ("op", "ALU0", "o1", None), 0),
+            _imm(1, ("op", "ALU0", "t", "add"), 1),
+        ],
+        [Move(("fu", "ALU0"), ("op", "ALU0", "t", "add"), 0)],
+    ]
+    for i in range(pcap + 2):
+        instrs.append(
+            [
+                _imm(i, ("op", "ALU0", "t", "add"), 0),
+                _imm(4 * i, ("op", "LSU0", "t", "ldw"), 1),
+            ]
+        )
+    instrs += [
+        [],
+        [],
+        [Move(("fu", "ALU0"), ("rf", "RF0", 1), 0)],
+        [Move(("fu", "LSU0"), ("rf", "RF0", 2), 0)],
+        [_imm(0, ("op", "CU", "t", "halt"), 0)],
+    ]
+    return _tta_prog(instrs)
+
+
+def _budget_sim(machine_name, mode):
+    compiled = _compile(FIB_SRC, machine_name)
+    cycles = run_compiled(compiled, mode="fast").cycles
+    sim_cls = TTASimulator if compiled.program.style == "tta" else VLIWSimulator
+    sim = sim_cls(compiled.program, mode=mode, max_cycles=cycles - 2)
+    sim.preload(compiled.data_init)
+    return sim
+
+
+def _vliw_overlap_prog():
+    machine = build_machine("m-vliw-2")
+    instrs = [
+        VLIWInstr([MOp("jump", None, [Imm(0)])]),
+        VLIWInstr([MOp("jump", None, [Imm(0)])]),
+        VLIWInstr([]),
+        VLIWInstr([]),
+    ]
+    return Program(machine, "vliw", instrs)
+
+
+def _nonzero(regs):
+    """A VLIW simulator's nonzero registers: checked keeps only those it
+    wrote, the shared driver every register."""
+    return {reg: value for reg, value in regs.items() if value}
+
+
+#: scenario -> (make a simulator in a mode, what the run ends with)
+ENGINE_OUTCOMES = {
+    "pc-out-of-range": (
+        lambda mode: TTASimulator(
+            _tta_prog([[_imm(100, ("op", "CU", "t", "jump"), 0)], [], [], [], []]),
+            mode=mode,
+        ),
+        "PC out of range: 100",
+    ),
+    "tta-budget": (lambda mode: _budget_sim("m-tta-2", mode), "cycle budget"),
+    "vliw-budget": (lambda mode: _budget_sim("m-vliw-2", mode), "cycle budget"),
+    "memory-fault": (
+        lambda mode: TTASimulator(_memory_fault_prog(), mode=mode),
+        "memory access out of range: 0x7fffffff+4",
+    ),
+    "full-ring": (
+        lambda mode: TTASimulator(
+            _full_ring_prog(build_native_program(_tta_prog([[]])).pcap), mode=mode
+        ),
+        "ok",
+    ),
+    "vliw-overlap": (
+        lambda mode: VLIWSimulator(_vliw_overlap_prog(), mode=mode),
+        "overlapping control transfers",
+    ),
+}
+
+
+@requires_cc
+@pytest.mark.parametrize("scenario", sorted(ENGINE_OUTCOMES))
+def test_outcome_comes_from_inside_the_engine(monkeypatch, scenario):
+    """Each run is one engine call with no precise Python step, and ends
+    exactly as the checked reference does, with the same state of every
+    register and FU (pending lists included) after an error."""
+    make, expect = ENGINE_OUTCOMES[scenario]
+    checked = make("checked")
+    want = _outcome(checked)
+    assert expect in str(want)
+    nat = make("native")
+    outcome, calls = _engine_only(monkeypatch, nat)
+    assert outcome == want
+    assert calls == 1
+    if isinstance(nat, TTASimulator):
+        assert nat.rfs == checked.rfs
+        assert _fu_state(nat) == _fu_state(checked)
+    else:
+        assert _nonzero(nat.regs) == _nonzero(checked.regs)
+    if scenario == "memory-fault":
+        assert checked.fus["ALU0"].pending == [(4, 8), (6, 36)]
+
+
+# ---------------------------------------------------------------------------
+# the engine and its tables
+# ---------------------------------------------------------------------------
+
+#: ``prog[]`` header words before the per-pc record offsets
+HEADER_WORDS = 6
 
 
 def _entry_closure(program):
-    """{0} | labels | call return sites, closed under block fall-through
-    (computed independently of cgen from the turbo partition rule)."""
+    """{0} | labels | call return sites, closed under turbo's block
+    fall-through (the entry pcs a linked program's blocks start at)."""
     from repro.sim.blockcompile import _partition
     from repro.sim.predecode import _CONTROL_OPS as ctl_ops
     from repro.sim.predecode import static_decode_tta, static_decode_vliw
@@ -700,66 +835,168 @@ def _entry_closure(program):
     return closure
 
 
-class TestCodegenShape:
+def _operands(nat, reg="rf"):
+    """``v[]`` index -> the static decode's operand tuple it holds (a
+    register's is tagged *reg*)."""
+    names = {}
+    for rf, base, size in nat.rf_layout:
+        for idx in range(size):
+            names[base + idx] = (reg, rf, idx)
+    for f, fu in enumerate(nat.fu_names):
+        names[nat.rf_total + f] = ("fu", fu)
+    for at, value in nat.consts:
+        names[at] = ("imm", value)
+    return names
+
+
+def _decode_tta_record(nat, names, pc):
+    """One TTA record, back in the static decode's terms."""
+    from repro.isa.operations import OPS
+
+    prog = nat.prog
+    at = prog[HEADER_WORDS + pc]
+    n_reads, n_latches, n_o1, n_trigs, n_writes = prog[at : at + 5]
+    words = list(prog[at + 5 :])
+    fus = nat.fu_names
+    reads = tuple(fus[f] for f in words[:n_reads])
+    words = words[n_reads:]
+    pairs = words[: 2 * n_latches]
+    latched = {cell: names[src] for src, cell in zip(pairs[::2], pairs[1::2])}
+    words = words[2 * n_latches :]
+    o1 = tuple((names[words[2 * i]], fus[words[2 * i + 1]]) for i in range(n_o1))
+    words = words[2 * n_o1 :]
+    trigs = []
+    for i in range(n_trigs):
+        src, f, op, latency = words[4 * i : 4 * i + 4]
+        spec = OPS.get(OPCODES[op])
+        assert latency == (1 if OPCODES[op] == "getra" else spec.latency if spec else 0)
+        trigs.append((names[src], fus[f], OPCODES[op]))
+    words = words[4 * n_trigs :]
+    writes = tuple(
+        (latched.get(src) or names[src], *names[dst][1:])
+        for src, dst in zip(words[: 2 * n_writes : 2], words[1 : 2 * n_writes : 2])
+    )
+    return writes, o1, tuple(trigs), reads
+
+
+def _decode_vliw_record(nat, names, pc):
+    prog = nat.prog
+    at = prog[HEADER_WORDS + pc]
+    ops = []
+    for i in range(prog[at]):
+        op, src0, src1, dst, latency = prog[at + 1 + 5 * i : at + 6 + 5 * i]
+        ops.append((OPCODES[op], names[src0], names[src1], dst, latency))
+    return ops
+
+
+class TestEngineShape:
+    def test_engine_covers_the_alu_op_set(self):
+        import re
+
+        from repro.sim.predecode import _ALU_EXPR, ALU_FUNCS
+
+        body = engine_source().split("enum opcode {", 1)[1].split("};", 1)[0]
+        assert tuple(name.lower() for name in re.findall(r"OP_(\w+)", body)) == OPCODES
+        alu = OPCODES[OPCODES.index("add") :]
+        assert set(alu) == set(_ALU_EXPR) == set(ALU_FUNCS)
+
+    @requires_cc
+    def test_engine_alu_matches_python(self):
+        # every ALU opcode on the operands where wrap, sign and shift
+        # amounts differ, against the checked reference's evaluate()
+        from repro.sim.predecode import _ALU_EXPR
+
+        edges = (0, 1, 31, 32, 0x7FFF, 0x8000, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF)
+        pairs = [(a, b) for a in edges for b in edges]
+        machine = build_machine("m-vliw-2")
+        chunk = machine.register_files[0].size - 2
+        for op in _ALU_EXPR:
+            for first in range(0, len(pairs), chunk):
+                n_srcs = 1 if op.startswith("sx") else 2
+                bundles = [
+                    VLIWInstr([MOp(op, PhysReg("RF0", 1 + k), [Imm(a), Imm(b)][:n_srcs])])
+                    for k, (a, b) in enumerate(pairs[first : first + chunk])
+                ]
+                bundles.append(VLIWInstr([MOp("halt", None, [Imm(0)])]))
+                runs = []
+                for mode in ("checked", "native"):
+                    sim = VLIWSimulator(Program(machine, "vliw", bundles), mode=mode)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        sim.run()
+                    runs.append(_nonzero(sim.regs))
+                assert runs[1] == runs[0], op
+
+    @requires_cc
     @pytest.mark.parametrize("machine_name", ("m-tta-2", "bm-tta-3", "m-vliw-2"))
     @pytest.mark.parametrize("kernel", ("mips", "aes"))
-    def test_block_entries_come_from_labels_and_return_sites(
-        self, machine_name, kernel
-    ):
+    def test_one_call_runs_every_pc(self, monkeypatch, machine_name, kernel):
         compiled = compile_for_machine(
             compile_kernel(kernel), build_machine(machine_name)
         )
-        nat = build_native_program(compiled.program)
-        starts = {start for start, _ in nat.entries}
-        assert starts <= _entry_closure(compiled.program)
-        assert compiled.program.labels and set(compiled.program.labels.values()) <= (
-            starts | {len(compiled.program.instrs)}
-        )
+        sim_cls = TTASimulator if compiled.program.style == "tta" else VLIWSimulator
+        fast = sim_cls(compiled.program, mode="fast")
+        fast.preload(compiled.data_init)
+        fast.run()
+        nat = sim_cls(compiled.program, mode="native")
+        nat.preload(compiled.data_init)
+        outcome, calls = _engine_only(monkeypatch, nat)
+        assert outcome[0] == "ok" and calls == 1
+        # the engine counts executions per pc: the hit vector is exact
+        assert nat._last_hits == fast._last_hits
+        assert [(pc, 1, n) for pc, n in enumerate(fast._last_hits) if n] == nat._last_blocks
 
     @pytest.mark.parametrize("machine_name", DIFF_MACHINES)
     @pytest.mark.parametrize("kernel", ("mips", "adpcm", "jpeg"))
-    def test_turbo_and_native_compile_the_same_blocks(self, machine_name, kernel):
-        # an op only one printer supports would silently drop coverage
-        from repro.sim.blockcompile import _block_compiler
+    def test_tables_decode_to_the_static_decode(self, machine_name, kernel):
+        # the engine reads exactly the moves and operations the fast
+        # stepper binds, in the same order, at every pc
+        from repro.sim.predecode import static_decode_tta, static_decode_vliw
 
         program = compile_for_machine(
             compile_kernel(kernel), build_machine(machine_name)
         ).program
-        native_len = dict(build_native_program(program).entries)
-        compile_block, _key, args = _block_compiler(program)
-        for pc in sorted(_entry_closure(program)):
-            entry = compile_block(program, pc, *args)
-            turbo_len = None if entry is None else entry[0]
-            assert turbo_len == native_len.get(pc), f"{kernel}/{machine_name} pc={pc}"
+        nat = build_native_program(program)
+        if program.style == "tta":
+            names = _operands(nat)
+            for pc, instr in enumerate(static_decode_tta(program)):
+                rf_moves, o1_moves, trig_moves, _counts, fu_reads = instr
+                want = (rf_moves, o1_moves, trig_moves, fu_reads)
+                assert _decode_tta_record(nat, names, pc) == want, pc
+        else:
+            names = _operands(nat, reg="reg")
+            rf_base = {rf: base for rf, base, _size in nat.rf_layout}
+            for pc, bundle in enumerate(static_decode_vliw(program)):
+                want = [
+                    (
+                        name,
+                        (srcs[:1] or [names[0]])[0],
+                        (srcs[:2] or [names[0]])[-1],
+                        0 if dest is None else rf_base[dest[0]] + dest[1],
+                        latency,
+                    )
+                    for name, srcs, dest, latency in bundle
+                ]
+                assert _decode_vliw_record(nat, names, pc) == want, pc
 
-    def test_printers_share_the_alu_op_set(self):
-        from repro.sim.cgen import _C_ALU
-        from repro.sim.predecode import _ALU_EXPR, ALU_FUNCS
-
-        assert set(_ALU_EXPR) == set(_C_ALU) == set(ALU_FUNCS)
-
-    def test_mips_emits_about_one_cycle_per_instruction(self):
+    def test_mips_tables_stay_small(self):
+        # equal instructions share one record, so the tables grow with
+        # the distinct instructions, not the program's length
         compiled = compile_for_machine(compile_kernel("mips"), build_machine("m-tta-2"))
         nat = build_native_program(compiled.program)
-        emitted = sum(length for _, length in nat.entries)
-        assert emitted <= 1.1 * nat.n_instrs
+        offsets = nat.prog[HEADER_WORDS : HEADER_WORDS + nat.n_instrs]
+        assert len(set(offsets)) < nat.n_instrs
+        assert len(nat.prog) <= 16 * nat.n_instrs
 
-    def test_in_block_reads_are_forwarded(self):
-        # every FU read of mips is satisfied by a push in its own block
-        # (the scheduler's software bypassing), so none reads the ring
-        compiled = compile_for_machine(compile_kernel("mips"), build_machine("m-tta-2"))
-        source = build_native_program(compiled.program).source
-        body = source.split(f"int {ENTRY_SYMBOL}(", 1)[1]
-        assert "FUREAD(" not in body
-        assert "pv[" in body  # forwarded pushes store the ring directly
 
+class TestCodegenShape:
     def test_turbo_in_block_reads_are_forwarded(self):
         # the same blocks in Python: no pending-list commit loop
         compiled = compile_for_machine(compile_kernel("mips"), build_machine("m-tta-2"))
         program = compiled.program
-        for start, _length in build_native_program(program).entries:
+        for start in sorted(_entry_closure(program)):
             source = tta_block_source(program, start)
-            assert DYNAMIC_READ["turbo"] not in source, start
+            assert DYNAMIC_READ not in source, start
 
     @pytest.mark.parametrize("mode", BLOCK_ENGINES)
     def test_forwarded_read_takes_latest_due_push(self, mode):
@@ -779,9 +1016,10 @@ class TestCodegenShape:
                 ]
             )
 
-        source = _block_source(make(), 0, mode)
-        assert DYNAMIC_READ[mode] not in source
-        assert ("r0[1] = t2" if mode == "turbo" else "rf[1] = t2;") in source
+        if mode == "turbo":
+            source = tta_block_source(make(), 0)
+            assert DYNAMIC_READ not in source
+            assert "r0[1] = t2" in source
         checked = TTASimulator(make(), mode="checked")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

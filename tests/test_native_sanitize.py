@@ -1,16 +1,16 @@
-"""The generated C under sanitizers.
+"""The native C engine under sanitizers.
 
 The native engine compiles with ``-w``, so nothing else would notice
-undefined behaviour or an out-of-bounds access in the emitted code.
-These tests rebuild the shared objects with UndefinedBehaviorSanitizer
+undefined behaviour or an out-of-bounds access in it.  These tests build
+the engine, one translation unit, once with UndefinedBehaviorSanitizer
 (in process: the instrumented object pulls in ``libubsan`` itself) and
-with AddressSanitizer (in a subprocess, because ``libasan`` must be
-preloaded into the interpreter), run a small kernel x machine matrix
-covering both core styles plus the in-range part of the memory-width
-programs of ``tests/test_predecode.py`` (every load and store width,
-misaligned and up to the last byte of memory), and require every result
-to stay byte-identical to the turbo engine.  Any sanitizer report aborts
-the run (``-fno-sanitize-recover=all``), so a finding fails loudly.
+once with AddressSanitizer (in a subprocess, because ``libasan`` must be
+preloaded into the interpreter), run every paper kernel on every TTA and
+VLIW preset plus the in-range part of the memory-width programs of
+``tests/test_predecode.py`` (every load and store width, misaligned and
+up to the last byte of memory) on it, and require every result to stay
+byte-identical to the turbo engine.  Any sanitizer report aborts the run
+(``-fno-sanitize-recover=all``), so a finding fails loudly.
 
 Sanitized objects never mix with normal ones: the compiler flags are
 part of the shared-object key, and each test uses a throwaway store.
@@ -28,16 +28,17 @@ from pathlib import Path
 import pytest
 
 from repro import build_machine, compile_for_machine
-from repro.kernels import compile_kernel
+from repro.kernels import KERNELS, compile_kernel
+from repro.machine import preset_names
 from repro.pipeline.store import CACHE_DIR_ENV, NO_CACHE_ENV
 from repro.sim import native, run_compiled
 from tests.test_predecode import run_width_program, width_program
 
-MACHINES = ("m-tta-2", "bm-tta-3", "m-vliw-2")
-KERNELS = ("fft", "mips", "aes")
-#: shared objects one matrix run builds: every pair plus one width
-#: program per core style
-N_OBJECTS = len(MACHINES) * len(KERNELS) + 2
+#: every preset the engine runs (the scalar cores have no C engine)
+MACHINES = tuple(name for name in preset_names() if build_machine(name).style.value != "scalar")
+#: programs one matrix run runs natively: every (paper kernel, preset)
+#: pair plus one width program per core style
+N_RUNS = len(MACHINES) * len(KERNELS) + 2
 
 UBSAN_FLAGS = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
 ASAN_FLAGS = ("-fsanitize=address", "-fno-omit-frame-pointer")
@@ -47,28 +48,39 @@ CC = native.find_compiler()
 requires_cc = pytest.mark.skipif(CC is None, reason="no C compiler on PATH")
 
 
-def check_matrix() -> int:
-    """Build every (machine, kernel) with the current compiler flags and
-    compare native against turbo; returns the number of programs run."""
+def check_matrix() -> tuple[int, int]:
+    """Run every (paper kernel, preset) natively with the current
+    compiler flags and compare against turbo; returns the number of
+    programs run and of engine builds."""
     native._LIB_CACHE.clear()
-    compiled_objects = 0
-    for machine_name in MACHINES:
+    builds = []
+    compile_so = native._compile_so
+
+    def counting_compile(cc, source):
+        builds.append(cc)
+        return compile_so(cc, source)
+
+    native._compile_so = counting_compile
+    runs = 0
+    try:
         for kernel in KERNELS:
-            compiled = compile_for_machine(
-                compile_kernel(kernel), build_machine(machine_name)
-            )
-            reference = run_compiled(compiled, mode="turbo")
-            with warnings.catch_warnings():
-                # a degradation to turbo would compare turbo with itself
-                warnings.simplefilter("error", RuntimeWarning)
-                result = run_compiled(compiled, mode="native")
-            assert asdict(result) == asdict(reference), (machine_name, kernel)
-            compiled_objects += 1
-    for style in ("tta", "vliw"):
-        want = run_width_program(width_program(style), "turbo")
-        assert run_width_program(width_program(style), "native") == want, style
-        compiled_objects += 1
-    return compiled_objects
+            module = compile_kernel(kernel)
+            for machine_name in MACHINES:
+                compiled = compile_for_machine(module, build_machine(machine_name))
+                reference = run_compiled(compiled, mode="turbo")
+                with warnings.catch_warnings():
+                    # a degradation to turbo would compare turbo with itself
+                    warnings.simplefilter("error", RuntimeWarning)
+                    result = run_compiled(compiled, mode="native")
+                assert asdict(result) == asdict(reference), (machine_name, kernel)
+                runs += 1
+        for style in ("tta", "vliw"):
+            want = run_width_program(width_program(style), "turbo")
+            assert run_width_program(width_program(style), "native") == want, style
+            runs += 1
+    finally:
+        native._compile_so = compile_so
+    return runs, len(builds)
 
 
 def _flags_link() -> bool:
@@ -89,12 +101,12 @@ def throwaway_store(monkeypatch, tmp_path):
 
 
 @requires_cc
-@pytest.mark.slow  # compiles 11 instrumented shared objects
-def test_generated_c_is_ubsan_clean(monkeypatch, throwaway_store):
+@pytest.mark.slow  # every paper kernel on 11 presets, turbo and UBSan native
+def test_engine_is_ubsan_clean(monkeypatch, throwaway_store):
     monkeypatch.setattr(native, "_CC_FLAGS", native._CC_FLAGS + UBSAN_FLAGS)
     if not _flags_link():
         pytest.skip("compiler cannot build UBSan shared objects")
-    assert check_matrix() == N_OBJECTS
+    assert check_matrix() == (N_RUNS, 1)
 
 
 def _libasan() -> str | None:
@@ -111,8 +123,8 @@ def _libasan() -> str | None:
 
 
 @requires_cc
-@pytest.mark.slow  # compiles 11 instrumented shared objects in a subprocess
-def test_generated_c_is_asan_clean(throwaway_store):
+@pytest.mark.slow  # every paper kernel on 11 presets, turbo and ASan native
+def test_engine_is_asan_clean(throwaway_store):
     libasan = _libasan()
     if libasan is None:
         pytest.skip("libasan not available for the C compiler")
@@ -122,7 +134,7 @@ def test_generated_c_is_asan_clean(throwaway_store):
         f"sys.path[:0] = [{str(root / 'src')!r}, {str(root)!r}]\n"
         "from tests.test_native_sanitize import ASAN_FLAGS, check_matrix, native\n"
         "native._CC_FLAGS += ASAN_FLAGS\n"
-        "print('compiled', check_matrix())\n"
+        "print('runs %d builds %d' % check_matrix())\n"
     )
     env = {
         **os.environ,
@@ -139,4 +151,4 @@ def test_generated_c_is_asan_clean(throwaway_store):
         timeout=1200,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]
-    assert f"compiled {N_OBJECTS}" in proc.stdout
+    assert f"runs {N_RUNS} builds 1" in proc.stdout
