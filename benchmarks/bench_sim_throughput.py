@@ -1,22 +1,22 @@
-"""Simulator throughput: checked vs fast vs turbo vs native engines.
+"""Simulator throughput: checked vs fast vs native engines.
 
 Reports simulated MIPS (million simulated cycles per wall second) for the
-Table IV workloads in all four single-run execution modes, asserting
-bit-exact agreement on every architectural statistic along the way (the
-differential tests in ``tests/test_predecode.py``,
-``tests/test_blockcompile.py``, ``tests/test_native.py`` and
+Table IV workloads on the three engines (``turbo`` is a name for fast,
+so it is not timed apart), asserting bit-exact agreement on every
+architectural statistic along the way (the differential tests in
+``tests/test_predecode.py``, ``tests/test_native.py`` and
 ``tests/test_scalar_sim.py`` enforce the same property exhaustively).
 The scalar rows (``mblaze-3``) time the scalar core's interpreter in the
-checked column and its Python block engine in the other three (there is
+checked column and its Python block engine in the other two (there is
 no C engine for the scalar core, so it has no cold column either).
 
 Two entry points:
 
 * ``pytest benchmarks/bench_sim_throughput.py -s`` — the historical
   benchmark-as-test: prints the table and asserts the engine speedup
-  floors (fast >= 3x over checked; turbo >= 3x over fast and native
-  >= 3x over turbo on at least one TTA and one VLIW design point; the
-  scalar block engine >= 3x over the scalar interpreter).
+  floors (fast >= 3x over checked on at least one TTA or VLIW design
+  point; native >= 9x over fast on at least one TTA and one VLIW design
+  point; the scalar block engine >= 3x over the scalar interpreter).
   Every engine of a row is timed best-of-``REPEATS``, the engines
   interleaved, so the rows of two runs on a shared host are comparable.
   Native is timed with a warm engine — the warm-up run pays the
@@ -29,11 +29,8 @@ Two entry points:
   store, no process cache); the JSON also gives the compiler's own CPU
   time (``cc_cpu_s``) and the engine source's size (``c_kib``).  A
   later program of the same process pays only its encoding.  Without a C
-  compiler on PATH the native column degrades to turbo, the cold column
-  is empty and the native floor is skipped.  The ``turbo_cold`` column
-  is a program's first turbo run, timed before any other engine fills
-  its caches: predecode, block codegen and ``compile()`` included.
-  Smoke mode for CI: ``REPRO_BENCH_SMOKE=1`` shrinks the matrix and
+  compiler on PATH the native column degrades to fast, the cold column
+  is empty and the native floor is skipped.  Smoke mode for CI: ``REPRO_BENCH_SMOKE=1`` shrinks the matrix and
   skips the hard ratio asserts (shared runners have too much timing
   noise).
 
@@ -67,19 +64,20 @@ from repro.sim import MODES, run_compiled
 #: per core style
 MACHINES = ("m-tta-2", "m-vliw-2", "mblaze-3")
 
+#: the engines timed, reference first
+ENGINES = ("checked", "fast", "native")
+
 #: minimum fast/checked speedup required on at least one TTA/VLIW workload
 SPEEDUP_FLOOR = 3.0
 
-#: minimum turbo/fast speedup required on at least one workload per style
-TURBO_FLOOR = 3.0
+#: minimum native/fast speedup required on at least one workload per
+#: style, with a warm engine: the product of the two 3x floors it
+#: replaces (a Python block engine over fast, native over that engine)
+NATIVE_FLOOR = 9.0
 
-#: minimum native/turbo speedup required on at least one workload per
-#: style, with a warm compiled-object cache (the ISSUE acceptance floor)
-NATIVE_FLOOR = 3.0
-
-#: minimum warm speedup of the scalar core's block engine (turbo) over its
-#: checked interpreter, on at least one workload; the same floor as turbo's
-SCALAR_FLOOR = TURBO_FLOOR
+#: minimum warm speedup of the scalar core's block engine (its fast mode)
+#: over its checked interpreter, on at least one workload
+SCALAR_FLOOR = 3.0
 
 #: maximum tracing overhead on the fast engine (enabled-tracer wall time
 #: over untraced wall time, best row): the observability layer never
@@ -172,24 +170,22 @@ def measure(machines, kernels):
                 compile_source(kernel_source(kernel)), machine
             )
             # Warm the per-program caches (structural verification, static
-            # decode, compiled block code, the native tables and engine —
+            # decode, scalar block code, the native tables and engine —
             # the one-time engine build or store fetch happens here) before
             # timing: the sweep use case simulates each program many
             # times, so steady-state throughput is the relevant number.
-            # Checked has no caches.  The cold turbo run and the cold
-            # native encoding and engine build are timed first, each on
-            # its own.
-            _, turbo_cold = _time_mode(compiled, "turbo")
+            # Checked has no caches.  The cold native encoding and engine
+            # build are timed first, on their own.
             native_cold = _time_native_cold(compiled)
-            run_compiled(compiled, mode="turbo")
+            run_compiled(compiled, mode="fast")
             run_compiled(compiled, mode="native")
-            results, seconds = {}, dict.fromkeys(MODES, float("inf"))
+            results, seconds = {}, dict.fromkeys(ENGINES, float("inf"))
             for _ in range(REPEATS):
-                for mode in MODES:
+                for mode in ENGINES:
                     results[mode], elapsed = _time_mode(compiled, mode)
                     seconds[mode] = min(seconds[mode], elapsed)
             reference = asdict(results["checked"])
-            for mode in MODES[1:]:
+            for mode in ENGINES[1:]:
                 assert asdict(results[mode]) == reference, (
                     machine_name, kernel, mode,
                 )
@@ -216,19 +212,16 @@ def measure(machines, kernels):
                     "style": machine.style.value,
                     "kernel": kernel,
                     "cycles": cycles,
-                    "seconds": {m: seconds[m] for m in MODES},
+                    "seconds": {m: seconds[m] for m in ENGINES},
                     "mips": {
                         m: cycles / seconds[m] / 1e6 if seconds[m] > 0 else 0.0
-                        for m in MODES
+                        for m in ENGINES
                     },
                     "speedup": {
                         "fast_vs_checked": seconds["checked"] / seconds["fast"],
-                        "turbo_vs_fast": seconds["fast"] / seconds["turbo"],
-                        "turbo_vs_checked": seconds["checked"] / seconds["turbo"],
-                        "native_vs_turbo": seconds["turbo"] / seconds["native"],
+                        "native_vs_fast": seconds["fast"] / seconds["native"],
                     },
                     "trace_overhead": traced_best / untraced_best,
-                    "turbo_cold": turbo_cold,
                     "native_cold": native_cold,
                 }
             )
@@ -245,15 +238,14 @@ def best_per_style(rows, ratio: str) -> dict[str, float]:
 
 def best_speedups(rows) -> dict:
     """The best row per floor: fast/checked over the TTA/VLIW rows,
-    turbo/fast and native/turbo per style, and the scalar block engine
-    over its interpreter."""
+    native/fast per style, and the scalar block engine (fast on the
+    scalar core) over its interpreter."""
     return {
         "fast_vs_checked": max(
             row["speedup"]["fast_vs_checked"] for row in rows if row["style"] != "scalar"
         ),
-        "turbo_vs_fast": best_per_style(rows, "turbo_vs_fast"),
-        "native_vs_turbo": best_per_style(rows, "native_vs_turbo"),
-        "scalar_blocks_vs_checked": best_per_style(rows, "turbo_vs_checked").get("scalar", 0.0),
+        "native_vs_fast": best_per_style(rows, "native_vs_fast"),
+        "scalar_blocks_vs_checked": best_per_style(rows, "fast_vs_checked").get("scalar", 0.0),
     }
 
 
@@ -266,17 +258,11 @@ def floor_failures(best) -> list[str]:
             f"checked reference (target {SPEEDUP_FLOOR}x)"
         )
     for style in ("tta", "vliw"):
-        turbo = best["turbo_vs_fast"].get(style, 0.0)
-        if turbo < TURBO_FLOOR:
-            failures.append(
-                f"turbo engine only reached {turbo:.1f}x over fast on the best "
-                f"{style} point (target {TURBO_FLOOR}x)"
-            )
-        native = best["native_vs_turbo"].get(style, 0.0)
+        native = best["native_vs_fast"].get(style, 0.0)
         if _native_available() and native < NATIVE_FLOOR:
             failures.append(
-                f"native engine only reached {native:.1f}x over turbo on the best "
-                f"{style} point (target {NATIVE_FLOOR}x, warm compiled-object cache)"
+                f"native engine only reached {native:.1f}x over fast on the best "
+                f"{style} point (target {NATIVE_FLOOR}x, warm engine)"
             )
     scalar = best["scalar_blocks_vs_checked"]
     if scalar < SCALAR_FLOOR:
@@ -290,9 +276,9 @@ def floor_failures(best) -> list[str]:
 def format_table(rows) -> str:
     lines = [
         f"{'machine':10s} {'kernel':10s} {'cycles':>10s} "
-        f"{'checked':>9s} {'fast':>9s} {'turbo':>9s} {'t-cold':>7s} "
+        f"{'checked':>9s} {'fast':>9s} "
         f"{'native':>9s} {'cold':>7s} "
-        f"{'fast/chk':>9s} {'turbo/fast':>11s} {'native/turbo':>13s} "
+        f"{'fast/chk':>9s} {'native/fast':>12s} "
         f"{'traced':>8s}"
     ]
     for row in rows:
@@ -303,10 +289,10 @@ def format_table(rows) -> str:
         cold_s = f"{cold['total_s']:6.2f}s" if cold else f"{'-':>7s}"
         lines.append(
             f"{row['machine']:10s} {row['kernel']:10s} {row['cycles']:10d} "
-            f"{mips['checked']:8.2f}M {mips['fast']:8.2f}M {mips['turbo']:8.2f}M "
-            f"{row['turbo_cold']:6.2f}s {mips['native']:8.2f}M {cold_s} "
-            f"{speedup['fast_vs_checked']:8.1f}x {speedup['turbo_vs_fast']:10.1f}x "
-            f"{speedup['native_vs_turbo']:12.1f}x "
+            f"{mips['checked']:8.2f}M {mips['fast']:8.2f}M "
+            f"{mips['native']:8.2f}M {cold_s} "
+            f"{speedup['fast_vs_checked']:8.1f}x "
+            f"{speedup['native_vs_fast']:11.1f}x "
             f"{overhead_pct:+6.1f}%"
         )
     return "\n".join(lines)
@@ -355,7 +341,7 @@ def test_smoke_covers_both_styles(kernels):
             compile_source(kernel_source(kernel)), build_machine(machine_name)
         )
         reference = asdict(run_compiled(compiled, mode="checked"))
-        # native degrades to turbo without a C compiler; both ways the
+        # native degrades to fast without a C compiler; both ways the
         # result must stay byte-identical to the checked reference
         for mode in MODES[1:]:
             assert asdict(run_compiled(compiled, mode=mode)) == reference, (
@@ -397,10 +383,8 @@ def main(argv=None) -> int:
     print()
     print(
         "best speedups: fast/checked "
-        + f"{best['fast_vs_checked']:.1f}x; turbo/fast "
-        + ", ".join(f"{s} {v:.1f}x" for s, v in sorted(best["turbo_vs_fast"].items()))
-        + "; native/turbo "
-        + ", ".join(f"{s} {v:.1f}x" for s, v in sorted(best["native_vs_turbo"].items()))
+        + f"{best['fast_vs_checked']:.1f}x; native/fast "
+        + ", ".join(f"{s} {v:.1f}x" for s, v in sorted(best["native_vs_fast"].items()))
         + f"; scalar blocks/interpreter {best['scalar_blocks_vs_checked']:.1f}x"
         + f"; tracing overhead (best row) {(overhead_best - 1) * 100:+.1f}%"
     )
@@ -414,7 +398,7 @@ def main(argv=None) -> int:
         payload = {
             "benchmark": "sim_throughput",
             "smoke": bool(args.smoke),
-            "engines": list(MODES),
+            "engines": list(ENGINES),
             "machines": list(MACHINES),
             "kernels": list(bench_kernels),
             "results": rows,

@@ -1,21 +1,20 @@
-"""Digest the compiled programs, the generated block code of the turbo
-and scalar engines, and the native engine's encoded tables.
+"""Digest the compiled programs, the scalar block engine's generated
+code and the native engine's encoded tables.
 
-For every (kernel, machine) pair this prints three SHA-256 digests:
-``asm`` over the compiled program itself (its ``format_program``
-listing, data image and symbol table), ``py`` over the generated Python
-block source at every start pc (``None`` where the block falls back to
-precise stepping) -- turbo's on a TTA/VLIW preset, the scalar block
-engine's on a scalar one -- and ``tables`` over the program as the
-native engine reads it (``repro.sim.cgen.build_native_program``: its
-``prog[]`` table, register layout, immediate pool, FU order, ``pcap``
-and ``wcap``; ``native: none`` on a scalar preset, which has no C
-engine), plus the Python source's size in bytes.  The last lines digest
-all the pairs' ``asm``, ``py`` and ``tables`` digests and sum the Python
-bytes (cold turbo cost grows with them).
+For every (kernel, machine) pair this prints SHA-256 digests: ``asm``
+over the compiled program itself (its ``format_program`` listing, data
+image and symbol table); on a scalar preset ``py`` over the scalar block
+engine's generated Python source at every start pc (``None`` where the
+interpreter steps that pc), with the source's size in bytes; and on a
+TTA or VLIW preset ``tables`` over the program as the native engine
+reads it (``repro.sim.cgen.build_native_program``: its ``prog[]``
+table, register layout, immediate pool, FU order, ``pcap`` and
+``wcap``).  A TTA or VLIW preset has no generated Python, and a scalar
+one no C engine (``native: none``).  The last lines digest all the
+pairs' ``asm``, ``py`` and ``tables`` digests and sum the Python bytes.
 
 A backend change that is meant to leave every program alone must print
-the same ``asm`` digests as its parent.  A refactor of turbo's code
+the same ``asm`` digests as its parent.  A refactor of the scalar block
 generator (``repro.sim.blockcompile``) or of the table encoder
 (``repro.sim.cgen``) that is meant to leave its output alone must print
 the same ``py`` or ``tables`` digests as its parent.  The native engine
@@ -30,13 +29,17 @@ Run from the repository root (point ``PYTHONPATH`` at another checkout's
         --machines m-tta-2,m-vliw-2
 
 Defaults: every catalogue kernel (built-ins and promoted) x every preset.
-A tree without scalar blocks digests only the TTA/VLIW presets; compare
-the two with ``--machines`` naming those.
+Against a tree whose script also digested Python for TTA/VLIW presets,
+compare ``total py`` with ``--machines mblaze-3,mblaze-5``.
 
-``--pin`` instead rewrites ``tests/asm_pins.json``, the ``asm`` digest of
-every (paper kernel, preset) pair that ``tests/test_asm_pins.py`` checks,
-and names each pair whose digest it changed.  Re-pin only for a change
-that is meant to change programs, and record it in CHANGES.md::
+``--pin`` instead rewrites the two pin files of every (paper kernel,
+preset) pair and names each pair and field it changed:
+``tests/asm_pins.json``, the ``asm`` digest that ``tests/test_asm_pins.py``
+checks, and ``tests/sim_pins.json``, the simulated numbers (exit code,
+cycles and every counter of the result, on the default engine) that
+``tests/test_sim_pins.py`` checks.  Re-pin only for a change that is
+meant to change programs or simulated numbers, and record it in
+CHANGES.md::
 
     PYTHONPATH=src python scripts/codegen_digest.py --pin
 """
@@ -47,6 +50,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from repro.backend.asmprint import format_program
@@ -54,7 +58,8 @@ from repro.backend.compile import compile_for_machine
 from repro.frontend import compile_source
 from repro.kernels import KERNELS, catalog, load
 from repro.machine import build_machine, preset_names
-from repro.sim.blockcompile import tta_block_source
+from repro.sim.blockcompile import scalar_block_source
+from repro.sim import run_compiled
 from repro.sim.cgen import build_native_program
 
 
@@ -66,16 +71,18 @@ def asm_digest(compiled) -> str:
     return digest.hexdigest()
 
 
-def pair_digest(module, machine) -> tuple[str, str, str, int, int]:
-    """(program digest, Python digest, tables digest, number of start
-    pcs, Python source bytes) of one compiled pair."""
+def pair_digest(module, machine) -> tuple[str, str | None, str, int, int]:
+    """(program digest, Python digest or ``None`` on a TTA/VLIW preset,
+    tables digest, number of start pcs, Python source bytes) of one
+    compiled pair."""
     compiled = compile_for_machine(module, machine)
     program = compiled.program
     py, tables = hashlib.sha256(), hashlib.sha256()
     n_instrs = len(program.instrs)
     py_bytes = 0
-    for pc in range(n_instrs):
-        source = tta_block_source(program, pc)
+    scalar = program.style == "scalar"
+    for pc in range(n_instrs if scalar else 0):
+        source = scalar_block_source(program, pc)
         py.update(f"{pc}\n{source}\0".encode())
         py_bytes += len(source or "")
     nat = build_native_program(program)
@@ -85,7 +92,8 @@ def pair_digest(module, machine) -> tuple[str, str, str, int, int]:
         tables.update(nat.prog.tobytes())
         layout = (nat.rf_layout, nat.n_values, nat.consts, nat.fu_names, nat.pcap, nat.wcap)
         tables.update(f"\0{layout!r}\0".encode())
-    return asm_digest(compiled), py.hexdigest(), tables.hexdigest(), n_instrs, py_bytes
+    digest = py.hexdigest() if scalar else None
+    return asm_digest(compiled), digest, tables.hexdigest(), n_instrs, py_bytes
 
 
 def _names(spec: str | None, known: tuple[str, ...], what: str) -> list[str]:
@@ -98,23 +106,46 @@ def _names(spec: str | None, known: tuple[str, ...], what: str) -> list[str]:
     return names
 
 
+def sim_numbers(compiled) -> dict:
+    """Exit code, cycles and every counter of one run of *compiled* on
+    the default engine."""
+    return asdict(run_compiled(compiled))
+
+
+_TESTS = Path(__file__).resolve().parents[1] / "tests"
 #: the pinned ``asm`` digests of the paper kernels on every preset
-PINS = Path(__file__).resolve().parents[1] / "tests" / "asm_pins.json"
+PINS = _TESTS / "asm_pins.json"
+#: the pinned simulated numbers of the same pairs
+SIM_PINS = _TESTS / "sim_pins.json"
 
 
-def pin_asm() -> int:
-    """Rewrite :data:`PINS` and name every pair whose digest changed."""
-    old = json.loads(PINS.read_text()) if PINS.exists() else {}
-    pins = {}
+def paper_pairs():
+    """``("kernel preset", compiled program)`` of every paper kernel on
+    every preset, kernel by kernel."""
     for kernel in KERNELS:
         module = compile_source(load(kernel), module_name=kernel)
         for name in preset_names():
-            key = f"{kernel} {name}"
-            pins[key] = asm_digest(compile_for_machine(module, build_machine(name)))
-            if old.get(key) != pins[key]:
-                print(f"re-pinned {key}: {old.get(key)} -> {pins[key]}")
+            yield f"{kernel} {name}", compile_for_machine(module, build_machine(name))
+
+
+def pin() -> int:
+    """Rewrite :data:`PINS` and :data:`SIM_PINS` and name every pair and
+    field that changed."""
+    old_asm = json.loads(PINS.read_text()) if PINS.exists() else {}
+    old_sim = json.loads(SIM_PINS.read_text()) if SIM_PINS.exists() else {}
+    pins, sim_pins = {}, {}
+    for key, compiled in paper_pairs():
+        pins[key] = asm_digest(compiled)
+        if old_asm.get(key) != pins[key]:
+            print(f"re-pinned {key} asm: {old_asm.get(key)} -> {pins[key]}")
+        sim_pins[key] = sim_numbers(compiled)
+        old = old_sim.get(key, {})
+        for field, value in sim_pins[key].items():
+            if old.get(field) != value:
+                print(f"re-pinned {key} {field}: {old.get(field)} -> {value}")
     PINS.write_text(json.dumps(pins, indent=1) + "\n")
-    print(f"{len(pins)} pairs pinned in {PINS.name}")
+    SIM_PINS.write_text(json.dumps(sim_pins, indent=1) + "\n")
+    print(f"{len(pins)} pairs pinned in {PINS.name} and {SIM_PINS.name}")
     return 0
 
 
@@ -123,11 +154,13 @@ def main(argv=None) -> int:
     parser.add_argument("--kernels", help="comma-separated kernel names")
     parser.add_argument("--machines", help="comma-separated presets")
     parser.add_argument(
-        "--pin", action="store_true", help="re-pin the paper kernels' asm digests and exit"
+        "--pin",
+        action="store_true",
+        help="re-pin the paper kernels' asm digests and simulated numbers and exit",
     )
     args = parser.parse_args(argv)
     if args.pin:
-        return pin_asm()
+        return pin()
     kernels = _names(args.kernels, catalog(), "kernel")
     machines = _names(args.machines, preset_names(), "machine")
     total_asm, total_py, total_tables = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
@@ -139,7 +172,8 @@ def main(argv=None) -> int:
             n_blocks += n_pcs
             total_bytes += py_bytes
             total_asm.update(f"{kernel} {name} {asm}\n".encode())
-            total_py.update(f"{kernel} {name} {py}\n".encode())
+            if py is not None:
+                total_py.update(f"{kernel} {name} {py}\n".encode())
             total_tables.update(f"{kernel} {name} {tables}\n".encode())
             print(
                 f"{kernel} {name} asm={asm} py={py} tables={tables} py_bytes={py_bytes}",

@@ -251,12 +251,26 @@ def _cmd_asm(args) -> int:
 
 def _cmd_report(args) -> int:
     from repro.eval import render_all
+    from repro.eval.runner import degraded_count
     from repro.kernels import KERNELS
 
     # the tables compare against published numbers: the paper's eight only
     kernels = _subset(args.kernels, KERNELS, "kernel")
     print(render_all(kernels, _subset(args.machines, preset_names(), "machine")))
+    _print_degraded(degraded_count())
     return 0
+
+
+def _print_degraded(count: int) -> None:
+    """One stderr line when *count* pairs asked for the native engine and
+    ran on the fast one (the ``--json`` sweep stats carry it as
+    ``degraded``)."""
+    if count:
+        print(
+            f"degraded: {count} pair(s) asked for the native engine and ran "
+            "on the fast engine",
+            file=sys.stderr,
+        )
 
 
 def _cmd_sweep(args) -> int:
@@ -311,6 +325,7 @@ def _cmd_sweep(args) -> int:
         f"{stats.failed} failed, jobs={args.jobs})",
         file=sys.stderr,
     )
+    _print_degraded(stats.degraded)
     if args.json:
         _print_json(outcome.to_dict())
     else:
@@ -378,6 +393,7 @@ def _cmd_explore(args) -> int:
         f"{stats.computed} computed, frontier {len(result.frontier)})",
         file=sys.stderr,
     )
+    _print_degraded(stats.degraded)
     payload = json.dumps(result.to_dict(), indent=2, sort_keys=True)
     if args.out:
         try:
@@ -779,18 +795,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--profile",
         action="store_true",
-        help="print per-block execution counts and the trigger histogram "
+        help="print per-pc execution counts and the trigger histogram "
         "after the run (fast/turbo/native engines on TTA/VLIW cores)",
     )
     _add(p_run, "machine", "mode", "trace", mode={
-        "help": f"simulation engine (default {DEFAULT_MODE}): 'fast' verifies "
-        "the schedule once at load time and runs pre-decoded code; 'turbo' "
-        "additionally compiles basic blocks to specialized Python; 'native' "
-        "compiles the same blocks to C via ctypes with the shared object "
-        "cached in the artifact store (falls back to turbo without a C "
-        "compiler); 'checked' re-verifies every cycle, bus routing "
-        "included; on the scalar (MicroBlaze-like) core 'checked' is the "
-        "interpreter and the other three run its Python block engine",
+        "help": f"simulation engine (default {DEFAULT_MODE}): 'native' runs "
+        "the program on one prebuilt C engine, its shared object cached in "
+        "the artifact store (falls back to 'fast' without a C compiler); "
+        "'fast' verifies the schedule once at load time and steps "
+        "pre-decoded code in Python ('turbo' is a name for it); 'checked' "
+        "re-verifies every cycle, bus routing included; on the scalar "
+        "(MicroBlaze-like) core 'checked' is the interpreter and the other "
+        "three run its Python block engine",
     }, trace={
         "help": "record a compile+simulate timeline (spans + counters) as a "
         "Chrome-trace JSON file; inspect with 'repro trace summary FILE' "
@@ -818,8 +834,9 @@ def build_parser() -> argparse.ArgumentParser:
         "parallel, disk-cached pipeline",
     )
     _add(p_sweep, "kernels", "machines", "jobs", "mode", mode={
-        "help": f"simulation engine for computed pairs (default {DEFAULT_MODE}; "
-        "'native' runs one prebuilt C engine, its shared object store-cached)",
+        "help": f"simulation engine for computed pairs (default {DEFAULT_MODE}: "
+        "one prebuilt C engine, its shared object store-cached, falling back "
+        "to 'fast' without a C compiler; 'turbo' is a name for 'fast')",
     })
     p_sweep.add_argument(
         "--retries", type=int, default=1,

@@ -29,6 +29,8 @@ from repro.pipeline.types import EvalResult, SweepFailure  # noqa: F401
 #: Generated machines key by their display name; callers minting mutants
 #: must give each structure a distinct name (``structural_name`` does).
 _MEMO: dict[tuple[str, str], EvalResult] = {}
+#: how many of the memoised pairs asked for native and ran on fast
+_DEGRADED = 0
 
 
 def run_sweep(
@@ -49,6 +51,7 @@ def run_sweep(
     subclass, matching the historical abort-on-failure behaviour of the
     serial sweep).
     """
+    global _DEGRADED
     from repro.kernels import KERNELS
     from repro.machine import preset_names
     from repro.machine.machine import Machine
@@ -67,9 +70,16 @@ def run_sweep(
         )
         outcome = _sweep_tasks(tasks, jobs=jobs)
         outcome.raise_on_error()
+        _DEGRADED += outcome.stats.degraded
         for pair, result in outcome.results.items():
             _MEMO.setdefault(pair, result)
     return {pair: _MEMO[pair] for pair in wanted}
+
+
+def degraded_count() -> int:
+    """How many pairs this process's sweeps computed on the fast engine
+    although they asked for native; cleared with the memo."""
+    return _DEGRADED
 
 
 def sweep_cache_clear() -> None:
@@ -81,4 +91,6 @@ def sweep_cache_clear() -> None:
     available via ``repro sweep --clear-cache`` or
     ``ArtifactStore.clear()``.
     """
+    global _DEGRADED
     _MEMO.clear()
+    _DEGRADED = 0

@@ -104,6 +104,8 @@ class ExploreStats:
     infeasible: int = 0
     cache_hits: int = 0
     computed: int = 0
+    #: computed pairs that asked for native and ran on fast
+    degraded: int = 0
     elapsed_s: float = 0.0
 
 
@@ -230,6 +232,7 @@ def run_explore(
             )
         result.stats.cache_hits += outcome.stats.cache_hits
         result.stats.computed += outcome.stats.computed
+        result.stats.degraded += outcome.stats.degraded
         for machine in machines:
             digest = machine_digest(machine)
             failures = [

@@ -139,11 +139,17 @@ def execute_task(task: SweepTask) -> EvalResult:
     from repro.machine import encode_machine
     from repro.pipeline.fingerprint import resolve_task_machine
     from repro.sim import run_compiled
+    from repro.sim.native import degraded
 
     machine = resolve_task_machine(task)
     module = optimized_module(task.source, task.kernel, task.optimize)
     compiled = compile_for_machine(module, machine)
     result = run_compiled(compiled, mode=task.mode)
+    extras = result_extras(result)
+    if task.mode == "native" and degraded(compiled.program):
+        # transient (underscore) extra: the sweep counts it, the store
+        # and --json results never see it
+        extras["_degraded"] = 1
     expected = getattr(task, "expected_exit", 0)
     if expected is not None and result.exit_code != expected:
         raise AssertionError(
@@ -160,7 +166,7 @@ def execute_task(task: SweepTask) -> EvalResult:
         instruction_count=compiled.instruction_count,
         instruction_width=encoding.instruction_width,
         fmax_mhz=report.fmax_mhz,
-        extras=result_extras(result),
+        extras=extras,
     )
 
 
@@ -168,7 +174,7 @@ def result_extras(result) -> dict[str, int]:
     """Style-specific simulator counters folded into ``EvalResult.extras``.
 
     Deterministic across engines and runs (the differential tests pin
-    every statistic byte-identical between checked/fast/turbo), hence
+    every statistic byte-identical between checked/fast/native), hence
     safe to cache.
     """
     return {

@@ -285,9 +285,11 @@ def sweep_tasks(
                     outcome.traces.append(result.trace)
                 result = result.outcome
             if isinstance(result, EvalResult):
-                # drop transient executor extras (``_wall_ms``): sweep
-                # results are the deterministic products, identical
-                # whether computed here or served from the store
+                outcome.stats.degraded += result.extras.get("_degraded", 0)
+                # drop transient executor extras (``_wall_ms``,
+                # ``_degraded``): sweep results are the deterministic
+                # products, identical whether computed here or served
+                # from the store
                 result = replace(result, extras={
                     k: v for k, v in result.extras.items()
                     if not k.startswith("_")
@@ -318,6 +320,7 @@ def sweep_tasks(
         obs.count("sweep.cache_hits", outcome.stats.cache_hits)
         obs.count("sweep.computed", outcome.stats.computed)
         obs.count("sweep.failed", outcome.stats.failed)
+        obs.count("sweep.degraded", outcome.stats.degraded)
     return outcome
 
 

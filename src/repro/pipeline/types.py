@@ -171,6 +171,10 @@ class SweepStats:
     computed: int = 0
     failed: int = 0
     retried: int = 0
+    #: computed pairs that asked for the native engine and ran on fast
+    #: (no C compiler, a failed engine build, or a program the encoder
+    #: refused)
+    degraded: int = 0
     elapsed_s: float = 0.0
 
     def to_dict(self) -> dict:

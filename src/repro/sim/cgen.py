@@ -56,7 +56,6 @@ from pathlib import Path
 
 from repro.backend.program import Program
 from repro.isa.operations import OPS
-from repro.sim.blockcompile import _vliw_max_latency
 from repro.sim.predecode import _ALU_EXPR, static_decode_tta, static_decode_vliw
 
 #: function exported by the engine
@@ -260,7 +259,12 @@ def build_native_program(program: Program) -> NativeProgram | None:
     if style == "tta":
         pcap, wcap = _tta_pcap(decoded), 1
     else:
-        maxlat = _vliw_max_latency(decoded)
+        # the longest write-back latency of a result-writing op bounds
+        # how long a write stays queued
+        maxlat = max(
+            (op[3] for bundle in decoded for op in bundle if op[2] is not None),
+            default=0,
+        )
         pcap, wcap = 1, max(16, 4 * (maxlat + 2) * max(1, machine.issue_width))
     header = [_STYLES[style], n_instrs, machine.jump_latency + 1, pcap, rf_total, wcap]
     if style == "tta":

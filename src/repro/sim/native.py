@@ -1,15 +1,17 @@
-"""Native (C) simulation engine, ``mode="native"``.
+"""Native (C) simulation engine, ``mode="native"``, the default.
 
-This is the fourth rung of the single-run engine ladder (checked →
-fast → turbo → native).  One fixed C interpreter, ``engine.c``, runs
-every TTA and VLIW program: :mod:`repro.sim.cgen` encodes a program into
-flat integer tables (:func:`build_native_program`), and this module
-builds the engine's shared object and hands it to the stepping driver
-the fast and turbo engines share (:func:`~repro.sim.predecode.run_tta` /
-:func:`~repro.sim.predecode.run_vliw`) as the block source
-(:func:`native_blocks`).  The source has a block at every pc, so the
-driver enters C once, at pc 0, and the engine runs the program to its
-halt or its first error, counting executions per pc.  Dynamic errors
+This is the top rung of the single-run engine ladder (checked → fast →
+native; ``turbo`` is a name for fast).  One fixed C interpreter,
+``engine.c``, runs every TTA and VLIW program: :mod:`repro.sim.cgen`
+encodes a program into flat integer tables
+(:func:`build_native_program`), and this module builds the engine's
+shared object and runs a program on it in one call
+(:func:`native_run`), which the stepping driver the fast engine uses
+(:func:`~repro.sim.predecode.run_tta` /
+:func:`~repro.sim.predecode.run_vliw`) makes in place of its Python
+step loop.  The engine follows the fast stepper cycle for cycle, runs
+the program to its halt or its first error and counts executions per
+pc, which is the hit vector the statistics come from.  Dynamic errors
 come back as a status, and the reference engine's ``SimError`` /
 ``ValueError`` is rebuilt byte-identically from the synced-back
 machine state.
@@ -19,7 +21,7 @@ Compilation and caching:
 * the compiler is discovered once per run via ``$REPRO_CC`` or the
   first of ``cc``/``gcc``/``clang`` on PATH; ``$REPRO_NO_NATIVE_CC``
   (any non-empty value) disables discovery — ``mode="native"`` then
-  degrades to the turbo engine with a one-time ``RuntimeWarning``;
+  degrades to the fast engine with a one-time ``RuntimeWarning``;
 * the degradation is loud: the warning names the reason, which for a
   failed build is the compiler's exit code and stderr tail (or its
   timeout), every failed compile counts ``sim.native.cc_failed``, and
@@ -54,7 +56,6 @@ import subprocess
 import tempfile
 import warnings
 from array import array
-from functools import partial
 from heapq import heappush as _heappush
 
 from repro import obs
@@ -364,7 +365,7 @@ def _get_engine(program):
 
 
 def _warn_no_native(reason: str) -> None:
-    """Record one run degraded to turbo; warn on the first per process."""
+    """Record one run degraded to fast; warn on the first per process."""
     global _WARNED
     obs.count("sim.native.degraded_runs")
     if _WARNED:
@@ -372,9 +373,9 @@ def _warn_no_native(reason: str) -> None:
     _WARNED = True
     warnings.warn(
         f"mode='native' unavailable ({reason}); falling back to the "
-        "turbo engine",
+        "fast engine",
         RuntimeWarning,
-        stacklevel=4,
+        stacklevel=5,
     )
 
 
@@ -416,25 +417,22 @@ def _raise_native_error(status: int, err_a: int, err_b: int, fus):
 
 
 # ---------------------------------------------------------------------------
-# native's block source
+# the run
 # ---------------------------------------------------------------------------
 
 
-def native_blocks(program):
-    """Native's block source for *program* (see
-    :func:`repro.sim.predecode.block_source_for`), or ``None`` after
-    recording a degraded run when there is no engine."""
-    engine = _get_engine(program)
+def native_run(sim, rfs):
+    """Run *sim*'s program to its halt on the C engine: push the machine
+    state (register files *rfs*, FU latches and pending results or the
+    VLIW write-back queue, ``ra``), call the engine once and pull the
+    state back.  Returns ``(halt cycle, per-pc execution counts)``;
+    raises the reference engine's error when the run ends in one.
+    Returns ``None`` after recording a degraded run when there is no
+    engine, and the caller steps the program on the fast engine."""
+    engine = _get_engine(sim.program)
     if engine is None:
-        _warn_no_native(_unavailable_reason(program))
+        _warn_no_native(_unavailable_reason(sim.program))
         return None
-    return partial(_native_source, engine)
-
-
-def _native_source(engine, sim, rfs):
-    """*engine* bound to *sim*: a block at every pc, whose entry pushes
-    the machine state, runs the engine to the halt or the first error
-    and pulls the state back."""
     nat = engine.nat
     ffi = engine.binding
     v = ffi.u32_copy(engine.values)
@@ -446,37 +444,29 @@ def _native_source(engine, sim, rfs):
     rf_lists = [(rfs[name], base, size) for name, base, size in nat.rf_layout]
     queues = _tta_queues if nat.style == "tta" else _vliw_queues
     fus, buffers, push_queues, pull_queues = queues(nat, ffi, sim, rfs, ctl)
+    for regs, base, size in rf_lists:
+        v[base : base + size] = regs
+    push_queues()
+    ctl[CTL_CYCLE] = 0
+    ctl[CTL_PC] = 0
+    ctl[CTL_RC] = -1
+    ctl[CTL_RT] = 0
+    ctl[CTL_RA] = sim.ra
+    obs.count("sim.native.calls")
+    status = ffi.call(engine.prog, v, *buffers, mem, ctl, execs)
+    for regs, base, size in rf_lists:
+        regs[:] = v[base : base + size]
+    pull_queues()
+    sim.ra = ctl[CTL_RA]
+    if status != ST_HALT:
+        _raise_native_error(status, ctl[CTL_ERR_A], ctl[CTL_ERR_B], fus)
+    return ctl[CTL_CYCLE], list(execs)
 
-    def enter(pc, cycle):
-        for regs, base, size in rf_lists:
-            v[base : base + size] = regs
-        push_queues()
-        # the driver enters only with no redirect pending
-        ctl[CTL_CYCLE] = cycle
-        ctl[CTL_PC] = pc
-        ctl[CTL_RC] = -1
-        ctl[CTL_RT] = 0
-        ctl[CTL_RA] = sim.ra
-        obs.count("sim.native.calls")
-        status = ffi.call(engine.prog, v, *buffers, mem, ctl, execs)
-        for regs, base, size in rf_lists:
-            regs[:] = v[base : base + size]
-        pull_queues()
-        sim.ra = ctl[CTL_RA]
-        if status != ST_HALT:
-            _raise_native_error(status, ctl[CTL_ERR_A], ctl[CTL_ERR_B], fus)
-        return 3, ctl[CTL_PC], ctl[CTL_CYCLE], -1, 0
 
-    blocks: dict[int, tuple] = {}
-
-    def materialize(pc):
-        blk = blocks[pc] = (1, partial(enter, pc))
-        return blk
-
-    def finish():
-        return [(pc, 1, count) for pc, count in enumerate(execs) if count]
-
-    return blocks, materialize, finish
+def degraded(program) -> bool:
+    """Whether a native run of *program* fell back to the fast engine
+    (no compiler, a failed build, or a program the encoder refused)."""
+    return _REASON_KEY in program.predecode_cache
 
 
 def _tta_queues(nat, ffi, sim, rfs, ctl):

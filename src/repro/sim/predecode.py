@@ -23,18 +23,16 @@ verifying ``ttasim`` and its compiled simulation engine, this module
    order, so the driver makes one call per instruction with no
    per-cycle string comparison, no dictionary lookups on hot state and
    no re-verification; an ALU trigger is one call too, its thunk
-   generated from the Python ALU table (``_ALU_EXPR``) that turbo's
-   printer inlines.  Without a block source, a run of instructions
-   without moves (37% of the cycles of the eight paper kernels on
-   ``m-tta-2``, 40% on ``bm-tta-3``) is one step; and
+   generated from the Python ALU table (``_ALU_EXPR``).  A run of
+   instructions without moves (37% of the cycles of the eight paper
+   kernels on ``m-tta-2``, 40% on ``bm-tta-3``) is one step; and
 
-3. holds the one stepping driver per core style (:func:`run_tta` /
-   :func:`run_vliw`) that the fast, turbo and native engines share.
-   They differ only in their *block source*
-   (:func:`block_source_for`): fast has none and steps every cycle,
-   turbo runs compiled basic blocks where the driver's gate allows and
-   steps precisely everywhere else, and native enters its C engine once
-   and runs the whole program there.
+3. holds the one driver per core style (:func:`run_tta` /
+   :func:`run_vliw`) that the fast and native engines share (``turbo``
+   is a name for fast).  Fast steps every instruction in Python;
+   native runs the whole program in one call of its C engine, which
+   follows the same stepper cycle for cycle, and falls back to the
+   Python stepper where there is no C compiler.
 
 Dynamic properties remain checked in these engines because they are
 data-dependent: reading an FU result before it is due, non-monotonic
@@ -67,8 +65,8 @@ from repro.sim.errors import SimError
 # ---------------------------------------------------------------------------
 #
 # ``isa.semantics.evaluate`` re-resolves the opcode through an if-chain on
-# every call.  The fast engines bind one small function per opcode at decode
-# time instead, and turbo's block printer inlines the same expressions.
+# every call.  The fast engine binds one small function per opcode at decode
+# time instead, and the scalar block printer inlines the same expressions.
 # ``tests/test_predecode.py`` asserts bit-exact agreement with ``evaluate``
 # for every operation, so the two cannot drift silently.  All
 # simulator-resident values are already wrapped to [0, 2**32); these
@@ -764,49 +762,30 @@ def _bind_vliw_op(op, sim, rfs, jl1: int):
 
 
 # ---------------------------------------------------------------------------
-# the stepping drivers shared by the fast, turbo and native engines
+# the stepping drivers shared by the fast and native engines
 # ---------------------------------------------------------------------------
-
-_ABSENT = object()
 
 _BUDGET_MSG = "cycle budget exceeded (runaway program?)"
 
 
-def block_source_for(sim):
-    """``(engine label, block source)`` for *sim*'s mode.
+def _native_run(sim, rfs):
+    """``(halt cycle, hits)`` of *sim*'s program run to its halt on the C
+    engine, or ``None`` when *sim* runs in Python: its mode is not
+    ``native``, or native is unavailable and the run degrades to fast
+    (with its one-time warning)."""
+    if sim.mode != "native":
+        return None
+    from repro.sim.native import native_run
 
-    A block source is what tells the engines apart: fast has none, turbo
-    compiles blocks to Python on first entry, native has a one-instruction
-    block at every pc whose entry runs the whole program on the C engine,
-    and degrades to turbo's source (with its warning) when there is none.
-    It is called once per run as ``source(sim, rfs)`` and returns
-    ``(blocks, materialize, finish)``: ``blocks`` maps an entry pc to
-    ``(length, enter)`` or ``None``, ``materialize(pc)`` fills and
-    returns a missing entry, and ``finish()`` lists ``(start, length,
-    executions)`` after the run.
-    ``enter(cycle)`` runs the block and returns ``(status, pc, cycle,
-    redirect_cycle, redirect_target)``; status 3 means halted at
-    ``cycle``, any other status continues at ``pc``.
-    """
-    if sim.mode == "fast":
-        return "fast", None
-    if sim.mode == "native":
-        from repro.sim.native import native_blocks
-
-        source = native_blocks(sim.program)
-        if source is not None:
-            return "native", source
-    from repro.sim.blockcompile import turbo_blocks
-
-    return "turbo", turbo_blocks
+    return native_run(sim, rfs)
 
 
-def _expand_hits(hits, blocks) -> None:
-    """Add each block's executions to the hit count of every pc it covers."""
-    for start, length, count in blocks:
-        if count:
-            for i in range(start, start + length):
-                hits[i] += count
+def _engine_label(sim, ran_native: bool) -> str:
+    """The engine that ran: native, or the Python stepper under the mode's
+    name (``fast`` for a native run that degraded)."""
+    if ran_native:
+        return "native"
+    return "fast" if sim.mode == "native" else sim.mode
 
 
 def _empty_runs(program: Program, decoded: list) -> list[int]:
@@ -823,24 +802,13 @@ def _empty_runs(program: Program, decoded: list) -> list[int]:
     return runs
 
 
-def run_tta(sim, engine: str, source):
-    """Execute *sim*'s program; the TTA driver of every engine but checked.
-
-    Whenever no redirect is pending, the pc is in range and a block of
-    *source* starts there and fits the cycle budget, the block runs;
-    every other cycle is one precise step through the closure bound
-    lazily for its pc (:func:`_bind_tta_step`).  Without a block source
-    a run of instructions without moves is one step, clipped so that a
-    pending redirect still fires on its cycle; with one, every pc can be
-    a block entry, so each such instruction is its own step.
-    Bit- and cycle-exact with ``TTASimulator`` in checked mode,
-    including every statistics counter and error text (enforced by the
-    differential tests).
-    """
-    from repro.sim.tta_sim import TTAResult
-
+def _step_tta(sim, decoded) -> tuple[int, list[int]]:
+    """``(halt cycle, hits)`` of *sim*'s program stepped in Python: one
+    call per instruction through the closure bound lazily for its pc
+    (:func:`_bind_tta_step`), and one step per run of instructions
+    without moves, clipped so that a pending redirect still fires on its
+    cycle."""
     program = sim.program
-    decoded = static_decode_tta(program)
     jl = program.machine.jump_latency
     max_cycles = sim.max_cycles
     n_instrs = len(decoded)
@@ -848,35 +816,12 @@ def run_tta(sim, engine: str, source):
     #: executions of instructions without moves, as a difference array
     empty_hits = [0] * (n_instrs + 1)
     steps = [None] * n_instrs
-
-    def bind(pc):
-        steps[pc] = step = _bind_tta_step(decoded[pc], sim, jl)
-        return step
-
-    get_block = materialize = finish = runs = None
-    if source is not None:
-        blocks, materialize, finish = source(sim, sim.rfs)
-        get_block = blocks.get
-    else:
-        runs = _empty_runs(program, decoded)
+    runs = _empty_runs(program, decoded)
     pc = 0
     cycle = 0
     rc = -1  # pending redirect fire cycle (-1 = none)
     rt = 0  # its target
     while True:
-        if get_block is not None and rc < 0 and 0 <= pc < n_instrs:
-            blk = get_block(pc, _ABSENT)
-            if blk is _ABSENT:
-                blk = materialize(pc)
-            if blk is not None and cycle + blk[0] <= max_cycles + 1:
-                status, pc, cycle, rc, rt = blk[1](cycle)
-                if status == 3:
-                    break
-                if cycle > max_cycles:
-                    raise SimError(_BUDGET_MSG)
-                continue
-        # precise step: carried redirects, out-of-range pcs, budget-edge
-        # cycles and pcs without a block all land here
         if cycle == rc:
             pc = rt
             rc = -1
@@ -884,9 +829,9 @@ def run_tta(sim, engine: str, source):
             raise SimError(f"PC out of range: {pc}")
         step = steps[pc]
         if step is None:
-            step = bind(pc)
+            step = steps[pc] = _bind_tta_step(decoded[pc], sim, jl)
         if step is _EMPTY:
-            run = 1 if runs is None else runs[pc]
+            run = runs[pc]
             if 0 <= rc < cycle + run:
                 run = rc - cycle
             empty_hits[pc] += 1
@@ -904,15 +849,31 @@ def run_tta(sim, engine: str, source):
             pc += 1
         if cycle > max_cycles:
             raise SimError(_BUDGET_MSG)
-
     running = 0
     for pc in range(n_instrs):
         running += empty_hits[pc]
         if running:
             hits[pc] += running
-    block_runs = None if finish is None else finish()
-    if block_runs:
-        _expand_hits(hits, block_runs)
+    return cycle, hits
+
+
+def run_tta(sim):
+    """Execute *sim*'s program; the TTA driver of every engine but checked.
+
+    Native runs the whole program in one call of the C engine
+    (:func:`repro.sim.native.native_run`); fast, and native where it
+    degrades, step it in Python (:func:`_step_tta`).  Either way the
+    run yields the per-pc hit vector that the statistics are computed
+    from.  Bit- and cycle-exact with ``TTASimulator`` in checked mode,
+    including every statistics counter and error text (enforced by the
+    differential tests).
+    """
+    from repro.sim.tta_sim import TTAResult
+
+    program = sim.program
+    decoded = static_decode_tta(program)
+    ran = _native_run(sim, sim.rfs)
+    cycle, hits = ran if ran is not None else _step_tta(sim, decoded)
     rv = return_value_reg(program.machine)
     stats = TTAResult(sim.rfs[rv.rf][rv.idx], cycle + 1)
     for count, (_, _, _, counts, _) in zip(hits, decoded):
@@ -924,15 +885,65 @@ def run_tta(sim, engine: str, source):
             stats.rf_writes += count * counts[4]
     # profiling hooks: the hit vector already drives the statistics
     sim._last_hits = hits
-    sim._last_blocks = block_runs
-    sim._last_engine = engine
+    sim._last_engine = _engine_label(sim, ran is not None)
     return stats
 
 
-def run_vliw(sim, engine: str, source):
+def _step_vliw(sim, decoded, rfs) -> tuple[int, list[int]]:
+    """``(halt cycle, hits)`` of *sim*'s program stepped in Python, one
+    bundle per cycle through the operations bound lazily for its pc
+    (:func:`_bind_vliw_op`)."""
+    machine = sim.program.machine
+    jl1 = machine.jump_latency + 1
+    heap = sim._pending_slot_writes
+    max_cycles = sim.max_cycles
+    n_instrs = len(decoded)
+    hits = [0] * n_instrs
+    steps = [None] * n_instrs
+    pc = 0
+    cycle = 0
+    rc = -1  # pending redirect fire cycle (-1 = none)
+    rt = 0  # its target
+    while True:
+        # commit the register writes whose write-back cycle has passed
+        while heap and heap[0][0] < cycle:
+            _, _, regs, idx, value = _heappop(heap)
+            regs[idx] = value
+        if cycle == rc:
+            pc = rt
+            rc = -1
+        if pc < 0 or pc >= n_instrs:
+            raise SimError(f"PC out of range: {pc}")
+        step = steps[pc]
+        if step is None:
+            step = steps[pc] = tuple(_bind_vliw_op(op, sim, rfs, jl1) for op in decoded[pc])
+        hits[pc] += 1
+        halted = False
+        for op_fn in step:
+            effect = op_fn(cycle, pc)
+            if effect is not None:
+                if effect is True:
+                    halted = True
+                elif rc >= 0:
+                    raise SimError("overlapping control transfers")
+                else:
+                    rc, rt = effect
+        if halted:
+            # flush in-flight writes so the exit code is final
+            while heap:
+                _, _, regs, idx, value = _heappop(heap)
+                regs[idx] = value
+            return cycle, hits
+        cycle += 1
+        pc += 1
+        if cycle > max_cycles:
+            raise SimError(_BUDGET_MSG)
+
+
+def run_vliw(sim):
     """Execute *sim*'s program; the VLIW driver of every engine but checked.
 
-    Blocks run under the same gate as :func:`run_tta`.  Bit- and
+    Native or Python stepping as in :func:`run_tta`.  Bit- and
     cycle-exact with ``VLIWSimulator`` in checked mode, including the
     exposed delayed-write-back semantics (a violated schedule still
     reads the stale value).
@@ -942,84 +953,16 @@ def run_vliw(sim, engine: str, source):
     program = sim.program
     decoded = static_decode_vliw(program)
     machine = program.machine
-    jl1 = machine.jump_latency + 1
     rfs = {rf.name: [0] * rf.size for rf in machine.register_files}
-    heap = sim._pending_slot_writes
-    max_cycles = sim.max_cycles
-    n_instrs = len(decoded)
-    hits = [0] * n_instrs
-    steps = [None] * n_instrs
-
-    def bind(pc):
-        steps[pc] = step = tuple(_bind_vliw_op(op, sim, rfs, jl1) for op in decoded[pc])
-        return step
-
-    get_block = materialize = finish = None
-    if source is not None:
-        blocks, materialize, finish = source(sim, rfs)
-        get_block = blocks.get
-    pc = 0
-    cycle = 0
-    rc = -1  # pending redirect fire cycle (-1 = none)
-    rt = 0  # its target
     try:
-        while True:
-            if get_block is not None and rc < 0 and 0 <= pc < n_instrs:
-                blk = get_block(pc, _ABSENT)
-                if blk is _ABSENT:
-                    blk = materialize(pc)
-                if blk is not None and cycle + blk[0] <= max_cycles + 1:
-                    status, pc, cycle, rc, rt = blk[1](cycle)
-                    if status == 3:
-                        break
-                    if cycle > max_cycles:
-                        raise SimError(_BUDGET_MSG)
-                    continue
-            # precise single-cycle step; first commit the register writes
-            # whose write-back cycle has passed
-            while heap and heap[0][0] < cycle:
-                _, _, regs, idx, value = _heappop(heap)
-                regs[idx] = value
-            if cycle == rc:
-                pc = rt
-                rc = -1
-            if pc < 0 or pc >= n_instrs:
-                raise SimError(f"PC out of range: {pc}")
-            step = steps[pc]
-            if step is None:
-                step = bind(pc)
-            hits[pc] += 1
-            halted = False
-            for op_fn in step:
-                effect = op_fn(cycle, pc)
-                if effect is not None:
-                    if effect is True:
-                        halted = True
-                    elif rc >= 0:
-                        raise SimError("overlapping control transfers")
-                    else:
-                        rc, rt = effect
-            if halted:
-                # flush in-flight writes so the exit code is final
-                while heap:
-                    _, _, regs, idx, value = _heappop(heap)
-                    regs[idx] = value
-                break
-            cycle += 1
-            pc += 1
-            if cycle > max_cycles:
-                raise SimError(_BUDGET_MSG)
+        ran = _native_run(sim, rfs)
+        cycle, hits = ran if ran is not None else _step_vliw(sim, decoded, rfs)
     finally:
         # callers see the registers in every mode, after an error too
         sim._sync_regs_from_fast(rfs)
-
-    block_runs = None if finish is None else finish()
-    if block_runs:
-        _expand_hits(hits, block_runs)
     rv = return_value_reg(machine)
     result = VLIWResult(rfs[rv.rf][rv.idx], cycle + 1, cycle + 1)
     result.ops = sum(count * len(bundle) for count, bundle in zip(hits, decoded))
     sim._last_hits = hits
-    sim._last_blocks = block_runs
-    sim._last_engine = engine
+    sim._last_engine = _engine_label(sim, ran is not None)
     return result

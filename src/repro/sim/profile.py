@@ -1,16 +1,13 @@
-"""Post-run simulation profiling: hot blocks and trigger histograms.
+"""Post-run simulation profiling: hot spots and trigger histograms.
 
-The fast, turbo and native engines already maintain a per-pc
-execution-count vector to reconstruct the architectural statistics
-(moves, triggers, port traffic), and the turbo/native engines already
-count block executions to expand that vector -- so profiling is
-**zero overhead when disabled**:
+The fast and native engines already maintain a per-pc execution-count
+vector to reconstruct the architectural statistics (moves, triggers,
+port traffic), so profiling is **zero overhead when disabled**:
 :func:`collect_profile` only *reads* state the engines leave behind
-(``sim._last_hits`` / ``sim._last_blocks`` / ``sim._last_engine``) and
-derives everything else from the cached static decode.
+(``sim._last_hits`` / ``sim._last_engine``) and derives everything else
+from the cached static decode.
 
-Per-block execution counts show where the cycles go (and justify which
-blocks the turbo codegen should care about); per-opcode trigger
+Per-pc execution counts show where the cycles go; per-opcode trigger
 histograms show what the scheduler actually emits on the hot path --
 input for future scheduler work.
 
@@ -27,8 +24,8 @@ from repro.sim.modes import PROFILE_MODES
 
 @dataclass(frozen=True)
 class BlockProfile:
-    """One profiled region: either a turbo/native-compiled basic block
-    or a single interpreted pc (length 1) on the fast/fallback path."""
+    """One profiled region: a single pc (length 1); every engine counts
+    executions per pc."""
 
     start: int
     length: int
@@ -52,7 +49,7 @@ class SimProfile:
 
 
 def collect_profile(sim, result) -> SimProfile:
-    """Build a :class:`SimProfile` from a finished fast/turbo/native run.
+    """Build a :class:`SimProfile` from a finished fast or native run.
 
     Raises :class:`ValueError` if *sim* has not run yet or ran with the
     checked engine (which keeps no hit vector).
@@ -97,24 +94,9 @@ def _collect(sim, result, hits, engine) -> SimProfile:
         sorted(opcode_counts.items(), key=lambda item: (-item[1], item[0]))
     )
 
-    raw_blocks = getattr(sim, "_last_blocks", None)
-    blocks: list[BlockProfile] = []
-    if raw_blocks:
-        covered = set()
-        for start, length, executions in raw_blocks:
-            if executions:
-                blocks.append(
-                    BlockProfile(start, length, executions, executions * length)
-                )
-            covered.update(range(start, start + length))
-        # pcs only ever executed by the interpreted fallback path
-        for pc, count in enumerate(hits):
-            if count and pc not in covered:
-                blocks.append(BlockProfile(pc, 1, count, count))
-    else:
-        for pc, count in enumerate(hits):
-            if count:
-                blocks.append(BlockProfile(pc, 1, count, count))
+    blocks = [
+        BlockProfile(pc, 1, count, count) for pc, count in enumerate(hits) if count
+    ]
     blocks.sort(key=lambda b: (-b.instructions, b.start))
 
     return SimProfile(
@@ -140,13 +122,8 @@ def format_profile(profile: SimProfile, top: int = 10) -> str:
     ]
     total = max(profile.instructions, 1)
     for block in profile.blocks[:top]:
-        span = (
-            f"{block.start}"
-            if block.length == 1
-            else f"{block.start}-{block.start + block.length - 1}"
-        )
         lines.append(
-            f"  {span:>12s} {block.length:4d} {block.executions:10d} "
+            f"  {block.start:>12d} {block.length:4d} {block.executions:10d} "
             f"{block.instructions:10d} {100.0 * block.instructions / total:6.1f}%"
         )
     lines.append("")

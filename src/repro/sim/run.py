@@ -30,24 +30,21 @@ def run_compiled(
     """Simulate *compiled* on its machine; returns the style's result object
     (all results expose ``exit_code`` and ``cycles``).
 
-    ``mode="fast"`` verifies all structural schedule properties, bus
-    routing included, once at load time and executes the pre-decoded
-    program; ``mode="turbo"`` additionally compiles basic blocks to
-    specialized Python code chained through a dispatch table (falling
-    back per block to the fast engine where codegen cannot prove the
-    block static); ``mode="native"`` runs the program, encoded into
-    flat tables, on one prebuilt C engine called via ctypes, its shared
-    object cached in the artifact store (degrading to turbo with a
-    one-time warning when no C compiler is available); ``mode="checked"``
-    runs the per-cycle reference engine, which re-verifies every
-    structural property, bus routing included, on every executed cycle.
-    On the scalar core ``checked`` is the reference interpreter, and
-    ``fast``, ``turbo`` and ``native`` all run its block engine:
-    straight-line blocks compiled to Python (there is no C engine for
-    the scalar core), stepped through the interpreter wherever a block
-    cannot be proven static.  All modes are bit- and cycle-exact with
-    each other.  *mode* defaults to
-    :data:`~repro.sim.modes.DEFAULT_MODE`.
+    ``mode="native"``, the default (:data:`~repro.sim.modes.DEFAULT_MODE`),
+    runs the program, encoded into flat tables, in one call of a
+    prebuilt C engine through ctypes, its shared object cached in the
+    artifact store; without a C compiler it degrades to fast with a
+    one-time warning.  ``mode="fast"`` verifies all structural schedule
+    properties, bus routing included, once at load time and steps the
+    pre-decoded program in Python; ``mode="turbo"`` is a name for fast.
+    ``mode="checked"`` runs the per-cycle reference engine, which
+    re-verifies every structural property, bus routing included, on
+    every executed cycle.  On the scalar core ``checked`` is the
+    reference interpreter, and ``fast``, ``turbo`` and ``native`` all run
+    its block engine: straight-line blocks compiled to Python (there is
+    no C engine for the scalar core), stepped through the interpreter
+    wherever a block cannot be proven static.  All modes are bit- and
+    cycle-exact with each other.
     """
     check_mode(mode)
     return _make_simulator(compiled, max_cycles, mode).run()
@@ -60,7 +57,7 @@ def run_compiled_profiled(
 ):
     """Simulate *compiled* and return ``(result, SimProfile)``.
 
-    Profiling rides on the hit vectors the fast/turbo/native engines
+    Profiling rides on the hit vectors the fast and native engines
     already maintain, so it adds no per-cycle overhead; it is
     unavailable for the checked engine (no hit vector) and the scalar
     core.

@@ -31,7 +31,10 @@ from repro.machine.encoding import immediate_slot_cost
 from repro.sim.errors import SimError
 from repro.sim.memory import DataMemory
 from repro.sim.modes import DEFAULT_MODE, check_mode
-from repro.sim.predecode import _ABSENT, _BUDGET_MSG, _CONTROL_OPS, _LOADS, _STORES
+from repro.sim.predecode import _BUDGET_MSG, _CONTROL_OPS, _LOADS, _STORES
+
+#: a pc the block table has not looked at yet
+_ABSENT = object()
 
 #: operations that end a scalar basic block
 ENDS_BLOCK = _CONTROL_OPS | {"halt"}

@@ -6,7 +6,7 @@ operation; the result is readable from the unit's result register once
 the latency has elapsed and until the next operation on the same unit
 overwrites it.
 
-Four execution modes are offered (the default is
+Three engines run it, under four mode names (the default is
 :data:`repro.sim.modes.DEFAULT_MODE`):
 
 * ``"fast"`` -- all structural properties (bus exclusivity including
@@ -14,26 +14,20 @@ Four execution modes are offered (the default is
   connectivity routing, resolved immediates, known opcodes) are verified
   **once per static instruction** at load time by
   :mod:`repro.sim.predecode`, which also pre-decodes each instruction
-  into flat sampler/writer/trigger closures consumed by a lean inner
-  loop.  Dynamic violations (early result reads, overlapping control
-  transfers) still raise.
-* ``"turbo"`` -- :mod:`repro.sim.blockcompile` additionally compiles
-  basic blocks of the pre-decoded program into specialized Python code
-  chained through a per-pc dispatch table; anything it cannot prove
-  static is stepped exactly as in fast mode.
+  into one bound step closure consumed by a lean Python loop.  Dynamic
+  violations (early result reads, overlapping control transfers) still
+  raise.  ``"turbo"`` is a name for it.
 * ``"native"`` -- :mod:`repro.sim.native` runs the program, encoded
-  into flat tables, on one prebuilt C engine (one shared object per
-  compiler and flags, persistently cached in the artifact store),
-  entered once per run through the same driver; degrades to turbo with
-  a one-time warning when no C compiler is available.
+  into flat tables, in one call of a prebuilt C engine (one shared
+  object per compiler and flags, persistently cached in the artifact
+  store) that follows the fast stepper cycle for cycle; degrades to
+  fast with a one-time warning when no C compiler is available.
 * ``"checked"`` -- the reference implementation: every check, bus
   routing included, is re-run on every executed cycle.  The
   differential tests assert all modes agree bit- and cycle-exactly on
   every workload.
 
-Fast, turbo and native run one stepping driver
-(:func:`repro.sim.predecode.run_tta`) and differ only in its block
-source.
+Fast and native share one driver (:func:`repro.sim.predecode.run_tta`).
 
 In every mode the simulator doubles as a schedule verifier:
 
@@ -42,7 +36,7 @@ In every mode the simulator doubles as a schedule verifier:
   long-immediate move whose extra bus slots cannot be satisfied;
 * register-file port over-subscription raises;
 * a move over a bus that does not connect its endpoints raises (at
-  load time in fast, turbo and native; per executed cycle in checked).
+  load time in fast and native; per executed cycle in checked).
 """
 
 from __future__ import annotations
@@ -57,7 +51,6 @@ from repro.sim.errors import SimError
 from repro.sim.memory import DataMemory
 from repro.sim.modes import DEFAULT_MODE, check_mode
 from repro.sim.predecode import (
-    block_source_for,
     check_register,
     check_tta_slots,
     dst_endpoint,
@@ -198,7 +191,7 @@ class TTASimulator:
             if self.mode == "checked":
                 result = self._run_checked()
             else:
-                result = run_tta(self, *block_source_for(self))
+                result = run_tta(self)
         record_run(result, "tta")
         return result
 

@@ -10,18 +10,15 @@ than silently matching the interpreter.
 Control transfers redirect fetch ``jump_latency + 1`` instructions after
 the trigger (exposed delay slots).
 
-Four execution modes are offered (the default is
-:data:`repro.sim.modes.DEFAULT_MODE`):
-``"fast"`` validates every bundle once at load time and runs the
-pre-decoded engine of :mod:`repro.sim.predecode`; ``"turbo"``
-additionally compiles basic blocks into specialized Python code
-(:mod:`repro.sim.blockcompile`); ``"native"`` runs the program on the
-prebuilt C engine of :mod:`repro.sim.native` (degrading to turbo when
-no C compiler is available); ``"checked"`` is the per-cycle reference
-implementation.  Fast, turbo and native run one stepping driver
-(:func:`repro.sim.predecode.run_vliw`) and differ only in its block
-source.  Differential tests assert all modes agree
-bit- and cycle-exactly.
+Three engines run it, under four mode names (the default is
+:data:`repro.sim.modes.DEFAULT_MODE`): ``"fast"`` validates every
+bundle once at load time and steps the pre-decoded program of
+:mod:`repro.sim.predecode` in Python (``"turbo"`` is a name for it);
+``"native"`` runs the program in one call of the prebuilt C engine of
+:mod:`repro.sim.native` (degrading to fast when no C compiler is
+available); ``"checked"`` is the per-cycle reference implementation.
+Fast and native share one driver (:func:`repro.sim.predecode.run_vliw`).
+Differential tests assert all modes agree bit- and cycle-exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from repro.isa.semantics import MASK32, evaluate
 from repro.sim.errors import SimError
 from repro.sim.memory import DataMemory
 from repro.sim.modes import DEFAULT_MODE, check_mode
-from repro.sim.predecode import VLIW_NO_DEST, block_source_for, check_register, run_vliw
+from repro.sim.predecode import VLIW_NO_DEST, check_register, run_vliw
 
 
 @dataclass
@@ -84,12 +81,6 @@ class VLIWSimulator:
     def _write_later(self, cycle: int, reg: PhysReg, value: int) -> None:
         heapq.heappush(self.pending_writes, (cycle, next(self._seq), reg, value))
 
-    def _write_later_slot(self, cycle: int, regs: list, idx: int, value: int) -> None:
-        """Variant of :meth:`_write_later` writing straight into a
-        pre-resolved register-file slot (turbo's blocks call it; the
-        shared driver's own steps push inline)."""
-        heapq.heappush(self._pending_slot_writes, (cycle, next(self._seq), regs, idx, value))
-
     def _sync_regs_from_fast(self, rfs: dict[str, list[int]]) -> None:
         """Mirror the shared driver's final register state into ``self.regs``
         so callers observe the same post-run API in every mode."""
@@ -116,7 +107,7 @@ class VLIWSimulator:
             if self.mode == "checked":
                 result = self._run_checked()
             else:
-                result = run_vliw(self, *block_source_for(self))
+                result = run_vliw(self)
         record_run(result, "vliw")
         return result
 

@@ -10,35 +10,21 @@ in CHANGES.md.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 from pathlib import Path
 
-from repro import build_machine, compile_for_machine, compile_source
-from repro.kernels import KERNELS, load
-from repro.machine import preset_names
+from tests.conftest import load_codegen_digest
 
 PINS = Path(__file__).with_name("asm_pins.json")
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "codegen_digest.py"
 
 
-def _asm_digest():
-    spec = importlib.util.spec_from_file_location("codegen_digest", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script.asm_digest
-
-
-def test_paper_programs_match_their_pins():
+def test_paper_programs_match_their_pins(paper_programs):
     pins = json.loads(PINS.read_text())
-    pairs = [f"{kernel} {name}" for kernel in KERNELS for name in preset_names()]
-    assert sorted(pins) == sorted(pairs), "re-pin: the pinned pair set changed"
-    asm_digest = _asm_digest()
-    changed = []
-    for kernel in KERNELS:
-        module = compile_source(load(kernel), module_name=kernel)
-        for name in preset_names():
-            digest = asm_digest(compile_for_machine(module, build_machine(name)))
-            if digest != pins[f"{kernel} {name}"]:
-                changed.append(f"{kernel} on {name}")
+    assert sorted(pins) == sorted(paper_programs), "re-pin: the pinned pair set changed"
+    asm_digest = load_codegen_digest().asm_digest
+    changed = [
+        pair.replace(" ", " on ")
+        for pair, compiled in paper_programs.items()
+        if asm_digest(compiled) != pins[pair]
+    ]
     assert not changed, f"compiled program changed: {', '.join(changed)}"

@@ -1,13 +1,13 @@
-"""Turbo (block-compiled) engine tests.
+"""Engine-name and profiling tests of the Python engines.
 
-The turbo engine must be bit- and cycle-exact with the checked reference
+``turbo`` is a name for the fast engine on the TTA and VLIW cores; runs
+under it must stay bit- and cycle-exact with the checked reference
 engine — exit code, cycle count and **every** statistics counter — on
-every CHStone-style workload, on both machine styles, including when
-codegen bails out and the per-block fallback interprets through the fast
-path.  Dynamic schedule violations (early FU reads, overlapping control
-transfers, cycle-budget exhaustion) must raise the same errors at the
-same cycle as the reference engines (``test_predecode.TestEngineDynamics``
-checks them in every engine).
+every CHStone-style workload, on both machine styles.  Dynamic schedule
+violations (early FU reads, overlapping control transfers, cycle-budget
+exhaustion) must raise the same errors at the same cycle as the
+reference engines (``test_predecode.TestEngineDynamics`` checks them in
+every engine).  Profiles list per-pc hot spots in every engine.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from repro.sim import (
     run_compiled,
     run_compiled_profiled,
 )
-from repro.sim import blockcompile
-from repro.sim.blockcompile import tta_block_source, vliw_block_source
 
 #: one TTA and one VLIW design point; turbo/checked agreement is
 #: style-level, not design-point-level (same policy as test_predecode)
@@ -112,67 +110,7 @@ class TestTurboDynamics:
 
 
 # ---------------------------------------------------------------------------
-# block cache + codegen-fallback equivalence
-# ---------------------------------------------------------------------------
-
-
-class TestBlockCacheAndFallback:
-    def test_block_code_cached_on_program(self):
-        compiled = _compile(FIB_SRC, "m-tta-2")
-        run_compiled(compiled, mode="turbo")
-        cache = compiled.program.predecode_cache["tta-turbo"]
-        assert cache, "no compiled blocks cached"
-        snapshot = dict(cache)
-        run_compiled(compiled, mode="turbo")
-        after = compiled.program.predecode_cache["tta-turbo"]
-        for start, entry in snapshot.items():
-            assert after[start] is entry, f"block {start} recompiled"
-        compiled.program.invalidate_predecode()
-        assert "tta-turbo" not in compiled.program.predecode_cache
-
-    def test_vliw_block_code_cached_on_program(self):
-        compiled = _compile(FIB_SRC, "m-vliw-2")
-        run_compiled(compiled, mode="turbo")
-        assert compiled.program.predecode_cache["vliw-turbo"]
-
-    def test_tta_fallback_path_is_equivalent(self, monkeypatch):
-        """With codegen disabled entirely, the turbo driver's per-block
-        fallback must still be bit- and cycle-exact with checked."""
-        monkeypatch.setattr(
-            blockcompile, "_compile_tta_block", lambda *a, **k: None
-        )
-        compiled = _compile(FIB_SRC, "m-tta-2")
-        checked = run_compiled(compiled, mode="checked")
-        turbo = run_compiled(compiled, mode="turbo")
-        assert asdict(turbo) == asdict(checked)
-        assert turbo.exit_code == 0
-        # nothing compiled: every cache entry is a None (fallback) marker
-        assert all(
-            entry is None
-            for entry in compiled.program.predecode_cache["tta-turbo"].values()
-        )
-
-    def test_vliw_fallback_path_is_equivalent(self, monkeypatch):
-        monkeypatch.setattr(
-            blockcompile, "_compile_vliw_block", lambda *a, **k: None
-        )
-        compiled = _compile(FIB_SRC, "m-vliw-2")
-        checked = run_compiled(compiled, mode="checked")
-        turbo = run_compiled(compiled, mode="turbo")
-        assert asdict(turbo) == asdict(checked)
-        assert turbo.exit_code == 0
-
-    def test_block_source_helpers(self):
-        tta = _compile(FIB_SRC, "m-tta-2")
-        src = tta_block_source(tta.program, 0)
-        assert src is not None and "def _b(" in src
-        vliw = _compile(FIB_SRC, "m-vliw-2")
-        src = vliw_block_source(vliw.program, 0)
-        assert src is not None and "def _b(" in src
-
-
-# ---------------------------------------------------------------------------
-# profiling: zero-overhead hit vectors -> hot blocks + opcode histograms
+# profiling: zero-overhead hit vectors -> hot spots + opcode histograms
 # ---------------------------------------------------------------------------
 
 
@@ -184,7 +122,8 @@ class TestProfiling:
         assert profile.engine == "turbo"
         assert profile.cycles == result.cycles
         assert profile.instructions == sum(profile.pc_hits) > 0
-        # blocks partition the executed pcs: instruction totals must match
+        # one region per executed pc: instruction totals must match
+        assert all(b.length == 1 for b in profile.blocks)
         assert sum(b.instructions for b in profile.blocks) == profile.instructions
         # hottest-first ordering
         instrs = [b.instructions for b in profile.blocks]
@@ -200,7 +139,8 @@ class TestProfiling:
         assert fast.pc_hits == turbo.pc_hits
         assert fast.opcode_counts == turbo.opcode_counts
         assert fast.cycles == turbo.cycles
-        # fast has no block grouping: every region is a single pc
+        # every region is a single pc
+        assert fast.blocks == turbo.blocks
         assert all(b.length == 1 for b in fast.blocks)
 
     def test_checked_engine_has_no_profile(self):

@@ -9,14 +9,16 @@ accesses, cycle-budget exhaustion) must raise the same exception type
 with byte-identical message text.
 
 The tier also has an availability contract: no C compiler (or a
-program the encoder refuses) degrades to the turbo engine with exactly
-one RuntimeWarning and unchanged results, and the engine's one shared
-object round-trips through the artifact store's blob kind so warm runs
-never invoke the compiler.
+program the encoder refuses) degrades to the fast engine with exactly
+one RuntimeWarning and unchanged results (sweep, explore and report
+count each pair that degraded), and the engine's one shared object
+round-trips through the artifact store's blob kind so warm runs never
+invoke the compiler.
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 import warnings
 from dataclasses import asdict
@@ -35,11 +37,10 @@ from repro.sim import (
     run_compiled_profiled,
 )
 from repro.sim import native
-from repro.sim.blockcompile import tta_block_source
 from repro.sim.cgen import ENTRY_SYMBOL, OPCODES, build_native_program, engine_source
 
 #: one TTA and one VLIW design point; native/checked agreement is
-#: style-level, not design-point-level (same policy as test_blockcompile)
+#: style-level, not design-point-level (same policy as test_predecode)
 DIFF_MACHINES = ("m-tta-2", "m-vliw-2")
 
 FIB_SRC = """
@@ -51,8 +52,8 @@ requires_cc = pytest.mark.skipif(
     native.find_compiler() is None, reason="no C compiler on PATH"
 )
 
-#: the two block engines, which share the TTA walker's static FU-result
-#: forwarding; only native needs a C compiler
+#: the FU-result scenarios run on turbo (a name for fast) and on native;
+#: only native needs a C compiler
 BLOCK_ENGINES = ("turbo", pytest.param("native", marks=requires_cc))
 
 
@@ -120,11 +121,6 @@ def _imm(value, dst, bus):
     return Move(("imm", value), dst, bus)
 
 
-#: what a dynamic FU read (a runtime commit of the pending list) prints
-#: in a turbo block
-DYNAMIC_READ = ".pop(0)"
-
-
 def _fu_state(sim):
     return [
         (name, fu.o1, fu.result, fu.has_result, fu.pending)
@@ -144,7 +140,7 @@ class TestNativeDynamics:
     """Each scenario runs once on the checked reference and once on the
     native engine (fresh ``Program`` objects — the engine caches on the
     program) and the outcomes, including the exact error text, must be
-    identical; the FU-result forwarding scenarios run on turbo too.  A
+    identical; the FU-result scenarios run on turbo too.  A
     degradation warning during the native run would mask a missing
     compiler, so warnings escalate to errors here."""
 
@@ -334,20 +330,14 @@ class TestNativeDynamics:
             )
 
         assert self._diff_state(make) == ("ok", 17, 8)
-        # turbo reads the carried-in result dynamically, once for both
-        # moves of its instruction, and forwards the read of the target
-        # block's own push
-        assert tta_block_source(make(), 6).count(DYNAMIC_READ) == 1
 
     @pytest.mark.parametrize("mode", BLOCK_ENGINES)
     def test_memory_fault_after_forwarded_reads(self, mode):
-        # forwarded reads and pushes keep the FU state in memory exact, so
-        # the error text and every unit's synced pending list match
+        # reads and pushes keep the FU state in memory exact, so the
+        # error text and every unit's synced pending list match
         make = _memory_fault_prog
         outcome = self._diff_state(make, mode)
         assert "memory access out of range: 0x7fffffff+4" in outcome[1]
-        if mode == "turbo":
-            assert DYNAMIC_READ not in tta_block_source(make(), 0)
         checked = TTASimulator(make(), mode="checked")
         _outcome(checked)
         assert checked.fus["ALU0"].pending == [(4, 8), (6, 36)]
@@ -382,7 +372,7 @@ class TestNativeDynamics:
 
 
 # ---------------------------------------------------------------------------
-# availability: degradation to turbo, codegen bailout
+# availability: degradation to fast, codegen bailout
 # ---------------------------------------------------------------------------
 
 
@@ -391,7 +381,7 @@ class TestDegradation:
         monkeypatch.setenv(native.NO_CC_ENV, "1")
         monkeypatch.setattr(native, "_WARNED", False)
         assert native.find_compiler() is None
-        reference = run_compiled(_compile(FIB_SRC, "m-tta-2"), mode="turbo")
+        reference = run_compiled(_compile(FIB_SRC, "m-tta-2"), mode="fast")
         fresh = _compile(FIB_SRC, "m-tta-2")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -401,7 +391,7 @@ class TestDegradation:
             w for w in caught if issubclass(w.category, RuntimeWarning)
         ]
         assert len(degradations) == 1, "degradation must warn exactly once"
-        assert "falling back" in str(degradations[0].message)
+        assert "falling back to the fast engine" in str(degradations[0].message)
         assert asdict(first) == asdict(reference) == asdict(second)
         # the unavailability decision is cached on the program
         assert fresh.program.predecode_cache["tta-native"] is None
@@ -409,7 +399,7 @@ class TestDegradation:
     def test_vliw_degrades_too(self, monkeypatch):
         monkeypatch.setenv(native.NO_CC_ENV, "1")
         monkeypatch.setattr(native, "_WARNED", False)
-        reference = run_compiled(_compile(FIB_SRC, "m-vliw-2"), mode="turbo")
+        reference = run_compiled(_compile(FIB_SRC, "m-vliw-2"), mode="fast")
         with pytest.warns(RuntimeWarning, match="falling back"):
             nat = run_compiled(_compile(FIB_SRC, "m-vliw-2"), mode="native")
         assert asdict(nat) == asdict(reference)
@@ -423,12 +413,59 @@ class TestDegradation:
         monkeypatch.setattr(native, "find_compiler", lambda: None)
         monkeypatch.setattr(native, "_WARNED", False)
         compiled = _compile(FIB_SRC, machine_name)
-        reference = asdict(run_compiled(compiled, mode="turbo"))
+        reference = asdict(run_compiled(compiled, mode="fast"))
         with obs.tracing() as tracer, warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             runs = [asdict(run_compiled(compiled, mode="native")) for _ in range(2)]
         assert runs == [reference, reference]
         assert tracer.counters["sim.native.degraded_runs"] == 2
+
+    def test_sweep_counts_degraded_pairs(self, monkeypatch, capsys):
+        """A default-engine sweep without a compiler says how many pairs
+        asked for native and ran on fast: ``--json`` stats carry the count
+        (the scalar core has no C engine, so its pair is not one), stderr
+        gets one line, and the results are a fast sweep's."""
+        from repro.cli import main
+
+        monkeypatch.setenv(native.NO_CC_ENV, "1")
+        monkeypatch.setattr(native, "_WARNED", False)
+        argv = ["sweep", "--machines", "m-tta-2,m-vliw-2,mblaze-3", "--kernels", "mips",
+                "--no-cache", "--json", "-q"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert main([*argv, "--mode", "fast"]) == 0
+        fast_out, fast_err = capsys.readouterr()
+        degraded, fast = json.loads(out), json.loads(fast_out)
+        assert degraded["stats"]["degraded"] == 2
+        assert fast["stats"]["degraded"] == 0
+        assert degraded["results"] == fast["results"]
+        lines = [line for line in err.splitlines() if line.startswith("degraded:")]
+        assert len(lines) == 1 and lines[0].startswith("degraded: 2 pair(s)"), err
+        assert "degraded:" not in fast_err
+
+    def test_explore_and_report_count_degraded_pairs(self, monkeypatch):
+        """explore and report carry the same count (the scalar pair of the
+        report's sweep is not one)."""
+        from repro.eval.runner import degraded_count, run_sweep, sweep_cache_clear
+        from repro.explore import ExploreConfig, run_explore
+        from repro.pipeline.store import NO_CACHE_ENV
+
+        monkeypatch.setenv(native.NO_CC_ENV, "1")
+        monkeypatch.setenv(NO_CACHE_ENV, "1")
+        monkeypatch.setattr(native, "_WARNED", False)
+        config = ExploreConfig(kernels=("mips",), generations=0)
+        sweep_cache_clear()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert run_explore(config, use_cache=False).stats.degraded == 1
+                run_sweep(("m-tta-2", "mblaze-3"), ("mips",))
+            assert degraded_count() == 1
+        finally:
+            sweep_cache_clear()
+        assert degraded_count() == 0
 
     def test_cc_env_override_pointing_nowhere_degrades(self, monkeypatch):
         monkeypatch.delenv(native.NO_CC_ENV, raising=False)
@@ -459,7 +496,7 @@ class TestDegradation:
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "store"))
         monkeypatch.setattr(native, "_LIB_CACHE", {})
         monkeypatch.setattr(native, "_WARNED", False)
-        reference = run_compiled(_compile(FIB_SRC, "m-tta-2"), mode="turbo")
+        reference = run_compiled(_compile(FIB_SRC, "m-tta-2"), mode="fast")
         with obs.tracing() as tracer, pytest.warns(RuntimeWarning) as caught:
             nat = run_compiled(_compile(FIB_SRC, "m-tta-2"), mode="native")
         assert asdict(nat) == asdict(reference)
@@ -802,39 +839,6 @@ def test_outcome_comes_from_inside_the_engine(monkeypatch, scenario):
 HEADER_WORDS = 6
 
 
-def _entry_closure(program):
-    """{0} | labels | call return sites, closed under turbo's block
-    fall-through (the entry pcs a linked program's blocks start at)."""
-    from repro.sim.blockcompile import _partition
-    from repro.sim.predecode import _CONTROL_OPS as ctl_ops
-    from repro.sim.predecode import static_decode_tta, static_decode_vliw
-
-    jl = program.machine.jump_latency
-    if program.style == "tta":
-        ops = [[op for _, _, op in d[2]] for d in static_decode_tta(program)]
-    else:
-        ops = [[op[0] for op in bundle] for bundle in static_decode_vliw(program)]
-    n = len(ops)
-    roots = {0, *program.labels.values()}
-    roots |= {pc + jl + 1 for pc, names in enumerate(ops) if "call" in names}
-    closure, work = set(), [p for p in roots if 0 <= p < n]
-    while work:
-        p = work.pop()
-        if p in closure:
-            continue
-        closure.add(p)
-        length, halts, _ = _partition(
-            p,
-            n,
-            jl,
-            lambda q: "halt" in ops[q],
-            lambda q: any(name in ctl_ops for name in ops[q]),
-        )
-        if not halts and p + length < n:
-            work.append(p + length)
-    return closure
-
-
 def _operands(nat, reg="rf"):
     """``v[]`` index -> the static decode's operand tuple it holds (a
     register's is tagged *reg*)."""
@@ -944,7 +948,6 @@ class TestEngineShape:
         assert outcome[0] == "ok" and calls == 1
         # the engine counts executions per pc: the hit vector is exact
         assert nat._last_hits == fast._last_hits
-        assert [(pc, 1, n) for pc, n in enumerate(fast._last_hits) if n] == nat._last_blocks
 
     @pytest.mark.parametrize("machine_name", DIFF_MACHINES)
     @pytest.mark.parametrize("kernel", ("mips", "adpcm", "jpeg"))
@@ -990,14 +993,6 @@ class TestEngineShape:
 
 
 class TestCodegenShape:
-    def test_turbo_in_block_reads_are_forwarded(self):
-        # the same blocks in Python: no pending-list commit loop
-        compiled = compile_for_machine(compile_kernel("mips"), build_machine("m-tta-2"))
-        program = compiled.program
-        for start in sorted(_entry_closure(program)):
-            source = tta_block_source(program, start)
-            assert DYNAMIC_READ not in source, start
-
     @pytest.mark.parametrize("mode", BLOCK_ENGINES)
     def test_forwarded_read_takes_latest_due_push(self, mode):
         # add (due 1) and mul (due 4) are both due when cycle 4 reads
@@ -1016,10 +1011,6 @@ class TestCodegenShape:
                 ]
             )
 
-        if mode == "turbo":
-            source = tta_block_source(make(), 0)
-            assert DYNAMIC_READ not in source
-            assert "r0[1] = t2" in source
         checked = TTASimulator(make(), mode="checked")
         with warnings.catch_warnings():
             warnings.simplefilter("error")

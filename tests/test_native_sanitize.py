@@ -8,9 +8,10 @@ once with AddressSanitizer (in a subprocess, because ``libasan`` must be
 preloaded into the interpreter), run every paper kernel on every TTA and
 VLIW preset plus the in-range part of the memory-width programs of
 ``tests/test_predecode.py`` (every load and store width, misaligned and
-up to the last byte of memory) on it, and require every result to stay
-byte-identical to the turbo engine.  Any sanitizer report aborts the run
-(``-fno-sanitize-recover=all``), so a finding fails loudly.
+up to the last byte of memory) on it, and require every kernel result to
+equal its pinned numbers (``tests/sim_pins.json``) and every width
+program to end as on the fast engine.  Any sanitizer report aborts the
+run (``-fno-sanitize-recover=all``), so a finding fails loudly.
 
 Sanitized objects never mix with normal ones: the compiler flags are
 part of the shared-object key, and each test uses a throwaway store.
@@ -18,6 +19,7 @@ part of the shared-object key, and each test uses a throwaway store.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -40,6 +42,9 @@ MACHINES = tuple(name for name in preset_names() if build_machine(name).style.va
 #: pair plus one width program per core style
 N_RUNS = len(MACHINES) * len(KERNELS) + 2
 
+#: the pinned numbers of every (paper kernel, preset) pair
+SIM_PINS = Path(__file__).with_name("sim_pins.json")
+
 UBSAN_FLAGS = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
 ASAN_FLAGS = ("-fsanitize=address", "-fno-omit-frame-pointer")
 
@@ -50,8 +55,10 @@ requires_cc = pytest.mark.skipif(CC is None, reason="no C compiler on PATH")
 
 def check_matrix() -> tuple[int, int]:
     """Run every (paper kernel, preset) natively with the current
-    compiler flags and compare against turbo; returns the number of
-    programs run and of engine builds."""
+    compiler flags and compare against its pinned numbers, and each
+    width program against fast; returns the number of programs run and
+    of engine builds."""
+    pins = json.loads(SIM_PINS.read_text())
     native._LIB_CACHE.clear()
     builds = []
     compile_so = native._compile_so
@@ -67,15 +74,17 @@ def check_matrix() -> tuple[int, int]:
             module = compile_kernel(kernel)
             for machine_name in MACHINES:
                 compiled = compile_for_machine(module, build_machine(machine_name))
-                reference = run_compiled(compiled, mode="turbo")
                 with warnings.catch_warnings():
-                    # a degradation to turbo would compare turbo with itself
+                    # a degradation to fast would not run the engine
                     warnings.simplefilter("error", RuntimeWarning)
                     result = run_compiled(compiled, mode="native")
-                assert asdict(result) == asdict(reference), (machine_name, kernel)
+                assert asdict(result) == pins[f"{kernel} {machine_name}"], (
+                    machine_name,
+                    kernel,
+                )
                 runs += 1
         for style in ("tta", "vliw"):
-            want = run_width_program(width_program(style), "turbo")
+            want = run_width_program(width_program(style), "fast")
             assert run_width_program(width_program(style), "native") == want, style
             runs += 1
     finally:
@@ -101,7 +110,7 @@ def throwaway_store(monkeypatch, tmp_path):
 
 
 @requires_cc
-@pytest.mark.slow  # every paper kernel on 11 presets, turbo and UBSan native
+@pytest.mark.slow  # every paper kernel on 11 presets on the UBSan engine
 def test_engine_is_ubsan_clean(monkeypatch, throwaway_store):
     monkeypatch.setattr(native, "_CC_FLAGS", native._CC_FLAGS + UBSAN_FLAGS)
     if not _flags_link():
@@ -123,7 +132,7 @@ def _libasan() -> str | None:
 
 
 @requires_cc
-@pytest.mark.slow  # every paper kernel on 11 presets, turbo and ASan native
+@pytest.mark.slow  # every paper kernel on 11 presets on the ASan engine
 def test_engine_is_asan_clean(throwaway_store):
     libasan = _libasan()
     if libasan is None:

@@ -252,7 +252,7 @@ def test_unknown_register_file_same_error_in_every_engine(mode, style, access):
 # ---------------------------------------------------------------------------
 
 #: every engine; native needs a C compiler (without one it would only
-#: degrade to turbo)
+#: degrade to fast)
 ENGINES = tuple(
     pytest.param(mode, marks=requires_cc) if mode == "native" else mode for mode in MODES
 )
@@ -273,7 +273,7 @@ def _run(make_prog, mode):
     else:
         sim = VLIWSimulator(prog, mode=mode, max_cycles=10_000)
     with warnings.catch_warnings():
-        # a native run that degraded to turbo would hide a missing cc
+        # a native run that degraded to fast would hide a missing cc
         warnings.simplefilter("error")
         try:
             result = sim.run()
